@@ -100,6 +100,14 @@ def _one_int(value, line, what="value"):
     return int(x)
 
 
+def _thread_count(value, line, what="value"):
+    """[run] threads, refused by the one thread rule with its line number."""
+    try:
+        return core.resolve_threads(configured=_one_int(value, line, what))
+    except ValueError as exc:
+        raise GroupFileError(str(exc), line) from None
+
+
 # ---------------------------------------------------------------------------
 # Group files
 # ---------------------------------------------------------------------------
@@ -245,7 +253,6 @@ class ExperimentConfig:
     delta_tol: float = 1e-6
     measure_epsilon: float = 0.05
     measure_n_max: int = 12
-    measure_window: float = 1.0
     fourier_shell_min: float = 1.0
     fourier_shell_max: float = 256.0
     fourier_samples_per_shell: int = 16
@@ -269,14 +276,13 @@ class ExperimentConfig:
 
 _CONFIG_KEYS = {
     ("run", "seed"): ("seed", _one_int),
-    ("run", "threads"): ("threads", _one_int),
+    ("run", "threads"): ("threads", _thread_count),
     ("group", "file"): ("group_file", None),
     ("measure", "file"): ("measure_file", None),
     ("delta", "n_max"): ("delta_n_max", _one_int),
     ("delta", "tol"): ("delta_tol", _one_float),
     ("measure", "epsilon"): ("measure_epsilon", _one_float),
     ("measure", "n_max"): ("measure_n_max", _one_int),
-    ("measure", "window"): ("measure_window", _one_float),
     ("fourier", "shell_min"): ("fourier_shell_min", _one_float),
     ("fourier", "shell_max"): ("fourier_shell_max", _one_float),
     ("fourier", "samples_per_shell"): ("fourier_samples_per_shell", _one_int),

@@ -18,7 +18,8 @@ PATH`` when given, and otherwise run the full pipeline on ``[group] file``
 Determinism: identical config + seed + thread setting produces byte-identical
 output files; every file opens with '# key=value' comments carrying the
 config hash, package version, and seed.  Threads resolve as the --threads
-flag, else the LIMSET_THREADS environment variable, else the config value.
+flag, else the LIMSET_THREADS environment variable, else the config value;
+a count below 1 is refused (exit 2).
 The SVG plot is rebuilt from the emitted CSV, not from in-memory state.
 
 Exit codes: 0 success; 2 validation failure (malformed file, overlapping
@@ -33,13 +34,14 @@ then fail).  It affects nothing else.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
 import numpy as np
 
 from limset import (__version__, _io, core, dimension, fourier, holonomy,
-                    measure, nonconc, schottky)
+                    measure, nonconc)
 
 _EXC_DELTA_EXP = 0.1    # threshold exponent reported by cmd_fourier
 
@@ -48,16 +50,8 @@ _EXC_DELTA_EXP = 0.1    # threshold exponent reported by cmd_fourier
 # Shared plumbing
 # ---------------------------------------------------------------------------
 
-def _threads_for(args, cfg=None):
-    if getattr(args, "threads", None) is not None:
-        return max(1, args.threads)
-    env = os.environ.get("LIMSET_THREADS")
-    if env is not None:
-        return max(1, int(env))
-    return max(1, cfg.threads) if cfg is not None else 1
-
-
-def _load_config(args):
+def _setup(args):
+    """(config, thread count, output directory) of a config-driven command."""
     cfg = _io.parse_experiment_config(args.config)
     if args.seed is not None:
         cfg.seed = args.seed
@@ -65,12 +59,10 @@ def _load_config(args):
         cfg.out_dir = args.out
     if getattr(args, "svg", False):
         cfg.svg = True
-    return cfg
-
-
-def _out_dir(cfg):
+    threads = core.resolve_threads(args.threads, os.environ.get("LIMSET_THREADS"),
+                                   cfg.threads)
     os.makedirs(cfg.out_dir, exist_ok=True)
-    return cfg.out_dir
+    return cfg, threads, cfg.out_dir
 
 
 def _meta(command, config_hash, seed, threads, **extra):
@@ -85,12 +77,37 @@ def _meta(command, config_hash, seed, threads, **extra):
     return meta
 
 
-def _write_summary(path, meta, lines):
+def _report(path, meta, lines):
+    """Write a summary file (header comments, then ``lines``) and print the lines."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for key in sorted(meta):
             fh.write(f"# {key}={meta[key]}\n")
         for line in lines:
             fh.write(line + "\n")
+    print("\n".join(lines))
+
+
+class _Pipeline:
+    """group -> delta estimate -> orbit measure, each stage built on first use.
+
+    ``delta`` reads only ``estimate``, so it never pays for the measure.
+    """
+
+    def __init__(self, cfg, threads):
+        self.cfg = cfg
+        self.threads = threads
+        self.group = _io.load_group_file(cfg.resolve(cfg.group_file))
+
+    @functools.cached_property
+    def estimate(self) -> dimension.DeltaEstimate:
+        return dimension.estimate_delta(self.group, n_max=self.cfg.delta_n_max,
+                                        tol=self.cfg.delta_tol, threads=self.threads)
+
+    @functools.cached_property
+    def mu(self) -> measure.AtomicMeasure:
+        return measure.patterson_orbit_measure(self.group, self.estimate.delta,
+                                               epsilon=self.cfg.measure_epsilon,
+                                               n_max=self.cfg.measure_n_max)
 
 
 def _input_measure(cfg, threads):
@@ -105,13 +122,8 @@ def _input_measure(cfg, threads):
         mu, meta = _io.read_measure_file(path)
         delta = float(meta["delta"]) if "delta" in meta else None
         return mu, delta, os.path.basename(path)
-    group = _io.load_group_file(cfg.resolve(cfg.group_file))
-    est = dimension.estimate_delta(group, n_max=cfg.delta_n_max,
-                                   tol=cfg.delta_tol, threads=threads)
-    mu = measure.patterson_orbit_measure(group, est.delta,
-                                         epsilon=cfg.measure_epsilon,
-                                         n_max=cfg.measure_n_max)
-    return mu, est.delta, group.name
+    run = _Pipeline(cfg, threads)
+    return run.mu, run.estimate.delta, run.group.name
 
 
 # ---------------------------------------------------------------------------
@@ -126,71 +138,54 @@ def cmd_validate(args):
 
 
 def cmd_delta(args):
-    cfg = _load_config(args)
-    threads = _threads_for(args, cfg)
-    out = _out_dir(cfg)
-    group = _io.load_group_file(cfg.resolve(cfg.group_file))
-    meta = _meta("delta", cfg.sha256, cfg.seed, threads, group=group.name)
+    cfg, threads, out = _setup(args)
+    run = _Pipeline(cfg, threads)
+    meta = _meta("delta", cfg.sha256, cfg.seed, threads, group=run.group.name)
     summary_path = os.path.join(out, "delta_summary.txt")
     try:
-        est = dimension.estimate_delta(group, n_max=cfg.delta_n_max,
-                                       tol=cfg.delta_tol, threads=threads)
+        est = run.estimate
     except core.DegenerateConfigurationError as exc:
-        lines = ["status = degenerate", f"reason = {exc}"]
-        _write_summary(summary_path, meta, lines)
-        print("\n".join(lines))
+        _report(summary_path, meta, ["status = degenerate", f"reason = {exc}"])
         return 3
-    trunc = dimension.shell_sums(group, est.delta, cfg.delta_n_max,
+    trunc = dimension.shell_sums(run.group, est.delta, cfg.delta_n_max,
                                  threads=threads)
     rows = [(int(n), est.delta, float(trunc.values[n]), float(est.per_level[n - 1]))
             for n in est.levels]
     _io.write_csv(os.path.join(out, "delta.csv"),
                   ["n", "s", "a_n", "delta_n"], rows, meta)
-    lines = [
+    _report(summary_path, meta, [
         "status = ok",
         f"delta = {_io.fmt(est.delta)}",
         f"spread = {_io.fmt(est.spread)}",
         f"n_max = {est.n_max}",
         f"words = {int(est.counts.sum())}",
-    ]
-    _write_summary(summary_path, meta, lines)
-    print("\n".join(lines))
+    ])
     return 0
 
 
 def cmd_measure(args):
-    cfg = _load_config(args)
-    threads = _threads_for(args, cfg)
-    out = _out_dir(cfg)
-    group = _io.load_group_file(cfg.resolve(cfg.group_file))
-    est = dimension.estimate_delta(group, n_max=cfg.delta_n_max,
-                                   tol=cfg.delta_tol, threads=threads)
-    mu = measure.patterson_orbit_measure(group, est.delta,
-                                         epsilon=cfg.measure_epsilon,
-                                         n_max=cfg.measure_n_max)
+    cfg, threads, out = _setup(args)
+    run = _Pipeline(cfg, threads)
+    est, mu = run.estimate, run.mu
     s = est.delta + cfg.measure_epsilon
-    meta = _meta("measure", cfg.sha256, cfg.seed, threads, group=group.name,
+    meta = _meta("measure", cfg.sha256, cfg.seed, threads, group=run.group.name,
                  delta=_io.fmt(est.delta), epsilon=_io.fmt(cfg.measure_epsilon),
                  n_max=int(cfg.measure_n_max))
     _io.write_measure_file(os.path.join(out, "measure.csv"), mu, meta)
     residual = max(measure.conformality_residual(mu, g.elem, s)
-                   for g in group.gens)
-    lines = [
+                   for g in run.group.gens)
+    _report(os.path.join(out, "measure_summary.txt"), meta, [
         f"atoms = {mu.n}",
         f"mass = {_io.fmt(mu.mass)}",
         f"delta = {_io.fmt(est.delta)}",
         f"exponent = {_io.fmt(s)}",
         f"conformality_residual = {_io.fmt(residual)}",
-    ]
-    _write_summary(os.path.join(out, "measure_summary.txt"), meta, lines)
-    print("\n".join(lines))
+    ])
     return 0
 
 
 def cmd_fourier(args):
-    cfg = _load_config(args)
-    threads = _threads_for(args, cfg)
-    out = _out_dir(cfg)
+    cfg, threads, out = _setup(args)
     mu, delta, source = _input_measure(cfg, threads)
     count = int(np.floor(np.log2(cfg.fourier_shell_max / cfg.fourier_shell_min)
                          + 1e-9)) + 1
@@ -234,7 +229,6 @@ def cmd_fourier(args):
         f'  "exceptional_delta_exp": {_io.fmt(exc_set.delta_exp)}',
         "}",
     ]
-    _write_summary(os.path.join(out, "fourier_summary.txt"), meta, lines)
     if cfg.svg:
         _, _, data = _io.read_csv(csv_path)
         r, a = data[:, 0], data[:, 4]
@@ -243,14 +237,12 @@ def cmd_fourier(args):
         _io.write_loglog_svg(os.path.join(out, "fourier.svg"), radii, maxima,
                              title="shell maxima of |mu-hat|",
                              xlabel="frequency radius", ylabel="max |mu-hat|")
-    print("\n".join(lines))
+    _report(os.path.join(out, "fourier_summary.txt"), meta, lines)
     return 0
 
 
 def cmd_nonconc(args):
-    cfg = _load_config(args)
-    threads = _threads_for(args, cfg)
-    out = _out_dir(cfg)
+    cfg, threads, out = _setup(args)
     mu, _, source = _input_measure(cfg, threads)
     r_min = cfg.nonconc_r_min if cfg.nonconc_r_min > 0 else None
     profile = nonconc.affine_profile(mu, epsilons=cfg.nonconc_epsilons,
@@ -272,96 +264,22 @@ def cmd_nonconc(args):
     return 0
 
 
-def _unit_ball(rng, d, r_max):
-    u = rng.standard_normal(d)
-    u /= np.linalg.norm(u)
-    return rng.uniform(0.0, r_max) * u
-
-
 def cmd_holonomy(args):
-    """Property suite over seeded random regime inputs, d cycling 1..3.
-
-    Round-trips compare the closed forms against the matrix factorization;
-    block coherence checks each output factor against the quadratic form;
-    the lambda gap is the exact |v|^2 |w|^2 / 4 identity; the cocycle law
-    refactors step-wise and jointly.  Draw radii for the cocycle triples are
-    clipped so every intermediate stays inside the ||.|| <= 1/2 regime.
-    """
-    trials = args.trials
-    if trials < 10:
-        raise ValueError(f"need at least 10 trials, got {trials}")
-    seed = args.seed if args.seed is not None else 0
+    """Run holonomy.property_suite; write its rows and print the report."""
     out = args.out if args.out is not None else "out"
-    os.makedirs(out, exist_ok=True)
     sign = -1.0 if os.environ.get("LIMSET_BUG_TAU_SIGN") == "1" else 1.0
-    rng = np.random.default_rng(seed)
-    tols = {
-        "phi_round_trip": 1e-10,
-        "tau_round_trip": 1e-10,
-        "y_round_trip": 1e-10,
-        "m_round_trip": 1e-10,
-        "block_coherence": 1e-12,
-        "lambda_gap_identity": 1e-12,
-        "cocycle_composition": 1e-8,
-    }
-    worst = {name: 0.0 for name in tols}
-    counts = {name: trials for name in tols}
-    for i in range(trials):
-        d = 1 + i % 3
-        h = holonomy.random_regime_input(rng, d)
-        res = holonomy.factorize_product(h.v, h.w, h.tau, h.m)
-        worst["phi_round_trip"] = max(
-            worst["phi_round_trip"],
-            float(np.abs(res.phi - holonomy.phi_closed_form(h)).max()))
-        worst["tau_round_trip"] = max(
-            worst["tau_round_trip"],
-            abs(res.t_out - sign * holonomy.tau_closed_form(h)))
-        worst["y_round_trip"] = max(
-            worst["y_round_trip"],
-            float(np.abs(res.y_out - holonomy.y_closed_form(h)).max()))
-        worst["m_round_trip"] = max(
-            worst["m_round_trip"],
-            float(np.abs(res.m_out - holonomy.m_closed_form(h)).max()))
-        blocks = (core.unipotent_minus(res.y_out),
-                  core.rotation_embed(res.m_out),
-                  core.geodesic_flow(res.t_out, d),
-                  core.unipotent_plus(res.phi))
-        worst["block_coherence"] = max(
-            worst["block_coherence"],
-            max(core.so_residual(b) for b in blocks))
-        gap = (holonomy.lambda_fn(h.v, h.w) - holonomy.lambda_linear(h.v, h.w)
-               - 0.25 * float(h.v @ h.v) * float(h.w @ h.w))
-        worst["lambda_gap_identity"] = max(worst["lambda_gap_identity"], abs(gap))
-    n_triples = max(trials // 10, 1)
-    counts["cocycle_composition"] = n_triples
-    for i in range(n_triples):
-        d = 1 + i % 3
-        x0, x1 = _unit_ball(rng, d, 0.2), _unit_ball(rng, d, 0.2)
-        w = _unit_ball(rng, d, 0.3)
-        m = core.random_rotation(d, rng)
-        tau = float(rng.uniform(0.0, 0.25))
-        r1 = holonomy.factorize_product(x0, w, tau, m)
-        r2 = holonomy.factorize_product(x1, r1.y_out, r1.t_out, r1.m_out)
-        comb = holonomy.factorize_product(x1 + x0, w, tau, m)
-        resid = max(abs(r2.t_out - comb.t_out),
-                    float(np.abs(r2.y_out - comb.y_out).max()),
-                    float(np.abs(r2.phi + r1.phi - comb.phi).max()),
-                    float(np.abs(r2.m_out - comb.m_out).max()))
-        worst["cocycle_composition"] = max(worst["cocycle_composition"], resid)
-    passed = {name: worst[name] < tols[name] for name in tols}
-    ok = all(passed.values())
-    meta = _meta("holonomy", "", seed, 1, trials=trials)
-    rows = [(name, counts[name], worst[name], tols[name], passed[name])
-            for name in tols]
+    rows = holonomy.property_suite(args.trials, args.seed, tau_sign=sign)
+    os.makedirs(out, exist_ok=True)
     _io.write_csv(os.path.join(out, "holonomy.csv"),
-                  ["property", "trials", "max_residual", "tol", "passed"],
-                  rows, meta)
-    width = max(len(name) for name in tols)
-    lines = [f"{name:<{width}}  trials {counts[name]:>6}  "
-             f"max residual {worst[name]:.3e}  tol {tols[name]:.0e}  "
-             f"{'PASS' if passed[name] else 'FAIL'}" for name in tols]
+                  ["property", "trials", "max_residual", "tol", "passed"], rows,
+                  _meta("holonomy", "", args.seed, 1, trials=args.trials))
+    ok = all(passed for *_, passed in rows)
+    width = max(len(name) for name, *_ in rows)
+    lines = [f"{name:<{width}}  trials {trials:>6}  "
+             f"max residual {worst:.3e}  tol {tol:.0e}  {'PASS' if passed else 'FAIL'}"
+             for name, trials, worst, tol, passed in rows]
     lines.append(f"overall: {'PASS' if ok else 'FAIL'} "
-                 f"({len(tols)} properties, {trials} trials, seed {seed})")
+                 f"({len(rows)} properties, {args.trials} trials, seed {args.seed})")
     print("\n".join(lines))
     return 0 if ok else 3
 
@@ -410,16 +328,10 @@ def main(argv=None):
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except _io.GroupFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except schottky.ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except core.GeometryError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except ValueError as exc:   # GroupFileError, ConfigurationError, bad parameters
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

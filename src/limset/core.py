@@ -28,6 +28,8 @@ z -> xi radially).
 
 from __future__ import annotations
 
+import concurrent.futures
+
 import numpy as np
 
 DEFAULT_TOL = 1e-9
@@ -327,3 +329,39 @@ def busemann(xi, x, y):
         raise DegenerateConfigurationError(
             "B(point, xi) <= 0: xi not a future null direction for these points")
     return np.log(bx) - np.log(by)
+
+
+# ---------------------------------------------------------------------------
+# Thread count and the ordered parallel map
+# ---------------------------------------------------------------------------
+
+def resolve_threads(flag=None, env=None, configured=1):
+    """Worker-thread count: ``flag``, else ``env``, else ``configured``.
+
+    ``flag`` is the --threads value and ``env`` the text of the
+    LIMSET_THREADS environment variable (None when unset).  A count below 1
+    is refused with a ValueError naming its source, never clamped.
+    """
+    source, value = next((s, v) for s, v in (("--threads", flag),
+                                             ("LIMSET_THREADS", env),
+                                             ("[run] threads", configured))
+                         if v is not None)
+    try:
+        count = int(value)
+    except ValueError:
+        raise ValueError(f"{source}: expected an integer, got {value!r}") from None
+    if count < 1:
+        raise ValueError(f"{source}: thread count must be at least 1, got {count}")
+    return count
+
+
+def parallel_map(fn, items, threads=1):
+    """[fn(x) for x in items] for a list ``items``, on up to ``threads`` threads.
+
+    Results come back in item order, so a reduction over them in that order
+    gives the same bits for every thread count.
+    """
+    if threads <= 1 or len(items) <= 1:
+        return [fn(x) for x in items]
+    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as ex:
+        return list(ex.map(fn, items))

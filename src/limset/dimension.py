@@ -27,7 +27,6 @@ order so results are bit-identical regardless of thread count.
 
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,15 +85,10 @@ class DeltaEstimate:
 def _chunked_logsumexp(values: np.ndarray, threads: int = 1) -> float:
     """log(sum(exp(values))) with a fixed chunked reduction order."""
     n = values.shape[0]
-    if n <= _CHUNK or threads <= 1:
-        if n <= _CHUNK:
-            return float(logsumexp(values))
-        chunks = [values[i : i + _CHUNK] for i in range(0, n, _CHUNK)]
-        partial = np.array([logsumexp(c) for c in chunks])
-        return float(logsumexp(partial))
+    if n <= _CHUNK:
+        return float(logsumexp(values))
     chunks = [values[i : i + _CHUNK] for i in range(0, n, _CHUNK)]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as ex:
-        partial = np.array(list(ex.map(logsumexp, chunks)))
+    partial = np.array(core.parallel_map(logsumexp, chunks, threads))
     return float(logsumexp(partial))
 
 

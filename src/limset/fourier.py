@@ -21,9 +21,7 @@ distance and refuses to report samples beyond it.
 
 from __future__ import annotations
 
-import concurrent.futures
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,12 +41,6 @@ _ATOM_CHUNK = 1 << 16
 _FREQ_CHUNK = 1 << 10
 
 
-def _thread_count(threads) -> int:
-    if threads is None:
-        threads = int(os.environ.get("LIMSET_THREADS", "1") or 1)
-    return max(1, int(threads))
-
-
 def _atom_sum(pts: np.ndarray, w: np.ndarray, freqs: np.ndarray) -> np.ndarray:
     """sum_j w_j e^{2 pi i <xi, x_j>} with compensated fixed-order chunking."""
     total = np.zeros(freqs.shape[0], dtype=complex)
@@ -66,19 +58,15 @@ def _atom_sum(pts: np.ndarray, w: np.ndarray, freqs: np.ndarray) -> np.ndarray:
 def _nudft(pts: np.ndarray, w: np.ndarray, freqs: np.ndarray, threads: int) -> np.ndarray:
     blocks = [slice(i, min(i + _FREQ_CHUNK, freqs.shape[0]))
               for i in range(0, freqs.shape[0], _FREQ_CHUNK)]
-    if threads > 1 and len(blocks) > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as ex:
-            parts = list(ex.map(lambda sl: _atom_sum(pts, w, freqs[sl]), blocks))
-    else:
-        parts = [_atom_sum(pts, w, freqs[sl]) for sl in blocks]
-    num = np.concatenate(parts)
+    num = np.concatenate(core.parallel_map(lambda sl: _atom_sum(pts, w, freqs[sl]),
+                                           blocks, threads))
     # normalize by the total weight accumulated along the identical chunked
     # path, so the zero frequency evaluates to exactly 1
     den = _atom_sum(pts, w, np.zeros((1, pts.shape[1]))).real[0]
     return num / den
 
 
-def fourier_transform(mu: AtomicMeasure, xi, threads=None):
+def fourier_transform(mu: AtomicMeasure, xi, threads: int = 1):
     """mu-hat(xi) = (1/mass) sum_j w_j e^{2 pi i <xi, x_j>}.
 
     ``xi`` is a single frequency vector (length d) or a batch (..., d);
@@ -91,8 +79,7 @@ def fourier_transform(mu: AtomicMeasure, xi, threads=None):
     if freqs.shape[-1] != mu.d:
         raise ValueError(f"frequency dim {freqs.shape[-1]} != measure dim {mu.d}")
     shape = freqs.shape[:-1]
-    vals = _nudft(mu.points, mu.weights, freqs.reshape(-1, mu.d),
-                  _thread_count(threads))
+    vals = _nudft(mu.points, mu.weights, freqs.reshape(-1, mu.d), threads)
     return complex(vals[0]) if single else vals.reshape(shape)
 
 
@@ -213,7 +200,7 @@ def _fit_kappa(radii: np.ndarray, maxima: np.ndarray) -> tuple[float, float, boo
 
 
 def decay_scan(mu: AtomicMeasure, spec: FrequencySpec, seed: int = 0,
-               threads=None) -> DecayReport:
+               threads: int = 1) -> DecayReport:
     """Per-shell maxima of |mu-hat| and the decay exponent kappa.
 
     Shells beyond the measure's resolution cap are dropped (and counted);
@@ -251,7 +238,7 @@ def decay_scan(mu: AtomicMeasure, spec: FrequencySpec, seed: int = 0,
     sample_radii = np.broadcast_to(r_samples[:, None, :], (n_shell, n_dir, n_rad)).reshape(-1)
     dir_index = np.broadcast_to(np.arange(n_dir)[None, :, None],
                                 (n_shell, n_dir, n_rad)).reshape(-1).copy()
-    vals = _nudft(mu.points, mu.weights, freqs, _thread_count(threads))
+    vals = _nudft(mu.points, mu.weights, freqs, threads)
     mods = np.abs(vals).reshape(n_shell, n_dir * n_rad)
     shell_max = mods.max(axis=1)
     kappa, resid, floored = _fit_kappa(kept, shell_max)
@@ -286,11 +273,7 @@ def _grid_values_1d(pts: np.ndarray, w: np.ndarray, step: float, k_max: int,
 
     blocks = [slice(i, min(i + _ATOM_CHUNK, pts.shape[0]))
               for i in range(0, pts.shape[0], _ATOM_CHUNK)]
-    if threads > 1 and len(blocks) > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as ex:
-            parts = list(ex.map(chunk_values, blocks))
-    else:
-        parts = [chunk_values(sl) for sl in blocks]
+    parts = core.parallel_map(chunk_values, blocks, threads)
     total = parts[0].copy()
     for part in parts[1:]:
         total += part
@@ -315,7 +298,7 @@ def _grid_ball(d: int, radius: float, step: float) -> np.ndarray:
 
 
 def l2_average(mu: AtomicMeasure, radius: float, grid_step: float = 0.25,
-               threads=None) -> L2Average:
+               threads: int = 1) -> L2Average:
     """Grid Riemann sum of |mu-hat(xi)|^2 over the ball ||xi|| <= radius.
 
     The doubling ratio value(2R)/value(R) tracks R^{d-alpha} for a measure
@@ -328,15 +311,14 @@ def l2_average(mu: AtomicMeasure, radius: float, grid_step: float = 0.25,
         raise ValueError(f"radius must be positive, got {radius}")
     span = float((mu.points.max(axis=0) - mu.points.min(axis=0)).max())
     coarse = grid_step * span > 1.0
-    nthreads = _thread_count(threads)
     if mu.d == 1:
         k_max = int(np.floor(radius / grid_step))
-        vals = _grid_values_1d(mu.points, mu.weights, grid_step, k_max, nthreads)
+        vals = _grid_values_1d(mu.points, mu.weights, grid_step, k_max, threads)
         mods2 = np.abs(vals) ** 2
         total = grid_step * (mods2[0] + 2.0 * mods2[1:].sum())
     else:
         freqs = _grid_ball(mu.d, radius, grid_step)
-        vals = _nudft(mu.points, mu.weights, freqs, nthreads)
+        vals = _nudft(mu.points, mu.weights, freqs, threads)
         total = grid_step ** mu.d * float(np.sum(np.abs(vals) ** 2))
     return L2Average(value=float(total), radius=float(radius),
                      grid_step=float(grid_step), coarse=coarse)
@@ -354,7 +336,7 @@ class ExceptionalSet:
 
 
 def exceptional_set_measure(mu: AtomicMeasure, t_value: float, delta_exp: float,
-                            grid_step: float = 0.25, threads=None) -> ExceptionalSet:
+                            grid_step: float = 0.25, threads: int = 1) -> ExceptionalSet:
     """Grid-cell estimate of the flattening exceptional set at level T^{-delta}."""
     if not 0.0 < delta_exp < 1.0:
         raise ValueError(f"delta_exp must be in (0, 1), got {delta_exp}")
@@ -363,23 +345,20 @@ def exceptional_set_measure(mu: AtomicMeasure, t_value: float, delta_exp: float,
     if grid_step > 0.25:
         raise ValueError(f"grid_step must be <= 1/4, got {grid_step}")
     threshold = t_value ** (-delta_exp)
-    nthreads = _thread_count(threads)
     if mu.d == 1:
-        k_max = int(np.floor(t_value / grid_step))
-        mods = np.abs(_grid_values_1d(mu.points, mu.weights, grid_step, k_max,
-                                      nthreads))
-        count = int(mods[0] > threshold) + 2 * int(np.sum(mods[1:] > threshold))
-        lebesgue = count * grid_step
-        volume = 2.0 * t_value
+        _, _, fractions, lebesgues = exceptional_sweep(mu, [t_value], [delta_exp],
+                                                       grid_step, threads)
+        lebesgue, fraction = lebesgues[0, 0], fractions[0, 0]
     else:
         freqs = _grid_ball(mu.d, t_value, grid_step)
-        mods = np.abs(_nudft(mu.points, mu.weights, freqs, nthreads))
+        mods = np.abs(_nudft(mu.points, mu.weights, freqs, threads))
         lebesgue = float(np.sum(mods > threshold)) * grid_step ** mu.d
         volume = (np.pi ** (mu.d / 2.0) / math.gamma(mu.d / 2.0 + 1.0)
                   * t_value ** mu.d)
+        fraction = lebesgue / volume
     return ExceptionalSet(
         lebesgue=float(lebesgue),
-        fraction=float(lebesgue / volume),
+        fraction=float(fraction),
         threshold=float(threshold),
         t_value=float(t_value),
         delta_exp=float(delta_exp),
@@ -388,7 +367,7 @@ def exceptional_set_measure(mu: AtomicMeasure, t_value: float, delta_exp: float,
 
 def exceptional_sweep(mu: AtomicMeasure, t_values=(16.0, 64.0, 256.0),
                       delta_grid=None, grid_step: float = 0.25,
-                      threads=None):
+                      threads: int = 1):
     """Exceptional-set fractions over a (delta_exp, T) grid from one pass.
 
     Returns (delta_grid, t_values, fractions, lebesgues) with ``fractions``
@@ -402,8 +381,7 @@ def exceptional_sweep(mu: AtomicMeasure, t_values=(16.0, 64.0, 256.0),
     t_values = np.asarray(sorted(t_values), dtype=float)
     delta_grid = np.asarray(delta_grid, dtype=float)
     k_max = int(np.floor(t_values[-1] / grid_step))
-    mods = np.abs(_grid_values_1d(mu.points, mu.weights, grid_step, k_max,
-                                  _thread_count(threads)))
+    mods = np.abs(_grid_values_1d(mu.points, mu.weights, grid_step, k_max, threads))
     fractions = np.empty((delta_grid.shape[0], t_values.shape[0]))
     lebesgues = np.empty_like(fractions)
     for j, t in enumerate(t_values):

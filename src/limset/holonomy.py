@@ -17,6 +17,7 @@ The formulas are verified against direct matrix factorization, which solves
 for the factors from the entries of the product: the first row of
 n-(y) m g_t n+(x) equals e^t (1, x, ||x||^2/2), the first column equals
 e^t (1, y, ||y||^2/2), and the middle block equals m + e^t y x^T.
+``property_suite`` runs that comparison on seeded random regime inputs.
 
 The phase-linearization error quantifies how well the holonomy phase
 exp(i <xi_t, .>) is approximated by its linearization
@@ -100,12 +101,18 @@ def assemble_product(h: HolonomyInput):
             @ core.geodesic_flow(h.tau, h.d) @ core.rotation_embed(h.m))
 
 
-def phi_closed_form(h: HolonomyInput, tol=core.DEFAULT_TOL):
-    """N+ component: m^{-1} (v + (||v||^2/2) w) / (e^tau lambda(v, w))."""
+def _cell_lambda(h: HolonomyInput, tol):
+    """lambda(v, w), refused when the product leaves the N-MAN+ cell."""
     lam = lambda_fn(h.v, h.w)
     if lam <= tol:
         raise core.DegenerateConfigurationError(
             f"lambda = {lam}: product outside the N-MAN+ cell")
+    return lam
+
+
+def phi_closed_form(h: HolonomyInput, tol=core.DEFAULT_TOL):
+    """N+ component: m^{-1} (v + (||v||^2/2) w) / (e^tau lambda(v, w))."""
+    lam = _cell_lambda(h, tol)
     return (h.m.T @ (h.v + 0.5 * float(h.v @ h.v) * h.w)) / (np.exp(h.tau) * lam)
 
 
@@ -115,29 +122,20 @@ def tau_closed_form(h: HolonomyInput, tol=core.DEFAULT_TOL):
     lambda is the leading entry of n+(v) n-(w), and the first row of
     n-(y) m g_t n+(x) is e^t (1, x, ||x||^2/2), so e^{t_out} = e^tau lambda.
     """
-    lam = lambda_fn(h.v, h.w)
-    if lam <= tol:
-        raise core.DegenerateConfigurationError(
-            f"lambda = {lam}: product outside the N-MAN+ cell")
+    lam = _cell_lambda(h, tol)
     return h.tau + np.log(lam)
 
 
 def y_closed_form(h: HolonomyInput, tol=core.DEFAULT_TOL):
     """N- component: (w + (||w||^2/2) v) / lambda(v, w); independent of tau, m."""
-    lam = lambda_fn(h.v, h.w)
-    if lam <= tol:
-        raise core.DegenerateConfigurationError(
-            f"lambda = {lam}: product outside the N-MAN+ cell")
+    lam = _cell_lambda(h, tol)
     return (h.w + 0.5 * float(h.w @ h.w) * h.v) / lam
 
 
 def m_closed_form(h: HolonomyInput, tol=core.DEFAULT_TOL):
     """Rotation component: the middle-block Schur-type complement of
     n+(v) n-(w), times m."""
-    lam = lambda_fn(h.v, h.w)
-    if lam <= tol:
-        raise core.DegenerateConfigurationError(
-            f"lambda = {lam}: product outside the N-MAN+ cell")
+    lam = _cell_lambda(h, tol)
     col = h.w + 0.5 * float(h.w @ h.w) * h.v
     row = h.v + 0.5 * float(h.v @ h.v) * h.w
     mprime = np.eye(h.d) + np.outer(h.v, h.w) - np.outer(col, row) / lam
@@ -217,13 +215,88 @@ def linearization_error(h: HolonomyInput, xi, t):
     return float(abs(exact - alpha))
 
 
+def _random_ball_point(rng, d, r_min, r_max):
+    """Uniform direction in R^d, radius uniform in [r_min, r_max]."""
+    u = rng.standard_normal(d)
+    u /= np.linalg.norm(u)
+    return rng.uniform(r_min, r_max) * u
+
+
 def random_regime_input(rng, d, w_min=0.0, tau_max=0.5):
     """Random HolonomyInput with ||v|| <= 1/2 uniform-ish and ||w|| in [w_min, 1/2]."""
-    def ball(lo, hi):
-        u = rng.standard_normal(d)
-        u /= np.linalg.norm(u)
-        r = rng.uniform(lo, hi)
-        return r * u
-    return HolonomyInput(v=ball(0.0, REGIME_BOUND), w=ball(w_min, REGIME_BOUND),
+    return HolonomyInput(v=_random_ball_point(rng, d, 0.0, REGIME_BOUND),
+                         w=_random_ball_point(rng, d, w_min, REGIME_BOUND),
                          m=core.random_rotation(d, rng),
                          tau=float(rng.uniform(-tau_max, tau_max)))
+
+
+#: Tolerance of each property of the suite, in report order.
+SUITE_TOLS = {
+    "phi_round_trip": 1e-10,
+    "tau_round_trip": 1e-10,
+    "y_round_trip": 1e-10,
+    "m_round_trip": 1e-10,
+    "block_coherence": 1e-12,
+    "lambda_gap_identity": 1e-12,
+    "cocycle_composition": 1e-8,
+}
+
+
+def property_suite(trials, seed=0, tau_sign=1.0):
+    """Property suite over seeded random regime inputs, d cycling 1..3.
+
+    Round-trips compare the closed forms against the matrix factorization;
+    block coherence checks each output factor against the quadratic form;
+    the lambda gap is the exact |v|^2 |w|^2 / 4 identity; the cocycle law
+    refactors step-wise and jointly over trials // 10 triples.  Draw radii
+    for the cocycle triples are clipped so every intermediate stays inside
+    the ||.|| <= 1/2 regime.
+
+    ``tau_sign`` multiplies the closed-form flow component before its round
+    trip: -1 is a deliberate negative control under which the suite fails.
+    Returns one row (name, trials, max_residual, tol, passed) per entry of
+    ``SUITE_TOLS``, in order.
+    """
+    if trials < 10:
+        raise ValueError(f"need at least 10 trials, got {trials}")
+    rng = np.random.default_rng(seed)
+    worst = dict.fromkeys(SUITE_TOLS, 0.0)
+    for i in range(trials):
+        h = random_regime_input(rng, 1 + i % 3)
+        res = factorize_product(h.v, h.w, h.tau, h.m)
+        blocks = (core.unipotent_minus(res.y_out),
+                  core.rotation_embed(res.m_out),
+                  core.geodesic_flow(res.t_out, h.d),
+                  core.unipotent_plus(res.phi))
+        gap = (lambda_fn(h.v, h.w) - lambda_linear(h.v, h.w)
+               - 0.25 * float(h.v @ h.v) * float(h.w @ h.w))
+        residuals = {
+            "phi_round_trip": float(np.abs(res.phi - phi_closed_form(h)).max()),
+            "tau_round_trip": abs(res.t_out - tau_sign * tau_closed_form(h)),
+            "y_round_trip": float(np.abs(res.y_out - y_closed_form(h)).max()),
+            "m_round_trip": float(np.abs(res.m_out - m_closed_form(h)).max()),
+            "block_coherence": max(core.so_residual(b) for b in blocks),
+            "lambda_gap_identity": abs(gap),
+        }
+        for name, value in residuals.items():
+            worst[name] = max(worst[name], value)
+    n_triples = max(trials // 10, 1)
+    for i in range(n_triples):
+        d = 1 + i % 3
+        x0 = _random_ball_point(rng, d, 0.0, 0.2)
+        x1 = _random_ball_point(rng, d, 0.0, 0.2)
+        w = _random_ball_point(rng, d, 0.0, 0.3)
+        m = core.random_rotation(d, rng)
+        tau = float(rng.uniform(0.0, 0.25))
+        r1 = factorize_product(x0, w, tau, m)
+        r2 = factorize_product(x1, r1.y_out, r1.t_out, r1.m_out)
+        comb = factorize_product(x1 + x0, w, tau, m)
+        resid = max(abs(r2.t_out - comb.t_out),
+                    float(np.abs(r2.y_out - comb.y_out).max()),
+                    float(np.abs(r2.phi + r1.phi - comb.phi).max()),
+                    float(np.abs(r2.m_out - comb.m_out).max()))
+        worst["cocycle_composition"] = max(worst["cocycle_composition"], resid)
+    counts = dict.fromkeys(SUITE_TOLS, trials)
+    counts["cocycle_composition"] = n_triples
+    return [(name, counts[name], worst[name], tol, worst[name] < tol)
+            for name, tol in SUITE_TOLS.items()]

@@ -318,6 +318,43 @@ def test_env_var_thread_override(work, tmp_path, monkeypatch):
     assert csv_meta(out / "fourier.csv")["threads"] == "2"
 
 
+def test_thread_count_precedence_and_refusal(work, tmp_path, monkeypatch, capsys):
+    """--threads beats LIMSET_THREADS beats [run] threads; counts below 1 are
+    refused with exit 2 and name their source."""
+    monkeypatch.delenv("LIMSET_THREADS", raising=False)
+
+    def config(threads):
+        path = tmp_path / f"t{threads}.cfg"
+        path.write_text(f"[run]\nseed = 0\nthreads = {threads}\n\n"
+                        f"[measure]\nfile = {work / 'point.csv'}\n\n"
+                        "[fourier]\nshell_min = 1\nshell_max = 128\ngrid_max = 16\n")
+        return str(path)
+
+    def threads_used(env, *flag):
+        if env is None:
+            monkeypatch.delenv("LIMSET_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("LIMSET_THREADS", env)
+        out = tmp_path / f"o-{env}-{'-'.join(flag)}"
+        code = cli.main(["fourier", "--config", config(3), "--out", str(out), *flag])
+        return csv_meta(out / "fourier.csv")["threads"] if code == 0 else code
+
+    assert threads_used(None) == "3"
+    assert threads_used("2") == "2"
+    assert threads_used("2", "--threads", "1") == "1"
+    assert threads_used(None, "--threads", "4") == "4"
+    capsys.readouterr()
+    for env, flag, source in ((None, ["--threads", "0"], "--threads"),
+                              (None, ["--threads", "-3"], "--threads"),
+                              ("0", [], "LIMSET_THREADS")):
+        assert threads_used(env, *flag) == 2
+        assert source in capsys.readouterr().err
+    monkeypatch.delenv("LIMSET_THREADS")
+    assert cli.main(["fourier", "--config", config(0),
+                     "--out", str(tmp_path / "c0")]) == 2
+    assert "line 3" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # nonconc
 # ---------------------------------------------------------------------------

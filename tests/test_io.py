@@ -1,5 +1,8 @@
 """Config parsing, CSV/measure-file round trips, SVG emission."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -27,7 +30,6 @@ tol = 1e-7
 [measure]
 epsilon = 0.02
 n_max = 9
-window = 0.5
 
 [fourier]
 shell_min = 2
@@ -64,7 +66,7 @@ def test_config_full_round(tmp_path):
     cfg = _io.parse_experiment_config(path)
     assert cfg.seed == 7 and cfg.threads == 2
     assert cfg.delta_n_max == 10 and cfg.delta_tol == 1e-7
-    assert cfg.measure_epsilon == 0.02 and cfg.measure_window == 0.5
+    assert cfg.measure_epsilon == 0.02
     assert cfg.fourier_shell_max == 128 and cfg.fourier_grid_step == 0.125
     assert cfg.nonconc_samples == 50 and cfg.nonconc_epsilons == (0.1, 0.2, 0.4)
     assert cfg.out_dir == "results" and cfg.svg is True
@@ -88,6 +90,41 @@ def test_config_unknown_key_has_line_number(tmp_path):
     with pytest.raises(_io.GroupFileError) as err:
         _io.parse_experiment_config(path)
     assert err.value.line == 3
+
+
+def test_config_window_key_is_refused(tmp_path):
+    path = tmp_path / "old.cfg"
+    path.write_text("[measure]\nepsilon = 0.02\nwindow = 0.5\n")
+    with pytest.raises(_io.GroupFileError, match="unknown config key 'window'") as err:
+        _io.parse_experiment_config(path)
+    assert err.value.line == 3
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_config_thread_count_below_one_refused(tmp_path, count):
+    path = tmp_path / "t.cfg"
+    path.write_text(f"[run]\nseed = 1\nthreads = {count}\n")
+    with pytest.raises(_io.GroupFileError, match="at least 1") as err:
+        _io.parse_experiment_config(path)
+    assert err.value.line == 3
+
+
+def test_readme_config_block_parses(tmp_path):
+    """The config example in README.md parses as printed."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+    path = tmp_path / "readme.cfg"
+    path.write_text(block)
+    cfg = _io.parse_experiment_config(path)
+    assert cfg.seed == 0 and cfg.threads == 1
+    assert cfg.group_file == "reference.group" and cfg.measure_file == ""
+    assert cfg.delta_n_max == 12
+    assert cfg.measure_epsilon == 0.02 and cfg.measure_n_max == 12
+    assert cfg.fourier_shell_min == 1 and cfg.fourier_shell_max == 256
+    assert cfg.fourier_samples_per_shell == 16
+    assert cfg.fourier_grid_step == 0.25 and cfg.fourier_grid_max == 256
+    assert cfg.nonconc_samples == 200 and cfg.nonconc_r_min == 0
+    assert cfg.nonconc_epsilons == (0.05, 0.1, 0.2, 0.4)
 
 
 def test_config_epsilons_validated(tmp_path):
