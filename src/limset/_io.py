@@ -14,6 +14,7 @@ seed and thread configuration: no timestamps, no environment-dependent text.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import re
 from dataclasses import dataclass, field
 
@@ -330,18 +331,23 @@ def parse_experiment_config(path):
 # CSV and SVG emission
 # ---------------------------------------------------------------------------
 
-def write_csv(path, columns, rows, meta):
-    """Deterministic CSV: '# key=value' headers (sorted), then columns, then rows.
-
-    Floats are rendered with 17 significant digits; ints as ints.  No
-    timestamps or machine-dependent content may enter meta.
-    """
+def write_lines(path, meta, lines):
+    """'# key=value' header comments (sorted keys; no timestamps or
+    machine-dependent content may enter meta), then ``lines``, one per line."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for key in sorted(meta):
             fh.write(f"# {key}={meta[key]}\n")
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_cell(x) for x in row) + "\n")
+        for line in lines:
+            fh.write(line + "\n")
+
+
+def write_csv(path, columns, rows, meta):
+    """Deterministic CSV: write_lines headers, then columns, then rows.
+
+    Floats are rendered with 17 significant digits; ints as ints.
+    """
+    body = (",".join(_cell(x) for x in row) for row in rows)
+    write_lines(path, meta, itertools.chain([",".join(columns)], body))
 
 
 def _cell(x):

@@ -79,11 +79,7 @@ def _meta(command, config_hash, seed, threads, **extra):
 
 def _report(path, meta, lines):
     """Write a summary file (header comments, then ``lines``) and print the lines."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for key in sorted(meta):
-            fh.write(f"# {key}={meta[key]}\n")
-        for line in lines:
-            fh.write(line + "\n")
+    _io.write_lines(path, meta, lines)
     print("\n".join(lines))
 
 
@@ -194,12 +190,9 @@ def cmd_fourier(args):
                                  samples_per_shell=cfg.fourier_samples_per_shell,
                                  grid_step=cfg.fourier_grid_step)
     report = fourier.decay_scan(mu, spec, seed=cfg.seed, threads=threads)
-    l2 = fourier.l2_average(mu, cfg.fourier_grid_max,
-                            grid_step=cfg.fourier_grid_step, threads=threads)
-    exc_set = fourier.exceptional_set_measure(mu, cfg.fourier_grid_max,
-                                              _EXC_DELTA_EXP,
-                                              grid_step=cfg.fourier_grid_step,
-                                              threads=threads)
+    l2, fractions, lebesgues = fourier.grid_statistics(
+        mu, cfg.fourier_grid_max, [cfg.fourier_grid_max], [_EXC_DELTA_EXP],
+        grid_step=cfg.fourier_grid_step, threads=threads)
     meta = _meta("fourier", cfg.sha256, cfg.seed, threads, source=source)
     if delta is not None:
         meta["delta"] = _io.fmt(delta)
@@ -223,10 +216,10 @@ def cmd_fourier(args):
         f'  "l2_average": {_io.fmt(l2.value)},',
         f'  "l2_radius": {_io.fmt(l2.radius)},',
         f'  "l2_coarse": {str(l2.coarse).lower()},',
-        f'  "exceptional_fraction": {_io.fmt(exc_set.fraction)},',
-        f'  "exceptional_lebesgue": {_io.fmt(exc_set.lebesgue)},',
-        f'  "exceptional_t": {_io.fmt(exc_set.t_value)},',
-        f'  "exceptional_delta_exp": {_io.fmt(exc_set.delta_exp)}',
+        f'  "exceptional_fraction": {_io.fmt(fractions[0, 0])},',
+        f'  "exceptional_lebesgue": {_io.fmt(lebesgues[0, 0])},',
+        f'  "exceptional_t": {_io.fmt(cfg.fourier_grid_max)},',
+        f'  "exceptional_delta_exp": {_io.fmt(_EXC_DELTA_EXP)}',
         "}",
     ]
     if cfg.svg:

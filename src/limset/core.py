@@ -182,21 +182,24 @@ def in_so_q(g, tol=DEFAULT_TOL):
     return sign > 0 and abs(logdet) < np.log1p(1e3 * tol) + 1e-6
 
 
-def project_so(g, tol=DEFAULT_TOL, max_iter=8):
-    """Reproject a drifted matrix to SO(Q) (Newton iteration for the J-polar factor).
+def project_so(g, tol=DEFAULT_TOL):
+    """Reproject drifted matrices to SO(Q) (Newton iteration for the J-polar factor).
 
-    Iterates g <- (g + J g^{-T} J)/2, which converges quadratically to the
-    J-orthogonal factor of the generalized polar decomposition for g near the
-    group.  Returns g unchanged when the scale-relative defect is already
-    below tol/10.
+    ``g`` is one matrix or a stack (..., n, n).  The matrices whose scale-relative
+    defect exceeds tol/10 iterate together, g <- (g + J g^{-T} J)/2 (quadratic
+    convergence to the J-orthogonal factor of the generalized polar
+    decomposition near the group), until all are within tol/100 or for 6 steps.
     """
-    g = np.asarray(g, dtype=float)
-    d = g.shape[0] - 2
-    J = gram_matrix(d)
-    for _ in range(max_iter):
-        if so_relative_residual(g) <= 0.1 * tol:
-            break
-        g = 0.5 * (g + J @ np.linalg.inv(g).T @ J)
+    g = np.array(g, dtype=float)    # a copy: the caller's matrices never change
+    bad = so_relative_residual(g) > 0.1 * tol
+    if np.any(bad):
+        J = gram_matrix(g.shape[-1] - 2)
+        fix = g[bad]
+        for _ in range(6):
+            fix = 0.5 * (fix + J @ np.linalg.inv(fix).transpose(0, 2, 1) @ J)
+            if so_relative_residual(fix).max() <= 0.01 * tol:
+                break
+        g[bad] = fix
     return g
 
 
@@ -359,9 +362,11 @@ def parallel_map(fn, items, threads=1):
     """[fn(x) for x in items] for a list ``items``, on up to ``threads`` threads.
 
     Results come back in item order, so a reduction over them in that order
-    gives the same bits for every thread count.
+    gives the same bits for every thread count.  A count below 1 is refused.
     """
-    if threads <= 1 or len(items) <= 1:
+    if threads < 1:
+        raise ValueError(f"thread count must be at least 1, got {threads}")
+    if threads == 1 or len(items) <= 1:
         return [fn(x) for x in items]
     with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as ex:
         return list(ex.map(fn, items))

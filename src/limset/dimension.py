@@ -84,12 +84,9 @@ class DeltaEstimate:
 
 def _chunked_logsumexp(values: np.ndarray, threads: int = 1) -> float:
     """log(sum(exp(values))) with a fixed chunked reduction order."""
-    n = values.shape[0]
-    if n <= _CHUNK:
-        return float(logsumexp(values))
-    chunks = [values[i : i + _CHUNK] for i in range(0, n, _CHUNK)]
-    partial = np.array(core.parallel_map(logsumexp, chunks, threads))
-    return float(logsumexp(partial))
+    chunks = [values[i : i + _CHUNK] for i in range(0, values.shape[0], _CHUNK)]
+    partial = core.parallel_map(logsumexp, chunks, threads)
+    return float(partial[0] if len(partial) == 1 else logsumexp(np.array(partial)))
 
 
 def level_distances(group, n_max: int, basepoint: np.ndarray | None = None) -> list[np.ndarray]:

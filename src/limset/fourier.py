@@ -3,16 +3,18 @@
 Implements mu-hat(xi) = (1/mass) sum_j w_j e^{2 pi i <xi, x_j>} evaluated by
 direct summation (desk scale; no NUFFT), with a fixed atom-chunk order and
 Neumaier-compensated combination so results are bit-identical for any thread
-count.  On top of the transform sit the three experiment statistics:
+count.  On top of the transform sit the experiment statistics:
 
 * ``decay_scan`` -- per-shell maxima of |mu-hat| over sampled directions and
   a least-squares decay exponent kappa fitted on the upper half of the
   shells (polynomial Fourier decay |mu-hat| ~ ||xi||^{-kappa});
-* ``l2_average`` -- Riemann estimate of the L2 frequency average
+* ``grid_statistics`` -- |mu-hat| evaluated once on a uniform grid over the
+  ball ||xi|| <= R, for the Riemann estimate of the L2 average
   int_{||xi|| <= R} |mu-hat|^2, whose doubling ratio tracks R^{d - alpha}
-  (L2-flattening / Frostman scaling);
-* ``exceptional_set_measure`` -- Lebesgue measure of the super-level set
-  {||xi|| <= T : |mu-hat(xi)| > T^{-delta}} (the flattening exceptional set).
+  (L2-flattening / Frostman scaling), and the Lebesgue measure of the
+  super-level sets {||xi|| <= T : |mu-hat(xi)| > T^{-delta}}, T <= R (the
+  flattening exceptional set); ``l2_average``, ``exceptional_set_measure``
+  and ``exceptional_sweep`` read it.
 
 Atomic discretizations only resolve frequencies below ~1/(atom spacing);
 every scan computes that cap from the weighted median nearest-neighbour
@@ -25,10 +27,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import core
-from .measure import AtomicMeasure
+from .measure import AtomicMeasure, atom_spacing
 
 #: Values of |mu-hat| below this are double-precision cancellation noise.
 NUMERICAL_FLOOR = 1e-14
@@ -81,36 +82,6 @@ def fourier_transform(mu: AtomicMeasure, xi, threads: int = 1):
     shape = freqs.shape[:-1]
     vals = _nudft(mu.points, mu.weights, freqs.reshape(-1, mu.d), threads)
     return complex(vals[0]) if single else vals.reshape(shape)
-
-
-def nearest_neighbor_distances(points: np.ndarray) -> np.ndarray:
-    """Distance from each atom to its nearest distinct-index neighbour."""
-    if points.shape[0] < 2:
-        raise ValueError("need at least two atoms for neighbour distances")
-    if points.shape[1] == 1:
-        order = np.argsort(points[:, 0])
-        xs = points[order, 0]
-        gaps = np.diff(xs)
-        nn_sorted = np.minimum(np.concatenate([[gaps[0]], gaps]),
-                               np.concatenate([gaps, [gaps[-1]]]))
-        nn = np.empty_like(nn_sorted)
-        nn[order] = nn_sorted
-        return nn
-    return cKDTree(points).query(points, k=2)[0][:, 1]
-
-
-def atom_spacing(mu: AtomicMeasure) -> float:
-    """Resolution scale of the discretization: the weighted median of the
-    nearest-neighbour atom distances (inf for a single atom)."""
-    if mu.n < 2:
-        return np.inf
-    nn = nearest_neighbor_distances(mu.points)
-    srt = np.argsort(nn)
-    cum = np.cumsum(mu.weights[srt])
-    eta = float(nn[srt][np.searchsorted(cum, 0.5 * cum[-1])])
-    if eta <= 0.0:
-        raise core.DegenerateConfigurationError("coincident atoms: spacing 0")
-    return eta
 
 
 def resolution_cap(mu: AtomicMeasure) -> float:
@@ -274,9 +245,7 @@ def _grid_values_1d(pts: np.ndarray, w: np.ndarray, step: float, k_max: int,
     blocks = [slice(i, min(i + _ATOM_CHUNK, pts.shape[0]))
               for i in range(0, pts.shape[0], _ATOM_CHUNK)]
     parts = core.parallel_map(chunk_values, blocks, threads)
-    total = parts[0].copy()
-    for part in parts[1:]:
-        total += part
+    total = sum(parts[1:], parts[0])    # in block order, for every thread count
     return total / total[0].real
 
 
@@ -297,6 +266,56 @@ def _grid_ball(d: int, radius: float, step: float) -> np.ndarray:
     return pts[np.linalg.norm(pts, axis=1) <= radius]
 
 
+def grid_statistics(mu: AtomicMeasure, radius: float, t_values=(), delta_grid=(),
+                    grid_step: float = 0.25, threads: int = 1):
+    """|mu-hat| evaluated once on the grid k*grid_step of the ball ||xi|| <= radius.
+
+    In d = 1 only the half line k >= 0 is evaluated, each k > 0 standing for
+    the cells +-k*grid_step.  Returns ``(l2, fractions, lebesgues)``: the
+    L2Average over the ball, and the exceptional sets at level T^{-delta} over
+    (delta_grid x t_values), each counted on the cells of the radius-T grid.
+    """
+    if grid_step > 0.25:
+        raise ValueError(f"grid_step must be <= 1/4, got {grid_step}")
+    if radius <= 0.0:
+        raise ValueError(f"radius must be positive, got {radius}")
+    for t in t_values:
+        if not 4.0 <= t <= radius:
+            raise ValueError(f"T must be >= 4, got {t}" if t < 4.0
+                             else f"T = {t} exceeds the grid radius {radius}")
+    for dexp in delta_grid:
+        if not 0.0 < dexp < 1.0:
+            raise ValueError(f"delta_exp must be in (0, 1), got {dexp}")
+    d = mu.d
+    if d == 1:
+        k_max = int(np.floor(radius / grid_step))
+        freqs = np.arange(k_max + 1)[:, None] * grid_step
+        mods = np.abs(_grid_values_1d(mu.points, mu.weights, grid_step, k_max, threads))
+    else:
+        freqs = _grid_ball(d, radius, grid_step)
+        mods = np.abs(_nudft(mu.points, mu.weights, freqs, threads))
+    cells = np.where((d == 1) & (freqs[:, 0] > 0), 2, 1)   # on the half line, +-xi
+    m2 = mods ** 2
+    total = grid_step ** d * (np.sum(m2[cells == 1]) + 2.0 * np.sum(m2[cells == 2]))
+    span = float((mu.points.max(axis=0) - mu.points.min(axis=0)).max())
+    l2 = L2Average(value=float(total), radius=float(radius),
+                   grid_step=float(grid_step), coarse=grid_step * span > 1.0)
+    # unit-ball volume; 2, not pi^(1/2)/Gamma(3/2), which is one ulp short of it
+    unit_ball = 2.0 if d == 1 else np.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
+    fractions = np.empty((len(delta_grid), len(t_values)))
+    lebesgues = np.empty_like(fractions)
+    for j, t in enumerate(t_values):
+        # the radius-T grid: |k| <= floor(T/step) per axis, and for d >= 2 the ball
+        inside = np.abs(freqs).max(axis=1) <= np.floor(t / grid_step) * grid_step
+        if d > 1:
+            inside &= np.linalg.norm(freqs, axis=1) <= t
+        for i, dexp in enumerate(delta_grid):
+            count = int(np.sum(cells[inside & (mods > t ** (-dexp))]))
+            lebesgues[i, j] = count * grid_step ** d
+            fractions[i, j] = lebesgues[i, j] / (unit_ball * t ** d)
+    return l2, fractions, lebesgues
+
+
 def l2_average(mu: AtomicMeasure, radius: float, grid_step: float = 0.25,
                threads: int = 1) -> L2Average:
     """Grid Riemann sum of |mu-hat(xi)|^2 over the ball ||xi|| <= radius.
@@ -305,23 +324,7 @@ def l2_average(mu: AtomicMeasure, radius: float, grid_step: float = 0.25,
     of local dimension alpha.  ``coarse`` flags grids whose step exceeds the
     reciprocal support span (|mu-hat|'s oscillation scale under-resolved).
     """
-    if grid_step > 0.25:
-        raise ValueError(f"grid_step must be <= 1/4, got {grid_step}")
-    if radius <= 0.0:
-        raise ValueError(f"radius must be positive, got {radius}")
-    span = float((mu.points.max(axis=0) - mu.points.min(axis=0)).max())
-    coarse = grid_step * span > 1.0
-    if mu.d == 1:
-        k_max = int(np.floor(radius / grid_step))
-        vals = _grid_values_1d(mu.points, mu.weights, grid_step, k_max, threads)
-        mods2 = np.abs(vals) ** 2
-        total = grid_step * (mods2[0] + 2.0 * mods2[1:].sum())
-    else:
-        freqs = _grid_ball(mu.d, radius, grid_step)
-        vals = _nudft(mu.points, mu.weights, freqs, threads)
-        total = grid_step ** mu.d * float(np.sum(np.abs(vals) ** 2))
-    return L2Average(value=float(total), radius=float(radius),
-                     grid_step=float(grid_step), coarse=coarse)
+    return grid_statistics(mu, radius, grid_step=grid_step, threads=threads)[0]
 
 
 @dataclass(frozen=True)
@@ -338,28 +341,12 @@ class ExceptionalSet:
 def exceptional_set_measure(mu: AtomicMeasure, t_value: float, delta_exp: float,
                             grid_step: float = 0.25, threads: int = 1) -> ExceptionalSet:
     """Grid-cell estimate of the flattening exceptional set at level T^{-delta}."""
-    if not 0.0 < delta_exp < 1.0:
-        raise ValueError(f"delta_exp must be in (0, 1), got {delta_exp}")
-    if t_value < 4.0:
-        raise ValueError(f"T must be >= 4, got {t_value}")
-    if grid_step > 0.25:
-        raise ValueError(f"grid_step must be <= 1/4, got {grid_step}")
-    threshold = t_value ** (-delta_exp)
-    if mu.d == 1:
-        _, _, fractions, lebesgues = exceptional_sweep(mu, [t_value], [delta_exp],
-                                                       grid_step, threads)
-        lebesgue, fraction = lebesgues[0, 0], fractions[0, 0]
-    else:
-        freqs = _grid_ball(mu.d, t_value, grid_step)
-        mods = np.abs(_nudft(mu.points, mu.weights, freqs, threads))
-        lebesgue = float(np.sum(mods > threshold)) * grid_step ** mu.d
-        volume = (np.pi ** (mu.d / 2.0) / math.gamma(mu.d / 2.0 + 1.0)
-                  * t_value ** mu.d)
-        fraction = lebesgue / volume
+    _, fractions, lebesgues = grid_statistics(mu, t_value, [t_value], [delta_exp],
+                                              grid_step, threads)
     return ExceptionalSet(
-        lebesgue=float(lebesgue),
-        fraction=float(fraction),
-        threshold=float(threshold),
+        lebesgue=float(lebesgues[0, 0]),
+        fraction=float(fractions[0, 0]),
+        threshold=float(t_value ** (-delta_exp)),
         t_value=float(t_value),
         delta_exp=float(delta_exp),
     )
@@ -371,26 +358,15 @@ def exceptional_sweep(mu: AtomicMeasure, t_values=(16.0, 64.0, 256.0),
     """Exceptional-set fractions over a (delta_exp, T) grid from one pass.
 
     Returns (delta_grid, t_values, fractions, lebesgues) with ``fractions``
-    of shape (len(delta_grid), len(t_values)); only d = 1 measures, sharing
-    a single uniform frequency grid up to max(T).
+    of shape (len(delta_grid), len(t_values)); every T reads the one grid
+    of radius max(T).
     """
-    if mu.d != 1:
-        raise ValueError("the sweep shares a 1d uniform grid; d must be 1")
     if delta_grid is None:
         delta_grid = np.arange(0.05, 0.46, 0.05)
     t_values = np.asarray(sorted(t_values), dtype=float)
     delta_grid = np.asarray(delta_grid, dtype=float)
-    k_max = int(np.floor(t_values[-1] / grid_step))
-    mods = np.abs(_grid_values_1d(mu.points, mu.weights, grid_step, k_max, threads))
-    fractions = np.empty((delta_grid.shape[0], t_values.shape[0]))
-    lebesgues = np.empty_like(fractions)
-    for j, t in enumerate(t_values):
-        sub = mods[: int(np.floor(t / grid_step)) + 1]
-        for i, dexp in enumerate(delta_grid):
-            thr = t ** (-dexp)
-            count = int(sub[0] > thr) + 2 * int(np.sum(sub[1:] > thr))
-            lebesgues[i, j] = count * grid_step
-            fractions[i, j] = lebesgues[i, j] / (2.0 * t)
+    _, fractions, lebesgues = grid_statistics(mu, t_values[-1], t_values, delta_grid,
+                                              grid_step, threads)
     return delta_grid, t_values, fractions, lebesgues
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from . import core
 
@@ -162,25 +163,52 @@ def _weighted_quantile(values: np.ndarray, weights: np.ndarray, q: float) -> flo
     return float(values[order][min(pos, values.shape[0] - 1)])
 
 
+def _quantile_point(mu: AtomicMeasure, q: float) -> np.ndarray:
+    """Per-axis weighted q-quantiles of the atoms."""
+    return np.array([_weighted_quantile(mu.points[:, j], mu.weights, q) for j in range(mu.d)])
+
+
+def _quantile_span(mu: AtomicMeasure) -> float:
+    """Largest per-axis weighted 10-90 spread of the atoms (1 if it is 0)."""
+    span = float(np.max(_quantile_point(mu, 0.9) - _quantile_point(mu, 0.1)))
+    return 1.0 if span <= 0.0 else span
+
+
+def nearest_neighbor_distances(points: np.ndarray) -> np.ndarray:
+    """Distance from each atom to its nearest distinct-index neighbour."""
+    if points.shape[0] < 2:
+        raise ValueError("need at least two atoms for neighbour distances")
+    if points.shape[1] == 1:
+        order = np.argsort(points[:, 0])
+        xs = points[order, 0]
+        gaps = np.diff(xs)
+        nn_sorted = np.minimum(np.concatenate([[gaps[0]], gaps]),
+                               np.concatenate([gaps, [gaps[-1]]]))
+        nn = np.empty_like(nn_sorted)
+        nn[order] = nn_sorted
+        return nn
+    return cKDTree(points).query(points, k=2)[0][:, 1]
+
+
+def atom_spacing(mu: AtomicMeasure) -> float:
+    """Resolution scale of the discretization: the weighted median of the
+    nearest-neighbour atom distances (inf for a single atom)."""
+    if mu.n < 2:
+        return np.inf
+    eta = _weighted_quantile(nearest_neighbor_distances(mu.points), mu.weights, 0.5)
+    if eta <= 0.0:
+        raise core.DegenerateConfigurationError("coincident atoms: spacing 0")
+    return eta
+
+
 def bump_test_functions(mu: AtomicMeasure, n_scales: int = 5):
     """Gaussian bumps at 3 weighted-quantile centers and n_scales dyadic widths.
 
     Deterministic in the measure; used as the test-function family for the
     conformality residual.
     """
-    centers = []
-    for q in (0.25, 0.5, 0.75):
-        centers.append(
-            np.array([
-                _weighted_quantile(mu.points[:, j], mu.weights, q)
-                for j in range(mu.d)
-            ])
-        )
-    lo = np.array([_weighted_quantile(mu.points[:, j], mu.weights, 0.1) for j in range(mu.d)])
-    hi = np.array([_weighted_quantile(mu.points[:, j], mu.weights, 0.9) for j in range(mu.d)])
-    span = float(np.max(hi - lo))
-    if span <= 0.0:
-        span = 1.0
+    centers = [_quantile_point(mu, q) for q in (0.25, 0.5, 0.75)]
+    span = _quantile_span(mu)
     funcs = []
     for c in centers:
         for j in range(n_scales):
@@ -312,12 +340,7 @@ def default_radii(mu: AtomicMeasure, count: int = 12) -> np.ndarray:
     Spans [span/800, span/16]: low enough to see several refinement scales,
     high enough that single-atom masses do not flatten the fit.
     """
-    lo = np.array([_weighted_quantile(mu.points[:, j], mu.weights, 0.1) for j in range(mu.d)])
-    hi = np.array([_weighted_quantile(mu.points[:, j], mu.weights, 0.9) for j in range(mu.d)])
-    span = float(np.max(hi - lo))
-    if span <= 0.0:
-        span = 1.0
-    return span * np.geomspace(1.0 / 800.0, 1.0 / 16.0, count)
+    return _quantile_span(mu) * np.geomspace(1.0 / 800.0, 1.0 / 16.0, count)
 
 
 def local_dimension_estimate(

@@ -47,8 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
-from .fourier import atom_spacing, nearest_neighbor_distances
-from .measure import AtomicMeasure
+from .measure import AtomicMeasure, atom_spacing, nearest_neighbor_distances
 
 DEFAULT_EPSILONS = (0.05, 0.1, 0.2, 0.4)
 DEFAULT_BALL_SAMPLES = 200

@@ -303,9 +303,7 @@ class SchottkyGroup:
                 raise ConfigurationError(f"word {tuple(word)} is not reduced")
             g = g @ self.letter_mats[b]
             prev = b
-        if core.so_relative_residual(g) > 0.1 * self.tol:
-            g = core.project_so(g, tol=self.tol)
-        return g
+        return core.project_so(g, tol=self.tol)
 
     # -- level cache ----------------------------------------------------------
 
@@ -351,16 +349,7 @@ class SchottkyGroup:
         if int_ok:
             mats = imats.astype(np.float64)
         else:
-            bad = core.so_relative_residual(mats) > 0.1 * self.tol
-            if np.any(bad):
-                idx = np.nonzero(bad)[0]
-                J = core.gram_matrix(self.d)
-                fix = mats[idx]
-                for _ in range(6):
-                    fix = 0.5 * (fix + J @ np.linalg.inv(fix).transpose(0, 2, 1) @ J)
-                    if core.so_relative_residual(fix).max() <= 0.01 * self.tol:
-                        break
-                mats[idx] = fix
+            mats = core.project_so(mats, tol=self.tol)
         corner = 0.5 * (mats[:, 0, 0] + mats[:, 0, -1] + mats[:, -1, 0] + mats[:, -1, -1])
         dists = np.arccosh(np.maximum(corner, 1.0))
         return _Level(words=words, mats=mats, dists=dists, imats=imats,

@@ -310,6 +310,32 @@ def test_fourier_svg_follows_the_csv(work, tmp_path):
     assert svg.count("<circle") == shells
 
 
+def test_fourier_evaluates_the_grid_once(work, tmp_path, monkeypatch):
+    """The L2 average and the exceptional set read one grid evaluation:
+    after the decay scan's transform, one half-line recursion in d = 1 and
+    one ball transform in d = 2."""
+    calls = []
+
+    def counted(name):
+        real = getattr(fourier, name)
+        return lambda *args, **kw: calls.append(name) or real(*args, **kw)
+
+    for name in ("_nudft", "_grid_values_1d", "_grid_ball"):
+        monkeypatch.setattr(fourier, name, counted(name))
+    rng = np.random.default_rng(5)
+    _io.write_measure_file(tmp_path / "plane.csv",
+                           AtomicMeasure(points=rng.uniform(size=(200, 2)),
+                                         weights=rng.uniform(0.5, 1.0, size=200)))
+    (tmp_path / "plane.cfg").write_text("[measure]\nfile = plane.csv\n\n[fourier]\n"
+                                        "shell_min = 1\nshell_max = 128\ngrid_max = 6\n")
+    for cfg, expected in ((work / "segment.cfg", ["_nudft", "_grid_values_1d"]),
+                          (tmp_path / "plane.cfg", ["_nudft", "_grid_ball", "_nudft"])):
+        calls.clear()
+        assert cli.main(["fourier", "--config", str(cfg),
+                         "--out", str(tmp_path / cfg.stem)]) == 0
+        assert calls == expected
+
+
 def test_env_var_thread_override(work, tmp_path, monkeypatch):
     monkeypatch.setenv("LIMSET_THREADS", "2")
     out = tmp_path / "e"

@@ -229,6 +229,47 @@ def test_project_so_noop_when_clean():
     assert np.array_equal(core.project_so(g), g)
 
 
+def _inline_level_fix(mats, tol):
+    """The drift fix the level cache ran inline before it called project_so."""
+    mats = mats.copy()
+    bad = core.so_relative_residual(mats) > 0.1 * tol
+    if np.any(bad):
+        idx = np.nonzero(bad)[0]
+        J = core.gram_matrix(mats.shape[-1] - 2)
+        fix = mats[idx]
+        for _ in range(6):
+            fix = 0.5 * (fix + J @ np.linalg.inv(fix).transpose(0, 2, 1) @ J)
+            if core.so_relative_residual(fix).max() <= 0.01 * tol:
+                break
+        mats[idx] = fix
+    return mats
+
+
+def test_project_so_batch_matches_the_inline_level_fix():
+    rng = np.random.default_rng(32)
+    for d in (1, 2):
+        clean = np.stack([random_element(rng, d) for _ in range(12)])
+        drift = 10.0 ** rng.uniform(-12, -6, size=(12, 1, 1))
+        stack = clean * (1.0 + drift) + drift * rng.standard_normal(clean.shape)
+        stack[::3] = clean[::3]                  # some matrices need no fix
+        fixed = core.project_so(stack, tol=1e-9)
+        assert np.array_equal(fixed, _inline_level_fix(stack, 1e-9))
+        assert not np.array_equal(fixed, stack)
+        assert np.array_equal(fixed[::3], clean[::3])
+        # (..., n, n) stacks and single matrices follow the same rule
+        grid = core.project_so(stack.reshape(3, 4, d + 2, d + 2), tol=1e-9)
+        assert np.array_equal(grid.reshape(stack.shape), fixed)
+        assert np.array_equal(core.project_so(stack[1], tol=1e-9), fixed[1])
+
+
+def test_parallel_map_refuses_thread_counts_below_one():
+    for threads in (0, -2):
+        with pytest.raises(ValueError, match="at least 1"):
+            core.parallel_map(abs, [1, 2, 3], threads)
+        with pytest.raises(ValueError, match="at least 1"):
+            core.parallel_map(abs, [], threads)
+
+
 def test_exact_integer_residual():
     # an exactly J-orthogonal integer matrix has residual 0 as an integer,
     # even when its float64 defect would be rounding-dominated at large scale

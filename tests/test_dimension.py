@@ -49,6 +49,14 @@ def test_shell_sums_threads_bit_identical(reference):
     assert np.array_equal(a, b)
 
 
+def test_thread_count_below_one_is_refused(reference):
+    # the small-input path (every level below one chunk) still reaches the pool
+    with pytest.raises(ValueError, match="at least 1"):
+        dimension.estimate_delta(reference, n_max=6, threads=0)
+    with pytest.raises(ValueError, match="at least 1"):
+        dimension.shell_sums(reference, 0.48, 4, threads=-1)
+
+
 def test_cyclic_shell_sums_on_axis_closed_form():
     # one loxodromic with axis (-1, 1) in the chart; for a basepoint on the
     # axis d(x, g^n x) = n*ell exactly, so a_n(s) = 2 exp(-s n ell)

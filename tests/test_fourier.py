@@ -256,5 +256,46 @@ def test_exceptional_sweep_matches_single_calls():
             one = fourier.exceptional_set_measure(mu, t, dexp)
             assert fracs[i, j] == one.fraction
             assert lebs[i, j] == one.lebesgue
+    # d = 2: every T reads the one grid of radius max(T)
+    mu2 = random_measure(n=60, d=2, seed=4)
+    dg, tv, fracs, lebs = fourier.exceptional_sweep(
+        mu2, t_values=(6.0, 4.0), delta_grid=np.array([0.2, 0.45]))
+    for i, dexp in enumerate(dg):
+        for j, t in enumerate(tv):
+            one = fourier.exceptional_set_measure(mu2, t, dexp)
+            assert fracs[i, j] == one.fraction
+            assert lebs[i, j] == one.lebesgue
+
+
+def test_exceptional_sweep_validation():
+    mu = fourier.uniform_segment_measure(100)
+    for t, step in (([2.0], 0.5), ([2.0], 0.25), ([16.0], 0.5)):
+        with pytest.raises(ValueError):
+            fourier.exceptional_sweep(mu, t, [0.5], grid_step=step)
     with pytest.raises(ValueError):
-        fourier.exceptional_sweep(random_measure(d=2))
+        fourier.exceptional_sweep(mu, [16.0], [1.5])
+
+
+def test_grid_statistics_reads_one_grid():
+    # the L2 average and the exceptional sets of one call match the
+    # single-purpose calls, in d = 1 (half line) and d = 2 (ball)
+    for mu, radius, ts in ((random_measure(n=300, seed=8), 20.0, [5.0, 20.0]),
+                           (random_measure(n=40, d=2, seed=9), 5.0, [4.5, 5.0])):
+        l2, fracs, lebs = fourier.grid_statistics(mu, radius, ts, [0.1, 0.3])
+        assert l2 == fourier.l2_average(mu, radius)
+        for i, dexp in enumerate((0.1, 0.3)):
+            for j, t in enumerate(ts):
+                one = fourier.exceptional_set_measure(mu, t, dexp)
+                assert (fracs[i, j], lebs[i, j]) == (one.fraction, one.lebesgue)
+    with pytest.raises(ValueError):
+        fourier.grid_statistics(delta_at([0.0]), 8.0, [16.0], [0.5])
+
+
+def test_thread_count_below_one_is_refused():
+    mu = random_measure(n=50, seed=2)
+    with pytest.raises(ValueError, match="at least 1"):
+        fourier.fourier_transform(mu, [1.0], threads=-5)
+    with pytest.raises(ValueError, match="at least 1"):
+        fourier.decay_scan(mu, fourier.FrequencySpec(), threads=0)
+    with pytest.raises(ValueError, match="at least 1"):
+        fourier.l2_average(mu, 8.0, threads=0)
