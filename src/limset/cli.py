@@ -187,8 +187,7 @@ def cmd_fourier(args):
                          + 1e-9)) + 1
     spec = fourier.FrequencySpec(mode="shell", r0=cfg.fourier_shell_min,
                                  ratio=2.0, count=count,
-                                 samples_per_shell=cfg.fourier_samples_per_shell,
-                                 grid_step=cfg.fourier_grid_step)
+                                 samples_per_shell=cfg.fourier_samples_per_shell)
     report = fourier.decay_scan(mu, spec, seed=cfg.seed, threads=threads)
     l2, fractions, lebesgues = fourier.grid_statistics(
         mu, cfg.fourier_grid_max, [cfg.fourier_grid_max], [_EXC_DELTA_EXP],
@@ -202,9 +201,8 @@ def cmd_fourier(args):
                     report.sample_values.real.tolist(),
                     report.sample_values.imag.tolist(),
                     np.abs(report.sample_values).tolist()))
-    csv_path = os.path.join(out, "fourier.csv")
-    _io.write_csv(csv_path, ["shell_radius", "direction_index", "re", "im", "abs"],
-                  rows, meta)
+    _io.write_csv(os.path.join(out, "fourier.csv"),
+                  ["shell_radius", "direction_index", "re", "im", "abs"], rows, meta)
     lines = [
         "{",
         f'  "kappa": {_io.fmt(report.kappa)},',
@@ -223,11 +221,8 @@ def cmd_fourier(args):
         "}",
     ]
     if cfg.svg:
-        _, _, data = _io.read_csv(csv_path)
-        r, a = data[:, 0], data[:, 4]
-        radii = np.unique(r)
-        maxima = np.array([a[r == x].max() for x in radii])
-        _io.write_loglog_svg(os.path.join(out, "fourier.svg"), radii, maxima,
+        _io.write_loglog_svg(os.path.join(out, "fourier.svg"),
+                             report.shell_radii, report.shell_max,
                              title="shell maxima of |mu-hat|",
                              xlabel="frequency radius", ylabel="max |mu-hat|")
     _report(os.path.join(out, "fourier_summary.txt"), meta, lines)

@@ -1,9 +1,15 @@
 """Nonuniform Fourier transform of atomic measures and decay statistics.
 
 Implements mu-hat(xi) = (1/mass) sum_j w_j e^{2 pi i <xi, x_j>} evaluated by
-direct summation (desk scale; no NUFFT), with a fixed atom-chunk order and
-Neumaier-compensated combination so results are bit-identical for any thread
-count.  On top of the transform sit the experiment statistics:
+direct summation (desk scale; no NUFFT).  The phase <xi, x> is summed one
+axis at a time in a fixed order (no BLAS product), the atoms are taken in
+fixed chunks whose partial sums combine with Neumaier compensation, and the
+frequencies go to the workers in blocks sized so that one block of complex
+terms stays within a fixed byte budget per worker.  Each frequency is mapped
+into the half-space where its first nonzero coordinate is positive, each
+antipodal pair is evaluated once and mu-hat(-xi) = conj(mu-hat(xi)).  The
+bits of every value are independent of the thread count and the block size.
+On top of the transform sit the experiment statistics:
 
 * ``decay_scan`` -- per-shell maxima of |mu-hat| over sampled directions and
   a least-squares decay exponent kappa fitted on the upper half of the
@@ -39,32 +45,89 @@ NUMERICAL_FLOOR = 1e-14
 _CAP_FACTOR = 0.25
 
 _ATOM_CHUNK = 1 << 16
-_FREQ_CHUNK = 1 << 10
+
+#: Bytes of the complex block one worker fills at a time: the frequency rows
+#: of a block are the most that fit min(atoms, _ATOM_CHUNK) complex terms each.
+_BLOCK_BYTES = 16 << 20
 
 
-def _atom_sum(pts: np.ndarray, w: np.ndarray, freqs: np.ndarray) -> np.ndarray:
-    """sum_j w_j e^{2 pi i <xi, x_j>} with compensated fixed-order chunking."""
-    total = np.zeros(freqs.shape[0], dtype=complex)
-    comp = np.zeros(freqs.shape[0], dtype=complex)
-    for i in range(0, pts.shape[0], _ATOM_CHUNK):
-        block = pts[i : i + _ATOM_CHUNK]
-        part = np.exp(2j * np.pi * (freqs @ block.T)) @ w[i : i + _ATOM_CHUNK]
+def _neumaier(parts) -> np.ndarray:
+    """Compensated sum of per-atom-chunk partial sums, taken in chunk order."""
+    total = comp = 0.0
+    for part in parts:
         t = total + part
-        comp += np.where(np.abs(total) >= np.abs(part),
-                         (total - t) + part, (part - t) + total)
+        comp = comp + np.where(np.abs(total) >= np.abs(part),
+                               (total - t) + part, (part - t) + total)
         total = t
     return total + comp
 
 
+def _atom_chunks(n: int) -> list[slice]:
+    return [slice(i, min(i + _ATOM_CHUNK, n)) for i in range(0, n, _ATOM_CHUNK)]
+
+
+def _atom_sum(xt: np.ndarray, w: np.ndarray, freqs: np.ndarray) -> np.ndarray:
+    """sum_j w_j e^{2 pi i <xi, x_j>} over the atoms ``xt`` (axis-major, d x n).
+
+    The phase is summed one axis at a time (a BLAS product's bits depend on
+    the block's row count) and the exponent is taken in place.  The block
+    keeps at least two rows, so numpy multiplies it by gemv, never by dot,
+    whose summation order differs: a row's bits do not depend on its block.
+    """
+    rows = freqs.shape[0]
+
+    def part(sl: slice) -> np.ndarray:
+        z = np.zeros((max(rows, 2), sl.stop - sl.start), dtype=complex)
+        phase = z.imag[:rows]
+        np.multiply(freqs[:, 0, None], xt[0, sl], out=phase)
+        for a in range(1, xt.shape[0]):
+            phase += freqs[:, a, None] * xt[a, sl]
+        phase *= 2.0 * np.pi
+        np.exp(z[:rows], out=z[:rows])
+        return (z @ w[sl])[:rows]
+
+    return _neumaier(part(sl) for sl in _atom_chunks(xt.shape[1]))
+
+
+def _half_space(freqs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row flipped into the half-space where its first nonzero coordinate
+    is positive (-0.0 made +0.0), and the mask of the flipped rows."""
+    lead = freqs[np.arange(freqs.shape[0]), np.argmax(freqs != 0.0, axis=1)]
+    flip = lead < 0.0
+    return np.where(flip[:, None], -freqs, freqs) + 0.0, flip
+
+
+def _distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of ``a``, sorted, and the index of each row among them.
+
+    Same result as np.unique(a, axis=0, return_inverse=True), which sorts the
+    rows as structured records, about 20 times slower on a large grid.
+    """
+    order = np.lexsort(a.T[::-1])
+    srt = a[order]
+    first = np.ones(a.shape[0], dtype=bool)
+    first[1:] = np.any(srt[1:] != srt[:-1], axis=1)
+    inverse = np.empty(a.shape[0], dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return srt[first], inverse
+
+
 def _nudft(pts: np.ndarray, w: np.ndarray, freqs: np.ndarray, threads: int) -> np.ndarray:
-    blocks = [slice(i, min(i + _FREQ_CHUNK, freqs.shape[0]))
-              for i in range(0, freqs.shape[0], _FREQ_CHUNK)]
-    num = np.concatenate(core.parallel_map(lambda sl: _atom_sum(pts, w, freqs[sl]),
-                                           blocks, threads))
-    # normalize by the total weight accumulated along the identical chunked
-    # path, so the zero frequency evaluates to exactly 1
-    den = _atom_sum(pts, w, np.zeros((1, pts.shape[1]))).real[0]
-    return num / den
+    """mu-hat at each row of ``freqs``, evaluating each antipodal pair once:
+    mu-hat(-xi) = conj(mu-hat(xi)) holds bit for bit."""
+    canon, flip = _half_space(freqs)
+    uniq, inverse = _distinct_rows(canon)
+    xt = np.ascontiguousarray(pts.T)
+    rows = max(1, _BLOCK_BYTES // (16 * min(pts.shape[0], _ATOM_CHUNK)))
+    blocks = [uniq[i : i + rows] for i in range(0, uniq.shape[0], rows)]
+    num = np.concatenate(core.parallel_map(lambda f: _atom_sum(xt, w, f), blocks, threads))
+    # normalize by the total weight, chunked and compensated as the sums are
+    den = _neumaier(np.ones((1, sl.stop - sl.start), dtype=complex) @ w[sl]
+                    for sl in _atom_chunks(pts.shape[0])).real[0]
+    vals = num / den
+    vals[~uniq.any(axis=1)] = 1.0     # the division may round den/den below 1
+    vals = vals[inverse]
+    return np.where(flip, np.conj(vals), vals)
 
 
 def fourier_transform(mu: AtomicMeasure, xi, threads: int = 1):
@@ -95,9 +158,9 @@ class FrequencySpec:
     """Frequency sampling plan: a geometric shell ladder with directions.
 
     ``mode`` is "shell" (per-shell direction fans with log-spaced radial
-    samples), "ray" (nominal radii along the given directions only), or
-    "grid" (uniform grid of step ``grid_step``, used by the L2/exceptional
-    statistics).
+    samples) or "ray" (nominal radii along the given directions only).
+    ``grid_step`` is checked and read by nothing: the grid statistics take
+    their own step (``grid_statistics(..., grid_step=)``).
     """
 
     mode: str = "shell"
@@ -109,7 +172,7 @@ class FrequencySpec:
     grid_step: float = 0.25
 
     def __post_init__(self):
-        if self.mode not in ("shell", "ray", "grid"):
+        if self.mode not in ("shell", "ray"):
             raise ValueError(f"unknown frequency mode {self.mode!r}")
         if self.r0 <= 0.0 or self.ratio <= 1.0 or self.count < 1:
             raise ValueError("shell ladder must be strictly increasing: "
@@ -130,12 +193,17 @@ class FrequencySpec:
 
 def default_directions(d: int, count: int = 64, seed: int = 0) -> np.ndarray:
     """Deterministic quasi-uniform directions: {+1,-1} for d=1, an equal-angle
-    fan for d=2, seeded normalized Gaussians for d >= 3."""
+    fan for d=2 (for an even count its second half is exactly the negated
+    first half, so the transform evaluates each antipodal pair once), seeded
+    normalized Gaussians for d >= 3."""
     if d == 1:
         return np.array([[1.0], [-1.0]])
     if d == 2:
         th = 2.0 * np.pi * np.arange(count) / count
-        return np.stack([np.cos(th), np.sin(th)], axis=1)
+        fan = np.stack([np.cos(th), np.sin(th)], axis=1)
+        if count % 2 == 0:
+            fan[count // 2:] = -fan[: count // 2]
+        return fan
     rng = np.random.default_rng(seed)
     v = rng.standard_normal((count, d))
     return v / np.linalg.norm(v, axis=1, keepdims=True)
@@ -179,8 +247,6 @@ def decay_scan(mu: AtomicMeasure, spec: FrequencySpec, seed: int = 0,
     and log-spaced radial samples.  kappa = -slope of log(max) vs log(R)
     over the upper half of the kept shells (a sup-bound fit).
     """
-    if spec.mode not in ("shell", "ray"):
-        raise ValueError(f"decay_scan needs a shell or ray spec, got {spec.mode!r}")
     if spec.count < 8:
         raise ValueError(f"need at least 8 shells for a decay fit, got {spec.count}")
     dirs = spec.directions
@@ -242,9 +308,7 @@ def _grid_values_1d(pts: np.ndarray, w: np.ndarray, step: float, k_max: int,
             out[k] = p.sum()
         return out
 
-    blocks = [slice(i, min(i + _ATOM_CHUNK, pts.shape[0]))
-              for i in range(0, pts.shape[0], _ATOM_CHUNK)]
-    parts = core.parallel_map(chunk_values, blocks, threads)
+    parts = core.parallel_map(chunk_values, _atom_chunks(pts.shape[0]), threads)
     total = sum(parts[1:], parts[0])    # in block order, for every thread count
     return total / total[0].real
 

@@ -193,12 +193,18 @@ def nearest_neighbor_distances(points: np.ndarray) -> np.ndarray:
 def atom_spacing(mu: AtomicMeasure) -> float:
     """Resolution scale of the discretization: the weighted median of the
     nearest-neighbour atom distances (inf for a single atom)."""
+    return _nn_spacing(mu)[1]
+
+
+def _nn_spacing(mu: AtomicMeasure) -> tuple[np.ndarray, float]:
+    """The atoms' nearest-neighbour distances and ``atom_spacing`` from them."""
     if mu.n < 2:
-        return np.inf
-    eta = _weighted_quantile(nearest_neighbor_distances(mu.points), mu.weights, 0.5)
+        return np.full(mu.n, np.inf), np.inf
+    nn = nearest_neighbor_distances(mu.points)
+    eta = _weighted_quantile(nn, mu.weights, 0.5)
     if eta <= 0.0:
         raise core.DegenerateConfigurationError("coincident atoms: spacing 0")
-    return eta
+    return nn, eta
 
 
 def bump_test_functions(mu: AtomicMeasure, n_scales: int = 5):

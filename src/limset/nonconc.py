@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
-from .measure import AtomicMeasure, atom_spacing, nearest_neighbor_distances
+from .measure import AtomicMeasure, _nn_spacing
 
 DEFAULT_EPSILONS = (0.05, 0.1, 0.2, 0.4)
 DEFAULT_BALL_SAMPLES = 200
@@ -101,7 +101,7 @@ def affine_profile(mu: AtomicMeasure, epsilons=DEFAULT_EPSILONS,
         raise ValueError("epsilon values must lie in (0, 1/2]")
     if ball_samples < 1:
         raise ValueError("need at least one ball sample")
-    spacing = atom_spacing(mu)
+    nn, spacing = _nn_spacing(mu)
     floor = _RESOLUTION_MARGIN * spacing if np.isfinite(spacing) else 0.0
     if r_min is None:
         r_min = floor
@@ -124,8 +124,7 @@ def affine_profile(mu: AtomicMeasure, epsilons=DEFAULT_EPSILONS,
     else:
         fixed_dirs = None
         method = "center-point"
-    local_nn = nearest_neighbor_distances(mu.points)[centers] if mu.n > 1 \
-        else np.full(ball_samples, np.inf)
+    local_nn = nn[centers]
     lo = mu.points.min(axis=0)
     hi = mu.points.max(axis=0)
     extended = hi - lo > 0.0  # clipping is only meaningful along these axes

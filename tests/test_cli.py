@@ -308,6 +308,16 @@ def test_fourier_svg_follows_the_csv(work, tmp_path):
     svg = (out / "fourier.svg").read_text()
     shells = int(block_value(out / "fourier_summary.txt", "shells_kept"))
     assert svg.count("<circle") == shells
+    # the plot drawn from the report is byte for byte the one drawn from the
+    # shell maxima of the written CSV (%.17g round-trips exactly)
+    _, _, data = _io.read_csv(out / "fourier.csv")
+    r, a = data[:, 0], data[:, 4]
+    radii = np.unique(r)
+    _io.write_loglog_svg(tmp_path / "oracle.svg", radii,
+                         np.array([a[r == x].max() for x in radii]),
+                         title="shell maxima of |mu-hat|",
+                         xlabel="frequency radius", ylabel="max |mu-hat|")
+    assert (out / "fourier.svg").read_bytes() == (tmp_path / "oracle.svg").read_bytes()
 
 
 def test_fourier_evaluates_the_grid_once(work, tmp_path, monkeypatch):

@@ -1,5 +1,7 @@
 """Fourier transform of atomic measures: closed-form oracles and scan behavior."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -77,6 +79,70 @@ def test_thread_count_does_not_change_bits():
         fourier.fourier_transform(mu, xi, threads=1),
         fourier.fourier_transform(mu, xi, threads=4),
     )
+
+
+def plain_transform(mu, xi):
+    """The oracle: one dense matrix of exponentials, one product."""
+    return np.exp(2j * np.pi * (xi @ mu.points.T)) @ mu.weights / mu.weights.sum()
+
+
+def ball_frequencies(d, count, radius, seed):
+    """``count`` frequencies drawn uniformly from the ball ||xi|| <= radius."""
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=(count, d))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    return v * radius * rng.uniform(size=(count, 1)) ** (1.0 / d)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_bits_independent_of_block_size_and_threads(d, monkeypatch):
+    mu = random_measure(n=3000, d=d, seed=31)
+    xi = ball_frequencies(d, 300, 256.0, seed=32)
+    xi = np.concatenate([xi, -xi[:40], np.zeros((1, d))])  # antipodes, the origin
+    default = fourier.fourier_transform(mu, xi, threads=1)
+    monkeypatch.setattr(fourier, "_BLOCK_BYTES", 1)      # one row per block
+    assert np.array_equal(fourier.fourier_transform(mu, xi, threads=3), default)
+    assert fourier.fourier_transform(mu, xi[7]) == default[7]
+    assert default[-1] == 1.0
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_transform_matches_the_plain_sum(d):
+    mu = random_measure(n=2000, d=d, seed=33)
+    xi = ball_frequencies(d, 400, 256.0, seed=34)
+    err = np.abs(fourier.fourier_transform(mu, xi) - plain_transform(mu, xi))
+    assert err.max() <= 1e-12
+
+
+def test_each_antipodal_pair_is_evaluated_once(monkeypatch):
+    rows = []
+    real = fourier._atom_sum
+    monkeypatch.setattr(fourier, "_atom_sum",
+                        lambda xt, w, f: rows.append(f.shape[0]) or real(xt, w, f))
+    plane = random_measure(n=300, d=2, seed=4)
+    plane = measure.AtomicMeasure(points=plane.points / 100.0, weights=plane.weights)
+    for mu in (fourier.uniform_segment_measure(500), plane):
+        rows.clear()
+        report = fourier.decay_scan(mu, fourier.FrequencySpec())
+        assert sum(rows) == report.sample_values.shape[0] // 2
+    rows.clear()
+    fourier.grid_statistics(random_measure(n=50, d=2, seed=3), 6.0)
+    # the ball is symmetric and holds the origin, its own antipode
+    assert sum(rows) == (fourier._grid_ball(2, 6.0, 0.25).shape[0] + 1) // 2
+
+
+def test_transform_memory_stays_within_the_block_budget(monkeypatch):
+    budget = 1 << 20
+    monkeypatch.setattr(fourier, "_BLOCK_BYTES", budget)
+    mu = random_measure(n=20000, d=2, seed=35)
+    xi = ball_frequencies(2, 200, 64.0, seed=36)
+    tracemalloc.start()
+    try:
+        fourier.fourier_transform(mu, xi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * budget      # 200 rows in one block would take 64 MB
 
 
 def test_dimension_mismatch_rejected():
@@ -157,7 +223,7 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         fourier.decay_scan(delta_at([0.0]), fourier.FrequencySpec(count=4))
     with pytest.raises(ValueError):
-        fourier.decay_scan(delta_at([0.0]), fourier.FrequencySpec(mode="grid"))
+        fourier.FrequencySpec(mode="grid")
 
 
 def test_ray_mode_samples_nominal_radii_only():
@@ -166,6 +232,17 @@ def test_ray_mode_samples_nominal_radii_only():
     report = fourier.decay_scan(mu, spec)
     assert report.sample_radii.shape[0] == report.shell_radii.shape[0]
     assert np.array_equal(report.sample_radii, report.shell_radii)
+
+
+def test_d2_fan_is_exactly_antipodal():
+    for count in (64, 6):
+        fan = fourier.default_directions(2, count=count)
+        assert np.array_equal(fan[count // 2:], -fan[: count // 2])
+        th = 2.0 * np.pi * np.arange(count) / count
+        assert np.abs(fan - np.stack([np.cos(th), np.sin(th)], axis=1)).max() <= 1e-15
+    th = 2.0 * np.pi * np.arange(7) / 7       # an odd fan has no antipodes
+    assert np.array_equal(fourier.default_directions(2, count=7),
+                          np.stack([np.cos(th), np.sin(th)], axis=1))
 
 
 def test_default_directions_are_unit():

@@ -98,3 +98,15 @@ def test_oracle_values():
     assert np.allclose(got, [0.063662, 0.127100, 0.252862, 0.495356],
                        atol=2e-4)
     assert nonconc.slab_disk_ratio_oracle(1.0) == pytest.approx(1.0)
+
+
+def test_profile_computes_neighbour_distances_once(monkeypatch):
+    # the spacing floor and the per-centre isolation test share one pass
+    calls = []
+    real = measure.nearest_neighbor_distances
+    counted = lambda pts: calls.append(pts.shape) or real(pts)  # noqa: E731
+    monkeypatch.setattr(measure, "nearest_neighbor_distances", counted)
+    monkeypatch.setattr(nonconc, "nearest_neighbor_distances", counted, raising=False)
+    mu = nonconc.uniform_square_measure(60)
+    nonconc.affine_profile(mu, ball_samples=20)
+    assert len(calls) == 1
