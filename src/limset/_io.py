@@ -1,10 +1,12 @@
 """Group description files, experiment configs, and deterministic CSV/SVG output.
 
 The group file is a line-oriented key = value format with sections [model],
-[generator.i], [balls.i]; generators are given either as a raw row-major
-matrix or as (att, rep, length[, rotation]) axis data in the chart.  Numbers
-are written with 17 significant digits so that round-tripping is lossless.
-All parse and validation errors carry the 1-based line number.
+[generator.i], [balls.i] (i = 1..k, no leading zero); generators are given
+either as a raw row-major matrix or as (att, rep, length[, rotation]) axis
+data in the chart.  Numbers are written with 17 significant digits so that
+round-tripping is lossless.  Group files and configs share one schema reader,
+``_read``: an unknown section or key, a missing key and a malformed or
+non-finite number are refused at the 1-based line of the key or its section.
 
 CSV files start with '# key=value' header comments (config hash, version,
 seed), use '%.17g' for floats, and are byte-identical across reruns at fixed
@@ -13,14 +15,18 @@ seed and thread configuration: no timestamps, no environment-dependent text.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
+import math
+import os
 import re
-from dataclasses import dataclass, field
+import warnings
+from dataclasses import dataclass
 
 import numpy as np
 
-from limset import core, schottky
+from limset import core, measure, nonconc, schottky
 
 FLOAT_FMT = "%.17g"
 
@@ -43,27 +49,32 @@ def fmt_vector(v):
 
 
 # ---------------------------------------------------------------------------
-# Line-oriented section/key parsing (shared by group files and configs)
+# Line-oriented sections read through one schema (group files and configs)
 # ---------------------------------------------------------------------------
 
 _SECTION_RE = re.compile(r"^\[([A-Za-z0-9_.\-]+)\]$")
+_GROUP_SECTION_RE = re.compile(r"model|(?:generator|balls)\.[1-9][0-9]*")
+_REQUIRED = object()    # schema default of a key that must be given
 
 
-def _parse_sections(text):
-    """text -> {section: {key: (value_string, line_no)}}, preserving order."""
+def _parse_sections(text, known):
+    """text -> {section: (line_no, {key: (value_string, line_no)})}, in file
+    order; a section whose name fails the ``known`` test is refused at its line."""
     sections = {}
-    current = None
+    current = keys = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         m = _SECTION_RE.match(line)
         if m:
-            name = m.group(1)
-            if name in sections:
-                raise GroupFileError(f"duplicate section [{name}]", lineno)
-            sections[name] = {}
-            current = name
+            current = m.group(1)
+            if not known(current):
+                raise GroupFileError(f"unknown section [{current}]", lineno)
+            if current in sections:
+                raise GroupFileError(f"duplicate section [{current}]", lineno)
+            keys = {}
+            sections[current] = (lineno, keys)
             continue
         if "=" not in line:
             raise GroupFileError(f"expected 'key = value' or '[section]', got {line!r}",
@@ -73,25 +84,49 @@ def _parse_sections(text):
         key, value = (s.strip() for s in line.split("=", 1))
         if not key:
             raise GroupFileError("empty key", lineno)
-        if key in sections[current]:
+        if key in keys:
             raise GroupFileError(f"duplicate key {key!r} in [{current}]", lineno)
-        sections[current][key] = (value, lineno)
+        keys[key] = (value, lineno)
     return sections
 
 
-def _floats(value, line, expect=None, what="value"):
+def _read(sections, name, schema, kind="key"):
+    """Section ``name`` converted by ``schema``, {key: (converter, default)}:
+    each value is ``converter(value, line, what=key)``, a key not in the schema
+    is refused at its line, a missing key takes its default, and a missing
+    _REQUIRED key is refused at the section's line."""
+    line, keys = sections[name]
+    for key, (_, key_line) in keys.items():
+        if key not in schema:
+            raise GroupFileError(f"unknown {kind} {key!r} in [{name}]", key_line)
+    values = {}
+    for key, (convert, default) in schema.items():
+        if key in keys:
+            values[key] = convert(*keys[key], what=key)
+        elif default is _REQUIRED:
+            raise GroupFileError(f"[{name}] missing {key}", line)
+        else:
+            values[key] = default
+    return values
+
+
+def _floats(value, line, shape=None, what="value"):
+    """Finite numbers, separated by spaces or commas; reshaped when ``shape`` is given."""
     toks = value.replace(",", " ").split()
     try:
         out = np.array([float(t) for t in toks])
     except ValueError:
         raise GroupFileError(f"{what}: could not parse {value!r} as numbers", line)
-    if expect is not None and out.size != expect:
-        raise GroupFileError(f"{what}: expected {expect} numbers, got {out.size}", line)
-    return out
+    if not np.isfinite(out).all():
+        raise GroupFileError(f"{what}: numbers must be finite, got {value!r}", line)
+    if shape is not None and out.size != math.prod(shape):
+        raise GroupFileError(
+            f"{what}: expected {math.prod(shape)} numbers, got {out.size}", line)
+    return out if shape is None else out.reshape(shape)
 
 
 def _one_float(value, line, what="value"):
-    return float(_floats(value, line, expect=1, what=what)[0])
+    return float(_floats(value, line, (1,), what)[0])
 
 
 def _one_int(value, line, what="value"):
@@ -101,12 +136,40 @@ def _one_int(value, line, what="value"):
     return int(x)
 
 
-def _thread_count(value, line, what="value"):
-    """[run] threads, refused by the one thread rule with its line number."""
+def _positive(value, line, what="value", parse=_one_float):
+    x = parse(value, line, what)
+    if x <= 0:
+        raise GroupFileError(f"{what} must be positive", line)
+    return x
+
+
+def _text(value, line, what="value"):
+    return value
+
+
+def _boolean(value, line, what="value"):
+    if value not in ("true", "false"):
+        raise GroupFileError(f"{what} must be true or false", line)
+    return value == "true"
+
+
+def _at_line(line, rule, *args, **kwargs):
+    """Apply a library rule; the ValueError it raises is refused at ``line``."""
     try:
-        return core.resolve_threads(configured=_one_int(value, line, what))
+        return rule(*args, **kwargs)
     except ValueError as exc:
         raise GroupFileError(str(exc), line) from None
+
+
+def _thread_count(value, line, what="value"):
+    """[run] threads, refused by the one thread rule with its line number."""
+    return _at_line(line, core.resolve_threads, configured=_one_int(value, line, what))
+
+
+def _epsilons(value, line, what="value"):
+    """[nonconc] epsilons, refused by nonconc's own bound with its line number."""
+    eps = _at_line(line, nonconc._slab_epsilons, _floats(value, line, what=what))
+    return tuple(eps.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -115,94 +178,43 @@ def _thread_count(value, line, what="value"):
 
 def parse_group_text(text, name="group"):
     """Build a SchottkyGroup from group-file text (see module docstring)."""
-    sections = _parse_sections(text)
+    sections = _parse_sections(text, _GROUP_SECTION_RE.fullmatch)
     if "model" not in sections:
         raise GroupFileError("missing [model] section")
-    model = sections["model"]
-    if "d" not in model:
-        raise GroupFileError("[model] must define d")
-    d = _one_int(*model["d"], what="d")
-    if d < 1:
-        raise GroupFileError("d must be >= 1", model["d"][1])
-    tol = _one_float(*model["tol"], what="tol") if "tol" in model else core.DEFAULT_TOL
-    for key in model:
-        if key not in ("d", "tol"):
-            raise GroupFileError(f"unknown key {key!r} in [model]", model[key][1])
-
-    gen_ids = sorted(int(s.split(".")[1]) for s in sections if s.startswith("generator."))
-    if not gen_ids:
-        raise GroupFileError("no [generator.i] sections")
-    if gen_ids != list(range(1, len(gen_ids) + 1)):
-        raise GroupFileError(f"generator indices must be 1..k, got {gen_ids}")
-    for s in sections:
-        if not (s == "model" or s.startswith("generator.") or s.startswith("balls.")):
-            raise GroupFileError(f"unknown section [{s}]")
-
+    k = sum(sec.startswith("generator.") for sec in sections)
+    for sec, (line, _) in sections.items():
+        if int(sec.partition(".")[2] or 0) > k:
+            raise GroupFileError(f"[{sec}]: index beyond the {k} generators", line)
+    model = _read(sections, "model", {
+        "d": (functools.partial(_positive, parse=_one_int), _REQUIRED),
+        "tol": (_one_float, core.DEFAULT_TOL)})
+    d = model["d"]
+    point = (functools.partial(_floats, shape=(d,)), _REQUIRED)
+    matrix_keys = {"matrix": (functools.partial(_floats, shape=(d + 2,) * 2), _REQUIRED)}
+    axis_keys = {"att": point, "rep": point, "length": (_positive, _REQUIRED),
+                 "rotation": (functools.partial(_floats, shape=(d, d)), None)}
+    ball_keys = {"minus_center": point, "minus_radius": (_positive, _REQUIRED),
+                 "plus_center": point, "plus_radius": (_positive, _REQUIRED)}
     gens = []
-    for i in gen_ids:
-        gsec = sections[f"generator.{i}"]
-        bname = f"balls.{i}"
-        if bname not in sections:
-            raise GroupFileError(f"missing [{bname}] for generator {i}")
-        bsec = sections[bname]
-        elem = _parse_generator_elem(gsec, d, i)
-        balls = {}
-        for key in ("minus_center", "plus_center"):
-            if key not in bsec:
-                raise GroupFileError(f"[{bname}] missing {key}")
-            balls[key] = _floats(*bsec[key], expect=d, what=key)
-        for key in ("minus_radius", "plus_radius"):
-            if key not in bsec:
-                raise GroupFileError(f"[{bname}] missing {key}")
-            balls[key] = _one_float(*bsec[key], what=key)
-            if balls[key] <= 0:
-                raise GroupFileError(f"{key} must be positive", bsec[key][1])
-        for key in bsec:
-            if key not in ("minus_center", "minus_radius", "plus_center", "plus_radius"):
-                raise GroupFileError(f"unknown key {key!r} in [{bname}]", bsec[key][1])
-        first_line = min(line for _, line in gsec.values())
-        try:
-            gens.append(schottky.SchottkyGenerator(
-                elem=elem,
-                ball_plus=schottky.Ball(balls["plus_center"], balls["plus_radius"]),
-                ball_minus=schottky.Ball(balls["minus_center"], balls["minus_radius"])))
-        except (ValueError, core.GeometryError) as exc:
-            raise GroupFileError(f"generator {i}: {exc}", first_line) from exc
-    return schottky.SchottkyGroup(gens, tol=tol, name=name)
-
-
-def _parse_generator_elem(gsec, d, i):
-    n = d + 2
-    if "matrix" in gsec:
-        for key in gsec:
-            if key != "matrix":
-                raise GroupFileError(f"generator {i}: 'matrix' excludes {key!r}",
-                                     gsec[key][1])
-        vals = _floats(*gsec["matrix"], expect=n * n, what="matrix")
-        return vals.reshape(n, n)
-    needed = {"att", "rep", "length"}
-    missing = needed - set(gsec)
-    if missing:
-        line = min(l for _, l in gsec.values()) if gsec else None
-        raise GroupFileError(
-            f"generator {i}: need 'matrix' or att/rep/length, missing {sorted(missing)}",
-            line)
-    att = _floats(*gsec["att"], expect=d, what="att")
-    rep = _floats(*gsec["rep"], expect=d, what="rep")
-    length = _one_float(*gsec["length"], what="length")
-    if length <= 0:
-        raise GroupFileError("length must be positive", gsec["length"][1])
-    m = None
-    if "rotation" in gsec:
-        m = _floats(*gsec["rotation"], expect=d * d, what="rotation").reshape(d, d)
-    for key in gsec:
-        if key not in ("att", "rep", "length", "rotation"):
-            raise GroupFileError(f"unknown key {key!r} in [generator.{i}]", gsec[key][1])
-    try:
-        return schottky.build_loxodromic(core.chart_to_boundary(att),
-                                         core.chart_to_boundary(rep), length, m)
-    except core.GeometryError as exc:
-        raise GroupFileError(f"generator {i}: {exc}", gsec["att"][1]) from exc
+    for i in range(1, k + 1):
+        line, keys = sections[f"generator.{i}"]
+        if f"balls.{i}" not in sections:
+            raise GroupFileError(f"missing [balls.{i}] for generator {i}", line)
+        if "matrix" in keys:
+            elem = _read(sections, f"generator.{i}", matrix_keys)["matrix"]
+        else:
+            axis = _read(sections, f"generator.{i}", axis_keys)
+            elem = _at_line(line, schottky.build_loxodromic,
+                            core.chart_to_boundary(axis["att"]),
+                            core.chart_to_boundary(axis["rep"]),
+                            axis["length"], axis["rotation"])
+        ball = _read(sections, f"balls.{i}", ball_keys)
+        gens.append(_at_line(
+            line, schottky.SchottkyGenerator, elem=elem,
+            ball_plus=schottky.Ball(ball["plus_center"], ball["plus_radius"]),
+            ball_minus=schottky.Ball(ball["minus_center"], ball["minus_radius"])))
+    return _at_line(sections["model"][0], schottky.SchottkyGroup, gens, tol=model["tol"],
+                    name=name)
 
 
 def load_group_file(path):
@@ -211,9 +223,7 @@ def load_group_file(path):
             text = fh.read()
     except OSError as exc:
         raise FileNotFoundError(f"cannot read group file {path}: {exc}") from exc
-    name = str(path).rsplit("/", 1)[-1]
-    name = name[:-6] if name.endswith(".group") else name
-    return parse_group_text(text, name=name)
+    return parse_group_text(text, name=os.path.basename(path).removesuffix(".group"))
 
 
 def group_file_text(group: schottky.SchottkyGroup, comment=None):
@@ -269,30 +279,28 @@ class ExperimentConfig:
 
     def resolve(self, rel):
         """Resolve a path relative to the config file's directory."""
-        import os
         if not rel or os.path.isabs(rel) or not self.path:
             return rel
         return os.path.join(os.path.dirname(os.path.abspath(self.path)), rel)
 
 
+#: section -> key -> (converter, ExperimentConfig field)
 _CONFIG_KEYS = {
-    ("run", "seed"): ("seed", _one_int),
-    ("run", "threads"): ("threads", _thread_count),
-    ("group", "file"): ("group_file", None),
-    ("measure", "file"): ("measure_file", None),
-    ("delta", "n_max"): ("delta_n_max", _one_int),
-    ("delta", "tol"): ("delta_tol", _one_float),
-    ("measure", "epsilon"): ("measure_epsilon", _one_float),
-    ("measure", "n_max"): ("measure_n_max", _one_int),
-    ("fourier", "shell_min"): ("fourier_shell_min", _one_float),
-    ("fourier", "shell_max"): ("fourier_shell_max", _one_float),
-    ("fourier", "samples_per_shell"): ("fourier_samples_per_shell", _one_int),
-    ("fourier", "grid_step"): ("fourier_grid_step", _one_float),
-    ("fourier", "grid_max"): ("fourier_grid_max", _one_float),
-    ("nonconc", "samples"): ("nonconc_samples", _one_int),
-    ("nonconc", "r_min"): ("nonconc_r_min", _one_float),
-    ("output", "dir"): ("out_dir", None),
-    ("output", "svg"): ("svg", None),
+    "run": {"seed": (_one_int, "seed"), "threads": (_thread_count, "threads")},
+    "group": {"file": (_text, "group_file")},
+    "delta": {"n_max": (_one_int, "delta_n_max"), "tol": (_one_float, "delta_tol")},
+    "measure": {"file": (_text, "measure_file"),
+                "epsilon": (_one_float, "measure_epsilon"),
+                "n_max": (_one_int, "measure_n_max")},
+    "fourier": {"shell_min": (_one_float, "fourier_shell_min"),
+                "shell_max": (_one_float, "fourier_shell_max"),
+                "samples_per_shell": (_one_int, "fourier_samples_per_shell"),
+                "grid_step": (_one_float, "fourier_grid_step"),
+                "grid_max": (_one_float, "fourier_grid_max")},
+    "nonconc": {"samples": (_one_int, "nonconc_samples"),
+                "r_min": (_one_float, "nonconc_r_min"),
+                "epsilons": (_epsilons, "nonconc_epsilons")},
+    "output": {"dir": (_text, "out_dir"), "svg": (_boolean, "svg")},
 }
 
 
@@ -303,27 +311,14 @@ def parse_experiment_config(path):
     except OSError as exc:
         raise FileNotFoundError(f"cannot read config {path}: {exc}") from exc
     cfg = ExperimentConfig(sha256=hashlib.sha256(data).hexdigest(), path=str(path))
-    sections = _parse_sections(data.decode("utf-8"))
-    for sec, keys in sections.items():
-        for key, (value, line) in keys.items():
-            if sec == "nonconc" and key == "epsilons":
-                eps = _floats(value, line, what="epsilons")
-                if eps.size == 0 or np.any(eps <= 0) or np.any(eps > 1):
-                    raise GroupFileError("epsilons must lie in (0, 1]", line)
-                cfg.nonconc_epsilons = tuple(float(e) for e in eps)
-                continue
-            if (sec, key) not in _CONFIG_KEYS:
-                raise GroupFileError(f"unknown config key {key!r} in [{sec}]", line)
-            attr, conv = _CONFIG_KEYS[(sec, key)]
-            if conv is None:
-                if attr == "svg":
-                    if value not in ("true", "false"):
-                        raise GroupFileError("svg must be true or false", line)
-                    setattr(cfg, attr, value == "true")
-                else:
-                    setattr(cfg, attr, value)
-            else:
-                setattr(cfg, attr, conv(value, line, what=key))
+    sections = _parse_sections(data.decode("utf-8"), _CONFIG_KEYS.__contains__)
+    for sec in sections:
+        fields = _CONFIG_KEYS[sec]
+        schema = {key: (convert, getattr(cfg, attr))
+                  for key, (convert, attr) in fields.items()}
+        values = _read(sections, sec, schema, kind="config key")
+        for key, (_, attr) in fields.items():
+            setattr(cfg, attr, values[key])
     return cfg
 
 
@@ -362,19 +357,18 @@ def _cell(x):
 
 def read_csv(path):
     """Read a write_csv file back: (meta dict, columns, float ndarray rows)."""
-    meta, columns, rows = {}, None, []
+    meta = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if line.startswith("# "):
-                key, _, value = line[2:].partition("=")
-                meta[key] = value
-                continue
-            if columns is None:
-                columns = line.split(",")
-                continue
-            rows.append([float(c) for c in line.split(",")])
-    return meta, columns, np.array(rows)
+        line = fh.readline()
+        while line.startswith("# "):
+            key, _, value = line[2:].rstrip("\n").partition("=")
+            meta[key] = value
+            line = fh.readline()
+        columns = line.rstrip("\n").split(",") if line else None
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            rows = np.loadtxt(fh, delimiter=",", ndmin=2)
+    return meta, columns, rows
 
 
 def write_measure_file(path, mu, meta=None):
@@ -392,11 +386,13 @@ def write_measure_file(path, mu, meta=None):
 
 def read_measure_file(path):
     """Inverse of write_measure_file: (AtomicMeasure, header meta dict)."""
-    from limset import measure as _measure
-
     meta, columns, rows = read_csv(path)
-    if rows.ndim != 2 or rows.shape[1] < 2:
+    if rows.shape[1] < 2:
         raise GroupFileError(f"measure file {path}: no atom table")
+    bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+    if bad.size:    # the rows follow the header comments and the column line
+        raise GroupFileError(f"measure file {path}: non-finite coordinate or weight",
+                             len(meta) + 2 + int(bad[0]))
     d = rows.shape[1] - 1
     if "d" in meta and int(meta["d"]) != d:
         raise GroupFileError(
@@ -404,15 +400,16 @@ def read_measure_file(path):
     if "count" in meta and int(meta["count"]) != rows.shape[0]:
         raise GroupFileError(
             f"measure file {path}: header count={meta['count']} but {rows.shape[0]} rows")
-    return _measure.AtomicMeasure(points=rows[:, :d], weights=rows[:, d]), meta
+    return measure.AtomicMeasure(points=rows[:, :d], weights=rows[:, d]), meta
 
 
-def write_loglog_svg(path, xs, ys, title, xlabel, ylabel, width=640, height=440):
-    """Hand-rolled log-log polyline plot; no plotting dependencies.
+def write_loglog_svg(path, xs, ys, title, xlabel, ylabel):
+    """Hand-rolled 640x440 log-log polyline plot; no plotting dependencies.
 
     Points with nonpositive coordinates are dropped (cannot appear on log
     axes).  Output is deterministic text.
     """
+    width, height = 640, 440
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     keep = (xs > 0) & (ys > 0)

@@ -20,7 +20,6 @@ output files; every file opens with '# key=value' comments carrying the
 config hash, package version, and seed.  Threads resolve as the --threads
 flag, else the LIMSET_THREADS environment variable, else the config value;
 a count below 1 is refused (exit 2).
-The SVG plot is rebuilt from the emitted CSV, not from in-memory state.
 
 Exit codes: 0 success; 2 validation failure (malformed file, overlapping
 balls, failed certificate, bad parameter); 3 numerical failure (degenerate
@@ -284,7 +283,7 @@ def _add_config_flags(p, svg=False):
                    help="thread count (overrides LIMSET_THREADS and config)")
     if svg:
         p.add_argument("--svg", action="store_true",
-                       help="also render the log-log SVG from the emitted CSV")
+                       help="also render a log-log SVG of the shell maxima of |mu-hat|")
 
 
 def _parser():

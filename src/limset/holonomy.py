@@ -222,12 +222,12 @@ def _random_ball_point(rng, d, r_min, r_max):
     return rng.uniform(r_min, r_max) * u
 
 
-def random_regime_input(rng, d, w_min=0.0, tau_max=0.5):
-    """Random HolonomyInput with ||v|| <= 1/2 uniform-ish and ||w|| in [w_min, 1/2]."""
+def random_regime_input(rng, d, w_min=0.0):
+    """Random HolonomyInput: ||v|| <= 1/2, ||w|| in [w_min, 1/2], |tau| <= 1/2."""
     return HolonomyInput(v=_random_ball_point(rng, d, 0.0, REGIME_BOUND),
                          w=_random_ball_point(rng, d, w_min, REGIME_BOUND),
                          m=core.random_rotation(d, rng),
-                         tau=float(rng.uniform(-tau_max, tau_max)))
+                         tau=float(rng.uniform(-0.5, 0.5)))
 
 
 #: Tolerance of each property of the suite, in report order.

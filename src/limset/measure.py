@@ -207,8 +207,8 @@ def _nn_spacing(mu: AtomicMeasure) -> tuple[np.ndarray, float]:
     return nn, eta
 
 
-def bump_test_functions(mu: AtomicMeasure, n_scales: int = 5):
-    """Gaussian bumps at 3 weighted-quantile centers and n_scales dyadic widths.
+def bump_test_functions(mu: AtomicMeasure):
+    """Gaussian bumps at 3 weighted-quantile centers and 5 dyadic widths.
 
     Deterministic in the measure; used as the test-function family for the
     conformality residual.
@@ -217,7 +217,7 @@ def bump_test_functions(mu: AtomicMeasure, n_scales: int = 5):
     span = _quantile_span(mu)
     funcs = []
     for c in centers:
-        for j in range(n_scales):
+        for j in range(5):
             sig = span * 0.5 ** j
 
             def f(p, c=c, sig=sig):
@@ -229,7 +229,7 @@ def bump_test_functions(mu: AtomicMeasure, n_scales: int = 5):
 
 
 def conformality_residual(mu: AtomicMeasure, gamma: np.ndarray, s: float,
-                          test_functions=None, busemann_sign: float = 1.0) -> float:
+                          busemann_sign: float = 1.0) -> float:
     """Discrepancy between gamma_* mu and the conformal reweighting of mu.
 
     Compares int f d(gamma_* mu) with int f(xi) e^{s b_xi(o, gamma o)} dmu(xi)
@@ -239,8 +239,6 @@ def conformality_residual(mu: AtomicMeasure, gamma: np.ndarray, s: float,
     for the conformal density; passing -1 evaluates the deliberately wrong
     sign convention (a diagnostic that should inflate the residual).
     """
-    if test_functions is None:
-        test_functions = bump_test_functions(mu)
     imgs, finite = core.chart_action(gamma, mu.points)
     w_push = mu.weights[finite]
     p_push = imgs[finite]
@@ -249,7 +247,7 @@ def conformality_residual(mu: AtomicMeasure, gamma: np.ndarray, s: float,
     go = np.asarray(gamma, dtype=float) @ o
     density = np.exp(busemann_sign * s * core.busemann(xi, o, go))
     worst = 0.0
-    for f in test_functions:
+    for f in bump_test_functions(mu):
         lhs = float(np.sum(w_push * f(p_push)))
         rhs = float(np.sum(mu.weights * density * f(mu.points)))
         worst = max(worst, abs(lhs - rhs))
@@ -310,14 +308,14 @@ def flow_equivariance_ratio(
     frame: FramePoint,
     delta: float,
     t: float,
-    half_width: float = 0.5,
 ) -> float:
     """Mass ratio testing geodesic-flow equivariance of the conditionals.
 
     Returns mass(conditional at g_t.frame over the e^t-dilated box) divided
-    by mass(conditional at frame over the box [-h, h]^d); the conformal
+    by mass(conditional at frame over the box [-1/2, 1/2]^d); the conformal
     scaling predicts exactly e^{delta t}.
     """
+    half_width = 0.5
     d = mu_ps.d
     et = np.exp(t)
     w0 = half_width * np.sqrt(d) * (1.0 + 1e-9)
@@ -340,13 +338,13 @@ class LocalDimensionEstimate:
     dropped: int
 
 
-def default_radii(mu: AtomicMeasure, count: int = 12) -> np.ndarray:
-    """Geometric radii ladder sized to the measure's weighted 10-90 spread.
+def default_radii(mu: AtomicMeasure) -> np.ndarray:
+    """Geometric ladder of 12 radii sized to the measure's weighted 10-90 spread.
 
     Spans [span/800, span/16]: low enough to see several refinement scales,
     high enough that single-atom masses do not flatten the fit.
     """
-    return _quantile_span(mu) * np.geomspace(1.0 / 800.0, 1.0 / 16.0, count)
+    return _quantile_span(mu) * np.geomspace(1.0 / 800.0, 1.0 / 16.0, 12)
 
 
 def local_dimension_estimate(

@@ -11,7 +11,7 @@ balls and candidate hyperplanes through the ball center.  The quantifier
 over all hyperplanes is not searchable; candidates are the local principal
 frame (the hyperplane spanned by the top principal directions of the atoms
 in the ball, i.e. slab normal = least principal direction), the coordinate
-axes, and a seed-fixed random set -- so the reported profile is a lower
+axes, and 8 seed-fixed random normals -- so the reported profile is a lower
 bound on the true sup.  In d = 1 a hyperplane is a point and the slab
 around the center is just the ball B(x, eps r).
 
@@ -85,9 +85,17 @@ def _principal_normal(delta: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.linalg.eigh(cov)[1][:, 0]
 
 
+def _slab_epsilons(epsilons) -> np.ndarray:
+    """The slab widths eps as a float array; each must lie in (0, 1/2]."""
+    eps = np.asarray(epsilons, dtype=float)
+    if eps.size == 0 or not np.all((eps > 0.0) & (eps <= 0.5)):
+        raise ValueError("epsilon values must lie in (0, 1/2]")
+    return eps
+
+
 def affine_profile(mu: AtomicMeasure, epsilons=DEFAULT_EPSILONS,
                    ball_samples: int = DEFAULT_BALL_SAMPLES, seed: int = 0,
-                   r_min=None, n_random_directions: int = 8) -> NonConcProfile:
+                   r_min=None) -> NonConcProfile:
     """Empirical non-concentration profile delta-hat(eps) of ``mu``.
 
     Ball centers are drawn from the atoms by weight, radii log-uniformly
@@ -96,9 +104,7 @@ def affine_profile(mu: AtomicMeasure, epsilons=DEFAULT_EPSILONS,
     from the same projected distances -- so the profile is non-decreasing
     in eps exactly, per sample.  Returns the worst ratio per eps.
     """
-    eps = np.sort(np.asarray(epsilons, dtype=float))
-    if eps.size == 0 or np.any(eps <= 0.0) or np.any(eps > 0.5):
-        raise ValueError("epsilon values must lie in (0, 1/2]")
+    eps = np.sort(_slab_epsilons(epsilons))
     if ball_samples < 1:
         raise ValueError("need at least one ball sample")
     nn, spacing = _nn_spacing(mu)
@@ -117,7 +123,7 @@ def affine_profile(mu: AtomicMeasure, epsilons=DEFAULT_EPSILONS,
     centers = rng.choice(mu.n, size=ball_samples, p=mu.weights / mu.mass)
     radii = np.exp(rng.uniform(np.log(r_min), 0.0, size=ball_samples))
     if mu.d >= 2:
-        rand_dirs = rng.standard_normal((n_random_directions, mu.d))
+        rand_dirs = rng.standard_normal((8, mu.d))
         rand_dirs /= np.linalg.norm(rand_dirs, axis=1, keepdims=True)
         fixed_dirs = np.concatenate([np.eye(mu.d), rand_dirs])
         method = "principal+axes+random"

@@ -1,7 +1,9 @@
 """End-to-end command tests: exit codes, emitted files, determinism."""
 
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -477,3 +479,35 @@ def test_invalid_epsilon_validation_exit(work, tmp_path, capsys):
     assert cli.main(["measure", "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == 2
     assert "epsilon" in capsys.readouterr().err
+
+
+_REF_TEXT = Path(REF).read_text()
+_BAD_INPUTS = {   # case -> (command, group file or config text)
+    "d-overflow": ("validate", _REF_TEXT.replace("d = 1\n", "d = 1e400\n")),
+    "d-nan": ("validate", _REF_TEXT.replace("d = 1\n", "d = nan\n")),
+    "tol-nan": ("validate", _REF_TEXT.replace("tol = 1e-9", "tol = nan")),
+    "radius-nan": ("validate", _REF_TEXT.replace("minus_radius = 3\n",
+                                                 "minus_radius = nan\n")),
+    "dotted-section": ("validate", _REF_TEXT.replace("[generator.2]", "[generator.2.1]")),
+    "named-section": ("validate", _REF_TEXT.replace("[generator.2]", "[generator.b]")),
+    "unknown-section": ("validate", _REF_TEXT + "\n[other]\n"),
+    "missing-key": ("validate", _REF_TEXT.replace("plus_center = 6\n", "")),
+    "missing-section": ("validate", _REF_TEXT.split("[balls.2]")[0]),
+    "seed-overflow": ("delta", "[run]\nseed = 1e400\n"),
+    "unknown-config-section": ("delta", "[run]\nseed = 1\n[other]\n"),
+    "epsilon-above-half": ("delta", "[nonconc]\nepsilons = 0.2 0.6\n"),
+    "nan-measure-file": ("fourier", "[measure]\nfile = nan.csv\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_INPUTS))
+def test_bad_input_exits_2_naming_its_line(tmp_path, capsys, case):
+    command, text = _BAD_INPUTS[case]
+    (tmp_path / "nan.csv").write_text("# count=3\n# d=1\nx1,weight\n"
+                                      "0.1,1\nnan,1\n0.3,1\n")
+    path = tmp_path / "input"
+    path.write_text(text)
+    args = ([str(path)] if command == "validate"
+            else ["--config", str(path), "--out", str(tmp_path / "o")])
+    assert cli.main([command] + args) == 2
+    assert re.search(r"line \d+:", capsys.readouterr().err)

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import limset
 from limset import _io
@@ -241,6 +243,102 @@ def test_group_parse_key_outside_section():
     with pytest.raises(_io.GroupFileError) as err:
         _io.parse_group_text("d = 1\n")
     assert err.value.line == 1
+
+
+def test_group_section_names_and_values_refused_at_their_line():
+    base = Path(limset.fixture_path("reference")).read_text().splitlines()
+    model, gen2 = base.index("[model]") + 1, base.index("[generator.2]") + 1
+
+    def refused(lines):
+        with pytest.raises(_io.GroupFileError) as err:
+            _io.parse_group_text("\n".join(lines))
+        return err.value.line
+
+    for header in ("[generator.2.1]", "[generator.b]", "[generator.02]", "[other]"):
+        assert refused(base[:gen2 - 1] + [header] + base[gen2 - 1:]) == gen2
+    for key, value in (("d", "1e400"), ("d", "nan"), ("tol", "nan"),
+                       ("minus_radius", "nan"), ("plus_center", "inf"),
+                       ("matrix", "2 6 9 2 7 12 1 4 nan")):
+        i = next(n for n, line in enumerate(base) if line.startswith(key + " ="))
+        assert refused(base[:i] + [f"{key} = {value}"] + base[i + 1:]) == i + 1
+    # a missing key or section is refused at its section's (or generator's) line
+    assert refused([line for line in base if not line.startswith("d =")]) == model
+    balls2 = base.index("[balls.2]")
+    assert refused(base[:balls2]) == gen2
+    assert refused(base + ["[balls.3]"]) == len(base) + 1
+
+
+def test_measure_file_refuses_non_finite_rows_and_empty_tables(tmp_path, recwarn):
+    path = tmp_path / "m.csv"
+    for body in ("0.1,1\nnan,1\n0.3,1\n", "0.1,1\n0.3,inf\n"):
+        path.write_text("# count=3\n# d=1\nx1,weight\n" + body)
+        with pytest.raises(_io.GroupFileError, match="finite") as err:
+            _io.read_measure_file(path)
+        assert err.value.line == 5
+    path.write_text("# count=0\n# d=1\nx1,weight\n")
+    with pytest.raises(_io.GroupFileError, match="no atom table"):
+        _io.read_measure_file(path)
+    assert len(recwarn) == 0
+
+
+# ---------------------------------------------------------------------------
+# fuzzed group files and configs: a value whose floats are all finite, or a
+# GroupFileError naming a line (a group file with no [model] names none)
+# ---------------------------------------------------------------------------
+
+_TOKENS = ["nan", "inf", "-inf", "1e400", "", "0", "-1", "0.6", "2.5", "1 2", "x",
+           "true", "[generator.01]", "[generator.2.1]", "[other]", "[balls.3]",
+           "[model]", "[nonconc]", "d = 2", "bogus = 1", "= 1"]
+_README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+_README_CONFIG = re.search(r"```ini\n(.*?)```", _README, re.S).group(1)
+
+
+@st.composite
+def _mutations(draw, text):
+    """Insert, delete and re-value lines of ``text`` from the token pool."""
+    lines = text.splitlines()
+    for _ in range(draw(st.integers(1, 4))):
+        op = draw(st.sampled_from(["insert", "delete", "revalue"]))
+        i = draw(st.integers(0, len(lines) - 1))
+        token = draw(st.sampled_from(_TOKENS))
+        if op == "insert":
+            key = lines[i].split("=")[0].strip() if "=" in lines[i] else "d"
+            lines.insert(i, draw(st.sampled_from([token, f"{key} = {token}"])))
+        elif op == "delete" and len(lines) > 1:
+            del lines[i]
+        elif "=" in lines[i]:
+            lines[i] = lines[i].split("=")[0] + "= " + token
+    return "\n".join(lines) + "\n"
+
+
+def _finite(values):
+    return all(np.isfinite(np.asarray(v, dtype=float)).all() for v in values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_mutations(Path(limset.fixture_path("reference")).read_text()))
+def test_fuzzed_group_file_is_honoured_or_refused_at_a_line(text):
+    try:
+        group = _io.parse_group_text(text)
+    except _io.GroupFileError as exc:
+        assert exc.line is not None or str(exc) == "missing [model] section"
+        return
+    assert _finite([group.tol] + [x for g in group.gens for x in (
+        g.elem, g.ball_plus.center, g.ball_plus.radius,
+        g.ball_minus.center, g.ball_minus.radius)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_mutations(_README_CONFIG))
+def test_fuzzed_config_is_honoured_or_refused_at_a_line(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "fuzz.cfg"
+    path.write_text(text)
+    try:
+        cfg = _io.parse_experiment_config(path)
+    except _io.GroupFileError as exc:
+        assert exc.line is not None
+        return
+    assert _finite(v for v in vars(cfg).values() if isinstance(v, (float, tuple)))
 
 
 # ---------------------------------------------------------------------------
