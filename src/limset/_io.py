@@ -110,6 +110,16 @@ def _read(sections, name, schema, kind="key"):
     return values
 
 
+def _decode(data, what):
+    """UTF-8 text of a file's bytes; the first bad byte is refused at its line."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        raise GroupFileError(f"{what} is not valid UTF-8: {exc.reason} "
+                             f"(byte {data[exc.start]:#04x})", line) from None
+
+
 def _floats(value, line, shape=None, what="value"):
     """Finite numbers, separated by spaces or commas; reshaped when ``shape`` is given."""
     toks = value.replace(",", " ").split()
@@ -219,11 +229,12 @@ def parse_group_text(text, name="group"):
 
 def load_group_file(path):
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise FileNotFoundError(f"cannot read group file {path}: {exc}") from exc
-    return parse_group_text(text, name=os.path.basename(path).removesuffix(".group"))
+    return parse_group_text(_decode(data, f"group file {path}"),
+                            name=os.path.basename(path).removesuffix(".group"))
 
 
 def group_file_text(group: schottky.SchottkyGroup, comment=None):
@@ -311,7 +322,7 @@ def parse_experiment_config(path):
     except OSError as exc:
         raise FileNotFoundError(f"cannot read config {path}: {exc}") from exc
     cfg = ExperimentConfig(sha256=hashlib.sha256(data).hexdigest(), path=str(path))
-    sections = _parse_sections(data.decode("utf-8"), _CONFIG_KEYS.__contains__)
+    sections = _parse_sections(_decode(data, f"config {path}"), _CONFIG_KEYS.__contains__)
     for sec in sections:
         fields = _CONFIG_KEYS[sec]
         schema = {key: (convert, getattr(cfg, attr))
@@ -356,19 +367,64 @@ def _cell(x):
 
 
 def read_csv(path):
-    """Read a write_csv file back: (meta dict, columns, float ndarray rows)."""
+    """Read a write_csv file back: (meta dict, columns, float ndarray rows).
+
+    A byte that is not UTF-8 and a table row that is not numbers of the
+    first row's width are refused at their file line.
+    """
     meta = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        line = fh.readline()
-        while line.startswith("# "):
-            key, _, value = line[2:].rstrip("\n").partition("=")
-            meta[key] = value
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             line = fh.readline()
-        columns = line.rstrip("\n").split(",") if line else None
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            rows = np.loadtxt(fh, delimiter=",", ndmin=2)
+            while line.startswith("# "):
+                key, _, value = line[2:].rstrip("\n").partition("=")
+                meta[key] = value
+                line = fh.readline()
+            columns = line.rstrip("\n").split(",") if line else None
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                rows = np.loadtxt(fh, delimiter=",", ndmin=2)
+    except ValueError:      # also a UnicodeDecodeError, refused by _csv_lines
+        table = _csv_lines(path)[1]
+        width = len(table[0][1])
+        for line, cells in table:
+            if len(cells) != width or not all(map(_plain_number, cells)):
+                raise GroupFileError(f"CSV file {path}: expected {width} numbers, got "
+                                     f"{','.join(cells)!r}", line) from None
+        raise
     return meta, columns, rows
+
+
+def _csv_lines(path):
+    """File lines of a CSV's '# key=value' headers, {key: line}, and of its
+    table rows, [(line, cells)], in the order read_csv reads them: after the
+    column line, skipping lines that are empty once a '#' comment is cut."""
+    with open(path, "rb") as fh:
+        text = _decode(fh.read(), f"CSV file {path}")
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    n = 0
+    headers = {}
+    while n < len(lines) and lines[n].startswith("# "):
+        headers[lines[n][2:].partition("=")[0]] = n + 1
+        n += 1
+    table = []
+    for line, raw in enumerate(lines[n + 1:], start=n + 2):
+        body = raw.split("#", 1)[0]
+        if body:
+            table.append((line, body.split(",")))
+    return headers, table
+
+
+def _plain_number(cell):
+    """Whether np.loadtxt reads ``cell`` as a float; Python's float() also
+    takes digit separators and non-ASCII digits, which loadtxt refuses."""
+    if not cell.isascii() or "_" in cell:
+        return False
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
 
 
 def write_measure_file(path, mu, meta=None):
@@ -390,16 +446,18 @@ def read_measure_file(path):
     if rows.shape[1] < 2:
         raise GroupFileError(f"measure file {path}: no atom table")
     bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
-    if bad.size:    # the rows follow the header comments and the column line
+    if bad.size:
         raise GroupFileError(f"measure file {path}: non-finite coordinate or weight",
-                             len(meta) + 2 + int(bad[0]))
+                             _csv_lines(path)[1][bad[0]][0])
     d = rows.shape[1] - 1
-    if "d" in meta and int(meta["d"]) != d:
-        raise GroupFileError(
-            f"measure file {path}: header d={meta['d']} but rows carry {d} coordinates")
-    if "count" in meta and int(meta["count"]) != rows.shape[0]:
-        raise GroupFileError(
-            f"measure file {path}: header count={meta['count']} but {rows.shape[0]} rows")
+    for key, found, what in (("d", d, "coordinates"), ("count", rows.shape[0], "rows")):
+        try:
+            agrees = int(meta.get(key, found)) == found
+        except ValueError:
+            agrees = False
+        if not agrees:
+            raise GroupFileError(f"measure file {path}: header {key}={meta[key]} but "
+                                 f"the table has {found} {what}", _csv_lines(path)[0][key])
     return measure.AtomicMeasure(points=rows[:, :d], weights=rows[:, d]), meta
 
 

@@ -22,7 +22,10 @@ deepest-level root.  For elementary groups (k = 1) the shells do not grow
 series is degenerate: delta = 0.
 
 Summation is done in the log domain with a max shift, chunked in a fixed
-order so results are bit-identical regardless of thread count.
+order so results are bit-identical regardless of thread count.  The
+log-sum-exp is computed here in numpy with the arithmetic of
+``scipy.special.logsumexp`` (scipy 1.17), so delta's bits match scipy's
+without importing it.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import core
 
@@ -80,6 +82,28 @@ class DeltaEstimate:
     spread: float
     counts: np.ndarray
     n_max: int
+
+
+def logsumexp(a: np.ndarray) -> np.float64:
+    """log(sum(exp(a))) of a nonempty float array, with the bits of scipy's.
+
+    The ``m`` entries tied at the maximum are split out of the shifted sum
+    s = sum(exp(a - max)) over the rest, and the result is
+    log1p(s / m) + log(m) + max.  Only when that is not finite (an infinite
+    or nan maximum) is the direct log(sum(exp(a))) taken instead.
+    """
+    a_max = a.max()
+    ties = a == a_max
+    m = np.float64(np.count_nonzero(ties))
+    with np.errstate(all="ignore"):
+        shifted = np.where(ties, -np.inf, a)
+        shifted -= a_max
+        s = np.exp(shifted, out=shifted).sum()
+        out = np.log1p(s if s == 0 else s / m) + np.log(m) + a_max
+    if np.isfinite(out):
+        return out
+    with np.errstate(all="ignore"):
+        return np.log(np.exp(a).sum())
 
 
 def _chunked_logsumexp(values: np.ndarray, threads: int = 1) -> float:

@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import core
 
@@ -187,6 +186,7 @@ def nearest_neighbor_distances(points: np.ndarray) -> np.ndarray:
         nn = np.empty_like(nn_sorted)
         nn[order] = nn_sorted
         return nn
+    from scipy.spatial import cKDTree   # d >= 2 only: scipy stays off start-up
     return cKDTree(points).query(points, k=2)[0][:, 1]
 
 

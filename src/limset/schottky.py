@@ -324,14 +324,15 @@ class SchottkyGroup:
         per = k2 if plen == 0 else k2 - 1
         total = npar * per
         words = np.empty((total, plen + 1), dtype=np.int8)
-        mats = np.empty((total, self.d + 2, self.d + 2))
-        imats = None
-        # int64 lane with wraparound guard: |child| <= |parent| * col-abs-sum
+        # int64 lane with wraparound guard: |child| <= |parent| * col-abs-sum.
+        # The lane fills the integer products only; the float ones are their
+        # exact image, made once at the end.
         col_sum = int(np.abs(self._letter_imats).sum(axis=1).max()) if self._integral else 0
         int_ok = (parent.imats is not None
                   and parent.max_entry * col_sum < _INT64_GUARD)
-        if int_ok:
-            imats = np.empty((total, self.d + 2, self.d + 2), dtype=np.int64)
+        shape = (total, self.d + 2, self.d + 2)
+        imats = np.empty(shape, dtype=np.int64) if int_ok else None
+        mats = None if int_ok else np.empty(shape)
         last = parent.words[:, -1] if plen else np.full(npar, -9, dtype=np.int8)
         parent_pos = np.arange(npar)
         for b in range(k2):
@@ -343,9 +344,10 @@ class SchottkyGroup:
             pos = parent_pos[sel] * per + rank
             words[pos, :plen] = parent.words[sel]
             words[pos, plen] = b
-            mats[pos] = parent.mats[sel] @ self.letter_mats[b]
             if int_ok:
                 imats[pos] = parent.imats[sel] @ self._letter_imats[b]
+            else:
+                mats[pos] = parent.mats[sel] @ self.letter_mats[b]
         if int_ok:
             mats = imats.astype(np.float64)
         else:
@@ -353,7 +355,7 @@ class SchottkyGroup:
         corner = 0.5 * (mats[:, 0, 0] + mats[:, 0, -1] + mats[:, -1, 0] + mats[:, -1, -1])
         dists = np.arccosh(np.maximum(corner, 1.0))
         return _Level(words=words, mats=mats, dists=dists, imats=imats,
-                      max_entry=float(np.abs(mats).max()))
+                      max_entry=float(max(mats.max(), -mats.min())))
 
     def level(self, n) -> _Level:
         self._extend_levels(n)

@@ -1,5 +1,6 @@
 """End-to-end command tests: exit codes, emitted files, determinism."""
 
+import os
 import re
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import limset
-from limset import _io, cli, fourier, nonconc
+from limset import _io, cli, fourier, measure, nonconc
 from limset.measure import AtomicMeasure
 
 REF = limset.fixture_path("reference")
@@ -173,6 +174,24 @@ def test_module_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "PASS" in proc.stdout
+
+
+def test_start_up_loads_no_scipy():
+    # scipy is imported only by the d >= 2 nearest-neighbour distances
+    script = ("import sys\nfrom limset import cli\ncode = cli.main(['validate', sys.argv[1]])\n"
+              "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=str(Path(limset.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script, REF], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
+
+
+def test_nearest_neighbor_distances_d2_match_kdtree():
+    from scipy.spatial import cKDTree
+    points = np.random.default_rng(4).uniform(-1.0, 1.0, size=(500, 2))
+    assert np.array_equal(measure.nearest_neighbor_distances(points),
+                          cKDTree(points).query(points, k=2)[0][:, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -497,17 +516,43 @@ _BAD_INPUTS = {   # case -> (command, group file or config text)
     "unknown-config-section": ("delta", "[run]\nseed = 1\n[other]\n"),
     "epsilon-above-half": ("delta", "[nonconc]\nepsilons = 0.2 0.6\n"),
     "nan-measure-file": ("fourier", "[measure]\nfile = nan.csv\n"),
+    "measure-bad-cell": ("fourier", "[measure]\nfile = cell.csv\n"),
+    "measure-header-d": ("fourier", "[measure]\nfile = d.csv\n"),
+    "measure-header-count": ("fourier", "[measure]\nfile = count.csv\n"),
+    "group-not-utf8": ("validate", _REF_TEXT.encode().replace(b"tol = 1e-9",
+                                                             b"tol = 1e-9 # \xe9")),
+    "config-not-utf8": ("delta", b"[run]\nseed = 1\n# caf\xe9\n"),
+}
+_MEASURE_FILES = {      # name -> text; the table starts at line 4
+    "nan.csv": "# count=3\n# d=1\nx1,weight\n0.1,1\nnan,1\n0.3,1\n",
+    "cell.csv": "# count=3\n# d=1\nx1,weight\n0.1,1\n\n0.2,abc\n0.3,1\n",
+    "d.csv": "# count=2\n# d=2\nx1,weight\n0.1,1\n0.2,1\n",
+    "count.csv": "# count=3\n# d=1\nx1,weight\n0.1,1\n0.2,1\n",
+}
+_BAD_LINES = {          # case -> the file line its refusal must name
+    "nan-measure-file": 5,
+    "measure-bad-cell": 6,
+    "measure-header-d": 2,
+    "measure-header-count": 1,
+    "group-not-utf8": _REF_TEXT.splitlines().index("tol = 1e-9") + 1,
+    "config-not-utf8": 3,
 }
 
 
 @pytest.mark.parametrize("case", sorted(_BAD_INPUTS))
 def test_bad_input_exits_2_naming_its_line(tmp_path, capsys, case):
     command, text = _BAD_INPUTS[case]
-    (tmp_path / "nan.csv").write_text("# count=3\n# d=1\nx1,weight\n"
-                                      "0.1,1\nnan,1\n0.3,1\n")
+    for name, table in _MEASURE_FILES.items():
+        (tmp_path / name).write_text(table)
     path = tmp_path / "input"
-    path.write_text(text)
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text)
     args = ([str(path)] if command == "validate"
             else ["--config", str(path), "--out", str(tmp_path / "o")])
     assert cli.main([command] + args) == 2
-    assert re.search(r"line \d+:", capsys.readouterr().err)
+    line = re.search(r"line (\d+):", capsys.readouterr().err)
+    assert line
+    if case in _BAD_LINES:
+        assert int(line.group(1)) == _BAD_LINES[case]

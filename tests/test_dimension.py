@@ -49,6 +49,46 @@ def test_shell_sums_threads_bit_identical(reference):
     assert np.array_equal(a, b)
 
 
+def _logsumexp_cases():
+    """400 seeded arrays of sizes 1 to 300k, then the edge cases."""
+    rng = np.random.default_rng(2024)
+    for i in range(400):
+        n = int(np.exp(rng.uniform(0.0, np.log(300_000)))) if i % 50 else 300_000
+        a = rng.normal(loc=rng.uniform(-800.0, 800.0),
+                       scale=rng.choice([1e-3, 1.0, 40.0, 700.0]), size=n)
+        if i % 3 == 0:      # rounded values: many ties, also at the maximum
+            a = np.round(a / 10.0)
+        if i % 7 == 0:
+            a[rng.integers(0, n, size=max(1, n // 5))] = -np.inf
+        yield a
+    yield np.full(4, -np.inf)
+    yield np.array([-np.inf])
+    yield np.array([0.5, np.inf, -3.0])
+    yield np.array([np.inf, np.inf])
+    yield np.array([-np.inf, np.inf])
+    yield np.array([1e308, -1e308, 1e308, 7.0])
+    yield np.array([-1e308, -1e308])
+    yield np.array([1e308, 1e308])
+
+
+def test_logsumexp_matches_scipy_bit_for_bit():
+    from scipy.special import logsumexp as scipy_logsumexp
+    with np.errstate(all="ignore"):
+        for a in _logsumexp_cases():
+            ours, theirs = dimension.logsumexp(a), scipy_logsumexp(a)
+            assert np.float64(ours).tobytes() == np.float64(theirs).tobytes(), (
+                a.size, ours, theirs)
+
+
+def test_chunked_logsumexp_bits_independent_of_threads():
+    rng = np.random.default_rng(7)
+    for n in (1, dimension._CHUNK, 5 * dimension._CHUNK + 123):
+        a = np.round(rng.normal(scale=30.0, size=n))
+        one = dimension._chunked_logsumexp(a, threads=1)
+        two = dimension._chunked_logsumexp(a, threads=2)
+        assert np.float64(one).tobytes() == np.float64(two).tobytes()
+
+
 def test_thread_count_below_one_is_refused(reference):
     # the small-input path (every level below one chunk) still reaches the pool
     with pytest.raises(ValueError, match="at least 1"):

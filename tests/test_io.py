@@ -281,6 +281,23 @@ def test_measure_file_refuses_non_finite_rows_and_empty_tables(tmp_path, recwarn
     assert len(recwarn) == 0
 
 
+def test_measure_file_refusals_name_their_file_line(tmp_path):
+    path = tmp_path / "m.csv"
+    head = b"# count=2\n# d=1\nx1,weight\n"
+    for body, line in ((b"0.1,1\n\n# note\n0.2,inf\n", 7),   # blank and comment lines
+                       (b"0.1,1\n0.2,1,1\n", 5),               # a row of another width
+                       (b"0.1,1\n0.2,1_0\n", 5),               # loadtxt takes no '_'
+                       (b"0.1,1\n0.2,caf\xe9\n", 5)):          # not UTF-8
+        path.write_bytes(head + body)
+        with pytest.raises(_io.GroupFileError) as err:
+            _io.read_measure_file(path)
+        assert err.value.line == line, body
+    path.write_bytes(head.replace(b"\n", b"\r\n") + b"0.1,1\r\nnan,1\r\n")
+    with pytest.raises(_io.GroupFileError, match="finite") as err:
+        _io.read_measure_file(path)
+    assert err.value.line == 5
+
+
 # ---------------------------------------------------------------------------
 # fuzzed group files and configs: a value whose floats are all finite, or a
 # GroupFileError naming a line (a group file with no [model] names none)

@@ -1,5 +1,7 @@
 """Tests for Schottky construction, word enumeration, ping-pong, limit sets."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
@@ -138,6 +140,31 @@ def test_integer_lane_exact_through_depth_8(reference):
     rng = np.random.default_rng(1)
     for idx in rng.choice(lev.mats.shape[0], size=5, replace=False):
         assert core.exact_integer_residual(lev.mats[idx]) == 0
+
+
+def test_level_cache_float_view_and_max_entry(reference, sweep_groups):
+    for n in range(11):
+        lev = reference.level(n)
+        assert np.array_equal(lev.mats, lev.imats.astype(np.float64))
+        assert lev.max_entry == np.abs(lev.mats).max()
+        float_lev = sweep_groups[3.0].level(n)
+        assert float_lev.imats is None
+        assert float_lev.max_entry == np.abs(float_lev.mats).max()
+
+
+def test_integer_lane_level_build_holds_one_float_copy():
+    # The int64 lane fills only the integer products; the float view is made
+    # once from them, so building a level holds about two of its matrix stacks.
+    G = _io.load_group_file(limset.fixture_path("reference"))
+    G.level(11)
+    tracemalloc.start()
+    try:
+        lev = G.level(12)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert lev.imats is not None
+    assert peak <= 2.75 * lev.imats.nbytes
 
 
 def test_orbit_distances_level_one(reference):
