@@ -7,6 +7,8 @@ data in the chart.  Numbers are written with 17 significant digits so that
 round-tripping is lossless.  Group files and configs share one schema reader,
 ``_read``: an unknown section or key, a missing key and a malformed or
 non-finite number are refused at the 1-based line of the key or its section.
+Each config key is named once, in ``_CONFIG``, with its converter and default;
+the converter also refuses a value out of the range the library accepts.
 
 CSV files start with '# key=value' header comments (config hash, version,
 seed), use '%.17g' for floats, and are byte-identical across reruns at fixed
@@ -21,12 +23,13 @@ import itertools
 import math
 import os
 import re
+import sys
+import types
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
-from limset import core, measure, nonconc, schottky
+from limset import core, dimension, fourier, measure, nonconc, schottky
 
 FLOAT_FMT = "%.17g"
 
@@ -93,9 +96,9 @@ def _parse_sections(text, known):
 def _read(sections, name, schema, kind="key"):
     """Section ``name`` converted by ``schema``, {key: (converter, default)}:
     each value is ``converter(value, line, what=key)``, a key not in the schema
-    is refused at its line, a missing key takes its default, and a missing
-    _REQUIRED key is refused at the section's line."""
-    line, keys = sections[name]
+    is refused at its line, a missing key (or section) takes its default, and a
+    missing _REQUIRED key is refused at the section's line."""
+    line, keys = sections.get(name, (None, {}))
     for key, (_, key_line) in keys.items():
         if key not in schema:
             raise GroupFileError(f"unknown {kind} {key!r} in [{name}]", key_line)
@@ -146,11 +149,18 @@ def _one_int(value, line, what="value"):
     return int(x)
 
 
-def _positive(value, line, what="value", parse=_one_float):
-    x = parse(value, line, what)
-    if x <= 0:
-        raise GroupFileError(f"{what} must be positive", line)
-    return x
+def _number(parse, low, high=math.inf, above=False):
+    """Converter of a number read by ``parse`` in [low, high], or (low, high] if ``above``."""
+    def convert(value, line, what="value"):
+        x = parse(value, line, what)
+        if x < low or x > high or (above and x == low):
+            raise GroupFileError(f"{what} must lie in {'(' if above else '['}{low:g}, "
+                                 f"{high:g}], got {value}", line)
+        return x
+    return convert
+
+
+_positive = _number(_one_float, 0.0, above=True)
 
 
 def _text(value, line, what="value"):
@@ -196,7 +206,7 @@ def parse_group_text(text, name="group"):
         if int(sec.partition(".")[2] or 0) > k:
             raise GroupFileError(f"[{sec}]: index beyond the {k} generators", line)
     model = _read(sections, "model", {
-        "d": (functools.partial(_positive, parse=_one_int), _REQUIRED),
+        "d": (_number(_one_int, 1), _REQUIRED),
         "tol": (_one_float, core.DEFAULT_TOL)})
     d = model["d"]
     point = (functools.partial(_floats, shape=(d,)), _REQUIRED)
@@ -265,72 +275,60 @@ def write_group_file(path, group, comment=None):
 # Experiment configs
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ExperimentConfig:
-    group_file: str = ""
-    measure_file: str = ""     # nonempty: skip the pipeline, load atoms from here
-    seed: int = 0
-    threads: int = 1
-    delta_n_max: int = 12
-    delta_tol: float = 1e-6
-    measure_epsilon: float = 0.05
-    measure_n_max: int = 12
-    fourier_shell_min: float = 1.0
-    fourier_shell_max: float = 256.0
-    fourier_samples_per_shell: int = 16
-    fourier_grid_step: float = 0.25
-    fourier_grid_max: float = 256.0
-    nonconc_samples: int = 200
-    nonconc_epsilons: tuple = (0.4, 0.2, 0.1, 0.05)
-    nonconc_r_min: float = 0.0     # 0 = auto from resolution
-    out_dir: str = "out"
-    svg: bool = False
-    sha256: str = ""
-    path: str = ""
+#: Every config key, named once: section -> key -> (converter, default).
+_CONFIG = {
+    "run": {"seed": (_number(_one_int, 0), 0), "threads": (_thread_count, 1)},
+    "group": {"file": (_text, "")},
+    "delta": {"n_max": (_number(_one_int, dimension.MIN_N_MAX), dimension.DEFAULT_N_MAX)},
+    "measure": {"file": (_text, ""),    # nonempty: load atoms here, skip the pipeline
+                "epsilon": (_positive, measure.DEFAULT_EPSILON),
+                "n_max": (_number(_one_int, 0), measure.DEFAULT_N_MAX)},
+    "fourier": {"shell_min": (_positive, 1.0), "shell_max": (_positive, 256.0),
+                "samples_per_shell": (_number(_one_int, 1), 16),
+                "grid_step": (_number(_one_float, 0, fourier.MAX_GRID_STEP, above=True),
+                              0.25),
+                "grid_max": (_number(_one_float, fourier.MIN_EXCEPTIONAL_T), 256.0)},
+    "nonconc": {"samples": (_number(_one_int, 1), nonconc.DEFAULT_BALL_SAMPLES),
+                "r_min": (_number(_one_float, 0.0), 0.0),     # 0 = auto from resolution
+                "epsilons": (_epsilons, nonconc.DEFAULT_EPSILONS)},
+    "output": {"dir": (_text, "out"), "svg": (_boolean, False)},
+}
+
+
+class ExperimentConfig(types.SimpleNamespace):
+    """A parsed config: the ``sha256`` and ``path`` of its file, and one
+    namespace per section of _CONFIG holding its values (cfg.fourier.grid_max)."""
 
     def resolve(self, rel):
         """Resolve a path relative to the config file's directory."""
-        if not rel or os.path.isabs(rel) or not self.path:
+        if not rel or os.path.isabs(rel):
             return rel
         return os.path.join(os.path.dirname(os.path.abspath(self.path)), rel)
 
 
-#: section -> key -> (converter, ExperimentConfig field)
-_CONFIG_KEYS = {
-    "run": {"seed": (_one_int, "seed"), "threads": (_thread_count, "threads")},
-    "group": {"file": (_text, "group_file")},
-    "delta": {"n_max": (_one_int, "delta_n_max"), "tol": (_one_float, "delta_tol")},
-    "measure": {"file": (_text, "measure_file"),
-                "epsilon": (_one_float, "measure_epsilon"),
-                "n_max": (_one_int, "measure_n_max")},
-    "fourier": {"shell_min": (_one_float, "fourier_shell_min"),
-                "shell_max": (_one_float, "fourier_shell_max"),
-                "samples_per_shell": (_one_int, "fourier_samples_per_shell"),
-                "grid_step": (_one_float, "fourier_grid_step"),
-                "grid_max": (_one_float, "fourier_grid_max")},
-    "nonconc": {"samples": (_one_int, "nonconc_samples"),
-                "r_min": (_one_float, "nonconc_r_min"),
-                "epsilons": (_epsilons, "nonconc_epsilons")},
-    "output": {"dir": (_text, "out_dir"), "svg": (_boolean, "svg")},
-}
+def shell_count(shell_min, shell_max):
+    """Shells of the ratio-2 ladder shell_min * 2^k <= shell_max (to 1e-9 in
+    k); a ratio beyond the float range counts as the end of that range."""
+    ratio = min(max(shell_max / shell_min, sys.float_info.min), sys.float_info.max)
+    return int(np.floor(np.log2(ratio) + 1e-9)) + 1
 
 
 def parse_experiment_config(path):
+    """Read a config; each bad value is refused at its line before any work."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
     except OSError as exc:
         raise FileNotFoundError(f"cannot read config {path}: {exc}") from exc
-    cfg = ExperimentConfig(sha256=hashlib.sha256(data).hexdigest(), path=str(path))
-    sections = _parse_sections(_decode(data, f"config {path}"), _CONFIG_KEYS.__contains__)
-    for sec in sections:
-        fields = _CONFIG_KEYS[sec]
-        schema = {key: (convert, getattr(cfg, attr))
-                  for key, (convert, attr) in fields.items()}
-        values = _read(sections, sec, schema, kind="config key")
-        for key, (_, attr) in fields.items():
-            setattr(cfg, attr, values[key])
-    return cfg
+    sections = _parse_sections(_decode(data, f"config {path}"), _CONFIG.__contains__)
+    values = {name: types.SimpleNamespace(**_read(sections, name, schema, kind="config key"))
+              for name, schema in _CONFIG.items()}
+    f, keys = values["fourier"], sections.get("fourier", (None, {}))[1]
+    if shell_count(f.shell_min, f.shell_max) < fourier.MIN_SHELLS:
+        key = "shell_max" if "shell_max" in keys else "shell_min"
+        raise GroupFileError(f"{key}: fewer than {fourier.MIN_SHELLS} shells from "
+                             f"{f.shell_min:g} to {f.shell_max:g}", keys[key][1])
+    return ExperimentConfig(sha256=hashlib.sha256(data).hexdigest(), path=str(path), **values)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ Determinism: identical config + seed + thread setting produces byte-identical
 output files; every file opens with '# key=value' comments carrying the
 config hash, package version, and seed.  Threads resolve as the --threads
 flag, else the LIMSET_THREADS environment variable, else the config value;
-a count below 1 is refused (exit 2).
+a count below 1 is refused (exit 2), and so is a --seed below 0.
 
 Exit codes: 0 success; 2 validation failure (malformed file, overlapping
 balls, failed certificate, bad parameter); 3 numerical failure (degenerate
@@ -53,15 +53,17 @@ def _setup(args):
     """(config, thread count, output directory) of a config-driven command."""
     cfg = _io.parse_experiment_config(args.config)
     if args.seed is not None:
-        cfg.seed = args.seed
+        if args.seed < 0:   # the rule of [run] seed
+            raise ValueError(f"--seed: must be at least 0, got {args.seed}")
+        cfg.run.seed = args.seed
     if args.out is not None:
-        cfg.out_dir = args.out
+        cfg.output.dir = args.out
     if getattr(args, "svg", False):
-        cfg.svg = True
+        cfg.output.svg = True
     threads = core.resolve_threads(args.threads, os.environ.get("LIMSET_THREADS"),
-                                   cfg.threads)
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    return cfg, threads, cfg.out_dir
+                                   cfg.run.threads)
+    os.makedirs(cfg.output.dir, exist_ok=True)
+    return cfg, threads, cfg.output.dir
 
 
 def _meta(command, config_hash, seed, threads, **extra):
@@ -91,18 +93,18 @@ class _Pipeline:
     def __init__(self, cfg, threads):
         self.cfg = cfg
         self.threads = threads
-        self.group = _io.load_group_file(cfg.resolve(cfg.group_file))
+        self.group = _io.load_group_file(cfg.resolve(cfg.group.file))
 
     @functools.cached_property
     def estimate(self) -> dimension.DeltaEstimate:
-        return dimension.estimate_delta(self.group, n_max=self.cfg.delta_n_max,
-                                        tol=self.cfg.delta_tol, threads=self.threads)
+        return dimension.estimate_delta(self.group, n_max=self.cfg.delta.n_max,
+                                        threads=self.threads)
 
     @functools.cached_property
     def mu(self) -> measure.AtomicMeasure:
         return measure.patterson_orbit_measure(self.group, self.estimate.delta,
-                                               epsilon=self.cfg.measure_epsilon,
-                                               n_max=self.cfg.measure_n_max)
+                                               epsilon=self.cfg.measure.epsilon,
+                                               n_max=self.cfg.measure.n_max)
 
 
 def _input_measure(cfg, threads):
@@ -112,8 +114,8 @@ def _input_measure(cfg, threads):
     table directly; otherwise the group file is loaded and run through the
     delta estimate and the orbit-measure construction.
     """
-    if cfg.measure_file:
-        path = cfg.resolve(cfg.measure_file)
+    if cfg.measure.file:
+        path = cfg.resolve(cfg.measure.file)
         mu, meta = _io.read_measure_file(path)
         delta = float(meta["delta"]) if "delta" in meta else None
         return mu, delta, os.path.basename(path)
@@ -135,14 +137,14 @@ def cmd_validate(args):
 def cmd_delta(args):
     cfg, threads, out = _setup(args)
     run = _Pipeline(cfg, threads)
-    meta = _meta("delta", cfg.sha256, cfg.seed, threads, group=run.group.name)
+    meta = _meta("delta", cfg.sha256, cfg.run.seed, threads, group=run.group.name)
     summary_path = os.path.join(out, "delta_summary.txt")
     try:
         est = run.estimate
     except core.DegenerateConfigurationError as exc:
         _report(summary_path, meta, ["status = degenerate", f"reason = {exc}"])
         return 3
-    trunc = dimension.shell_sums(run.group, est.delta, cfg.delta_n_max,
+    trunc = dimension.shell_sums(run.group, est.delta, cfg.delta.n_max,
                                  threads=threads)
     rows = [(int(n), est.delta, float(trunc.values[n]), float(est.per_level[n - 1]))
             for n in est.levels]
@@ -162,10 +164,10 @@ def cmd_measure(args):
     cfg, threads, out = _setup(args)
     run = _Pipeline(cfg, threads)
     est, mu = run.estimate, run.mu
-    s = est.delta + cfg.measure_epsilon
-    meta = _meta("measure", cfg.sha256, cfg.seed, threads, group=run.group.name,
-                 delta=_io.fmt(est.delta), epsilon=_io.fmt(cfg.measure_epsilon),
-                 n_max=int(cfg.measure_n_max))
+    s = est.delta + cfg.measure.epsilon
+    meta = _meta("measure", cfg.sha256, cfg.run.seed, threads, group=run.group.name,
+                 delta=_io.fmt(est.delta), epsilon=_io.fmt(cfg.measure.epsilon),
+                 n_max=int(cfg.measure.n_max))
     _io.write_measure_file(os.path.join(out, "measure.csv"), mu, meta)
     residual = max(measure.conformality_residual(mu, g.elem, s)
                    for g in run.group.gens)
@@ -182,16 +184,15 @@ def cmd_measure(args):
 def cmd_fourier(args):
     cfg, threads, out = _setup(args)
     mu, delta, source = _input_measure(cfg, threads)
-    count = int(np.floor(np.log2(cfg.fourier_shell_max / cfg.fourier_shell_min)
-                         + 1e-9)) + 1
-    spec = fourier.FrequencySpec(mode="shell", r0=cfg.fourier_shell_min,
-                                 ratio=2.0, count=count,
-                                 samples_per_shell=cfg.fourier_samples_per_shell)
-    report = fourier.decay_scan(mu, spec, seed=cfg.seed, threads=threads)
+    f = cfg.fourier
+    spec = fourier.FrequencySpec(mode="shell", r0=f.shell_min, ratio=2.0,
+                                 count=_io.shell_count(f.shell_min, f.shell_max),
+                                 samples_per_shell=f.samples_per_shell)
+    report = fourier.decay_scan(mu, spec, seed=cfg.run.seed, threads=threads)
     l2, fractions, lebesgues = fourier.grid_statistics(
-        mu, cfg.fourier_grid_max, [cfg.fourier_grid_max], [_EXC_DELTA_EXP],
-        grid_step=cfg.fourier_grid_step, threads=threads)
-    meta = _meta("fourier", cfg.sha256, cfg.seed, threads, source=source)
+        mu, f.grid_max, [f.grid_max], [_EXC_DELTA_EXP], grid_step=f.grid_step,
+        threads=threads)
+    meta = _meta("fourier", cfg.sha256, cfg.run.seed, threads, source=source)
     if delta is not None:
         meta["delta"] = _io.fmt(delta)
     block = report.sample_values.shape[0] // report.shell_radii.shape[0]
@@ -215,11 +216,11 @@ def cmd_fourier(args):
         f'  "l2_coarse": {str(l2.coarse).lower()},',
         f'  "exceptional_fraction": {_io.fmt(fractions[0, 0])},',
         f'  "exceptional_lebesgue": {_io.fmt(lebesgues[0, 0])},',
-        f'  "exceptional_t": {_io.fmt(cfg.fourier_grid_max)},',
+        f'  "exceptional_t": {_io.fmt(f.grid_max)},',
         f'  "exceptional_delta_exp": {_io.fmt(_EXC_DELTA_EXP)}',
         "}",
     ]
-    if cfg.svg:
+    if cfg.output.svg:
         _io.write_loglog_svg(os.path.join(out, "fourier.svg"),
                              report.shell_radii, report.shell_max,
                              title="shell maxima of |mu-hat|",
@@ -231,11 +232,10 @@ def cmd_fourier(args):
 def cmd_nonconc(args):
     cfg, threads, out = _setup(args)
     mu, _, source = _input_measure(cfg, threads)
-    r_min = cfg.nonconc_r_min if cfg.nonconc_r_min > 0 else None
-    profile = nonconc.affine_profile(mu, epsilons=cfg.nonconc_epsilons,
-                                     ball_samples=cfg.nonconc_samples,
-                                     seed=cfg.seed, r_min=r_min)
-    meta = _meta("nonconc", cfg.sha256, cfg.seed, threads, source=source,
+    n = cfg.nonconc
+    profile = nonconc.affine_profile(mu, epsilons=n.epsilons, ball_samples=n.samples,
+                                     seed=cfg.run.seed, r_min=n.r_min or None)
+    meta = _meta("nonconc", cfg.sha256, cfg.run.seed, threads, source=source,
                  method=profile.method,
                  in_hyperplane=str(profile.in_hyperplane).lower(),
                  discarded=int(profile.discarded))

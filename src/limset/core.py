@@ -114,13 +114,13 @@ def unipotent_minus(y):
     return unipotent_plus(y).T
 
 
-def rotation_embed(m, tol=DEFAULT_TOL):
+def rotation_embed(m):
     """Embed m in SO(d) as diag(1, m, 1); commutes with every g_t."""
     m = np.atleast_2d(np.asarray(m, dtype=float))
     d = m.shape[0]
     if m.shape != (d, d):
         raise ModelViolationError(f"rotation block must be square, got {m.shape}")
-    if np.abs(m.T @ m - np.eye(d)).max() > 1e3 * tol:
+    if np.abs(m.T @ m - np.eye(d)).max() > 1e3 * DEFAULT_TOL:
         raise ModelViolationError("rotation block is not orthogonal within tolerance")
     g = np.eye(d + 2)
     g[1:d + 1, 1:d + 1] = m
@@ -171,15 +171,15 @@ def so_relative_residual(g):
     return so_residual(g) / scale
 
 
-def in_so_q(g, tol=DEFAULT_TOL):
+def in_so_q(g):
     """Whether g preserves Q (scale-relative) and has det close to +1."""
     g = np.asarray(g, dtype=float)
     if g.ndim != 2 or g.shape[0] != g.shape[1] or g.shape[0] < 3:
         return False
-    if so_relative_residual(g) > tol:
+    if so_relative_residual(g) > DEFAULT_TOL:
         return False
     sign, logdet = np.linalg.slogdet(g)
-    return sign > 0 and abs(logdet) < np.log1p(1e3 * tol) + 1e-6
+    return sign > 0 and abs(logdet) < np.log1p(1e3 * DEFAULT_TOL) + 1e-6
 
 
 def project_so(g, tol=DEFAULT_TOL):
@@ -226,11 +226,11 @@ def exact_integer_residual(g):
 # Points, boundary, chart
 # ---------------------------------------------------------------------------
 
-def check_hyperbolic_point(x, tol=1e-6):
+def check_hyperbolic_point(x):
     """Assert Q(x) = 1 and x on the future sheet; returns x as float array."""
     x = np.asarray(x, dtype=float)
     q = quadratic_form(x)
-    if abs(q - 1.0) > tol * max(1.0, float(np.abs(x).max()) ** 2):
+    if abs(q - 1.0) > 1e-6 * max(1.0, float(np.abs(x).max()) ** 2):
         raise ModelViolationError(f"Q(x) = {q}, not 1 within tolerance")
     if x[0] + x[-1] <= 0:
         raise ModelViolationError("point is on the past sheet")
@@ -249,7 +249,7 @@ def chart_to_boundary(x):
     return np.concatenate([sq, x, ones], axis=-1)
 
 
-def boundary_from_chart(xi, tol=DEFAULT_TOL):
+def boundary_from_chart(xi):
     """Chart coordinate of a null direction: normalize the last coordinate to 1.
 
     Raises ChartInfinityError for directions projectively equal to [e_0].
@@ -258,7 +258,7 @@ def boundary_from_chart(xi, tol=DEFAULT_TOL):
     scale = np.abs(xi).max()
     if scale == 0.0:
         raise DegenerateConfigurationError("zero vector is not a boundary point")
-    if abs(xi[-1]) <= tol * scale:
+    if abs(xi[-1]) <= DEFAULT_TOL * scale:
         raise ChartInfinityError("boundary point at infinity of the chart ([e_0])")
     return xi[1:-1] / xi[-1]
 
@@ -306,14 +306,14 @@ def boundary_equal(a, b, tol=1e-8):
 # Metric quantities
 # ---------------------------------------------------------------------------
 
-def distance(x, y, tol=DEFAULT_TOL):
+def distance(x, y):
     """d(x, y) = arccosh B(x, y); symmetric, isometry-invariant.
 
-    Broadcasts over leading axes.  B < 1 - tol (impossible for points on the
+    Broadcasts over leading axes.  B < 1 - DEFAULT_TOL (impossible for points on the
     future sheet) raises ModelViolationError.
     """
     b = bilinear_form(x, y)
-    if np.any(b < 1.0 - tol):
+    if np.any(b < 1.0 - DEFAULT_TOL):
         raise ModelViolationError(f"B(x, y) = {np.min(b)} < 1: arguments not on the future sheet")
     return np.arccosh(np.maximum(b, 1.0))
 

@@ -39,8 +39,9 @@ from . import core
 #: Bisection tolerance in s for the per-level roots.
 BISECTION_TOL = 1e-6
 
-#: Default truncation depth.
+#: Default truncation depth, and the shallowest that gives a stable estimate.
 DEFAULT_N_MAX = 12
+MIN_N_MAX = 6
 
 #: Fixed chunk length for the log-sum-exp reduction tree.  Partial sums are
 #: combined in chunk order, so the result does not depend on thread count.
@@ -163,7 +164,6 @@ def shell_sums(
 
 def delta_from_distances(
     dists: list[np.ndarray],
-    tol: float = BISECTION_TOL,
     threads: int = 1,
 ) -> tuple[float, np.ndarray]:
     """Per-level roots delta_n of log a_n(s) = log a_{n-1}(s).
@@ -201,7 +201,7 @@ def delta_from_distances(
                 f"bisection bracket failure at level {n}: shell ratio still "
                 f"growing at s = {hi}"
             )
-        while hi - lo > tol:
+        while hi - lo > BISECTION_TOL:
             mid = 0.5 * (lo + hi)
             if f(mid) > 0.0:
                 lo = mid
@@ -214,7 +214,6 @@ def delta_from_distances(
 def estimate_delta(
     group,
     n_max: int = DEFAULT_N_MAX,
-    tol: float = BISECTION_TOL,
     basepoint: np.ndarray | None = None,
     threads: int = 1,
 ) -> DeltaEstimate:
@@ -224,11 +223,11 @@ def estimate_delta(
     level-(n-1) shell sum; the estimate is delta_{n_max} and ``spread``
     (max - min over the last three levels) quantifies truncation error.
     """
-    if n_max < 6:
-        raise ValueError(f"n_max must be >= 6 for a stable estimate, got {n_max}")
+    if n_max < MIN_N_MAX:
+        raise ValueError(f"n_max must be >= {MIN_N_MAX} for a stable estimate, got {n_max}")
     dists = level_distances(group, n_max, basepoint)
     counts = np.array([d.shape[0] for d in dists])
-    delta, per_level = delta_from_distances(dists, tol, threads)
+    delta, per_level = delta_from_distances(dists, threads)
     d = group.d
     if not 0.0 < delta < d:
         raise core.DegenerateConfigurationError(

@@ -44,6 +44,12 @@ NUMERICAL_FLOOR = 1e-14
 #: artifacts of the discretization.
 _CAP_FACTOR = 0.25
 
+#: Fewest shells of a decay fit; coarsest step and smallest exceptional-set
+#: radius T of the grid statistics.
+MIN_SHELLS = 8
+MAX_GRID_STEP = 0.25
+MIN_EXCEPTIONAL_T = 4.0
+
 _ATOM_CHUNK = 1 << 16
 
 #: Bytes of the complex block one worker fills at a time: the frequency rows
@@ -215,7 +221,6 @@ class DecayReport:
 
     shell_radii: np.ndarray
     shell_max: np.ndarray
-    sample_radii: np.ndarray
     sample_dir_index: np.ndarray
     sample_values: np.ndarray
     kappa: float
@@ -247,8 +252,8 @@ def decay_scan(mu: AtomicMeasure, spec: FrequencySpec, seed: int = 0,
     and log-spaced radial samples.  kappa = -slope of log(max) vs log(R)
     over the upper half of the kept shells (a sup-bound fit).
     """
-    if spec.count < 8:
-        raise ValueError(f"need at least 8 shells for a decay fit, got {spec.count}")
+    if spec.count < MIN_SHELLS:
+        raise ValueError(f"a decay fit needs at least {MIN_SHELLS} shells, got {spec.count}")
     dirs = spec.directions
     if dirs is None:
         dirs = default_directions(mu.d, seed=seed)
@@ -272,7 +277,6 @@ def decay_scan(mu: AtomicMeasure, spec: FrequencySpec, seed: int = 0,
     n_dir = dirs.shape[0]
     # fixed sample order: shell-major, then direction, then radial position
     freqs = (r_samples[:, None, :, None] * dirs[None, :, None, :]).reshape(-1, mu.d)
-    sample_radii = np.broadcast_to(r_samples[:, None, :], (n_shell, n_dir, n_rad)).reshape(-1)
     dir_index = np.broadcast_to(np.arange(n_dir)[None, :, None],
                                 (n_shell, n_dir, n_rad)).reshape(-1).copy()
     vals = _nudft(mu.points, mu.weights, freqs, threads)
@@ -282,7 +286,6 @@ def decay_scan(mu: AtomicMeasure, spec: FrequencySpec, seed: int = 0,
     return DecayReport(
         shell_radii=kept,
         shell_max=shell_max,
-        sample_radii=sample_radii,
         sample_dir_index=dir_index,
         sample_values=vals,
         kappa=kappa,
@@ -339,14 +342,13 @@ def grid_statistics(mu: AtomicMeasure, radius: float, t_values=(), delta_grid=()
     L2Average over the ball, and the exceptional sets at level T^{-delta} over
     (delta_grid x t_values), each counted on the cells of the radius-T grid.
     """
-    if grid_step > 0.25:
-        raise ValueError(f"grid_step must be <= 1/4, got {grid_step}")
+    if not 0.0 < grid_step <= MAX_GRID_STEP:
+        raise ValueError(f"grid_step must lie in (0, {MAX_GRID_STEP}], got {grid_step}")
     if radius <= 0.0:
         raise ValueError(f"radius must be positive, got {radius}")
     for t in t_values:
-        if not 4.0 <= t <= radius:
-            raise ValueError(f"T must be >= 4, got {t}" if t < 4.0
-                             else f"T = {t} exceeds the grid radius {radius}")
+        if not MIN_EXCEPTIONAL_T <= t <= radius:
+            raise ValueError(f"T must lie in [{MIN_EXCEPTIONAL_T:g}, {radius}], got {t}")
     for dexp in delta_grid:
         if not 0.0 < dexp < 1.0:
             raise ValueError(f"delta_exp must be in (0, 1), got {dexp}")

@@ -101,67 +101,67 @@ def assemble_product(h: HolonomyInput):
             @ core.geodesic_flow(h.tau, h.d) @ core.rotation_embed(h.m))
 
 
-def _cell_lambda(h: HolonomyInput, tol):
+def _cell_lambda(h: HolonomyInput):
     """lambda(v, w), refused when the product leaves the N-MAN+ cell."""
     lam = lambda_fn(h.v, h.w)
-    if lam <= tol:
+    if lam <= core.DEFAULT_TOL:
         raise core.DegenerateConfigurationError(
             f"lambda = {lam}: product outside the N-MAN+ cell")
     return lam
 
 
-def phi_closed_form(h: HolonomyInput, tol=core.DEFAULT_TOL):
+def phi_closed_form(h: HolonomyInput):
     """N+ component: m^{-1} (v + (||v||^2/2) w) / (e^tau lambda(v, w))."""
-    lam = _cell_lambda(h, tol)
+    lam = _cell_lambda(h)
     return (h.m.T @ (h.v + 0.5 * float(h.v @ h.v) * h.w)) / (np.exp(h.tau) * lam)
 
 
-def tau_closed_form(h: HolonomyInput, tol=core.DEFAULT_TOL):
+def tau_closed_form(h: HolonomyInput):
     """Flow component: tau + log lambda(v, w).
 
     lambda is the leading entry of n+(v) n-(w), and the first row of
     n-(y) m g_t n+(x) is e^t (1, x, ||x||^2/2), so e^{t_out} = e^tau lambda.
     """
-    lam = _cell_lambda(h, tol)
+    lam = _cell_lambda(h)
     return h.tau + np.log(lam)
 
 
-def y_closed_form(h: HolonomyInput, tol=core.DEFAULT_TOL):
+def y_closed_form(h: HolonomyInput):
     """N- component: (w + (||w||^2/2) v) / lambda(v, w); independent of tau, m."""
-    lam = _cell_lambda(h, tol)
+    lam = _cell_lambda(h)
     return (h.w + 0.5 * float(h.w @ h.w) * h.v) / lam
 
 
-def m_closed_form(h: HolonomyInput, tol=core.DEFAULT_TOL):
+def m_closed_form(h: HolonomyInput):
     """Rotation component: the middle-block Schur-type complement of
     n+(v) n-(w), times m."""
-    lam = _cell_lambda(h, tol)
+    lam = _cell_lambda(h)
     col = h.w + 0.5 * float(h.w @ h.w) * h.v
     row = h.v + 0.5 * float(h.v @ h.v) * h.w
     mprime = np.eye(h.d) + np.outer(h.v, h.w) - np.outer(col, row) / lam
     return mprime @ h.m
 
 
-def decompose_nmak(X, tol=core.DEFAULT_TOL):
+def decompose_nmak(X):
     """Solve X = n-(y) m g_t n+(x) from the entries of X.
 
     X[0, 0] = e^t must be positive; the first row then gives x, the first
     column gives y, and the middle block gives m after removing the rank-one
     part e^t y x^T.  Returns (y, m, t, x, residual) with the reconstruction
-    residual in max norm.  Raises for X outside the open cell (X[0,0] <= tol)
+    residual in max norm.  Raises for X outside the open cell (X[0,0] <= core.DEFAULT_TOL)
     or when the extracted m is not orthogonal (X not in SO(Q)).
     """
     X = np.asarray(X, dtype=float)
     d = X.shape[0] - 2
     lead = X[0, 0]
-    if lead <= tol:
+    if lead <= core.DEFAULT_TOL:
         raise core.DegenerateConfigurationError(
-            f"leading entry {lead} <= tol: matrix outside the N-MAN+ cell")
+            f"leading entry {lead} <= {core.DEFAULT_TOL:g}: matrix outside the N-MAN+ cell")
     t = np.log(lead)
     x = X[0, 1:d + 1] / lead
     y = X[1:d + 1, 0] / lead
     m = X[1:d + 1, 1:d + 1] - np.outer(X[1:d + 1, 0], X[0, 1:d + 1]) / lead
-    if np.abs(m.T @ m - np.eye(d)).max() > 1e3 * tol:
+    if np.abs(m.T @ m - np.eye(d)).max() > 1e3 * core.DEFAULT_TOL:
         raise core.ModelViolationError("extracted rotation block not orthogonal; "
                                        "input matrix is not in SO(Q)")
     recon = (core.unipotent_minus(y) @ core.rotation_embed(m)
@@ -170,7 +170,7 @@ def decompose_nmak(X, tol=core.DEFAULT_TOL):
     return y, m, t, x, residual
 
 
-def factorize_product(x, y, tau=0.0, m=None, tol=core.DEFAULT_TOL):
+def factorize_product(x, y, tau=0.0, m=None):
     """Numerically factor n+(x) n-(y) g_tau m into N- M A N+.
 
     The matrix oracle for the closed forms: assembles the product and solves
@@ -181,8 +181,8 @@ def factorize_product(x, y, tau=0.0, m=None, tol=core.DEFAULT_TOL):
         m = np.eye(x.shape[0])
     h = HolonomyInput(v=x, w=y, m=m, tau=tau)
     X = assemble_product(h)
-    y_out, m_out, t_out, phi, residual = decompose_nmak(X, tol=tol)
-    if residual > max(tol, 1e-12 * np.abs(X).max()):
+    y_out, m_out, t_out, phi, residual = decompose_nmak(X)
+    if residual > max(core.DEFAULT_TOL, 1e-12 * np.abs(X).max()):
         raise core.ModelViolationError(f"factorization residual {residual} exceeds tolerance")
     return FactorizationResult(y_out=y_out, m_out=m_out, t_out=float(t_out),
                                phi=phi, residual=residual)

@@ -40,7 +40,7 @@ class ConfigurationError(ValueError):
 # Loxodromic elements
 # ---------------------------------------------------------------------------
 
-def translation_length(g, tol=core.DEFAULT_TOL):
+def translation_length(g):
     """log of the spectral radius; errors unless g is loxodromic.
 
     A loxodromic element is conjugate to g_l * m and has simple real
@@ -48,19 +48,19 @@ def translation_length(g, tol=core.DEFAULT_TOL):
     """
     ev = np.linalg.eigvals(np.asarray(g, dtype=float))
     radius = float(np.abs(ev).max())
-    if radius <= 1.0 + tol:
+    if radius <= 1.0 + core.DEFAULT_TOL:
         raise core.DegenerateConfigurationError(
-            f"spectral radius {radius} <= 1 + tol: element is not loxodromic")
+            f"spectral radius {radius} <= 1 + {core.DEFAULT_TOL:g}: element is not loxodromic")
     lead = ev[int(np.argmax(np.abs(ev)))]
     if abs(lead.imag) > 1e-6 * radius or lead.real <= 0:
         raise core.ModelViolationError("leading eigenvalue is not real positive")
     return float(np.log(radius))
 
 
-def fixed_points(g, tol=core.DEFAULT_TOL):
+def fixed_points(g):
     """(attracting, repelling) null eigenvectors of a loxodromic g, normalized."""
     g = np.asarray(g, dtype=float)
-    translation_length(g, tol=tol)  # loxodromy check
+    translation_length(g)  # loxodromy check
     ev, vecs = np.linalg.eig(g)
     order = np.argsort(np.abs(ev))
     rep = np.real(vecs[:, order[0]])
@@ -71,7 +71,7 @@ def fixed_points(g, tol=core.DEFAULT_TOL):
     return core.normalize_boundary(att), core.normalize_boundary(rep)
 
 
-def build_loxodromic(xi_att, xi_rep, length, m=None, tol=core.DEFAULT_TOL):
+def build_loxodromic(xi_att, xi_rep, length, m=None):
     """Loxodromic element with axis (xi_att, xi_rep), translation length, rotation m.
 
     Builds h in SO(Q) whose columns are (a, u_1, ..., u_d, r) with
@@ -88,7 +88,7 @@ def build_loxodromic(xi_att, xi_rep, length, m=None, tol=core.DEFAULT_TOL):
     a = core.normalize_boundary(xi_att)
     r = core.normalize_boundary(xi_rep)
     pairing = core.bilinear_form(a, r)
-    if pairing <= tol:
+    if pairing <= core.DEFAULT_TOL:
         raise core.DegenerateConfigurationError(
             "axis endpoints coincide (B(att, rep) ~ 0)")
     r = r / pairing

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import limset
-from limset import _io, cli, fourier, measure, nonconc
+from limset import _io, cli, dimension, fourier, measure, nonconc
 from limset.measure import AtomicMeasure
 
 REF = limset.fixture_path("reference")
@@ -501,6 +501,7 @@ def test_invalid_epsilon_validation_exit(work, tmp_path, capsys):
 
 
 _REF_TEXT = Path(REF).read_text()
+_GROUP = f"[group]\nfile = {REF}\n\n"     # lines 1-3 of a config that could run
 _BAD_INPUTS = {   # case -> (command, group file or config text)
     "d-overflow": ("validate", _REF_TEXT.replace("d = 1\n", "d = 1e400\n")),
     "d-nan": ("validate", _REF_TEXT.replace("d = 1\n", "d = nan\n")),
@@ -522,6 +523,21 @@ _BAD_INPUTS = {   # case -> (command, group file or config text)
     "group-not-utf8": ("validate", _REF_TEXT.encode().replace(b"tol = 1e-9",
                                                              b"tol = 1e-9 # \xe9")),
     "config-not-utf8": ("delta", b"[run]\nseed = 1\n# caf\xe9\n"),
+    # the range rules of the README config table
+    "seed-negative": ("delta", _GROUP + "[run]\nseed = -5\n"),
+    "delta-tol": ("delta", _GROUP + "[delta]\nn_max = 8\ntol = 0\n"),
+    "delta-n-max-5": ("delta", _GROUP + "[delta]\nn_max = 5\n"),
+    "measure-epsilon-0": ("measure", _GROUP + "[measure]\nepsilon = 0\n"),
+    "measure-n-max-negative": ("measure", _GROUP + "[measure]\nn_max = -1\n"),
+    "shell-min-0": ("fourier", _GROUP + "[fourier]\nshell_min = 0\n"),
+    "samples-per-shell-0": ("fourier", _GROUP + "[fourier]\nsamples_per_shell = 0\n"),
+    "grid-step-0": ("fourier", _GROUP + "[fourier]\ngrid_step = 0\n"),
+    "grid-step-half": ("fourier", _GROUP + "[fourier]\ngrid_step = 0.5\n"),
+    "grid-max-2": ("fourier", _GROUP + "[fourier]\ngrid_max = 2\n"),
+    "shell-max-7-shells": ("fourier", _GROUP + "[fourier]\nshell_min = 1\nshell_max = 64\n"),
+    "shell-min-7-shells": ("fourier", _GROUP + "[fourier]\nshell_min = 4\n"),
+    "nonconc-samples-0": ("nonconc", _GROUP + "[nonconc]\nsamples = 0\n"),
+    "nonconc-r-min-negative": ("nonconc", _GROUP + "[nonconc]\nr_min = -0.1\n"),
 }
 _MEASURE_FILES = {      # name -> text; the table starts at line 4
     "nan.csv": "# count=3\n# d=1\nx1,weight\n0.1,1\nnan,1\n0.3,1\n",
@@ -536,11 +552,19 @@ _BAD_LINES = {          # case -> the file line its refusal must name
     "measure-header-count": 1,
     "group-not-utf8": _REF_TEXT.splitlines().index("tol = 1e-9") + 1,
     "config-not-utf8": 3,
+    # the bad value of a config that could run stands on its last line
+    **{case: text.count("\n") for case, (_, text) in _BAD_INPUTS.items()
+       if isinstance(text, str) and text.startswith(_GROUP)},
 }
 
 
+def _no_stage(*args, **kwargs):
+    raise AssertionError("a pipeline stage ran before the refusal")
+
+
 @pytest.mark.parametrize("case", sorted(_BAD_INPUTS))
-def test_bad_input_exits_2_naming_its_line(tmp_path, capsys, case):
+def test_bad_input_exits_2_naming_its_line(tmp_path, capsys, monkeypatch, case):
+    monkeypatch.setattr(dimension, "estimate_delta", _no_stage)
     command, text = _BAD_INPUTS[case]
     for name, table in _MEASURE_FILES.items():
         (tmp_path / name).write_text(table)
@@ -556,3 +580,16 @@ def test_bad_input_exits_2_naming_its_line(tmp_path, capsys, case):
     assert line
     if case in _BAD_LINES:
         assert int(line.group(1)) == _BAD_LINES[case]
+
+
+def test_negative_seed_flag_is_refused_naming_it(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(dimension, "estimate_delta", _no_stage)
+    path = tmp_path / "seed.cfg"
+    path.write_text(_GROUP + "[delta]\nn_max = 8\n")
+    for command in ("delta", "measure", "fourier", "nonconc"):
+        assert cli.main([command, "--config", str(path), "--seed", "-5",
+                         "--out", str(tmp_path / "o")]) == 2
+        assert "--seed: must be at least 0, got -5" in capsys.readouterr().err
+    assert cli.main(["holonomy", "--trials", "10", "--seed", "-5",
+                     "--out", str(tmp_path / "h")]) == 2
+    assert not (tmp_path / "h").exists()

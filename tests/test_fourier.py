@@ -230,8 +230,9 @@ def test_ray_mode_samples_nominal_radii_only():
     mu = fourier.uniform_segment_measure(200)
     spec = fourier.FrequencySpec(mode="ray", directions=np.array([[1.0]]))
     report = fourier.decay_scan(mu, spec)
-    assert report.sample_radii.shape[0] == report.shell_radii.shape[0]
-    assert np.array_equal(report.sample_radii, report.shell_radii)
+    assert report.sample_values.shape[0] == report.shell_radii.shape[0]
+    assert np.array_equal(report.sample_values,
+                          fourier.fourier_transform(mu, report.shell_radii[:, None]))
 
 
 def test_d2_fan_is_exactly_antipodal():
@@ -346,8 +347,9 @@ def test_exceptional_sweep_matches_single_calls():
 
 def test_exceptional_sweep_validation():
     mu = fourier.uniform_segment_measure(100)
-    for t, step in (([2.0], 0.5), ([2.0], 0.25), ([16.0], 0.5)):
-        with pytest.raises(ValueError):
+    for t, step in (([2.0], 0.5), ([2.0], 0.25), ([16.0], 0.5), ([16.0], 0.0),
+                    ([16.0], -0.25)):
+        with pytest.raises(ValueError, match=None if t[0] < 4 else f"got {step}"):
             fourier.exceptional_sweep(mu, t, [0.5], grid_step=step)
     with pytest.raises(ValueError):
         fourier.exceptional_sweep(mu, [16.0], [1.5])

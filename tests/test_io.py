@@ -27,14 +27,13 @@ file = groups/ref.group
 
 [delta]
 n_max = 10
-tol = 1e-7
 
 [measure]
 epsilon = 0.02
 n_max = 9
 
 [fourier]
-shell_min = 2
+shell_min = 1
 shell_max = 128
 samples_per_shell = 8
 grid_step = 0.125
@@ -55,10 +54,10 @@ def test_config_defaults(tmp_path):
     path = tmp_path / "min.cfg"
     path.write_text("[group]\nfile = a.group\n")
     cfg = _io.parse_experiment_config(path)
-    assert cfg.group_file == "a.group"
-    assert cfg.seed == 0 and cfg.threads == 1
-    assert cfg.delta_n_max == 12 and cfg.measure_epsilon == 0.05
-    assert cfg.out_dir == "out" and cfg.svg is False
+    assert cfg.group.file == "a.group"
+    assert cfg.run.seed == 0 and cfg.run.threads == 1
+    assert cfg.delta.n_max == 12 and cfg.measure.epsilon == 0.05
+    assert cfg.output.dir == "out" and cfg.output.svg is False
     assert len(cfg.sha256) == 64
 
 
@@ -66,12 +65,12 @@ def test_config_full_round(tmp_path):
     path = tmp_path / "full.cfg"
     path.write_text(FULL_CONFIG)
     cfg = _io.parse_experiment_config(path)
-    assert cfg.seed == 7 and cfg.threads == 2
-    assert cfg.delta_n_max == 10 and cfg.delta_tol == 1e-7
-    assert cfg.measure_epsilon == 0.02
-    assert cfg.fourier_shell_max == 128 and cfg.fourier_grid_step == 0.125
-    assert cfg.nonconc_samples == 50 and cfg.nonconc_epsilons == (0.1, 0.2, 0.4)
-    assert cfg.out_dir == "results" and cfg.svg is True
+    assert cfg.run.seed == 7 and cfg.run.threads == 2
+    assert cfg.delta.n_max == 10
+    assert cfg.measure.epsilon == 0.02
+    assert cfg.fourier.shell_max == 128 and cfg.fourier.grid_step == 0.125
+    assert cfg.nonconc.samples == 50 and cfg.nonconc.epsilons == (0.1, 0.2, 0.4)
+    assert cfg.output.dir == "results" and cfg.output.svg is True
 
 
 def test_config_hash_tracks_bytes(tmp_path):
@@ -96,10 +95,12 @@ def test_config_unknown_key_has_line_number(tmp_path):
 
 def test_config_window_key_is_refused(tmp_path):
     path = tmp_path / "old.cfg"
-    path.write_text("[measure]\nepsilon = 0.02\nwindow = 0.5\n")
-    with pytest.raises(_io.GroupFileError, match="unknown config key 'window'") as err:
-        _io.parse_experiment_config(path)
-    assert err.value.line == 3
+    for text, key in (("[measure]\nepsilon = 0.02\nwindow = 0.5\n", "window"),
+                      ("[delta]\nn_max = 8\ntol = 0\n", "tol")):
+        path.write_text(text)
+        with pytest.raises(_io.GroupFileError, match=f"unknown config key '{key}'") as err:
+            _io.parse_experiment_config(path)
+        assert err.value.line == 3
 
 
 @pytest.mark.parametrize("count", ["0", "-3"])
@@ -118,15 +119,36 @@ def test_readme_config_block_parses(tmp_path):
     path = tmp_path / "readme.cfg"
     path.write_text(block)
     cfg = _io.parse_experiment_config(path)
-    assert cfg.seed == 0 and cfg.threads == 1
-    assert cfg.group_file == "reference.group" and cfg.measure_file == ""
-    assert cfg.delta_n_max == 12
-    assert cfg.measure_epsilon == 0.02 and cfg.measure_n_max == 12
-    assert cfg.fourier_shell_min == 1 and cfg.fourier_shell_max == 256
-    assert cfg.fourier_samples_per_shell == 16
-    assert cfg.fourier_grid_step == 0.25 and cfg.fourier_grid_max == 256
-    assert cfg.nonconc_samples == 200 and cfg.nonconc_r_min == 0
-    assert cfg.nonconc_epsilons == (0.05, 0.1, 0.2, 0.4)
+    assert cfg.run.seed == 0 and cfg.run.threads == 1
+    assert cfg.group.file == "reference.group" and cfg.measure.file == ""
+    assert cfg.delta.n_max == 12
+    assert cfg.measure.epsilon == 0.02 and cfg.measure.n_max == 12
+    assert cfg.fourier.shell_min == 1 and cfg.fourier.shell_max == 256
+    assert cfg.fourier.samples_per_shell == 16
+    assert cfg.fourier.grid_step == 0.25 and cfg.fourier.grid_max == 256
+    assert cfg.nonconc.samples == 200 and cfg.nonconc.r_min == 0
+    assert cfg.nonconc.epsilons == (0.05, 0.1, 0.2, 0.4)
+
+
+def test_readme_config_table_runs(tmp_path):
+    """Each row of the README config table: its default is the value an empty
+    config parses to, and its refused example is refused at its line."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `\[(\w+)\] (\w+)` \| (.*?) \| .*? \| (.*?) \|$", readme, re.M)
+    assert sorted((sec, key) for sec, key, *_ in rows) == sorted(
+        (sec, key) for sec, keys in _io._CONFIG.items() for key in keys)
+    path = tmp_path / "c.cfg"
+    path.write_text("")
+    defaults = _io.parse_experiment_config(path)
+    for sec, key, default, refused in rows:
+        path.write_text(f"[{sec}]\n{key} = {default.strip('`').replace('—', '')}\n")
+        value = getattr(_io.parse_experiment_config(path), sec)
+        assert getattr(value, key) == getattr(getattr(defaults, sec), key), (sec, key)
+        if refused != "—":
+            path.write_text(f"[{sec}]\n{key} = {refused.strip('`')}\n")
+            with pytest.raises(_io.GroupFileError) as err:
+                _io.parse_experiment_config(path)
+            assert err.value.line == 2, (sec, key)
 
 
 def test_config_epsilons_validated(tmp_path):
@@ -355,7 +377,19 @@ def test_fuzzed_config_is_honoured_or_refused_at_a_line(tmp_path_factory, text):
     except _io.GroupFileError as exc:
         assert exc.line is not None
         return
-    assert _finite(v for v in vars(cfg).values() if isinstance(v, (float, tuple)))
+    assert _finite(v for section in _io._CONFIG for v in vars(getattr(cfg, section)).values()
+                   if isinstance(v, (int, float, tuple)))
+    _assert_in_range(cfg)
+
+
+def _assert_in_range(cfg):
+    """Every range rule of the README config table holds for ``cfg``."""
+    run, f, n = cfg.run, cfg.fourier, cfg.nonconc
+    assert run.seed >= 0 and run.threads >= 1 and cfg.delta.n_max >= 6
+    assert cfg.measure.epsilon > 0 and cfg.measure.n_max >= 0
+    assert f.shell_min > 0 and f.samples_per_shell >= 1 and f.grid_max >= 4
+    assert 0 < f.grid_step <= 0.25 and _io.shell_count(f.shell_min, f.shell_max) >= 8
+    assert n.samples >= 1 and n.r_min >= 0 and all(0 < e <= 0.5 for e in n.epsilons)
 
 
 # ---------------------------------------------------------------------------
