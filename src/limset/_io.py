@@ -149,13 +149,13 @@ def _one_int(value, line, what="value"):
     return int(x)
 
 
-def _number(parse, low, high=math.inf, above=False):
-    """Converter of a number read by ``parse`` in [low, high], or (low, high] if ``above``."""
+def _number(parse, low, high=math.inf, above=False, below=False):
+    """Converter of a number read by ``parse`` in [low, high]; ``above``/``below`` open it."""
     def convert(value, line, what="value"):
         x = parse(value, line, what)
-        if x < low or x > high or (above and x == low):
+        if x < low or x > high or (above and x == low) or (below and x == high):
             raise GroupFileError(f"{what} must lie in {'(' if above else '['}{low:g}, "
-                                 f"{high:g}], got {value}", line)
+                                 f"{high:g}{')' if below else ']'}, got {value}", line)
         return x
     return convert
 
@@ -266,11 +266,6 @@ def group_file_text(group: schottky.SchottkyGroup, comment=None):
     return "\n".join(lines)
 
 
-def write_group_file(path, group, comment=None):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(group_file_text(group, comment))
-
-
 # ---------------------------------------------------------------------------
 # Experiment configs
 # ---------------------------------------------------------------------------
@@ -289,7 +284,7 @@ _CONFIG = {
                               0.25),
                 "grid_max": (_number(_one_float, fourier.MIN_EXCEPTIONAL_T), 256.0)},
     "nonconc": {"samples": (_number(_one_int, 1), nonconc.DEFAULT_BALL_SAMPLES),
-                "r_min": (_number(_one_float, 0.0), 0.0),     # 0 = auto from resolution
+                "r_min": (_number(_one_float, 0.0, 1.0, below=True), 0.0),   # 0 = auto
                 "epsilons": (_epsilons, nonconc.DEFAULT_EPSILONS)},
     "output": {"dir": (_text, "out"), "svg": (_boolean, False)},
 }

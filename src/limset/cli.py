@@ -19,7 +19,8 @@ Determinism: identical config + seed + thread setting produces byte-identical
 output files; every file opens with '# key=value' comments carrying the
 config hash, package version, and seed.  Threads resolve as the --threads
 flag, else the LIMSET_THREADS environment variable, else the config value;
-a count below 1 is refused (exit 2), and so is a --seed below 0.
+a count below 1 is refused (exit 2), and so are a --seed below 0 and a
+holonomy --trials below 10.
 
 Exit codes: 0 success; 2 validation failure (malformed file, overlapping
 balls, failed certificate, bad parameter); 3 numerical failure (degenerate
@@ -253,6 +254,10 @@ def cmd_nonconc(args):
 
 def cmd_holonomy(args):
     """Run holonomy.property_suite; write its rows and print the report."""
+    for flag, value, least in (("--seed", args.seed, 0),
+                               ("--trials", args.trials, holonomy.MIN_TRIALS)):
+        if value < least:
+            raise ValueError(f"{flag}: must be at least {least}, got {value}")
     out = args.out if args.out is not None else "out"
     sign = -1.0 if os.environ.get("LIMSET_BUG_TAU_SIGN") == "1" else 1.0
     rows = holonomy.property_suite(args.trials, args.seed, tau_sign=sign)

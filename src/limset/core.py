@@ -171,17 +171,6 @@ def so_relative_residual(g):
     return so_residual(g) / scale
 
 
-def in_so_q(g):
-    """Whether g preserves Q (scale-relative) and has det close to +1."""
-    g = np.asarray(g, dtype=float)
-    if g.ndim != 2 or g.shape[0] != g.shape[1] or g.shape[0] < 3:
-        return False
-    if so_relative_residual(g) > DEFAULT_TOL:
-        return False
-    sign, logdet = np.linalg.slogdet(g)
-    return sign > 0 and abs(logdet) < np.log1p(1e3 * DEFAULT_TOL) + 1e-6
-
-
 def project_so(g, tol=DEFAULT_TOL):
     """Reproject drifted matrices to SO(Q) (Newton iteration for the J-polar factor).
 
@@ -201,25 +190,6 @@ def project_so(g, tol=DEFAULT_TOL):
                 break
         g[bad] = fix
     return g
-
-
-def exact_integer_residual(g):
-    """||g^T J g - J||_max computed in exact integer arithmetic.
-
-    Requires every entry of g to be an exactly-integral float (or an integer
-    array).  Useful because the float64 evaluation of the defect of a large
-    exactly-J-orthogonal integer matrix is dominated by rounding noise
-    ~ ||g||^2 * eps; arbitrary-precision integers sidestep that entirely.
-    """
-    g = np.asarray(g)
-    gi = np.rint(np.asarray(g, dtype=float)).astype(object)
-    if np.abs(np.asarray(g, dtype=float) - np.asarray(gi, dtype=float)).max() != 0.0:
-        raise ModelViolationError("matrix entries are not exactly integral")
-    gi = np.vectorize(int, otypes=[object])(gi)
-    d = g.shape[0] - 2
-    J = np.vectorize(int, otypes=[object])(np.rint(gram_matrix(d)).astype(object))
-    resid = gi.T @ J @ gi - J
-    return max(abs(int(v)) for v in resid.ravel())
 
 
 # ---------------------------------------------------------------------------

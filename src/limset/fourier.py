@@ -434,19 +434,3 @@ def exceptional_sweep(mu: AtomicMeasure, t_values=(16.0, 64.0, 256.0),
     _, fractions, lebesgues = grid_statistics(mu, t_values[-1], t_values, delta_grid,
                                               grid_step, threads)
     return delta_grid, t_values, fractions, lebesgues
-
-
-def uniform_segment_measure(n: int) -> AtomicMeasure:
-    """n-atom midpoint discretization of the uniform measure on [0, 1].
-
-    Its transform has the closed form e^{pi i xi} sin(pi xi)/(n sin(pi xi/n)),
-    i.e. modulus |sinc(xi)/sinc(xi/n)|.
-    """
-    pts = ((np.arange(n) + 0.5) / n)[:, None]
-    return AtomicMeasure(points=pts, weights=np.full(n, 1.0 / n))
-
-
-def segment_modulus_oracle(xi, n: int) -> np.ndarray:
-    """|mu-hat| of the n-atom segment discretization, in closed form."""
-    xi = np.asarray(xi, dtype=float)
-    return np.abs(np.sinc(xi) / np.sinc(xi / n))

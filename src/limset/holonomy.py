@@ -34,6 +34,7 @@ import numpy as np
 from limset import core
 
 REGIME_BOUND = 0.5
+MIN_TRIALS = 10     # the fewest trials property_suite runs
 
 
 class RegimeError(ValueError):
@@ -252,51 +253,178 @@ def property_suite(trials, seed=0, tau_sign=1.0):
     for the cocycle triples are clipped so every intermediate stays inside
     the ||.|| <= 1/2 regime.
 
+    Every input is drawn first, in the RNG order of ``random_regime_input``;
+    then each dimension runs as one stacked pass with the scalar checks.
+
     ``tau_sign`` multiplies the closed-form flow component before its round
     trip: -1 is a deliberate negative control under which the suite fails.
     Returns one row (name, trials, max_residual, tol, passed) per entry of
     ``SUITE_TOLS``, in order.
     """
-    if trials < 10:
-        raise ValueError(f"need at least 10 trials, got {trials}")
+    if trials < MIN_TRIALS:
+        raise ValueError(f"need at least {MIN_TRIALS} trials, got {trials}")
     rng = np.random.default_rng(seed)
-    worst = dict.fromkeys(SUITE_TOLS, 0.0)
-    for i in range(trials):
-        h = random_regime_input(rng, 1 + i % 3)
-        res = factorize_product(h.v, h.w, h.tau, h.m)
-        blocks = (core.unipotent_minus(res.y_out),
-                  core.rotation_embed(res.m_out),
-                  core.geodesic_flow(res.t_out, h.d),
-                  core.unipotent_plus(res.phi))
-        gap = (lambda_fn(h.v, h.w) - lambda_linear(h.v, h.w)
-               - 0.25 * float(h.v @ h.v) * float(h.w @ h.w))
-        residuals = {
-            "phi_round_trip": float(np.abs(res.phi - phi_closed_form(h)).max()),
-            "tau_round_trip": abs(res.t_out - tau_sign * tau_closed_form(h)),
-            "y_round_trip": float(np.abs(res.y_out - y_closed_form(h)).max()),
-            "m_round_trip": float(np.abs(res.m_out - m_closed_form(h)).max()),
-            "block_coherence": max(core.so_residual(b) for b in blocks),
-            "lambda_gap_identity": abs(gap),
-        }
-        for name, value in residuals.items():
-            worst[name] = max(worst[name], value)
     n_triples = max(trials // 10, 1)
-    for i in range(n_triples):
-        d = 1 + i % 3
-        x0 = _random_ball_point(rng, d, 0.0, 0.2)
-        x1 = _random_ball_point(rng, d, 0.0, 0.2)
-        w = _random_ball_point(rng, d, 0.0, 0.3)
-        m = core.random_rotation(d, rng)
-        tau = float(rng.uniform(0.0, 0.25))
-        r1 = factorize_product(x0, w, tau, m)
-        r2 = factorize_product(x1, r1.y_out, r1.t_out, r1.m_out)
-        comb = factorize_product(x1 + x0, w, tau, m)
-        resid = max(abs(r2.t_out - comb.t_out),
-                    float(np.abs(r2.y_out - comb.y_out).max()),
-                    float(np.abs(r2.phi + r1.phi - comb.phi).max()),
-                    float(np.abs(r2.m_out - comb.m_out).max()))
-        worst["cocycle_composition"] = max(worst["cocycle_composition"], resid)
+    inputs = _draw_stacks(rng, trials, ((0.0, REGIME_BOUND),) * 2, (-0.5, 0.5))
+    triples = _draw_stacks(rng, n_triples, ((0.0, 0.2), (0.0, 0.2), (0.0, 0.3)), (0.0, 0.25))
+    worst = dict.fromkeys(SUITE_TOLS, 0.0)
+    for (v, w), m, tau in inputs:      # np.max keeps a nan, which then fails its row
+        for name, values in _trial_residuals(v, w, m, tau, tau_sign).items():
+            worst[name] = float(np.max(values, initial=worst[name]))
+    for (x0, x1, w), m, tau in triples:
+        worst["cocycle_composition"] = float(np.max(_cocycle_residuals(x0, x1, w, m, tau),
+                                                    initial=worst["cocycle_composition"]))
     counts = dict.fromkeys(SUITE_TOLS, trials)
     counts["cocycle_composition"] = n_triples
     return [(name, counts[name], worst[name], tol, worst[name] < tol)
             for name, tol in SUITE_TOLS.items()]
+
+
+# The stacked pass: each helper runs a scalar step above over a stack of trials
+# of one dimension, with its checks and messages; the scalar code is its oracle.
+
+def _draw_stacks(rng, count, radii, tau_range):
+    """``count`` inputs, d cycling 1..3, in the RNG order of ``count`` scalar
+    draws of one ``_random_ball_point`` per (r_min, r_max) of ``radii``,
+    ``core.random_rotation`` and ``rng.uniform(*tau_range)``, which is
+    ``a + (b - a) * rng.random()``.  One (points, rotations, tau) per d drawn,
+    bit for bit the scalar draws; ``points[j]`` stacks ``radii[j]``."""
+    draws = {d: ([], []) for d in (1, 2, 3)}    # normals, uniforms
+    for i in range(count):
+        d = 1 + i % 3
+        normals, uniforms = draws[d]
+        for _ in radii:
+            normals.append(rng.standard_normal(d))
+            uniforms.append(rng.random())
+        if d > 1:
+            normals.append(rng.standard_normal(d * d))
+        uniforms.append(rng.random())
+    stacks = []
+    low, high = np.array((*radii, tau_range)).T
+    for d, (normals, uniforms) in draws.items():
+        if not uniforms:
+            continue
+        u = low + (high - low) * np.reshape(uniforms, (-1, len(radii) + 1))
+        z = np.concatenate(normals).reshape(len(u), -1)
+        points = []
+        for j in range(len(radii)):
+            unit = z[:, j * d:(j + 1) * d]
+            points.append(u[:, j, None] * (unit / np.sqrt(_dot(unit, unit))[:, None]))
+        q = np.ones((len(u), 1, 1))
+        if d > 1:
+            q, r = np.linalg.qr(z[:, len(radii) * d:].reshape(-1, d, d))
+            q = q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
+            flip = np.linalg.det(q) < 0
+            q[flip, :, 0] = -q[flip, :, 0]
+        stacks.append((points, q, u[:, -1]))
+    return stacks
+
+
+def _dot(a, b):
+    """Row-wise <a, b> of (n, d) stacks, with the bits of a 1-D ``a @ b``."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _refuse(bad, exc, message, *values):
+    """Raise exc(message) formatted with ``values`` at the first bad trial."""
+    if bad.any():
+        raise exc(message.format(*(value[np.argmax(bad)] for value in values)))
+
+
+def _plus_stack(x, minus=False):
+    """``core.unipotent_plus`` (or ``unipotent_minus``) of each row of an (n, d) stack."""
+    n, d = x.shape
+    g = np.tile(np.eye(d + 2), (n, 1, 1))
+    g[:, 0, 1:d + 1] = x
+    g[:, 0, d + 1] = 0.5 * _dot(x, x)
+    g[:, 1:d + 1, d + 1] = x
+    return np.swapaxes(g, 1, 2) if minus else g
+
+
+def _flow_stack(t, d):
+    g = np.tile(np.eye(d + 2), (len(t), 1, 1))
+    g[:, 0, 0], g[:, -1, -1] = np.exp(t), np.exp(-t)
+    return g
+
+
+def _rotation_stack(m, message="rotation block is not orthogonal within tolerance"):
+    """``core.rotation_embed`` over a stack, after its orthogonality check."""
+    defect = np.abs(np.swapaxes(m, 1, 2) @ m - np.eye(m.shape[-1])).max(axis=(1, 2))
+    _refuse(defect > 1e3 * core.DEFAULT_TOL, core.ModelViolationError, message)
+    n, d, _ = m.shape
+    g = np.tile(np.eye(d + 2), (n, 1, 1))
+    g[:, 1:d + 1, 1:d + 1] = m
+    return g
+
+
+def _product_stack(v, w, tau, m):
+    """``assemble_product`` over a stack, after ``HolonomyInput``'s regime check."""
+    nv, nw = np.sqrt(_dot(v, v)), np.sqrt(_dot(w, w))
+    _refuse((nv > REGIME_BOUND) | (nw > REGIME_BOUND), RegimeError,
+            "||v|| = {:.4f}, ||w|| = {:.4f}: outside the smallness regime <= "
+            f"{REGIME_BOUND}", nv, nw)
+    return (_plus_stack(v) @ _plus_stack(w, minus=True) @ _flow_stack(tau, v.shape[1])
+            @ _rotation_stack(m))
+
+
+def _factor_stack(X):
+    """``decompose_nmak`` over a stack of products, then ``factorize_product``'s
+    residual bound.  Returns the stacks (y_out, m_out, t_out, phi)."""
+    d = X.shape[-1] - 2
+    lead = X[:, 0, 0]
+    _refuse(lead <= core.DEFAULT_TOL, core.DegenerateConfigurationError,
+            f"leading entry {{}} <= {core.DEFAULT_TOL:g}: matrix outside the N-MAN+ cell",
+            lead)
+    t = np.log(lead)
+    x = X[:, 0, 1:d + 1] / lead[:, None]
+    y = X[:, 1:d + 1, 0] / lead[:, None]
+    m = X[:, 1:d + 1, 1:d + 1] - X[:, 1:d + 1, :1] * X[:, :1, 1:d + 1] / lead[:, None, None]
+    rotation = _rotation_stack(m, "extracted rotation block not orthogonal; "
+                                  "input matrix is not in SO(Q)")
+    recon = _plus_stack(y, minus=True) @ rotation @ _flow_stack(t, d) @ _plus_stack(x)
+    residual = np.abs(recon - X).max(axis=(1, 2))
+    bound = np.maximum(core.DEFAULT_TOL, 1e-12 * np.abs(X).max(axis=(1, 2)))
+    _refuse(residual > bound, core.ModelViolationError,
+            "factorization residual {} exceeds tolerance", residual)
+    return y, m, t, x
+
+
+def _closed_forms_stack(v, w, tau, m):
+    """lambda and the closed forms (phi, t, y, m') of a stack, after ``_cell_lambda``'s check."""
+    vv, ww = _dot(v, v), _dot(w, w)
+    lam = 1.0 + _dot(v, w) + 0.25 * vv * ww
+    _refuse(lam <= core.DEFAULT_TOL, core.DegenerateConfigurationError,
+            "lambda = {}: product outside the N-MAN+ cell", lam)
+    row = v + 0.5 * vv[:, None] * w
+    col = w + 0.5 * ww[:, None] * v
+    phi = (np.swapaxes(m, 1, 2) @ row[:, :, None])[:, :, 0] / (np.exp(tau) * lam)[:, None]
+    mprime = (np.eye(v.shape[1]) + v[:, :, None] * w[:, None, :]
+              - col[:, :, None] * row[:, None, :] / lam[:, None, None])
+    return lam, phi, tau + np.log(lam), col / lam[:, None], mprime @ m
+
+
+def _trial_residuals(v, w, m, tau, tau_sign):
+    """Each trial's residual of the per-trial properties of ``SUITE_TOLS``."""
+    y_out, m_out, t_out, phi = _factor_stack(_product_stack(v, w, tau, m))
+    lam, phi_cf, t_cf, y_cf, m_cf = _closed_forms_stack(v, w, tau, m)
+    blocks = (_plus_stack(y_out, minus=True), _rotation_stack(m_out),
+              _flow_stack(t_out, v.shape[1]), _plus_stack(phi))
+    return {
+        "phi_round_trip": np.abs(phi - phi_cf).max(axis=1),
+        "tau_round_trip": np.abs(t_out - tau_sign * t_cf),
+        "y_round_trip": np.abs(y_out - y_cf).max(axis=1),
+        "m_round_trip": np.abs(m_out - m_cf).max(axis=(1, 2)),
+        "block_coherence": np.max([core.so_residual(b) for b in blocks], axis=0),
+        "lambda_gap_identity": np.abs(lam - (1.0 + _dot(v, w)) - 0.25 * _dot(v, v) * _dot(w, w)),
+    }
+
+
+def _cocycle_residuals(x0, x1, w, m, tau):
+    """Each triple's cocycle residual: factor n+(x0) P, refactor the result
+    after n+(x1), and compare with factoring n+(x1 + x0) P directly."""
+    y1, m1, t1, phi1 = _factor_stack(_product_stack(x0, w, tau, m))
+    y2, m2, t2, phi2 = _factor_stack(_product_stack(x1, y1, t1, m1))
+    yc, mc, tc, phic = _factor_stack(_product_stack(x1 + x0, w, tau, m))
+    return np.max([np.abs(t2 - tc), np.abs(y2 - yc).max(axis=1),
+                   np.abs(phi2 + phi1 - phic).max(axis=1),
+                   np.abs(m2 - mc).max(axis=(1, 2))], axis=0)

@@ -181,21 +181,3 @@ def affine_profile(mu: AtomicMeasure, epsilons=DEFAULT_EPSILONS,
         method=method,
         in_hyperplane=bool(worst.max() >= 1.0 - 1e-12),
     )
-
-
-def uniform_square_measure(side_count: int = 1000) -> AtomicMeasure:
-    """Midpoint grid discretization of the uniform measure on [-1, 1]^2.
-
-    The slab/ball area ratio for a disk fully inside the square is the
-    closed form (2/pi)(arcsin eps + eps sqrt(1 - eps^2)).
-    """
-    ax = -1.0 + (2.0 * np.arange(side_count) + 1.0) / side_count
-    gx, gy = np.meshgrid(ax, ax, indexing="ij")
-    pts = np.stack([gx.ravel(), gy.ravel()], axis=1)
-    return AtomicMeasure(points=pts, weights=np.full(pts.shape[0], 1.0 / pts.shape[0]))
-
-
-def slab_disk_ratio_oracle(eps) -> np.ndarray:
-    """Area fraction of the slab {|y| <= eps r} inside a disk of radius r."""
-    eps = np.asarray(eps, dtype=float)
-    return (2.0 / np.pi) * (np.arcsin(eps) + eps * np.sqrt(1.0 - eps ** 2))

@@ -1,4 +1,4 @@
-"""Schottky groups: construction, ping-pong certification, words, orbits, limit sets.
+"""Schottky groups: construction, ping-pong certification, words and orbits.
 
 A Schottky group here is generated by loxodromic elements gamma_1..gamma_k
 together with ping-pong ball pairs in the boundary chart R^d: gamma_i maps the
@@ -264,11 +264,6 @@ class SchottkyGroup:
         """External signed index of a letter id: 2i -> i+1, 2i+1 -> -(i+1)."""
         return (letter_id // 2 + 1) * (1 if letter_id % 2 == 0 else -1)
 
-    def letter_id(self, signed_index):
-        if signed_index == 0 or abs(signed_index) > self.k:
-            raise ConfigurationError(f"letter {signed_index} out of range")
-        return 2 * (abs(signed_index) - 1) + (0 if signed_index > 0 else 1)
-
     def word_count(self, n):
         """1 + sum_{j<=n} 2k (2k-1)^{j-1} reduced words of length <= n."""
         total, level = 1, 2 * self.k
@@ -276,34 +271,6 @@ class SchottkyGroup:
             total += level
             level *= 2 * self.k - 1
         return total
-
-    def enumerate_words(self, n):
-        """All reduced words of length <= n as tuples of signed indices,
-        lexicographic in letter ids within each length."""
-        yield ()
-        frontier = [()]
-        for _ in range(n):
-            nxt = []
-            for w in frontier:
-                for b in range(2 * self.k):
-                    if w and self._inv(w[-1]) == b:
-                        continue
-                    nxt.append(w + (b,))
-            frontier = nxt
-            for w in frontier:
-                yield tuple(self.signed(b) for b in w)
-
-    def word_to_element(self, word):
-        """Product of generator matrices for a reduced word of signed indices."""
-        g = np.eye(self.d + 2)
-        prev = None
-        for s in word:
-            b = self.letter_id(int(s))
-            if prev is not None and self._inv(prev) == b:
-                raise ConfigurationError(f"word {tuple(word)} is not reduced")
-            g = g @ self.letter_mats[b]
-            prev = b
-        return core.project_so(g, tol=self.tol)
 
     # -- level cache ----------------------------------------------------------
 
@@ -378,14 +345,6 @@ class SchottkyGroup:
 
     # -- orbit ----------------------------------------------------------------
 
-    def orbit_vectors(self, n):
-        """Per-level arrays of orbit points w . o in R^{d+2}."""
-        out = []
-        for lev in self.levels(n):
-            cols = lev.mats[:, :, 0] + lev.mats[:, :, -1]
-            out.append(cols / np.sqrt(2.0))
-        return out
-
     def orbit_distances(self, n):
         return [lev.dists for lev in self.levels(n)]
 
@@ -403,30 +362,6 @@ class SchottkyGroup:
             pts.append(num / den[:, None])
             dists.append(lev.dists)
         return np.concatenate(pts), np.concatenate(dists)
-
-    # -- limit set ------------------------------------------------------------
-
-    def limit_set_sample(self, depth):
-        """One chart point per reduced word of length = depth.
-
-        The word w = l_1...l_n is applied to the attracting-ball center of its
-        final letter; ping-pong puts the result in the nested ball of w, and
-        every point of the limit set is a limit of such samples.  Points that
-        escape to the chart's point at infinity are excluded; the count is
-        returned alongside (it is 0 for validated groups, whose ball system
-        is bounded in the chart).
-        """
-        if depth < 1:
-            raise ValueError("depth must be >= 1")
-        lev = self.level(depth)
-        centers = np.stack([self.letter_balls[b][1].center
-                            for b in range(2 * self.k)])
-        seeds = core.chart_to_boundary(centers)          # (2k, d+2)
-        z = np.einsum("nij,nj->ni", lev.mats, seeds[lev.words[:, -1]])
-        scale = np.abs(z).max(axis=-1)
-        finite = np.abs(z[:, -1]) > 1e-12 * np.maximum(scale, 1.0)
-        pts = z[finite, 1:-1] / z[finite, -1][:, None]
-        return pts, int((~finite).sum())
 
     # -- validation -----------------------------------------------------------
 

@@ -1,0 +1,136 @@
+"""Oracles and fixture measures that only the tests read.
+
+Each is a closed form, an exact computation or a slow direct construction
+that the library's fast paths are checked against.
+"""
+
+import numpy as np
+
+from limset import core, schottky
+from limset.measure import AtomicMeasure
+
+
+def enumerate_words(group, n):
+    """All reduced words of ``group`` of length <= n as tuples of signed
+    indices, lexicographic in letter ids within each length: the oracle of
+    the level cache's word order."""
+    yield ()
+    frontier = [()]
+    for _ in range(n):
+        nxt = []
+        for w in frontier:
+            for b in range(2 * group.k):
+                if w and group._inv(w[-1]) == b:
+                    continue
+                nxt.append(w + (b,))
+        frontier = nxt
+        for w in frontier:
+            yield tuple(group.signed(b) for b in w)
+
+
+def word_to_element(group, word):
+    """Product of ``group``'s generator matrices along a reduced word of signed
+    indices, one matrix product at a time: the oracle of the level cache."""
+    g = np.eye(group.d + 2)
+    prev = None
+    for s in word:
+        s = int(s)
+        if s == 0 or abs(s) > group.k:
+            raise schottky.ConfigurationError(f"letter {s} out of range")
+        b = 2 * (abs(s) - 1) + (0 if s > 0 else 1)
+        if prev is not None and group._inv(prev) == b:
+            raise schottky.ConfigurationError(f"word {tuple(word)} is not reduced")
+        g = g @ group.letter_mats[b]
+        prev = b
+    return core.project_so(g, tol=group.tol)
+
+
+def orbit_vectors(group, n):
+    """Per-level arrays of the orbit points w.o in R^{d+2}."""
+    return [(lev.mats[:, :, 0] + lev.mats[:, :, -1]) / np.sqrt(2.0)
+            for lev in group.levels(n)]
+
+
+def limit_set_sample(group, depth):
+    """One chart point of the limit set per reduced word of length ``depth``,
+    and the count of points lost to the chart's point at infinity.
+
+    The word w = l_1...l_n is applied to the attracting-ball center of its
+    final letter; ping-pong puts the result in the nested ball of w, and
+    every point of the limit set is a limit of such samples.  The count is 0
+    for validated groups, whose ball system is bounded in the chart.
+    """
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    lev = group.level(depth)
+    centers = np.stack([group.letter_balls[b][1].center for b in range(2 * group.k)])
+    seeds = core.chart_to_boundary(centers)          # (2k, d+2)
+    z = np.einsum("nij,nj->ni", lev.mats, seeds[lev.words[:, -1]])
+    scale = np.abs(z).max(axis=-1)
+    finite = np.abs(z[:, -1]) > 1e-12 * np.maximum(scale, 1.0)
+    pts = z[finite, 1:-1] / z[finite, -1][:, None]
+    return pts, int((~finite).sum())
+
+
+def in_so_q(g):
+    """Whether g preserves Q (scale-relative) and has det close to +1."""
+    g = np.asarray(g, dtype=float)
+    if g.ndim != 2 or g.shape[0] != g.shape[1] or g.shape[0] < 3:
+        return False
+    if core.so_relative_residual(g) > core.DEFAULT_TOL:
+        return False
+    sign, logdet = np.linalg.slogdet(g)
+    return sign > 0 and abs(logdet) < np.log1p(1e3 * core.DEFAULT_TOL) + 1e-6
+
+
+def exact_integer_residual(g):
+    """||g^T J g - J||_max computed in exact integer arithmetic.
+
+    Requires every entry of g to be an exactly-integral float (or an integer
+    array).  The float64 evaluation of the defect of a large exactly
+    J-orthogonal integer matrix is dominated by rounding noise ~ ||g||^2 eps;
+    arbitrary-precision integers sidestep that entirely.
+    """
+    g = np.asarray(g)
+    gi = np.rint(np.asarray(g, dtype=float)).astype(object)
+    if np.abs(np.asarray(g, dtype=float) - np.asarray(gi, dtype=float)).max() != 0.0:
+        raise core.ModelViolationError("matrix entries are not exactly integral")
+    gi = np.vectorize(int, otypes=[object])(gi)
+    d = g.shape[0] - 2
+    J = np.vectorize(int, otypes=[object])(np.rint(core.gram_matrix(d)).astype(object))
+    resid = gi.T @ J @ gi - J
+    return max(abs(int(v)) for v in resid.ravel())
+
+
+def uniform_segment_measure(n: int) -> AtomicMeasure:
+    """n-atom midpoint discretization of the uniform measure on [0, 1].
+
+    Its transform has the closed form e^{pi i xi} sin(pi xi)/(n sin(pi xi/n)),
+    i.e. modulus |sinc(xi)/sinc(xi/n)|.
+    """
+    pts = ((np.arange(n) + 0.5) / n)[:, None]
+    return AtomicMeasure(points=pts, weights=np.full(n, 1.0 / n))
+
+
+def segment_modulus_oracle(xi, n: int) -> np.ndarray:
+    """|mu-hat| of the n-atom segment discretization, in closed form."""
+    xi = np.asarray(xi, dtype=float)
+    return np.abs(np.sinc(xi) / np.sinc(xi / n))
+
+
+def uniform_square_measure(side_count: int = 1000) -> AtomicMeasure:
+    """Midpoint grid discretization of the uniform measure on [-1, 1]^2.
+
+    The slab/ball area ratio for a disk fully inside the square is the
+    closed form (2/pi)(arcsin eps + eps sqrt(1 - eps^2)).
+    """
+    ax = -1.0 + (2.0 * np.arange(side_count) + 1.0) / side_count
+    gx, gy = np.meshgrid(ax, ax, indexing="ij")
+    pts = np.stack([gx.ravel(), gy.ravel()], axis=1)
+    return AtomicMeasure(points=pts, weights=np.full(pts.shape[0], 1.0 / pts.shape[0]))
+
+
+def slab_disk_ratio_oracle(eps) -> np.ndarray:
+    """Area fraction of the slab {|y| <= eps r} inside a disk of radius r."""
+    eps = np.asarray(eps, dtype=float)
+    return (2.0 / np.pi) * (np.arcsin(eps) + eps * np.sqrt(1.0 - eps ** 2))

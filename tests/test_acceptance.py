@@ -14,6 +14,8 @@ import pytest
 import limset
 from limset import _io, cli, core, dimension, fourier, holonomy, measure, nonconc
 
+import oracles
+
 REF = limset.fixture_path("reference")
 
 
@@ -134,14 +136,14 @@ def test_05_measure_consistency(reference, delta12):
 
 def test_06_fourier_engine_sinc_calibration():
     start = time.perf_counter()
-    seg = fourier.uniform_segment_measure(1000)
+    seg = oracles.uniform_segment_measure(1000)
     cap = fourier.resolution_cap(seg)
     xi = np.arange(0.5, cap, 0.5)[:, None]
     mods = np.abs(fourier.fourier_transform(seg, xi))
     worst = float(np.abs(mods - np.abs(np.sinc(xi[:, 0]))).max())
     assert worst <= 1e-3, f"sinc deviation {worst} below cap {cap}"
 
-    fine = fourier.uniform_segment_measure(10_000)
+    fine = oracles.uniform_segment_measure(10_000)
     report = fourier.decay_scan(fine, fourier.FrequencySpec(), seed=0)
     assert 0.85 <= report.kappa <= 1.15, f"kappa {report.kappa}"
     elapsed = time.perf_counter() - start
@@ -187,7 +189,7 @@ def test_08_affine_nonconcentration_profiles(reference, delta12):
         f"profile not strictly monotone: {prof.ratios}"
     assert prof.ratios[0] < 0.9, f"ratio at eps=0.05 is {prof.ratios[0]}"
 
-    square = nonconc.uniform_square_measure(2000)
+    square = oracles.uniform_square_measure(2000)
     sq = nonconc.affine_profile(square, r_min=0.2)
     for eps, ratio in zip(sq.epsilons, sq.ratios):
         assert abs(ratio - eps) <= 0.1, f"square ratio {ratio} at eps {eps}"

@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 
 import limset
-from limset import _io, cli, dimension, fourier, measure, nonconc
+from limset import _io, cli, dimension, fourier, measure
 from limset.measure import AtomicMeasure
+
+import oracles
 
 REF = limset.fixture_path("reference")
 CYC = limset.fixture_path("cyclic")
@@ -28,10 +30,10 @@ def work(tmp_path_factory):
                                          weights=np.array([1.0])),
                            {"source": "point-mass"})
     _io.write_measure_file(root / "segment.csv",
-                           fourier.uniform_segment_measure(1000),
+                           oracles.uniform_segment_measure(1000),
                            {"source": "uniform-segment"})
     _io.write_measure_file(root / "square.csv",
-                           nonconc.uniform_square_measure(200),
+                           oracles.uniform_square_measure(200),
                            {"source": "uniform-square"})
     x = np.linspace(-1.0, 1.0, 2001)
     flat = AtomicMeasure(points=np.column_stack([x, np.zeros_like(x)]),
@@ -424,7 +426,7 @@ def test_nonconc_square_tracks_slab_oracle(work, tmp_path):
     assert cols == ["epsilon", "worst_ratio", "ball_count_used"]
     assert meta["in_hyperplane"] == "false"
     for eps, ratio, used in rows:
-        assert ratio == pytest.approx(nonconc.slab_disk_ratio_oracle(eps), abs=0.05)
+        assert ratio == pytest.approx(oracles.slab_disk_ratio_oracle(eps), abs=0.05)
         assert abs(ratio - eps) < 0.12
         assert used > 0
     assert np.all(np.diff(rows[:, 1]) >= 0.0)
@@ -465,6 +467,14 @@ def test_holonomy_suite_passes(tmp_path, capsys):
 def test_holonomy_seed_change_same_verdict(tmp_path):
     assert cli.main(["holonomy", "--trials", "600", "--seed", "42",
                      "--out", str(tmp_path / "h42")]) == 0
+
+
+def test_holonomy_rerun_identical_bytes(tmp_path):
+    for name in ("a", "b"):
+        assert cli.main(["holonomy", "--trials", "2000", "--seed", "3",
+                         "--out", str(tmp_path / name)]) == 0
+    assert (tmp_path / "a" / "holonomy.csv").read_bytes() == \
+        (tmp_path / "b" / "holonomy.csv").read_bytes()
 
 
 def test_holonomy_sign_bug_negative_control(tmp_path, monkeypatch, capsys):
@@ -538,6 +548,7 @@ _BAD_INPUTS = {   # case -> (command, group file or config text)
     "shell-min-7-shells": ("fourier", _GROUP + "[fourier]\nshell_min = 4\n"),
     "nonconc-samples-0": ("nonconc", _GROUP + "[nonconc]\nsamples = 0\n"),
     "nonconc-r-min-negative": ("nonconc", _GROUP + "[nonconc]\nr_min = -0.1\n"),
+    "nonconc-r-min-1": ("nonconc", _GROUP + "[nonconc]\nr_min = 1\n"),
 }
 _MEASURE_FILES = {      # name -> text; the table starts at line 4
     "nan.csv": "# count=3\n# d=1\nx1,weight\n0.1,1\nnan,1\n0.3,1\n",
@@ -590,6 +601,9 @@ def test_negative_seed_flag_is_refused_naming_it(tmp_path, capsys, monkeypatch):
         assert cli.main([command, "--config", str(path), "--seed", "-5",
                          "--out", str(tmp_path / "o")]) == 2
         assert "--seed: must be at least 0, got -5" in capsys.readouterr().err
-    assert cli.main(["holonomy", "--trials", "10", "--seed", "-5",
-                     "--out", str(tmp_path / "h")]) == 2
-    assert not (tmp_path / "h").exists()
+    for flags, message in ((["--trials", "10", "--seed", "-5"],
+                            "--seed: must be at least 0, got -5"),
+                           (["--trials", "5"], "--trials: must be at least 10, got 5")):
+        assert cli.main(["holonomy", *flags, "--out", str(tmp_path / "h")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "h").exists()

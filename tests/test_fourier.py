@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from limset import core, fourier, measure
 
+import oracles
+
 
 def delta_at(x):
     pts = np.atleast_2d(np.asarray(x, dtype=float))
@@ -121,7 +123,7 @@ def test_each_antipodal_pair_is_evaluated_once(monkeypatch):
                         lambda xt, w, f: rows.append(f.shape[0]) or real(xt, w, f))
     plane = random_measure(n=300, d=2, seed=4)
     plane = measure.AtomicMeasure(points=plane.points / 100.0, weights=plane.weights)
-    for mu in (fourier.uniform_segment_measure(500), plane):
+    for mu in (oracles.uniform_segment_measure(500), plane):
         rows.clear()
         report = fourier.decay_scan(mu, fourier.FrequencySpec())
         assert sum(rows) == report.sample_values.shape[0] // 2
@@ -154,17 +156,17 @@ def test_dimension_mismatch_rejected():
 
 
 def test_segment_modulus_matches_sinc():
-    mu = fourier.uniform_segment_measure(1000)
+    mu = oracles.uniform_segment_measure(1000)
     xi = np.arange(0.05, 20.0001, 0.05)
     mods = np.abs(fourier.fourier_transform(mu, xi[:, None]))
     # continuous sinc up to the discretization correction (pi xi / n)^2 / 6
     assert np.abs(mods - np.abs(np.sinc(xi))).max() < 1e-3
     # exact discrete closed form down to roundoff
-    assert np.abs(mods - fourier.segment_modulus_oracle(xi, 1000)).max() < 1e-12
+    assert np.abs(mods - oracles.segment_modulus_oracle(xi, 1000)).max() < 1e-12
 
 
 def test_segment_resolution_cap():
-    mu = fourier.uniform_segment_measure(1000)
+    mu = oracles.uniform_segment_measure(1000)
     assert fourier.resolution_cap(mu) == pytest.approx(250.0, rel=1e-12)
     assert fourier.resolution_cap(delta_at([0.0])) == np.inf
 
@@ -178,7 +180,7 @@ def test_coincident_atoms_have_no_cap():
 def test_segment_decay_exponent_near_one():
     # |mu-hat| ~ 1/(pi xi) for the segment, so kappa should fit ~1; shells
     # 256 and 512 lie above the 1000-atom cap of 250 and must be dropped
-    mu = fourier.uniform_segment_measure(1000)
+    mu = oracles.uniform_segment_measure(1000)
     report = fourier.decay_scan(mu, fourier.FrequencySpec())
     assert report.truncated_shells == 2
     assert report.shell_radii[-1] == 128.0
@@ -227,7 +229,7 @@ def test_spec_validation():
 
 
 def test_ray_mode_samples_nominal_radii_only():
-    mu = fourier.uniform_segment_measure(200)
+    mu = oracles.uniform_segment_measure(200)
     spec = fourier.FrequencySpec(mode="ray", directions=np.array([[1.0]]))
     report = fourier.decay_scan(mu, spec)
     assert report.sample_values.shape[0] == report.shell_radii.shape[0]
@@ -275,15 +277,15 @@ def test_l2_grid_validation():
 
 
 def test_l2_stable_under_atom_doubling():
-    a = fourier.l2_average(fourier.uniform_segment_measure(1000), 16.0).value
-    b = fourier.l2_average(fourier.uniform_segment_measure(2000), 16.0).value
+    a = fourier.l2_average(oracles.uniform_segment_measure(1000), 16.0).value
+    b = fourier.l2_average(oracles.uniform_segment_measure(2000), 16.0).value
     assert abs(a - b) / a < 0.05
 
 
 def test_l2_segment_doubling_ratio():
     # full-dimensional measure on the line: d - alpha = 0, so the L2 mass
     # over ||xi|| <= R saturates and doubling ratios stay near 1
-    mu = fourier.uniform_segment_measure(1000)
+    mu = oracles.uniform_segment_measure(1000)
     vals = {r: fourier.l2_average(mu, r).value for r in (32.0, 64.0, 128.0)}
     assert vals[64.0] / vals[32.0] <= 2.0 ** 0.3
     assert vals[128.0] / vals[64.0] <= 2.0 ** 0.3
@@ -307,7 +309,7 @@ def test_exceptional_point_mass_fills_ball():
 
 
 def test_exceptional_segment_shrinks_with_t():
-    mu = fourier.uniform_segment_measure(1000)
+    mu = oracles.uniform_segment_measure(1000)
     fractions = [
         fourier.exceptional_set_measure(mu, t, 0.5).fraction
         for t in (16.0, 64.0, 256.0)
@@ -326,7 +328,7 @@ def test_exceptional_validation():
 
 
 def test_exceptional_sweep_matches_single_calls():
-    mu = fourier.uniform_segment_measure(500)
+    mu = oracles.uniform_segment_measure(500)
     dg, tv, fracs, lebs = fourier.exceptional_sweep(
         mu, t_values=(16.0, 64.0), delta_grid=np.array([0.2, 0.45]))
     for i, dexp in enumerate(dg):
@@ -346,7 +348,7 @@ def test_exceptional_sweep_matches_single_calls():
 
 
 def test_exceptional_sweep_validation():
-    mu = fourier.uniform_segment_measure(100)
+    mu = oracles.uniform_segment_measure(100)
     for t, step in (([2.0], 0.5), ([2.0], 0.25), ([16.0], 0.5), ([16.0], 0.0),
                     ([16.0], -0.25)):
         with pytest.raises(ValueError, match=None if t[0] < 4 else f"got {step}"):

@@ -1,5 +1,7 @@
 """Tests for the N-MAN+ factorization, closed forms, and phase linearization."""
 
+import types
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -199,3 +201,215 @@ def test_linearization_rejects_negative_time():
     h = make_input(np.array([0.1]), np.array([0.1]))
     with pytest.raises(ValueError):
         holonomy.linearization_error(h, np.array([1.0]), -1.0)
+
+
+# ---------------------------------------------------------------------------
+# The stacked suite against the scalar oracle
+# ---------------------------------------------------------------------------
+
+#: Largest |stacked - scalar| allowed for any per-trial or per-triple residual:
+#: the size of the suite's largest residual.  The stacked pass sums the same
+#: products through stacked matmuls where the scalar path calls dot and gemv;
+#: a BLAS that orders them differently may move a residual by a few ulps.
+ORACLE_BOUND = 2e-15
+TRIAL_RADII = ((0.0, holonomy.REGIME_BOUND),) * 2
+TRIPLE_RADII = ((0.0, 0.2), (0.0, 0.2), (0.0, 0.3))
+
+
+def scalar_draws(rng, trials):
+    """The suite's inputs drawn one at a time: ``trials`` regime inputs, then
+    trials // 10 cocycle triples (x0, x1, w, m, tau)."""
+    inputs = [holonomy.random_regime_input(rng, 1 + i % 3) for i in range(trials)]
+    triples = []
+    for i in range(max(trials // 10, 1)):
+        d = 1 + i % 3
+        triples.append((holonomy._random_ball_point(rng, d, 0.0, 0.2),
+                        holonomy._random_ball_point(rng, d, 0.0, 0.2),
+                        holonomy._random_ball_point(rng, d, 0.0, 0.3),
+                        core.random_rotation(d, rng), float(rng.uniform(0.0, 0.25))))
+    return inputs, triples
+
+
+def stacked_draws(rng, trials):
+    return (holonomy._draw_stacks(rng, trials, TRIAL_RADII, (-0.5, 0.5)),
+            holonomy._draw_stacks(rng, max(trials // 10, 1), TRIPLE_RADII, (0.0, 0.25)))
+
+
+def scalar_trial_residuals(h):
+    """One trial's per-trial residuals under each tau_sign, from
+    factorize_product and the scalar closed forms."""
+    res = holonomy.factorize_product(h.v, h.w, h.tau, h.m)
+    blocks = (core.unipotent_minus(res.y_out), core.rotation_embed(res.m_out),
+              core.geodesic_flow(res.t_out, h.d), core.unipotent_plus(res.phi))
+    gap = (holonomy.lambda_fn(h.v, h.w) - holonomy.lambda_linear(h.v, h.w)
+           - 0.25 * float(h.v @ h.v) * float(h.w @ h.w))
+    common = {
+        "phi_round_trip": float(np.abs(res.phi - holonomy.phi_closed_form(h)).max()),
+        "y_round_trip": float(np.abs(res.y_out - holonomy.y_closed_form(h)).max()),
+        "m_round_trip": float(np.abs(res.m_out - holonomy.m_closed_form(h)).max()),
+        "block_coherence": max(core.so_residual(b) for b in blocks),
+        "lambda_gap_identity": abs(gap),
+    }
+    tau_cf = holonomy.tau_closed_form(h)
+    return {sign: {**common, "tau_round_trip": abs(res.t_out - sign * tau_cf)}
+            for sign in (1.0, -1.0)}
+
+
+def scalar_cocycle_residual(x0, x1, w, m, tau):
+    r1 = holonomy.factorize_product(x0, w, tau, m)
+    r2 = holonomy.factorize_product(x1, r1.y_out, r1.t_out, r1.m_out)
+    comb = holonomy.factorize_product(x1 + x0, w, tau, m)
+    return max(abs(r2.t_out - comb.t_out), float(np.abs(r2.y_out - comb.y_out).max()),
+               float(np.abs(r2.phi + r1.phi - comb.phi).max()),
+               float(np.abs(r2.m_out - comb.m_out).max()))
+
+
+def same_bits(stack, scalars):
+    expected = np.array(scalars, dtype=float)
+    return stack.shape == expected.shape and stack.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_stacked_draws_equal_scalar_draws(seed):
+    """The suite's inputs, drawn first, are today's draws bit for bit, in the
+    same RNG order: the regime inputs (Haar rotations included), then the
+    cocycle triples; both generators end in the same state."""
+    scalar_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    inputs, triples = scalar_draws(scalar_rng, 601)
+    stacks, triple_stacks = stacked_draws(rng, 601)
+    assert rng.bit_generator.state == scalar_rng.bit_generator.state
+    for d, ((v, w), m, tau) in zip((1, 2, 3), stacks):
+        scalar = inputs[d - 1::3]
+        assert same_bits(v, [h.v for h in scalar]) and same_bits(w, [h.w for h in scalar])
+        assert same_bits(m, [h.m for h in scalar]) and same_bits(tau, [h.tau for h in scalar])
+    for d, (points, m, tau) in zip((1, 2, 3), triple_stacks):
+        scalar = triples[d - 1::3]
+        for j, stack in enumerate(points):
+            assert same_bits(stack, [t[j] for t in scalar])
+        assert same_bits(m, [t[3] for t in scalar]) and same_bits(tau, [t[4] for t in scalar])
+
+
+@pytest.mark.parametrize("seed", range(21))
+def test_stacked_suite_matches_scalar_oracle(seed):
+    """Each trial's six residuals and each triple's cocycle residual agree with
+    the scalar loop within ORACLE_BOUND, and every row of property_suite
+    equals the oracle's suite: the same passed verdicts, and under the
+    tau_sign = -1 control only tau_round_trip fails."""
+    trials = 2000
+    inputs, triples = scalar_draws(np.random.default_rng(seed), trials)
+    stacks, triple_stacks = stacked_draws(np.random.default_rng(seed), trials)
+    worst = {sign: dict.fromkeys(holonomy.SUITE_TOLS, 0.0) for sign in (1.0, -1.0)}
+    for d, ((v, w), m, tau) in zip((1, 2, 3), stacks):
+        stacked = {sign: holonomy._trial_residuals(v, w, m, tau, sign) for sign in worst}
+        for k, h in enumerate(inputs[d - 1::3]):
+            for sign, residuals in scalar_trial_residuals(h).items():
+                for name, value in residuals.items():
+                    assert abs(stacked[sign][name][k] - value) <= ORACLE_BOUND, (name, k)
+                    worst[sign][name] = max(worst[sign][name], value)
+    for d, (points, m, tau) in zip((1, 2, 3), triple_stacks):
+        stacked = holonomy._cocycle_residuals(*points, m, tau)
+        for k, triple in enumerate(triples[d - 1::3]):
+            value = scalar_cocycle_residual(*triple)
+            assert abs(stacked[k] - value) <= ORACLE_BOUND, k
+            for sign in worst:
+                worst[sign]["cocycle_composition"] = max(
+                    worst[sign]["cocycle_composition"], value)
+    for sign, oracle in worst.items():
+        rows = holonomy.property_suite(trials, seed, tau_sign=sign)
+        assert [r[0] for r in rows] == list(holonomy.SUITE_TOLS)
+        for name, count, value, tol, passed in rows:
+            assert abs(value - oracle[name]) <= ORACLE_BOUND, name
+            assert passed == (oracle[name] < tol), name
+        failing = {name for name, *_, passed in rows if not passed}
+        assert failing == (set() if sign > 0 else {"tau_round_trip"})
+
+
+BAD = 17    # the one bad trial of each crafted stack
+
+
+def good_stack(d=2, n=40):
+    """n regime inputs of dimension d: (v, w, m, tau) stacks."""
+    (v, w), m, tau = holonomy._draw_stacks(np.random.default_rng(3), 3 * n,
+                                           TRIAL_RADII, (-0.5, 0.5))[d - 1]
+    return v, w, m, tau
+
+
+def refusal(call):
+    """(class, message) that ``call`` raises."""
+    with pytest.raises(ValueError) as err:
+        call()
+    return type(err.value), str(err.value)
+
+
+def test_stacked_checks_refuse_one_bad_trial():
+    """Each check of the scalar path refuses a stack holding one bad trial
+    among good ones, with the scalar check's class and message: the regime
+    bound, the orthogonality of rotation_embed's input, the cell's leading
+    entry, the orthogonality of the extracted block, the factorization
+    residual bound and lambda."""
+    v, w, m, tau = good_stack()
+    X = holonomy._product_stack(v, w, tau, m)
+    holonomy._factor_stack(X)
+    holonomy._closed_forms_stack(v, w, tau, m)
+
+    far = v.copy()
+    far[BAD] = [0.6, 0.0]
+    assert refusal(lambda: holonomy._product_stack(far, w, tau, m)) == refusal(
+        lambda: holonomy.factorize_product(far[BAD], w[BAD], tau[BAD], m[BAD]))
+    assert refusal(lambda: holonomy._product_stack(far, w, tau, m))[0] is holonomy.RegimeError
+
+    skew = m.copy()
+    skew[BAD] = np.diag([1.0, 2.0])
+    assert refusal(lambda: holonomy._product_stack(v, w, tau, skew)) == refusal(
+        lambda: holonomy.factorize_product(v[BAD], w[BAD], tau[BAD], skew[BAD]))
+
+    for bad, exc in ((core.gram_matrix(2), core.DegenerateConfigurationError),
+                     (np.diag([1.0, 2.0, 1.0, 1.0]), core.ModelViolationError)):
+        crafted = X.copy()
+        crafted[BAD] = bad
+        assert refusal(lambda: holonomy._factor_stack(crafted)) == refusal(
+            lambda: holonomy.decompose_nmak(bad))
+        assert refusal(lambda: holonomy._factor_stack(crafted))[0] is exc
+
+    drifted = X.copy()
+    drifted[BAD, -1, -1] += 1e-6     # outside the entries the factors are read from
+    *_, residual = holonomy.decompose_nmak(drifted[BAD])
+    exc, message = refusal(lambda: holonomy._factor_stack(drifted))
+    assert exc is core.ModelViolationError
+    assert message.startswith("factorization residual ") and message.endswith(" exceeds tolerance")
+    assert abs(float(message.split()[2]) - residual) <= ORACLE_BOUND
+
+    antipodal_v, antipodal_w = v.copy(), w.copy()
+    antipodal_v[BAD], antipodal_w[BAD] = [2.0, 0.0], [-1.0, 0.0]    # lambda = 0
+    cell = types.SimpleNamespace(v=antipodal_v[BAD], w=antipodal_w[BAD])
+    assert refusal(lambda: holonomy._closed_forms_stack(antipodal_v, antipodal_w, tau, m)) == \
+        refusal(lambda: holonomy._cell_lambda(cell))
+
+
+def test_suite_runs_no_per_trial_scalar_code(monkeypatch):
+    """The suite's work is stacked: it completes with every per-trial scalar
+    step made to raise."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("property_suite ran per-trial scalar code")
+
+    for owner, name in ((holonomy, "factorize_product"), (holonomy, "decompose_nmak"),
+                        (holonomy, "random_regime_input"), (core, "random_rotation"),
+                        (core, "unipotent_plus"), (core, "rotation_embed"),
+                        (core, "geodesic_flow")):
+        monkeypatch.setattr(owner, name, forbidden)
+    assert all(passed for *_, passed in holonomy.property_suite(300))
+
+
+def test_nan_residual_fails_its_row(monkeypatch):
+    """A nan residual of one trial fails its property instead of vanishing
+    from the maximum."""
+    real = holonomy._trial_residuals
+
+    def with_nan(*args):
+        out = real(*args)
+        out["y_round_trip"][0] = np.nan
+        return out
+
+    monkeypatch.setattr(holonomy, "_trial_residuals", with_nan)
+    assert {name for name, *_, passed in holonomy.property_suite(30)
+            if not passed} == {"y_round_trip"}

@@ -103,6 +103,17 @@ def test_config_window_key_is_refused(tmp_path):
         assert err.value.line == 3
 
 
+def test_config_r_min_half_open(tmp_path):
+    """[nonconc] r_min lies in [0, 1): radii are drawn from [r_min, 1)."""
+    path = tmp_path / "r.cfg"
+    path.write_text("[nonconc]\nr_min = 0.999\n")
+    assert _io.parse_experiment_config(path).nonconc.r_min == 0.999
+    path.write_text("[nonconc]\nsamples = 10\nr_min = 1\n")
+    with pytest.raises(_io.GroupFileError) as err:
+        _io.parse_experiment_config(path)
+    assert err.value.line == 3 and "r_min must lie in [0, 1), got 1" in str(err.value)
+
+
 @pytest.mark.parametrize("count", ["0", "-3"])
 def test_config_thread_count_below_one_refused(tmp_path, count):
     path = tmp_path / "t.cfg"

@@ -3,18 +3,20 @@
 import numpy as np
 import pytest
 
-from limset import core, fourier, measure, nonconc
+from limset import core, measure, nonconc
+
+import oracles
 
 
 @pytest.fixture(scope="module")
 def square():
-    return nonconc.uniform_square_measure(1000)
+    return oracles.uniform_square_measure(1000)
 
 
 def test_square_matches_slab_area_oracle(square):
     # interior disks of the uniform square: ratio = (2/pi)(arcsin e + e sqrt(1-e^2))
     prof = nonconc.affine_profile(square, epsilons=(0.1, 0.2, 0.4), r_min=0.3)
-    oracle = nonconc.slab_disk_ratio_oracle(prof.epsilons)
+    oracle = oracles.slab_disk_ratio_oracle(prof.epsilons)
     assert np.abs(prof.ratios - oracle).max() < 0.02
     assert np.abs(prof.ratios - prof.epsilons).max() < 0.1
     assert not prof.in_hyperplane
@@ -46,7 +48,7 @@ def test_segment_in_plane_is_flagged():
 def test_uniform_segment_1d_profile_tracks_eps():
     # d=1 slabs are sub-balls; for the uniform density the mass ratio is eps
     # up to atom discreteness at the smallest radii
-    mu = fourier.uniform_segment_measure(5000)
+    mu = oracles.uniform_segment_measure(5000)
     prof = nonconc.affine_profile(mu)
     assert prof.method == "center-point"
     assert np.abs(prof.ratios - prof.epsilons).max() < 0.1
@@ -54,7 +56,7 @@ def test_uniform_segment_1d_profile_tracks_eps():
 
 
 def test_profile_deterministic_per_seed():
-    mu = fourier.uniform_segment_measure(2000)
+    mu = oracles.uniform_segment_measure(2000)
     a = nonconc.affine_profile(mu, seed=7)
     b = nonconc.affine_profile(mu, seed=7)
     assert np.array_equal(a.ratios, b.ratios)
@@ -62,7 +64,7 @@ def test_profile_deterministic_per_seed():
 
 
 def test_epsilons_validated():
-    mu = fourier.uniform_segment_measure(100)
+    mu = oracles.uniform_segment_measure(100)
     with pytest.raises(ValueError):
         nonconc.affine_profile(mu, epsilons=(0.0, 0.1))
     with pytest.raises(ValueError):
@@ -72,7 +74,7 @@ def test_epsilons_validated():
 
 
 def test_r_min_honesty_enforced():
-    mu = fourier.uniform_segment_measure(100)  # spacing 0.01, floor 0.05
+    mu = oracles.uniform_segment_measure(100)  # spacing 0.01, floor 0.05
     with pytest.raises(ValueError):
         nonconc.affine_profile(mu, r_min=0.01)
     nonconc.affine_profile(mu, r_min=0.06)  # above the floor: fine
@@ -94,10 +96,10 @@ def test_single_atom_is_degenerate():
 
 def test_oracle_values():
     # spot values of (2/pi)(arcsin e + e sqrt(1-e^2))
-    got = nonconc.slab_disk_ratio_oracle(np.array([0.05, 0.1, 0.2, 0.4]))
+    got = oracles.slab_disk_ratio_oracle(np.array([0.05, 0.1, 0.2, 0.4]))
     assert np.allclose(got, [0.063662, 0.127100, 0.252862, 0.495356],
                        atol=2e-4)
-    assert nonconc.slab_disk_ratio_oracle(1.0) == pytest.approx(1.0)
+    assert oracles.slab_disk_ratio_oracle(1.0) == pytest.approx(1.0)
 
 
 def test_profile_computes_neighbour_distances_once(monkeypatch):
@@ -107,6 +109,6 @@ def test_profile_computes_neighbour_distances_once(monkeypatch):
     counted = lambda pts: calls.append(pts.shape) or real(pts)  # noqa: E731
     monkeypatch.setattr(measure, "nearest_neighbor_distances", counted)
     monkeypatch.setattr(nonconc, "nearest_neighbor_distances", counted, raising=False)
-    mu = nonconc.uniform_square_measure(60)
+    mu = oracles.uniform_square_measure(60)
     nonconc.affine_profile(mu, ball_samples=20)
     assert len(calls) == 1
