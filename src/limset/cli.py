@@ -103,6 +103,8 @@ class _Pipeline:
 
     @functools.cached_property
     def mu(self) -> measure.AtomicMeasure:
+        # levels first: a measure over the level cache budget fails before delta
+        self.group.levels(self.cfg.measure.n_max)
         return measure.patterson_orbit_measure(self.group, self.estimate.delta,
                                                epsilon=self.cfg.measure.epsilon,
                                                n_max=self.cfg.measure.n_max)
@@ -164,7 +166,7 @@ def cmd_delta(args):
 def cmd_measure(args):
     cfg, threads, out = _setup(args)
     run = _Pipeline(cfg, threads)
-    est, mu = run.estimate, run.mu
+    mu, est = run.mu, run.estimate
     s = est.delta + cfg.measure.epsilon
     meta = _meta("measure", cfg.sha256, cfg.run.seed, threads, group=run.group.name,
                  delta=_io.fmt(est.delta), epsilon=_io.fmt(cfg.measure.epsilon),

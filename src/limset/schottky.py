@@ -9,13 +9,13 @@ discrete, and convex cocompact, and its limit set is the nested intersection
 of ball images.
 
 The word engine enumerates reduced words in deterministic lexicographic
-order and caches per-level products.  For integer generator matrices the
-products are carried in an exact int64 lane (with an overflow guard) and the
-float64 views remain exact while all entries stay below 2^53; this makes
-membership in SO(Q) verifiable exactly in integer arithmetic even when the
-double-precision residual of the defining identity would be swamped by
-rounding at scale ~ ||gamma||^2 eps.  Generic float groups get scale-relative
-drift monitoring and reprojection instead.
+order and caches per-level float64 products, refusing up front a cache over
+a fixed memory budget.  For integer generators a level is exact while its
+parent's largest entry times the letters' largest column-abs-sum is at most
+2^53; this makes membership in SO(Q) verifiable exactly in integer arithmetic
+even when the double-precision residual of the defining identity would be
+swamped by rounding at scale ~ ||gamma||^2 eps.  Other levels (all of them for
+generic float groups) get scale-relative drift monitoring and reprojection.
 """
 
 from __future__ import annotations
@@ -26,10 +26,9 @@ import numpy as np
 
 from limset import core
 
-# int64 products are abandoned beyond this bound to keep a safety factor
-# against wraparound; float64 views are flagged exact up to 2^53.
-_INT64_GUARD = 2 ** 62
+# Integers up to 2^53 in magnitude are exact in float64.
 _FLOAT_EXACT = float(2 ** 53)
+_CACHE_BUDGET = 4 << 30  # bytes of words, matrices and distances in the level cache
 
 
 class ConfigurationError(ValueError):
@@ -213,8 +212,9 @@ class _Level:
     words: np.ndarray        # (N, L) int8 letter ids
     mats: np.ndarray         # (N, d+2, d+2) float64
     dists: np.ndarray        # (N,) d(o, w o)
-    imats: np.ndarray | None  # int64 lane, None once the guard tripped
-    max_entry: float          # max |entry| over the level
+    max_entry: float         # max |entry| over the level
+    exact: bool              # mats are the exact integer products (2^53 guard)
+    imats = None  # not a field; perfbench/layers.py reads it until its next change
 
 
 class SchottkyGroup:
@@ -249,10 +249,11 @@ class SchottkyGroup:
         self.letter_names = _letter_names(self.k)
         ints = np.rint(self.letter_mats)
         self._integral = bool(np.abs(self.letter_mats - ints).max() == 0.0)
-        self._letter_imats = ints.astype(np.int64) if self._integral else None
         self.validated = False
         self.report = None
-        self._levels = [self._level_zero()]
+        self._levels = [_Level(words=np.zeros((1, 0), dtype=np.int8),
+                               mats=np.eye(self.d + 2)[None], dists=np.zeros(1),
+                               max_entry=1.0, exact=self._integral)]
 
     # -- words ---------------------------------------------------------------
 
@@ -274,14 +275,23 @@ class SchottkyGroup:
 
     # -- level cache ----------------------------------------------------------
 
-    def _level_zero(self):
-        eye = np.eye(self.d + 2)
-        ieye = np.rint(eye).astype(np.int64)[None] if self._integral else None
-        return _Level(words=np.zeros((1, 0), dtype=np.int8),
-                      mats=eye[None], dists=np.zeros(1),
-                      imats=ieye, max_entry=1.0)
+    def cache_bytes(self, n):
+        """Bytes of the words, matrices and distances of levels 0..n, summed
+        until past the level cache budget (a lower bound above it)."""
+        per_word = (self.d + 2) ** 2 * 8 + 8   # a float64 matrix and distance
+        total, count = per_word, 2 * self.k     # level 0: the empty word
+        for j in range(1, n + 1):
+            if total > _CACHE_BUDGET:
+                break
+            total += count * (per_word + j)     # and j int8 letters a word
+            count *= 2 * self.k - 1
+        return total
 
     def _extend_levels(self, n):
+        need = self.cache_bytes(n) if len(self._levels) <= n else 0
+        if need > _CACHE_BUDGET:
+            raise ValueError(f"word levels to depth {n} need at least {need / 2 ** 30:.1f} GiB,"
+                             f" over the level cache budget of {_CACHE_BUDGET >> 30} GiB")
         while len(self._levels) <= n:
             self._levels.append(self._next_level(self._levels[-1]))
 
@@ -291,15 +301,11 @@ class SchottkyGroup:
         per = k2 if plen == 0 else k2 - 1
         total = npar * per
         words = np.empty((total, plen + 1), dtype=np.int8)
-        # int64 lane with wraparound guard: |child| <= |parent| * col-abs-sum.
-        # The lane fills the integer products only; the float ones are their
-        # exact image, made once at the end.
-        col_sum = int(np.abs(self._letter_imats).sum(axis=1).max()) if self._integral else 0
-        int_ok = (parent.imats is not None
-                  and parent.max_entry * col_sum < _INT64_GUARD)
-        shape = (total, self.d + 2, self.d + 2)
-        imats = np.empty(shape, dtype=np.int64) if int_ok else None
-        mats = None if int_ok else np.empty(shape)
+        # |parent entry| * col-abs-sum bounds every partial sum of an integer
+        # product: within 2^53 it is exact in float64 and needs no reprojection.
+        col_sum = int(np.abs(self.letter_mats).sum(axis=1).max())
+        exact = parent.exact and int(parent.max_entry) * col_sum <= _FLOAT_EXACT
+        mats = np.empty((total, self.d + 2, self.d + 2))
         last = parent.words[:, -1] if plen else np.full(npar, -9, dtype=np.int8)
         parent_pos = np.arange(npar)
         for b in range(k2):
@@ -311,18 +317,13 @@ class SchottkyGroup:
             pos = parent_pos[sel] * per + rank
             words[pos, :plen] = parent.words[sel]
             words[pos, plen] = b
-            if int_ok:
-                imats[pos] = parent.imats[sel] @ self._letter_imats[b]
-            else:
-                mats[pos] = parent.mats[sel] @ self.letter_mats[b]
-        if int_ok:
-            mats = imats.astype(np.float64)
-        else:
+            mats[pos] = parent.mats[sel] @ self.letter_mats[b]
+        if not exact:
             mats = core.project_so(mats, tol=self.tol)
         corner = 0.5 * (mats[:, 0, 0] + mats[:, 0, -1] + mats[:, -1, 0] + mats[:, -1, -1])
         dists = np.arccosh(np.maximum(corner, 1.0))
-        return _Level(words=words, mats=mats, dists=dists, imats=imats,
-                      max_entry=float(max(mats.max(), -mats.min())))
+        return _Level(words=words, mats=mats, dists=dists,
+                      max_entry=float(max(mats.max(), -mats.min())), exact=exact)
 
     def level(self, n) -> _Level:
         self._extend_levels(n)
@@ -333,15 +334,9 @@ class SchottkyGroup:
         return self._levels[:n + 1]
 
     def exact_through(self, n):
-        """Deepest level <= n whose float64 matrices are exactly the integer
-        products (int64 lane alive and entries <= 2^53); -1 for float groups."""
-        if not self._integral:
-            return -1
-        deep = -1
-        for j, lev in enumerate(self.levels(n)):
-            if lev.imats is not None and lev.max_entry <= _FLOAT_EXACT:
-                deep = j
-        return deep
+        """Deepest level <= n certified to hold the exact integer products; -1
+        for float groups.  A level is exact only if its parent is."""
+        return sum(lev.exact for lev in self.levels(n)) - 1
 
     # -- orbit ----------------------------------------------------------------
 

@@ -83,6 +83,15 @@ def in_so_q(g):
     return sign > 0 and abs(logdet) < np.log1p(1e3 * core.DEFAULT_TOL) + 1e-6
 
 
+def integer_word_product(group, letters):
+    """Product of an integer group's letter matrices along internal letter
+    ids, in Python ints (object dtype): the exact oracle of the level cache."""
+    g = np.eye(group.d + 2, dtype=np.int64).astype(object)
+    for b in letters:
+        g = g @ np.rint(group.letter_mats[b]).astype(np.int64).astype(object)
+    return g
+
+
 def exact_integer_residual(g):
     """||g^T J g - J||_max computed in exact integer arithmetic.
 

@@ -63,21 +63,27 @@ def test_02_linearization_error_contracts():
 def test_03_model_invariants_at_depth(reference):
     # The float64 defect of a word with entries ~1e14 is rounding-dominated
     # (~||g||^2 eps ~ 1e-2 relative is 1e12 absolute), so the certificate runs
-    # in the exact integer lane: float views equal the int64 products through
-    # depth 12, and the form defect is evaluated in arbitrary precision.
+    # on the exact integer products: the float64 levels hold integers through
+    # depth 12 (the 2^53 guard), and the form defect is evaluated in
+    # arbitrary precision.
     assert reference.exact_through(12) == 12
     J = np.vectorize(int, otypes=[object])(
         np.rint(core.gram_matrix(reference.d)).astype(object))
     worst = 0
     for n in range(13):
-        gi = reference.level(n).imats.astype(object)
+        mats = reference.level(n).mats
+        assert np.array_equal(mats, np.rint(mats))
+        gi = mats.astype(np.int64).astype(object)
         resid = np.matmul(gi.transpose(0, 2, 1), np.matmul(J[None], gi)) - J[None]
         worst = max(worst, max(abs(int(v)) for v in resid.ravel()))
     assert worst <= 1e-9, f"form defect {worst} over words of length <= 12"
-    # drift correction fixes these words (already on the group, nothing to move)
+    # drift correction fixes these words (already on the group, nothing to
+    # move), and they are their letters' Python-int products
     lev = reference.level(12)
     for idx in (0, len(lev.mats) // 2, len(lev.mats) - 1):
         assert np.array_equal(core.project_so(lev.mats[idx]), lev.mats[idx])
+        assert np.array_equal(lev.mats[idx].astype(object),
+                              oracles.integer_word_product(reference, lev.words[idx]))
 
     rng = np.random.default_rng(31)
     worst_coc = 0.0

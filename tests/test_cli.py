@@ -4,6 +4,8 @@ import os
 import re
 import subprocess
 import sys
+import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -591,6 +593,25 @@ def test_bad_input_exits_2_naming_its_line(tmp_path, capsys, monkeypatch, case):
     assert line
     if case in _BAD_LINES:
         assert int(line.group(1)) == _BAD_LINES[case]
+
+
+@pytest.mark.parametrize("section", ["delta", "measure"])
+def test_depth_over_level_cache_budget_exits_2_up_front(tmp_path, capsys, section):
+    # depth 16 of the reference needs 7.7 GiB of levels: refused before any
+    # level (or, for measure, the delta stage) is built
+    path = tmp_path / "deep.cfg"
+    path.write_text(_GROUP + f"[{section}]\nn_max = 16\n")
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        code = cli.main([section, "--config", str(path), "--out", str(tmp_path / "o")])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert time.perf_counter() - start < 0.5
+    assert peak < 4 << 20
+    assert "depth 16 need at least 7.7 GiB" in capsys.readouterr().err
 
 
 def test_negative_seed_flag_is_refused_naming_it(tmp_path, capsys, monkeypatch):

@@ -136,27 +136,30 @@ def test_level_cache_matches_enumeration(reference):
 def test_integer_lane_exact_through_depth_8(reference):
     assert reference.exact_through(8) == 8
     lev = reference.level(8)
-    assert lev.imats is not None
-    assert np.array_equal(lev.imats.astype(np.float64), lev.mats)
-    # exact integer membership in SO(Q) for a few deep words
+    assert lev.exact
+    # sampled words equal the Python-int products of their letters, and are
+    # exactly in SO(Q)(Z)
     rng = np.random.default_rng(1)
     for idx in rng.choice(lev.mats.shape[0], size=5, replace=False):
+        assert np.array_equal(lev.mats[idx].astype(object),
+                              oracles.integer_word_product(reference, lev.words[idx]))
         assert oracles.exact_integer_residual(lev.mats[idx]) == 0
 
 
 def test_level_cache_float_view_and_max_entry(reference, sweep_groups):
     for n in range(11):
         lev = reference.level(n)
-        assert np.array_equal(lev.mats, lev.imats.astype(np.float64))
+        assert lev.exact and np.array_equal(lev.mats, np.rint(lev.mats))
         assert lev.max_entry == np.abs(lev.mats).max()
         float_lev = sweep_groups[3.0].level(n)
-        assert float_lev.imats is None
+        assert not float_lev.exact
         assert float_lev.max_entry == np.abs(float_lev.mats).max()
+    assert sweep_groups[3.0].exact_through(10) == -1
 
 
 def test_integer_lane_level_build_holds_one_float_copy():
-    # The int64 lane fills only the integer products; the float view is made
-    # once from them, so building a level holds about two of its matrix stacks.
+    # An exact level is filled in place and not reprojected, so building it
+    # holds little more than its one matrix stack.
     G = _io.load_group_file(limset.fixture_path("reference"))
     G.level(11)
     tracemalloc.start()
@@ -165,8 +168,45 @@ def test_integer_lane_level_build_holds_one_float_copy():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert lev.imats is not None
-    assert peak <= 2.75 * lev.imats.nbytes
+    assert lev.exact
+    assert peak <= 2.0 * lev.mats.nbytes
+
+
+def test_exactness_boundary_of_cubed_reference(reference):
+    # Cubing the reference's generators keeps their ping-pong balls and makes
+    # level 5 the first whose partial sums may pass 2^53.
+    cubed = schottky.SchottkyGroup([
+        schottky.SchottkyGenerator(elem=np.linalg.matrix_power(g.elem, 3),
+                                   ball_plus=g.ball_plus, ball_minus=g.ball_minus)
+        for g in reference.gens])
+    assert cubed.validate().ok
+    assert cubed.exact_through(7) == 4
+    rng = np.random.default_rng(2)
+    for n, lev in enumerate(cubed.levels(7)):
+        assert lev.exact == (n <= 4)
+        if lev.exact:
+            for idx in rng.choice(lev.mats.shape[0], size=min(5, lev.mats.shape[0]),
+                                  replace=False):
+                assert np.array_equal(lev.mats[idx].astype(object),
+                                      oracles.integer_word_product(cubed, lev.words[idx]))
+                assert oracles.exact_integer_residual(lev.mats[idx]) == 0
+        else:
+            assert core.so_relative_residual(lev.mats).max() < 1e-10
+
+
+def test_cache_bytes_is_what_the_levels_hold(reference, sweep_groups):
+    # one copy of words, matrices and distances per level, nothing else
+    for G, n in ((reference, 10), (sweep_groups[2.0], 5)):
+        assert G.cache_bytes(n) == sum(a.nbytes for lev in G.levels(n)
+                                       for a in (lev.words, lev.mats, lev.dists))
+
+
+def test_level_cache_over_budget_is_refused_before_any_build():
+    G = _io.load_group_file(limset.fixture_path("reference"))
+    assert G.cache_bytes(15) < schottky._CACHE_BUDGET < G.cache_bytes(16)
+    with pytest.raises(ValueError, match=r"depth 16 need at least 7\.7 GiB.*budget of 4 GiB"):
+        G.level(16)
+    assert len(G._levels) == 1
 
 
 def test_orbit_distances_level_one(reference):
