@@ -32,6 +32,8 @@ import numpy as np
 from limset import core, dimension, fourier, measure, nonconc, schottky
 
 FLOAT_FMT = "%.17g"
+CSV_CHUNK_ROWS = 16384     # rows rendered by one %-format in write_csv
+_COLUMN_FMT = {"f": FLOAT_FMT, "i": "%d", "b": "%s", "U": "%s"}     # by dtype kind
 
 
 class GroupFileError(ValueError):
@@ -340,23 +342,25 @@ def write_lines(path, meta, lines):
             fh.write(line + "\n")
 
 
-def write_csv(path, columns, rows, meta):
-    """Deterministic CSV: write_lines headers, then columns, then rows.
+def write_csv(path, table, meta):
+    """Deterministic CSV of ``table``, {column name: 1-D array or sequence},
+    after the write_lines headers.  A column's dtype fixes its format
+    (_COLUMN_FMT; bools as true/false), and the rows go out CSV_CHUNK_ROWS at
+    a time, one %-format each, so the memory taken is set by the chunk."""
+    columns = [np.asarray(c) for c in table.values()]
+    rows = len(columns[0])
+    if any(len(c) != rows for c in columns):
+        raise ValueError(f"CSV columns of unequal lengths {[len(c) for c in columns]}")
+    row_fmt = ",".join(_COLUMN_FMT[c.dtype.kind] for c in columns)
 
-    Floats are rendered with 17 significant digits; ints as ints.
-    """
-    body = (",".join(_cell(x) for x in row) for row in rows)
-    write_lines(path, meta, itertools.chain([",".join(columns)], body))
-
-
-def _cell(x):
-    if isinstance(x, (bool, np.bool_)):
-        return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, (float, np.floating)):
-        return fmt(x)
-    return str(x)
+    def chunks():
+        yield ",".join(table)
+        for lo in range(0, rows, CSV_CHUNK_ROWS):
+            cells = [(np.where(p, "true", "false") if p.dtype.kind == "b" else p).tolist()
+                     for p in (c[lo:lo + CSV_CHUNK_ROWS] for c in columns)]
+            flat = tuple(itertools.chain.from_iterable(zip(*cells)))
+            yield "\n".join([row_fmt] * len(cells[0])) % flat
+    write_lines(path, meta, chunks())
 
 
 def read_csv(path):
@@ -426,15 +430,12 @@ def write_measure_file(path, mu, meta=None):
     ``meta`` rides along in the '# key=value' header (provenance: config
     hash, version, seed, the construction exponent).
     """
-    base = {"d": mu.d, "count": mu.n, "mass": fmt(mu.mass)}
-    if meta:
-        base.update(meta)
-    columns = [f"x{i + 1}" for i in range(mu.d)] + ["weight"]
-    write_csv(path, columns, np.column_stack([mu.points, mu.weights]), base)
+    table = {f"x{i + 1}": mu.points[:, i] for i in range(mu.d)} | {"weight": mu.weights}
+    write_csv(path, table, {"d": mu.d, "count": mu.n, "mass": fmt(mu.mass), **(meta or {})})
 
 
 def read_measure_file(path):
-    """Inverse of write_measure_file: (AtomicMeasure, header meta dict)."""
+    """Inverse of write_measure_file: (AtomicMeasure, header meta dict; its delta a float)."""
     meta, columns, rows = read_csv(path)
     if rows.shape[1] < 2:
         raise GroupFileError(f"measure file {path}: no atom table")
@@ -451,6 +452,11 @@ def read_measure_file(path):
         if not agrees:
             raise GroupFileError(f"measure file {path}: header {key}={meta[key]} but "
                                  f"the table has {found} {what}", _csv_lines(path)[0][key])
+    if "delta" in meta:     # a finite number, or refused at its header line
+        try:
+            meta["delta"] = _one_float(meta["delta"], None, what="header delta")
+        except GroupFileError as exc:
+            raise GroupFileError(f"measure file {path}: {exc}", _csv_lines(path)[0]["delta"])
     return measure.AtomicMeasure(points=rows[:, :d], weights=rows[:, d]), meta
 
 

@@ -120,8 +120,7 @@ def _input_measure(cfg, threads):
     if cfg.measure.file:
         path = cfg.resolve(cfg.measure.file)
         mu, meta = _io.read_measure_file(path)
-        delta = float(meta["delta"]) if "delta" in meta else None
-        return mu, delta, os.path.basename(path)
+        return mu, meta.get("delta"), os.path.basename(path)
     run = _Pipeline(cfg, threads)
     return run.mu, run.estimate.delta, run.group.name
 
@@ -149,10 +148,9 @@ def cmd_delta(args):
         return 3
     trunc = dimension.shell_sums(run.group, est.delta, cfg.delta.n_max,
                                  threads=threads)
-    rows = [(int(n), est.delta, float(trunc.values[n]), float(est.per_level[n - 1]))
-            for n in est.levels]
-    _io.write_csv(os.path.join(out, "delta.csv"),
-                  ["n", "s", "a_n", "delta_n"], rows, meta)
+    _io.write_csv(os.path.join(out, "delta.csv"), {
+        "n": est.levels, "s": np.full(est.levels.size, est.delta),
+        "a_n": trunc.values[est.levels], "delta_n": est.per_level[est.levels - 1]}, meta)
     _report(summary_path, meta, [
         "status = ok",
         f"delta = {_io.fmt(est.delta)}",
@@ -199,13 +197,10 @@ def cmd_fourier(args):
     if delta is not None:
         meta["delta"] = _io.fmt(delta)
     block = report.sample_values.shape[0] // report.shell_radii.shape[0]
-    nominal = np.repeat(report.shell_radii, block)
-    rows = list(zip(nominal.tolist(), report.sample_dir_index.tolist(),
-                    report.sample_values.real.tolist(),
-                    report.sample_values.imag.tolist(),
-                    np.abs(report.sample_values).tolist()))
-    _io.write_csv(os.path.join(out, "fourier.csv"),
-                  ["shell_radius", "direction_index", "re", "im", "abs"], rows, meta)
+    _io.write_csv(os.path.join(out, "fourier.csv"), {
+        "shell_radius": np.repeat(report.shell_radii, block),
+        "direction_index": report.sample_dir_index, "re": report.sample_values.real,
+        "im": report.sample_values.imag, "abs": np.abs(report.sample_values)}, meta)
     lines = [
         "{",
         f'  "kappa": {_io.fmt(report.kappa)},',
@@ -242,10 +237,9 @@ def cmd_nonconc(args):
                  method=profile.method,
                  in_hyperplane=str(profile.in_hyperplane).lower(),
                  discarded=int(profile.discarded))
-    rows = [(float(e), float(r), int(profile.balls_used))
-            for e, r in zip(profile.epsilons, profile.ratios)]
-    _io.write_csv(os.path.join(out, "nonconc.csv"),
-                  ["epsilon", "worst_ratio", "ball_count_used"], rows, meta)
+    _io.write_csv(os.path.join(out, "nonconc.csv"), {
+        "epsilon": profile.epsilons, "worst_ratio": profile.ratios,
+        "ball_count_used": np.full(profile.ratios.size, profile.balls_used)}, meta)
     lines = [f"epsilon {_io.fmt(e)}: worst slab ratio {_io.fmt(r)}"
              for e, r in zip(profile.epsilons, profile.ratios)]
     if profile.in_hyperplane:
@@ -264,8 +258,8 @@ def cmd_holonomy(args):
     sign = -1.0 if os.environ.get("LIMSET_BUG_TAU_SIGN") == "1" else 1.0
     rows = holonomy.property_suite(args.trials, args.seed, tau_sign=sign)
     os.makedirs(out, exist_ok=True)
-    _io.write_csv(os.path.join(out, "holonomy.csv"),
-                  ["property", "trials", "max_residual", "tol", "passed"], rows,
+    columns = ("property", "trials", "max_residual", "tol", "passed")
+    _io.write_csv(os.path.join(out, "holonomy.csv"), dict(zip(columns, zip(*rows))),
                   _meta("holonomy", "", args.seed, 1, trials=args.trials))
     ok = all(passed for *_, passed in rows)
     width = max(len(name) for name, *_ in rows)

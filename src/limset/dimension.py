@@ -72,9 +72,9 @@ class PoincareTruncation:
 class DeltaEstimate:
     """Per-level critical exponent estimates delta_n and the final value.
 
-    ``delta`` is the deepest-level estimate delta_{n_max}; ``spread`` is
-    max - min of the last three per-level estimates and measures truncation
-    stability.
+    ``delta`` is the deepest-level estimate delta_{n_max}; ``spread``, max - min
+    of the last three delta_n, is no truncation error bar: below BISECTION_TOL
+    it is under the bisection's resolution (on the reference it reads 0).
     """
 
     delta: float
@@ -220,8 +220,8 @@ def estimate_delta(
     """Estimate the critical exponent of a Schottky group.
 
     delta_n is the unique s at which the level-n shell sum equals the
-    level-(n-1) shell sum; the estimate is delta_{n_max} and ``spread``
-    (max - min over the last three levels) quantifies truncation error.
+    level-(n-1) shell sum, found by bisection to BISECTION_TOL; the estimate
+    is delta_{n_max}, and ``spread`` (see DeltaEstimate) is no truncation error.
     """
     if n_max < MIN_N_MAX:
         raise ValueError(f"n_max must be >= {MIN_N_MAX} for a stable estimate, got {n_max}")

@@ -4,9 +4,11 @@ Each is a closed form, an exact computation or a slow direct construction
 that the library's fast paths are checked against.
 """
 
+import itertools
+
 import numpy as np
 
-from limset import core, schottky
+from limset import _io, core, schottky
 from limset.measure import AtomicMeasure
 
 
@@ -143,3 +145,21 @@ def slab_disk_ratio_oracle(eps) -> np.ndarray:
     """Area fraction of the slab {|y| <= eps r} inside a disk of radius r."""
     eps = np.asarray(eps, dtype=float)
     return (2.0 / np.pi) * (np.arcsin(eps) + eps * np.sqrt(1.0 - eps ** 2))
+
+
+def write_csv_per_cell(path, columns, rows, meta):
+    """The CSV writer that rendered one cell at a time: write_lines headers,
+    the column names, then each row's cells by their Python type.  The byte
+    oracle of the column writer ``_io.write_csv``."""
+    body = (",".join(_cell(x) for x in row) for row in rows)
+    _io.write_lines(path, meta, itertools.chain([",".join(columns)], body))
+
+
+def _cell(x):
+    if isinstance(x, (bool, np.bool_)):
+        return "true" if x else "false"
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    if isinstance(x, (float, np.floating)):
+        return _io.fmt(x)
+    return str(x)

@@ -532,6 +532,8 @@ _BAD_INPUTS = {   # case -> (command, group file or config text)
     "measure-bad-cell": ("fourier", "[measure]\nfile = cell.csv\n"),
     "measure-header-d": ("fourier", "[measure]\nfile = d.csv\n"),
     "measure-header-count": ("fourier", "[measure]\nfile = count.csv\n"),
+    "measure-header-delta-text": ("fourier", "[measure]\nfile = delta-text.csv\n"),
+    "measure-header-delta-nan": ("fourier", "[measure]\nfile = delta-nan.csv\n"),
     "group-not-utf8": ("validate", _REF_TEXT.encode().replace(b"tol = 1e-9",
                                                              b"tol = 1e-9 # \xe9")),
     "config-not-utf8": ("delta", b"[run]\nseed = 1\n# caf\xe9\n"),
@@ -552,17 +554,21 @@ _BAD_INPUTS = {   # case -> (command, group file or config text)
     "nonconc-r-min-negative": ("nonconc", _GROUP + "[nonconc]\nr_min = -0.1\n"),
     "nonconc-r-min-1": ("nonconc", _GROUP + "[nonconc]\nr_min = 1\n"),
 }
-_MEASURE_FILES = {      # name -> text; the table starts at line 4
+_MEASURE_FILES = {      # name -> text; the table starts after the headers
     "nan.csv": "# count=3\n# d=1\nx1,weight\n0.1,1\nnan,1\n0.3,1\n",
     "cell.csv": "# count=3\n# d=1\nx1,weight\n0.1,1\n\n0.2,abc\n0.3,1\n",
     "d.csv": "# count=2\n# d=2\nx1,weight\n0.1,1\n0.2,1\n",
     "count.csv": "# count=3\n# d=1\nx1,weight\n0.1,1\n0.2,1\n",
+    "delta-text.csv": "# count=2\n# d=1\n# delta=abc\nx1,weight\n0.1,1\n0.2,1\n",
+    "delta-nan.csv": "# count=2\n# d=1\n# delta=nan\nx1,weight\n0.1,1\n0.2,1\n",
 }
 _BAD_LINES = {          # case -> the file line its refusal must name
     "nan-measure-file": 5,
     "measure-bad-cell": 6,
     "measure-header-d": 2,
     "measure-header-count": 1,
+    "measure-header-delta-text": 3,
+    "measure-header-delta-nan": 3,
     "group-not-utf8": _REF_TEXT.splitlines().index("tol = 1e-9") + 1,
     "config-not-utf8": 3,
     # the bad value of a config that could run stands on its last line

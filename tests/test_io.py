@@ -1,6 +1,7 @@
 """Config parsing, CSV/measure-file round trips, SVG emission."""
 
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,8 @@ from hypothesis import strategies as st
 import limset
 from limset import _io
 from limset.measure import AtomicMeasure
+
+import oracles
 
 # ---------------------------------------------------------------------------
 # experiment configs
@@ -200,8 +203,7 @@ def test_csv_round_trip_is_lossless(tmp_path):
     rng = np.random.default_rng(3)
     vals = np.concatenate([rng.standard_normal(50) * 10.0 ** rng.integers(-12, 12, 50),
                            [0.0, 1.0, -1.0, 2.0 ** -1022]])
-    rows = [(i, v) for i, v in enumerate(vals)]
-    _io.write_csv(path, ["i", "v"], rows, {"seed": 0})
+    _io.write_csv(path, {"i": np.arange(vals.size), "v": vals}, {"seed": 0})
     meta, cols, data = _io.read_csv(path)
     assert cols == ["i", "v"]
     assert meta["seed"] == "0"
@@ -210,7 +212,7 @@ def test_csv_round_trip_is_lossless(tmp_path):
 
 def test_csv_meta_sorted_and_commented(tmp_path):
     path = tmp_path / "t.csv"
-    _io.write_csv(path, ["x"], [(1.0,)], {"zeta": "z", "alpha": 1, "flag": True})
+    _io.write_csv(path, {"x": [1.0]}, {"zeta": "z", "alpha": 1, "flag": True})
     lines = path.read_text().splitlines()
     assert lines[0] == "# alpha=1"
     assert lines[1] == "# flag=True"
@@ -220,9 +222,58 @@ def test_csv_meta_sorted_and_commented(tmp_path):
 
 def test_csv_cell_types(tmp_path):
     path = tmp_path / "t.csv"
-    _io.write_csv(path, ["a", "b", "c", "d"],
-                  [(np.int64(3), np.float64(0.5), True, "word")], {})
+    _io.write_csv(path, {"a": [np.int64(3)], "b": [np.float64(0.5)], "c": [True],
+                         "d": ["word"]}, {})
     assert path.read_text().splitlines()[1] == "3,0.5,true,word"
+
+
+_SPECIAL_FLOATS = [-0.0, 2.0 ** -1074, np.inf, -np.inf, np.nan, 1e300, -1e300, 1e-300,
+                   -1e-300]
+_EDGE_INTS = [np.iinfo(np.int64).min, np.iinfo(np.int64).min + 1,
+              np.iinfo(np.int64).max - 1, np.iinfo(np.int64).max]
+
+
+@pytest.mark.parametrize("rows", [0, 1, 16383, 16384, 16385])
+def test_csv_column_writer_matches_per_cell_oracle(tmp_path, rows):
+    # chunk edges at CSV_CHUNK_ROWS = 16384; every dtype the writer formats
+    assert _io.CSV_CHUNK_ROWS == 16384
+    rng = np.random.default_rng([rows, 11])
+    floats = rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows)
+    floats[:len(_SPECIAL_FLOATS)] = _SPECIAL_FLOATS[:rows]
+    ints = rng.integers(-2 ** 62, 2 ** 62, rows)
+    ints[:len(_EDGE_INTS)] = _EDGE_INTS[:rows]
+    pairs = rng.uniform(-1.0, 1.0, (rows, 2))
+    table = {
+        "name": rng.choice(["lambda_gap", "", "a b", "caf\u00e9", "-0"], rows),
+        "count": ints,
+        "x": floats,
+        "y": pairs[:, 1],                      # a strided view, as measure files pass
+        "small": rng.integers(0, 10, rows).astype(np.int32),
+        "passed": rng.random(rows) < 0.5,
+        "listed": [float(v) for v in rng.standard_normal(rows)],   # a plain sequence
+    }
+    meta = {"seed": 3, "delta": _io.fmt(0.5)}
+    _io.write_csv(tmp_path / "column.csv", table, meta)
+    oracles.write_csv_per_cell(tmp_path / "cell.csv", list(table), zip(*table.values()),
+                               meta)
+    assert (tmp_path / "column.csv").read_bytes() == (tmp_path / "cell.csv").read_bytes()
+
+
+def test_csv_writer_memory_is_set_by_the_chunk(tmp_path):
+    rng = np.random.default_rng(5)
+    table = {name: rng.standard_normal(1_000_000) for name in ("x1", "x2", "weight")}
+    tracemalloc.start()
+    try:
+        _io.write_csv(tmp_path / "big.csv", table, {})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
+
+
+def test_csv_columns_of_unequal_length_are_refused(tmp_path):
+    with pytest.raises(ValueError, match="unequal lengths"):
+        _io.write_csv(tmp_path / "t.csv", {"a": [1.0, 2.0], "b": [1.0]}, {})
 
 
 # ---------------------------------------------------------------------------
