@@ -118,19 +118,14 @@ def level_distances(group, n_max: int, basepoint: np.ndarray | None = None) -> l
     """Orbit distances d(x, w.x) grouped by word length, n = 0 .. n_max.
 
     With the default basepoint the cached cancellation-free corner sums are
-    used; for a custom basepoint x the distances are evaluated through the
+    used; for a custom basepoint x the images w.x are built by the level
+    cache's prepend recursion and the distances evaluated through the
     bilinear form.
     """
     if basepoint is None:
         return group.orbit_distances(n_max)
-    x = np.asarray(basepoint, dtype=float)
-    core.check_hyperbolic_point(x)
-    out = []
-    for n in range(n_max + 1):
-        mats = group.level(n).mats
-        imgs = np.einsum("nij,j->ni", mats, x)
-        out.append(core.distance(x[None, :], imgs))
-    return out
+    x = core.check_hyperbolic_point(basepoint)
+    return [core.distance(x[None, :], imgs) for imgs in group.orbit_images(x, n_max)]
 
 
 def log_shell_sums(dists: list[np.ndarray], s: float, threads: int = 1) -> np.ndarray:

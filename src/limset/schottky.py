@@ -9,13 +9,14 @@ discrete, and convex cocompact, and its limit set is the nested intersection
 of ball images.
 
 The word engine enumerates reduced words in deterministic lexicographic
-order and caches per-level float64 products, refusing up front a cache over
-a fixed memory budget.  For integer generators a level is exact while its
-parent's largest entry times the letters' largest column-abs-sum is at most
-2^53; this makes membership in SO(Q) verifiable exactly in integer arithmetic
-even when the double-precision residual of the defining identity would be
-swamped by rounding at scale ~ ||gamma||^2 eps.  Other levels (all of them for
-generic float groups) get scale-relative drift monitoring and reprojection.
+order and caches, per level, each word's orbit vector v = W (e_0 + e_last)
+(twice the orbit point W o), refusing up front a cache over a fixed memory
+budget.  A level is built from its parent by prepending a letter,
+v_child = L_b v_parent.  The generators are reprojected to SO(Q) once, at
+construction; the word vectors are never reprojected.  For integer generators
+a level is certified exact while its parent's largest entry times the
+letters' largest row-abs-sum is at most 2^53: every partial sum of L_b v is
+then an integer that float64 holds.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from limset import core
 
 # Integers up to 2^53 in magnitude are exact in float64.
 _FLOAT_EXACT = float(2 ** 53)
-_CACHE_BUDGET = 4 << 30  # bytes of words, matrices and distances in the level cache
+_CACHE_BUDGET = 4 << 30  # bytes of words, orbit vectors and distances in the level cache
 
 
 class ConfigurationError(ValueError):
@@ -210,11 +211,11 @@ class _Level:
     """Cached data for all reduced words of one length."""
 
     words: np.ndarray        # (N, L) int8 letter ids
-    mats: np.ndarray         # (N, d+2, d+2) float64
+    vecs: np.ndarray         # (N, d+2) float64 orbit vectors W (e_0 + e_last)
     dists: np.ndarray        # (N,) d(o, w o)
-    max_entry: float         # max |entry| over the level
-    exact: bool              # mats are the exact integer products (2^53 guard)
-    imats = None  # not a field; perfbench/layers.py reads it until its next change
+    max_entry: float         # max |entry| over the level's vectors
+    exact: bool              # vecs are the exact integer products (2^53 guard)
+    mats = imats = None  # not fields; perfbench/layers.py reads them until its next change
 
 
 class SchottkyGroup:
@@ -239,21 +240,20 @@ class SchottkyGroup:
                 raise ConfigurationError("generators have inconsistent dimensions")
         mats = []
         for g in gens:
-            mats.append(g.elem)
-            mats.append(core.group_inverse(g.elem))
+            elem = core.project_so(g.elem, tol=self.tol)
+            mats += [elem, core.group_inverse(elem)]
         self.letter_mats = np.stack(mats)
         self.letter_balls = []
         for g in gens:
             self.letter_balls.append((g.ball_minus, g.ball_plus))   # for gamma
             self.letter_balls.append((g.ball_plus, g.ball_minus))   # for gamma^{-1}
         self.letter_names = _letter_names(self.k)
-        ints = np.rint(self.letter_mats)
-        self._integral = bool(np.abs(self.letter_mats - ints).max() == 0.0)
+        integral = np.array_equal(self.letter_mats, np.rint(self.letter_mats))
         self.validated = False
         self.report = None
-        self._levels = [_Level(words=np.zeros((1, 0), dtype=np.int8),
-                               mats=np.eye(self.d + 2)[None], dists=np.zeros(1),
-                               max_entry=1.0, exact=self._integral)]
+        e = np.eye(self.d + 2)
+        self._levels = [_Level(words=np.zeros((1, 0), dtype=np.int8), vecs=e[:1] + e[-1:],
+                               dists=np.zeros(1), max_entry=1.0, exact=bool(integral))]
 
     # -- words ---------------------------------------------------------------
 
@@ -276,9 +276,9 @@ class SchottkyGroup:
     # -- level cache ----------------------------------------------------------
 
     def cache_bytes(self, n):
-        """Bytes of the words, matrices and distances of levels 0..n, summed
-        until past the level cache budget (a lower bound above it)."""
-        per_word = (self.d + 2) ** 2 * 8 + 8   # a float64 matrix and distance
+        """Bytes of the words, orbit vectors and distances of levels 0..n,
+        summed until past the level cache budget (a lower bound above it)."""
+        per_word = (self.d + 3) * 8             # a float64 vector and distance
         total, count = per_word, 2 * self.k     # level 0: the empty word
         for j in range(1, n + 1):
             if total > _CACHE_BUDGET:
@@ -295,35 +295,35 @@ class SchottkyGroup:
         while len(self._levels) <= n:
             self._levels.append(self._next_level(self._levels[-1]))
 
+    def _prepend(self, words, vecs):
+        """The words one letter longer than ``words`` (one level's), with
+        L_b v for each parent vector v: grouped by the prepended letter b,
+        parents in order, skipping those that start with b's inverse, which is
+        the lexicographic order."""
+        npar, plen = words.shape
+        first = words[:, 0] if plen else np.full(npar, -1, dtype=np.int8)
+        keep = [first != self._inv(b) for b in range(2 * self.k)]
+        total = sum(int(m.sum()) for m in keep)
+        out_words = np.empty((total, plen + 1), dtype=np.int8)
+        out_vecs = np.empty((total,) + vecs.shape[1:])
+        lo = 0
+        for b, m in enumerate(keep):
+            hi = lo + int(m.sum())
+            out_words[lo:hi, 0] = b
+            out_words[lo:hi, 1:] = words[m]
+            np.matmul(vecs[m], self.letter_mats[b].T, out=out_vecs[lo:hi])
+            lo = hi
+        return out_words, out_vecs
+
     def _next_level(self, parent: _Level):
-        k2 = 2 * self.k
-        npar, plen = parent.words.shape
-        per = k2 if plen == 0 else k2 - 1
-        total = npar * per
-        words = np.empty((total, plen + 1), dtype=np.int8)
-        # |parent entry| * col-abs-sum bounds every partial sum of an integer
-        # product: within 2^53 it is exact in float64 and needs no reprojection.
-        col_sum = int(np.abs(self.letter_mats).sum(axis=1).max())
-        exact = parent.exact and int(parent.max_entry) * col_sum <= _FLOAT_EXACT
-        mats = np.empty((total, self.d + 2, self.d + 2))
-        last = parent.words[:, -1] if plen else np.full(npar, -9, dtype=np.int8)
-        parent_pos = np.arange(npar)
-        for b in range(k2):
-            sel = np.nonzero(last != self._inv(b))[0]
-            if sel.size == 0:
-                continue
-            # lexicographic slot: rank of b among the parent's allowed letters
-            rank = b - ((self._inv(last[sel]) < b) & (last[sel] >= 0))
-            pos = parent_pos[sel] * per + rank
-            words[pos, :plen] = parent.words[sel]
-            words[pos, plen] = b
-            mats[pos] = parent.mats[sel] @ self.letter_mats[b]
-        if not exact:
-            mats = core.project_so(mats, tol=self.tol)
-        corner = 0.5 * (mats[:, 0, 0] + mats[:, 0, -1] + mats[:, -1, 0] + mats[:, -1, -1])
-        dists = np.arccosh(np.maximum(corner, 1.0))
-        return _Level(words=words, mats=mats, dists=dists,
-                      max_entry=float(max(mats.max(), -mats.min())), exact=exact)
+        # |parent entry| * row-abs-sum bounds every partial sum of an integer
+        # L_b v: within 2^53 each is an integer that float64 holds exactly.
+        row_sum = int(np.abs(self.letter_mats).sum(axis=2).max())
+        exact = parent.exact and int(parent.max_entry) * row_sum <= _FLOAT_EXACT
+        words, vecs = self._prepend(parent.words, parent.vecs)
+        dists = np.arccosh(np.maximum(0.5 * (vecs[:, 0] + vecs[:, -1]), 1.0))
+        return _Level(words=words, vecs=vecs, dists=dists,
+                      max_entry=float(max(vecs.max(), -vecs.min())), exact=exact)
 
     def level(self, n) -> _Level:
         self._extend_levels(n)
@@ -340,6 +340,14 @@ class SchottkyGroup:
 
     # -- orbit ----------------------------------------------------------------
 
+    def orbit_images(self, x, n):
+        """W x for the words W of each length 0..n, one array per length in
+        the cache's word order, by the level build's recursion."""
+        out = [np.asarray(x, dtype=float)[None]]
+        for lev in self.levels(n - 1):
+            out.append(self._prepend(lev.words, out[-1])[1])
+        return out
+
     def orbit_distances(self, n):
         return [lev.dists for lev in self.levels(n)]
 
@@ -350,13 +358,9 @@ class SchottkyGroup:
         Orbit points are future timelike, so their last homogeneous
         coordinate is strictly positive: nothing is dropped.
         """
-        pts, dists = [], []
-        for lev in self.levels(n):
-            num = lev.mats[:, 1:-1, 0] + lev.mats[:, 1:-1, -1]
-            den = lev.mats[:, -1, 0] + lev.mats[:, -1, -1]
-            pts.append(num / den[:, None])
-            dists.append(lev.dists)
-        return np.concatenate(pts), np.concatenate(dists)
+        levels = self.levels(n)
+        pts = [lev.vecs[:, 1:-1] / lev.vecs[:, -1:] for lev in levels]
+        return np.concatenate(pts), np.concatenate([lev.dists for lev in levels])
 
     # -- validation -----------------------------------------------------------
 

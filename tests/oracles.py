@@ -5,6 +5,7 @@ that the library's fast paths are checked against.
 """
 
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -47,10 +48,48 @@ def word_to_element(group, word):
     return core.project_so(g, tol=group.tol)
 
 
+def matrix_levels(group, n):
+    """Levels 0..n of the matrix cache the vector cache replaced, one at a
+    time: each word's float64 product W, built by appending a letter to the
+    parent words in rank/position order, and reprojected by
+    ``core.project_so`` on levels past the 2^53 guard (every level of a float
+    group).  Yields namespaces with ``words``, ``mats``, ``dists``,
+    ``chart`` (the orbit points' chart coordinates) and ``exact``."""
+    k2 = 2 * group.k
+    col_sum = int(np.abs(group.letter_mats).sum(axis=1).max())
+    words = np.zeros((1, 0), dtype=np.int8)
+    mats = np.eye(group.d + 2)[None]
+    exact = bool(np.array_equal(group.letter_mats, np.rint(group.letter_mats)))
+    for level in range(n + 1):
+        if level:
+            npar, plen = words.shape
+            per = k2 if plen == 0 else k2 - 1
+            exact = exact and int(np.abs(mats).max()) * col_sum <= schottky._FLOAT_EXACT
+            child_words = np.empty((npar * per, plen + 1), dtype=np.int8)
+            child = np.empty((npar * per, group.d + 2, group.d + 2))
+            last = words[:, -1] if plen else np.full(npar, -9, dtype=np.int8)
+            for b in range(k2):
+                sel = np.nonzero(last != group._inv(b))[0]
+                # lexicographic slot: rank of b among the parent's allowed letters
+                rank = b - ((group._inv(last[sel]) < b) & (last[sel] >= 0))
+                pos = sel * per + rank
+                child_words[pos, :plen] = words[sel]
+                child_words[pos, plen] = b
+                child[pos] = mats[sel] @ group.letter_mats[b]
+            words, mats = child_words, child
+            if not exact:
+                mats = core.project_so(mats, tol=group.tol)
+        corner = 0.5 * (mats[:, 0, 0] + mats[:, 0, -1] + mats[:, -1, 0] + mats[:, -1, -1])
+        num = mats[:, 1:-1, 0] + mats[:, 1:-1, -1]
+        den = mats[:, -1, 0] + mats[:, -1, -1]
+        yield SimpleNamespace(words=words, mats=mats, exact=exact,
+                              dists=np.arccosh(np.maximum(corner, 1.0)),
+                              chart=num / den[:, None])
+
+
 def orbit_vectors(group, n):
-    """Per-level arrays of the orbit points w.o in R^{d+2}."""
-    return [(lev.mats[:, :, 0] + lev.mats[:, :, -1]) / np.sqrt(2.0)
-            for lev in group.levels(n)]
+    """Per-level arrays of the orbit points w.o in R^{d+2}, from the cache."""
+    return [lev.vecs / np.sqrt(2.0) for lev in group.levels(n)]
 
 
 def limit_set_sample(group, depth):
@@ -64,10 +103,11 @@ def limit_set_sample(group, depth):
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    lev = group.level(depth)
-    centers = np.stack([group.letter_balls[b][1].center for b in range(2 * group.k)])
-    seeds = core.chart_to_boundary(centers)          # (2k, d+2)
-    z = np.einsum("nij,nj->ni", lev.mats, seeds[lev.words[:, -1]])
+    last = group.level(depth).words[:, -1]
+    z = np.empty((last.size, group.d + 2))
+    for b in range(2 * group.k):
+        seed = core.chart_to_boundary(group.letter_balls[b][1].center)
+        z[last == b] = group.orbit_images(seed, depth)[depth][last == b]
     scale = np.abs(z).max(axis=-1)
     finite = np.abs(z[:, -1]) > 1e-12 * np.maximum(scale, 1.0)
     pts = z[finite, 1:-1] / z[finite, -1][:, None]

@@ -63,16 +63,18 @@ def test_02_linearization_error_contracts():
 def test_03_model_invariants_at_depth(reference):
     # The float64 defect of a word with entries ~1e14 is rounding-dominated
     # (~||g||^2 eps ~ 1e-2 relative is 1e12 absolute), so the certificate runs
-    # on the exact integer products: the float64 levels hold integers through
-    # depth 12 (the 2^53 guard), and the form defect is evaluated in
-    # arbitrary precision.
+    # on the exact integer products: the matrix oracle's float64 levels hold
+    # integers through depth 12, the form defect is evaluated in arbitrary
+    # precision, and the cached vectors are the products' corner column sums
+    # (the 2^53 guard certifies them through depth 12).
     assert reference.exact_through(12) == 12
     J = np.vectorize(int, otypes=[object])(
         np.rint(core.gram_matrix(reference.d)).astype(object))
     worst = 0
-    for n in range(13):
-        mats = reference.level(n).mats
+    for n, oracle in enumerate(oracles.matrix_levels(reference, 12)):
+        mats = oracle.mats
         assert np.array_equal(mats, np.rint(mats))
+        assert np.array_equal(reference.level(n).vecs, mats[:, :, 0] + mats[:, :, -1])
         gi = mats.astype(np.int64).astype(object)
         resid = np.matmul(gi.transpose(0, 2, 1), np.matmul(J[None], gi)) - J[None]
         worst = max(worst, max(abs(int(v)) for v in resid.ravel()))
@@ -80,9 +82,9 @@ def test_03_model_invariants_at_depth(reference):
     # drift correction fixes these words (already on the group, nothing to
     # move), and they are their letters' Python-int products
     lev = reference.level(12)
-    for idx in (0, len(lev.mats) // 2, len(lev.mats) - 1):
-        assert np.array_equal(core.project_so(lev.mats[idx]), lev.mats[idx])
-        assert np.array_equal(lev.mats[idx].astype(object),
+    for idx in (0, len(mats) // 2, len(mats) - 1):
+        assert np.array_equal(core.project_so(mats[idx]), mats[idx])
+        assert np.array_equal(mats[idx].astype(object),
                               oracles.integer_word_product(reference, lev.words[idx]))
 
     rng = np.random.default_rng(31)

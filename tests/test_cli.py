@@ -603,10 +603,10 @@ def test_bad_input_exits_2_naming_its_line(tmp_path, capsys, monkeypatch, case):
 
 @pytest.mark.parametrize("section", ["delta", "measure"])
 def test_depth_over_level_cache_budget_exits_2_up_front(tmp_path, capsys, section):
-    # depth 16 of the reference needs 7.7 GiB of levels: refused before any
+    # depth 17 of the reference needs 11.7 GiB of levels: refused before any
     # level (or, for measure, the delta stage) is built
     path = tmp_path / "deep.cfg"
-    path.write_text(_GROUP + f"[{section}]\nn_max = 16\n")
+    path.write_text(_GROUP + f"[{section}]\nn_max = 17\n")
     tracemalloc.start()
     start = time.perf_counter()
     try:
@@ -617,7 +617,7 @@ def test_depth_over_level_cache_budget_exits_2_up_front(tmp_path, capsys, sectio
     assert code == 2
     assert time.perf_counter() - start < 0.5
     assert peak < 4 << 20
-    assert "depth 16 need at least 7.7 GiB" in capsys.readouterr().err
+    assert "depth 17 need at least 11.7 GiB" in capsys.readouterr().err
 
 
 def test_negative_seed_flag_is_refused_naming_it(tmp_path, capsys, monkeypatch):

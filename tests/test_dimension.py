@@ -5,6 +5,8 @@ import pytest
 
 from limset import core, dimension, schottky
 
+import oracles
+
 REFERENCE_DELTA = 0.4842963218688965  # level-12 shell-ratio root, bisection tol 1e-6
 
 
@@ -173,6 +175,16 @@ def test_reference_delta_basepoint_drift(reference):
               core.geodesic_flow(0.2, 1)):
         est = dimension.estimate_delta(reference, n_max=10, basepoint=h @ o)
         assert abs(est.delta - base) < 0.02
+
+
+def test_custom_basepoint_distances_match_the_matrix_oracle(reference, sweep_groups):
+    # the prepend recursion from x against W x over the oracle's matrices
+    x = core.unipotent_plus(np.array([0.3])) @ core.geodesic_flow(0.4, 1) @ core.basepoint(1)
+    for group in (reference, sweep_groups[2.0]):
+        dists = dimension.level_distances(group, 8, basepoint=x)
+        for d_n, oracle in zip(dists, oracles.matrix_levels(group, 8)):
+            want = core.distance(x[None, :], oracle.mats @ x)
+            assert np.abs(d_n - want).max() <= 1e-15 * max(1.0, want.max())
 
 
 def test_cyclic_group_is_degenerate(cyclic):

@@ -1,6 +1,8 @@
 """Tests for Schottky construction, word enumeration, ping-pong, limit sets."""
 
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -126,7 +128,40 @@ def test_level_cache_matches_enumeration(reference):
     for idx in rng.choice(36, size=8, replace=False):
         w = words[int(idx)]
         assert tuple(reference.signed(b) for b in lev.words[idx]) == w
-        assert np.array_equal(lev.mats[idx], oracles.word_to_element(reference, w))
+        g = oracles.word_to_element(reference, w)
+        assert np.array_equal(lev.vecs[idx], g[:, 0] + g[:, -1])
+
+
+def test_vector_cache_matches_the_matrix_oracle_bit_for_bit_while_exact(reference):
+    # every reference level through 13 (the guard certifies 12; level 13's
+    # vectors, up to 6.6e15 < 2^53, are exact all the same), and the cubed
+    # reference's certified levels
+    G = _io.load_group_file(limset.fixture_path("reference"))
+    cubed = _cubed(reference)
+    for H, depth in ((G, 13), (cubed, cubed.exact_through(7))):
+        for n, oracle in enumerate(oracles.matrix_levels(H, depth)):
+            lev = H.level(n)
+            assert oracle.exact    # the old column-sum guard certified these
+            assert np.array_equal(lev.words, oracle.words)
+            assert np.array_equal(lev.vecs, oracle.mats[:, :, 0] + oracle.mats[:, :, -1])
+            assert np.array_equal(lev.dists, oracle.dists)
+            assert np.array_equal(lev.vecs[:, 1:-1] / lev.vecs[:, -1:], oracle.chart)
+    assert G.exact_through(13) == 12
+
+
+def test_vector_cache_stays_near_the_reprojected_matrix_oracle_on_float_groups():
+    # the float-d2-grid benchmark groups: the matrix oracle reprojects every
+    # level, the vector cache never does; measured 1.4e-14 (dists, 8.7e-16
+    # relative) and 3.2e-14 (chart) over seeds 0-7 to depth 8
+    from perfbench import workloads
+    for seed in range(8):
+        G = workloads.generated_group(seed)
+        for n, oracle in enumerate(oracles.matrix_levels(G, 8)):
+            lev = G.level(n)
+            assert np.array_equal(lev.words, oracle.words)
+            assert np.abs(lev.dists - oracle.dists).max() <= 2e-14
+            assert np.abs(lev.vecs[:, 1:-1] / lev.vecs[:, -1:] - oracle.chart).max() <= 5e-14
+        assert G.exact_through(8) == -1
 
 
 # ---------------------------------------------------------------------------
@@ -137,29 +172,35 @@ def test_integer_lane_exact_through_depth_8(reference):
     assert reference.exact_through(8) == 8
     lev = reference.level(8)
     assert lev.exact
-    # sampled words equal the Python-int products of their letters, and are
-    # exactly in SO(Q)(Z)
+    # sampled words' oracle matrices equal the Python-int products of their
+    # letters and are exactly in SO(Q)(Z); the cached vectors are their
+    # corner column sums
+    mats = _last(oracles.matrix_levels(reference, 8)).mats
     rng = np.random.default_rng(1)
-    for idx in rng.choice(lev.mats.shape[0], size=5, replace=False):
-        assert np.array_equal(lev.mats[idx].astype(object),
-                              oracles.integer_word_product(reference, lev.words[idx]))
-        assert oracles.exact_integer_residual(lev.mats[idx]) == 0
+    for idx in rng.choice(lev.words.shape[0], size=5, replace=False):
+        exact = oracles.integer_word_product(reference, lev.words[idx])
+        assert np.array_equal(mats[idx].astype(object), exact)
+        assert oracles.exact_integer_residual(mats[idx]) == 0
+        assert np.array_equal(lev.vecs[idx].astype(object), exact[:, 0] + exact[:, -1])
 
 
 def test_level_cache_float_view_and_max_entry(reference, sweep_groups):
+    oracle = oracles.matrix_levels(reference, 10)
     for n in range(11):
         lev = reference.level(n)
-        assert lev.exact and np.array_equal(lev.mats, np.rint(lev.mats))
-        assert lev.max_entry == np.abs(lev.mats).max()
+        mats = next(oracle).mats
+        assert lev.exact and np.array_equal(mats, np.rint(mats))
+        assert np.array_equal(lev.vecs, np.rint(lev.vecs))
+        assert lev.max_entry == np.abs(lev.vecs).max()
         float_lev = sweep_groups[3.0].level(n)
         assert not float_lev.exact
-        assert float_lev.max_entry == np.abs(float_lev.mats).max()
+        assert float_lev.max_entry == np.abs(float_lev.vecs).max()
     assert sweep_groups[3.0].exact_through(10) == -1
 
 
 def test_integer_lane_level_build_holds_one_float_copy():
-    # An exact level is filled in place and not reprojected, so building it
-    # holds little more than its one matrix stack.
+    # A level is filled in place, so building it holds little more than the
+    # level itself: its vectors, words and distances.
     G = _io.load_group_file(limset.fixture_path("reference"))
     G.level(11)
     tracemalloc.start()
@@ -169,44 +210,69 @@ def test_integer_lane_level_build_holds_one_float_copy():
     finally:
         tracemalloc.stop()
     assert lev.exact
-    assert peak <= 2.0 * lev.mats.nbytes
+    assert peak <= 1.25 * (lev.vecs.nbytes + lev.words.nbytes + lev.dists.nbytes)
 
 
-def test_exactness_boundary_of_cubed_reference(reference):
-    # Cubing the reference's generators keeps their ping-pong balls and makes
-    # level 5 the first whose partial sums may pass 2^53.
-    cubed = schottky.SchottkyGroup([
+def _cubed(reference):
+    """The reference with its generators cubed: the same ping-pong balls."""
+    return schottky.SchottkyGroup([
         schottky.SchottkyGenerator(elem=np.linalg.matrix_power(g.elem, 3),
                                    ball_plus=g.ball_plus, ball_minus=g.ball_minus)
         for g in reference.gens])
+
+
+def _last(iterable):
+    *_, item = iterable
+    return item
+
+
+def test_exactness_boundary_of_cubed_reference(reference):
+    # Cubing makes level 5 the first whose partial sums may pass 2^53.
+    cubed = _cubed(reference)
     assert cubed.validate().ok
     assert cubed.exact_through(7) == 4
     rng = np.random.default_rng(2)
-    for n, lev in enumerate(cubed.levels(7)):
-        assert lev.exact == (n <= 4)
+    for n, (lev, oracle) in enumerate(zip(cubed.levels(7), oracles.matrix_levels(cubed, 7))):
+        assert lev.exact == oracle.exact == (n <= 4)
         if lev.exact:
-            for idx in rng.choice(lev.mats.shape[0], size=min(5, lev.mats.shape[0]),
+            for idx in rng.choice(lev.words.shape[0], size=min(5, lev.words.shape[0]),
                                   replace=False):
-                assert np.array_equal(lev.mats[idx].astype(object),
-                                      oracles.integer_word_product(cubed, lev.words[idx]))
-                assert oracles.exact_integer_residual(lev.mats[idx]) == 0
+                exact = oracles.integer_word_product(cubed, lev.words[idx])
+                assert np.array_equal(oracle.mats[idx].astype(object), exact)
+                assert oracles.exact_integer_residual(oracle.mats[idx]) == 0
+                assert np.array_equal(lev.vecs[idx].astype(object),
+                                      exact[:, 0] + exact[:, -1])
         else:
-            assert core.so_relative_residual(lev.mats).max() < 1e-10
+            assert core.so_relative_residual(oracle.mats).max() < 1e-10
+            scale = np.abs(lev.vecs).max(axis=-1) ** 2
+            assert (np.abs(core.quadratic_form(lev.vecs) - 2.0) / scale).max() <= 1e-13
 
 
 def test_cache_bytes_is_what_the_levels_hold(reference, sweep_groups):
-    # one copy of words, matrices and distances per level, nothing else
+    # one copy of words, vectors and distances per level, nothing else
     for G, n in ((reference, 10), (sweep_groups[2.0], 5)):
         assert G.cache_bytes(n) == sum(a.nbytes for lev in G.levels(n)
-                                       for a in (lev.words, lev.mats, lev.dists))
+                                       for a in (lev.words, lev.vecs, lev.dists))
+        assert all(lev.mats is None and lev.imats is None for lev in G.levels(n))
 
 
 def test_level_cache_over_budget_is_refused_before_any_build():
     G = _io.load_group_file(limset.fixture_path("reference"))
-    assert G.cache_bytes(15) < schottky._CACHE_BUDGET < G.cache_bytes(16)
-    with pytest.raises(ValueError, match=r"depth 16 need at least 7\.7 GiB.*budget of 4 GiB"):
-        G.level(16)
+    assert G.cache_bytes(16) < schottky._CACHE_BUDGET < G.cache_bytes(17)
+    with pytest.raises(ValueError, match=r"depth 17 need at least 11\.7 GiB.*budget of 4 GiB"):
+        G.level(17)
     assert len(G._levels) == 1
+
+
+def test_readme_level_cache_figures_are_cache_bytes():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    sentence = re.search(r"`\[delta\] n_max = (\d+)`.*?needs ([\d.]+) GiB, depth (\d+) "
+                         r"([\d.]+) GiB", readme, re.S)
+    G = _io.load_group_file(limset.fixture_path("reference"))
+    over, over_gib, under, under_gib = sentence.groups()
+    assert f"{G.cache_bytes(int(over)) / 2 ** 30:.1f}" == over_gib
+    assert f"{G.cache_bytes(int(under)) / 2 ** 30:.1f}" == under_gib
+    assert G.cache_bytes(int(under)) <= schottky._CACHE_BUDGET < G.cache_bytes(int(over))
 
 
 def test_orbit_distances_level_one(reference):
@@ -286,8 +352,29 @@ def test_sweep_groups_validate(sweep_groups):
 def test_sweep_float_lane_drift_controlled(sweep_groups):
     G = sweep_groups[2.0]
     assert G.exact_through(6) == -1  # generic float group: no integer lane
-    for lev in G.levels(6):
-        assert core.so_relative_residual(lev.mats).max() < 1e-10
+    for lev, oracle in zip(G.levels(6), oracles.matrix_levels(G, 6)):
+        assert core.so_relative_residual(oracle.mats).max() < 1e-10
+        scale = np.abs(lev.vecs).max(axis=-1) ** 2
+        assert (np.abs(core.quadratic_form(lev.vecs) - 2.0) / scale).max() <= 1e-13
+
+
+def test_near_so_q_generator_is_reprojected_once_at_construction(reference):
+    # a generator 1e-8 off SO(Q) passes the 1e-6 input check; its letter is
+    # reprojected, its inverse letter is the exact inverse of that, and the
+    # word vectors built from them stay on the form
+    rng = np.random.default_rng(5)
+    g1, g2 = reference.gens
+    elem = g1.elem * (1.0 + 1e-8 * rng.standard_normal(g1.elem.shape))
+    assert 1e-9 < core.so_relative_residual(elem) <= 1e-6
+    G = schottky.SchottkyGroup([schottky.SchottkyGenerator(
+        elem=elem, ball_plus=g1.ball_plus, ball_minus=g1.ball_minus), g2])
+    assert core.so_relative_residual(G.letter_mats[0]) <= G.tol / 100
+    assert np.array_equal(G.letter_mats[1], core.group_inverse(G.letter_mats[0]))
+    assert np.array_equal(G.letter_mats[2:], reference.letter_mats[2:])
+    assert G.validate().ok and G.exact_through(8) == -1
+    vecs = np.concatenate([lev.vecs for lev in G.levels(8)])
+    assert (np.abs(core.quadratic_form(vecs) - 2.0)
+            / np.sum(vecs ** 2, axis=-1)).max() <= 1e-13
 
 
 def test_zariski_heuristic(reference, cyclic):
