@@ -91,40 +91,59 @@ def basepoint(d):
 
 
 def geodesic_flow(t, d):
-    """g_t = diag(e^t, I_d, e^{-t})."""
-    return np.diag(np.concatenate(([np.exp(t)], np.ones(d), [np.exp(-t)])))
+    """g_t = diag(e^t, I_d, e^{-t}); a stack of times gives a stack of flows."""
+    t = np.asarray(t, dtype=float)
+    g = _identities(t.shape, d + 2)
+    g[..., 0, 0], g[..., -1, -1] = np.exp(t), np.exp(-t)
+    return g
 
 
 def unipotent_plus(x):
     """n+(x): first row (1, x, ||x||^2/2), middle block I_d with last column x^T.
 
-    One-parameter abelian: n+(x) n+(y) = n+(x + y).
+    One-parameter abelian: n+(x) n+(y) = n+(x + y).  ``x`` is a vector or a
+    stack (..., d) of them.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    d = x.shape[0]
-    g = np.eye(d + 2)
-    g[0, 1:d + 1] = x
-    g[0, d + 1] = 0.5 * np.dot(x, x)
-    g[1:d + 1, d + 1] = x
+    d = x.shape[-1]
+    g = _identities(x.shape[:-1], d + 2)
+    g[..., 0, 1:d + 1] = x
+    g[..., 0, d + 1] = 0.5 * row_dot(x, x)
+    g[..., 1:d + 1, d + 1] = x
     return g
 
 
 def unipotent_minus(y):
     """n-(y) = n+(y)^T, the opposite horospherical subgroup."""
-    return unipotent_plus(y).T
+    return unipotent_plus(y).swapaxes(-1, -2)
 
 
 def rotation_embed(m):
-    """Embed m in SO(d) as diag(1, m, 1); commutes with every g_t."""
+    """Embed m in SO(d) as diag(1, m, 1); commutes with every g_t.  ``m`` is a
+    matrix or a stack (..., d, d); any block that is not orthogonal is refused."""
     m = np.atleast_2d(np.asarray(m, dtype=float))
-    d = m.shape[0]
-    if m.shape != (d, d):
+    d = m.shape[-1]
+    if m.shape[-2] != d:
         raise ModelViolationError(f"rotation block must be square, got {m.shape}")
-    if np.abs(m.T @ m - np.eye(d)).max() > 1e3 * DEFAULT_TOL:
+    defect = np.abs(m.swapaxes(-1, -2) @ m - np.eye(d)).max(axis=(-1, -2))
+    if not (defect <= 1e3 * DEFAULT_TOL).all():
         raise ModelViolationError("rotation block is not orthogonal within tolerance")
-    g = np.eye(d + 2)
-    g[1:d + 1, 1:d + 1] = m
+    g = _identities(m.shape[:-2], d + 2)
+    g[..., 1:d + 1, 1:d + 1] = m
     return g
+
+
+def row_dot(a, b):
+    """<a, b> over the last axis of two vectors or stacks, with the bits of a
+    1-D ``np.dot`` for each row."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _identities(shape, n):
+    """A writable stack of ``shape`` identity matrices of size n."""
+    g = np.zeros((*shape, n * n))
+    g[..., ::n + 1] = 1.0
+    return g.reshape(*shape, n, n)
 
 
 def group_inverse(g):
@@ -200,9 +219,9 @@ def check_hyperbolic_point(x):
     """Assert Q(x) = 1 and x on the future sheet; returns x as float array."""
     x = np.asarray(x, dtype=float)
     q = quadratic_form(x)
-    if abs(q - 1.0) > 1e-6 * max(1.0, float(np.abs(x).max()) ** 2):
+    if not abs(q - 1.0) <= 1e-6 * max(1.0, float(np.abs(x).max()) ** 2):
         raise ModelViolationError(f"Q(x) = {q}, not 1 within tolerance")
-    if x[0] + x[-1] <= 0:
+    if not x[0] + x[-1] > 0:
         raise ModelViolationError("point is on the past sheet")
     return x
 
@@ -279,11 +298,11 @@ def boundary_equal(a, b, tol=1e-8):
 def distance(x, y):
     """d(x, y) = arccosh B(x, y); symmetric, isometry-invariant.
 
-    Broadcasts over leading axes.  B < 1 - DEFAULT_TOL (impossible for points on the
-    future sheet) raises ModelViolationError.
+    Broadcasts over leading axes.  B not at least 1 - DEFAULT_TOL (impossible for
+    points on the future sheet; nan included) raises ModelViolationError.
     """
     b = bilinear_form(x, y)
-    if np.any(b < 1.0 - DEFAULT_TOL):
+    if not np.all(b >= 1.0 - DEFAULT_TOL):
         raise ModelViolationError(f"B(x, y) = {np.min(b)} < 1: arguments not on the future sheet")
     return np.arccosh(np.maximum(b, 1.0))
 

@@ -4,6 +4,7 @@
 Usage, from the root of a checkout::
 
     python tests/golden.py SRC OUT.json
+    python tests/golden.py --diff A.json B.json
 
 ``SRC`` is the ``src`` directory of the limset tree to run, so one checkout's
 tool can digest another tree (a parent commit, say).  The inputs are written
@@ -12,8 +13,10 @@ workloads at seeds 0 and 1.  Each (workload, seed, thread count) pass runs
 ``validate``, ``delta``, ``measure``, ``fourier --svg``, ``nonconc`` (at
 ``--threads 1`` and ``2``) and ``holonomy --trials 2000`` as fresh processes,
 and records the exit code and the digests of stdout, stderr and every output
-file.  Two trees behave alike when their OUT.json files are equal.  Not a
-test module: pytest does not collect it.
+file.  Two trees behave alike when their OUT.json files are equal.
+``--diff`` prints each key whose record differs between two OUT.json files,
+or that only one of them has, and exits 1 if there is any.  Not a test
+module: pytest does not collect it.
 """
 
 import hashlib
@@ -73,7 +76,24 @@ def digests(src, work):
     return record
 
 
+def diff(a_path, b_path):
+    """Lines naming each key whose record differs between two OUT.json files
+    or that only one of them has, in key order."""
+    records = []
+    for path in (a_path, b_path):
+        with open(path, encoding="utf-8") as fh:
+            records.append(json.load(fh))
+    a, b = records
+    return [f"{key}: " + ("differs" if key in a and key in b else
+                          f"only in {a_path if key in a else b_path}")
+            for key in sorted(a.keys() | b.keys()) if a.get(key) != b.get(key)]
+
+
 def main(argv):
+    if len(argv) == 3 and argv[0] == "--diff":
+        lines = diff(argv[1], argv[2])
+        print("\n".join(lines) if lines else "no differences")
+        sys.exit(1 if lines else 0)
     if len(argv) != 2:
         sys.exit(__doc__)
     src, out_json = os.path.abspath(argv[0]), argv[1]

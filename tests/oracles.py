@@ -10,6 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from limset import _io, core, schottky
+from limset.holonomy import REGIME_BOUND, FactorizationResult, HolonomyInput
 from limset.measure import AtomicMeasure
 
 
@@ -85,6 +86,42 @@ def matrix_levels(group, n):
         yield SimpleNamespace(words=words, mats=mats, exact=exact,
                               dists=np.arccosh(np.maximum(corner, 1.0)),
                               chart=num / den[:, None])
+
+
+def determinant_delta(group, n):
+    """The critical exponent of a d = 1 group from its dynamical determinant,
+    independent of the shell sums: the largest zero in s of
+
+        det(s) = exp(-sum_{k <= n} (z^k / k) sum_{|w| = k} e^{-s l(w)} / (1 - e^{-l(w)}))
+
+    at z = 1, with the exponential expanded as a power series in z and cut
+    at z^n.  The inner sum runs over the cyclically reduced words of length
+    k, and l(w) = arccosh((tr W - 1) / 2) is the translation length of W,
+    from the products of ``matrix_levels``.  Bisected to 1e-15."""
+    if group.d != 1:
+        raise ValueError("determinant_delta reads translation lengths from traces in d = 1")
+    weights = []
+    for k, lev in enumerate(matrix_levels(group, n)):
+        if k:
+            cyclic = lev.mats[group._inv(lev.words[:, -1]) != lev.words[:, 0]]
+            length = np.arccosh((np.trace(cyclic, axis1=1, axis2=2) - 1.0) / 2.0)
+            weights.append((length, 1.0 / (k * (1.0 - np.exp(-length)))))
+
+    def det(s):
+        trace = [np.sum(c * np.exp(-s * length)) for length, c in weights]
+        a = [1.0]       # the z^m coefficients of exp(-sum_k trace[k-1] z^k)
+        for m in range(1, n + 1):
+            a.append(-sum(k * trace[k - 1] * a[m - k] for k in range(1, m + 1)) / m)
+        return sum(a)
+
+    hi = 1.0
+    lo = hi - 0.05
+    while det(lo) >= 0.0:
+        lo -= 0.05
+    while hi - lo > 1e-15:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if det(mid) < 0.0 else (lo, mid)
+    return 0.5 * (lo + hi)
 
 
 def orbit_vectors(group, n):
@@ -203,3 +240,129 @@ def _cell(x):
     if isinstance(x, (float, np.floating)):
         return _io.fmt(x)
     return str(x)
+
+
+# The per-trial N-MAN+ factorization, closed forms and draws: the oracle of
+# the stacked step in ``limset.holonomy`` and of its functions of one input.
+
+def lambda_fn(v, w):
+    """lambda(v, w) = 1 + <v, w> + ||v||^2 ||w||^2 / 4 (symmetric in v, w)."""
+    v = np.asarray(v, dtype=float)
+    w = np.asarray(w, dtype=float)
+    return 1.0 + float(v @ w) + 0.25 * float(v @ v) * float(w @ w)
+
+
+def lambda_linear(v, w):
+    """Linearized multiplier 1 + <v, w>; differs from lambda_fn by exactly
+    ||v||^2 ||w||^2 / 4."""
+    v = np.asarray(v, dtype=float)
+    w = np.asarray(w, dtype=float)
+    return 1.0 + float(v @ w)
+
+
+def assemble_product(h: HolonomyInput):
+    """The matrix n+(v) n-(w) g_tau m (rotation and flow commute)."""
+    return (core.unipotent_plus(h.v) @ core.unipotent_minus(h.w)
+            @ core.geodesic_flow(h.tau, h.d) @ core.rotation_embed(h.m))
+
+
+def _cell_lambda(h: HolonomyInput):
+    """lambda(v, w), refused when the product leaves the N-MAN+ cell."""
+    lam = lambda_fn(h.v, h.w)
+    if lam <= core.DEFAULT_TOL:
+        raise core.DegenerateConfigurationError(
+            f"lambda = {lam}: product outside the N-MAN+ cell")
+    return lam
+
+
+def phi_closed_form(h: HolonomyInput):
+    """N+ component: m^{-1} (v + (||v||^2/2) w) / (e^tau lambda(v, w))."""
+    lam = _cell_lambda(h)
+    return (h.m.T @ (h.v + 0.5 * float(h.v @ h.v) * h.w)) / (np.exp(h.tau) * lam)
+
+
+def tau_closed_form(h: HolonomyInput):
+    """Flow component: tau + log lambda(v, w).
+
+    lambda is the leading entry of n+(v) n-(w), and the first row of
+    n-(y) m g_t n+(x) is e^t (1, x, ||x||^2/2), so e^{t_out} = e^tau lambda.
+    """
+    lam = _cell_lambda(h)
+    return h.tau + np.log(lam)
+
+
+def y_closed_form(h: HolonomyInput):
+    """N- component: (w + (||w||^2/2) v) / lambda(v, w); independent of tau, m."""
+    lam = _cell_lambda(h)
+    return (h.w + 0.5 * float(h.w @ h.w) * h.v) / lam
+
+
+def m_closed_form(h: HolonomyInput):
+    """Rotation component: the middle-block Schur-type complement of
+    n+(v) n-(w), times m."""
+    lam = _cell_lambda(h)
+    col = h.w + 0.5 * float(h.w @ h.w) * h.v
+    row = h.v + 0.5 * float(h.v @ h.v) * h.w
+    mprime = np.eye(h.d) + np.outer(h.v, h.w) - np.outer(col, row) / lam
+    return mprime @ h.m
+
+
+def decompose_nmak(X):
+    """Solve X = n-(y) m g_t n+(x) from the entries of X.
+
+    X[0, 0] = e^t must be positive; the first row then gives x, the first
+    column gives y, and the middle block gives m after removing the rank-one
+    part e^t y x^T.  Returns (y, m, t, x, residual) with the reconstruction
+    residual in max norm.  Raises for X outside the open cell (X[0,0] <= core.DEFAULT_TOL)
+    or when the extracted m is not orthogonal (X not in SO(Q)).
+    """
+    X = np.asarray(X, dtype=float)
+    d = X.shape[0] - 2
+    lead = X[0, 0]
+    if lead <= core.DEFAULT_TOL:
+        raise core.DegenerateConfigurationError(
+            f"leading entry {lead} <= {core.DEFAULT_TOL:g}: matrix outside the N-MAN+ cell")
+    t = np.log(lead)
+    x = X[0, 1:d + 1] / lead
+    y = X[1:d + 1, 0] / lead
+    m = X[1:d + 1, 1:d + 1] - np.outer(X[1:d + 1, 0], X[0, 1:d + 1]) / lead
+    if np.abs(m.T @ m - np.eye(d)).max() > 1e3 * core.DEFAULT_TOL:
+        raise core.ModelViolationError("extracted rotation block not orthogonal; "
+                                       "input matrix is not in SO(Q)")
+    recon = (core.unipotent_minus(y) @ core.rotation_embed(m)
+             @ core.geodesic_flow(t, d) @ core.unipotent_plus(x))
+    residual = float(np.abs(recon - X).max())
+    return y, m, t, x, residual
+
+
+def factorize_product(x, y, tau=0.0, m=None):
+    """Numerically factor n+(x) n-(y) g_tau m into N- M A N+.
+
+    The matrix oracle for the closed forms: assembles the product and solves
+    from its entries.  Enforces ||x||, ||y|| <= 1/2.
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if m is None:
+        m = np.eye(x.shape[0])
+    h = HolonomyInput(v=x, w=y, m=m, tau=tau)
+    X = assemble_product(h)
+    y_out, m_out, t_out, phi, residual = decompose_nmak(X)
+    if residual > max(core.DEFAULT_TOL, 1e-12 * np.abs(X).max()):
+        raise core.ModelViolationError(f"factorization residual {residual} exceeds tolerance")
+    return FactorizationResult(y_out=y_out, m_out=m_out, t_out=float(t_out),
+                               phi=phi, residual=residual)
+
+
+def _random_ball_point(rng, d, r_min, r_max):
+    """Uniform direction in R^d, radius uniform in [r_min, r_max]."""
+    u = rng.standard_normal(d)
+    u /= np.linalg.norm(u)
+    return rng.uniform(r_min, r_max) * u
+
+
+def random_regime_input(rng, d, w_min=0.0):
+    """Random HolonomyInput: ||v|| <= 1/2, ||w|| in [w_min, 1/2], |tau| <= 1/2."""
+    return HolonomyInput(v=_random_ball_point(rng, d, 0.0, REGIME_BOUND),
+                         w=_random_ball_point(rng, d, w_min, REGIME_BOUND),
+                         m=core.random_rotation(d, rng),
+                         tau=float(rng.uniform(-0.5, 0.5)))

@@ -87,6 +87,33 @@ def test_flow_conjugates_unipotent(d):
 def test_rotation_embed_rejects_nonorthogonal():
     with pytest.raises(core.ModelViolationError):
         core.rotation_embed(np.array([[1.0, 0.5], [0.0, 1.0]]))
+    with pytest.raises(core.ModelViolationError, match="not orthogonal"):
+        core.rotation_embed(np.full((2, 2), np.nan))
+    stack = np.tile(np.eye(2), (5, 1, 1))
+    stack[3, 0, 1] = np.nan
+    with pytest.raises(core.ModelViolationError, match="not orthogonal"):
+        core.rotation_embed(stack)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_constructors_of_a_stack_are_the_single_calls(d):
+    """Each constructor takes leading stack axes, and each row of a stacked
+    call is the single call's matrix bit for bit."""
+    rng = np.random.default_rng(40 + d)
+    x = rng.uniform(-2.0, 2.0, (50, d))
+    t = rng.uniform(-3.0, 3.0, 50)
+    m = np.array([core.random_rotation(d, rng) for _ in range(50)])
+    for f, arg in ((core.unipotent_plus, x), (core.unipotent_minus, x),
+                   (lambda a: core.geodesic_flow(a, d), t), (core.rotation_embed, m)):
+        stacked = f(arg)
+        assert stacked.shape == (50, d + 2, d + 2)
+        for row, a in zip(stacked, arg):
+            assert row.tobytes() == f(a).tobytes()
+        assert f(arg.reshape(5, 10, *arg.shape[1:])).tobytes() == stacked.tobytes()
+    for a, s in zip(x, t):      # the single calls keep the bits of their 2-D formulas
+        assert core.unipotent_plus(a)[0, -1] == 0.5 * np.dot(a, a)
+        flow = np.diag(np.concatenate(([np.exp(s)], np.ones(d), [np.exp(-s)])))
+        assert core.geodesic_flow(s, d).tobytes() == flow.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +182,10 @@ def test_distance_rejects_off_sheet():
     o = core.basepoint(1)
     with pytest.raises(core.ModelViolationError):
         core.distance(o, -o)
+    with pytest.raises(core.ModelViolationError, match="B\\(x, y\\) = nan"):
+        core.distance(o, np.array([[1.0, 0.0, 1.0], [np.nan, 0.0, 1.0]]))
+    with pytest.raises(core.ModelViolationError, match="past sheet"):
+        core.check_hyperbolic_point(-o)
 
 
 # ---------------------------------------------------------------------------

@@ -167,6 +167,20 @@ def test_reference_delta_value_and_stability(reference):
     assert est.counts[0] == 1 and est.counts[1] == 4
 
 
+def test_reference_delta_matches_the_dynamical_determinant(reference):
+    """The shell-ratio delta lies within the bisection's resolution of the
+    zero of the dynamical determinant, which has converged to 1e-8 by n = 10."""
+    o9, o10 = (oracles.determinant_delta(reference, n) for n in (9, 10))
+    assert abs(o10 - o9) <= 1e-8
+    delta = dimension.estimate_delta(reference, n_max=12).delta
+    assert abs(delta - o10) <= dimension.BISECTION_TOL
+
+
+def test_nan_basepoint_is_refused(reference):
+    with pytest.raises(core.ModelViolationError, match="not 1 within tolerance"):
+        dimension.estimate_delta(reference, n_max=6, basepoint=[np.nan, 0, np.nan])
+
+
 def test_reference_delta_basepoint_drift(reference):
     o = core.basepoint(1)
     base = dimension.estimate_delta(reference, n_max=10).delta

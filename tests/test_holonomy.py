@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from limset import core, holonomy
 
+import oracles
+
 
 def make_input(v, w, m=None, tau=0.0):
     v = np.atleast_1d(np.asarray(v, dtype=float))
@@ -217,48 +219,52 @@ TRIPLE_RADII = ((0.0, 0.2), (0.0, 0.2), (0.0, 0.3))
 
 
 def scalar_draws(rng, trials):
-    """The suite's inputs drawn one at a time: ``trials`` regime inputs, then
-    trials // 10 cocycle triples (x0, x1, w, m, tau)."""
-    inputs = [holonomy.random_regime_input(rng, 1 + i % 3) for i in range(trials)]
+    """The suite's inputs drawn one at a time by the per-trial oracle:
+    ``trials`` regime inputs, then trials // 10 cocycle triples (x0, x1, w, m, tau)."""
+    inputs = [oracles.random_regime_input(rng, 1 + i % 3) for i in range(trials)]
     triples = []
     for i in range(max(trials // 10, 1)):
         d = 1 + i % 3
-        triples.append((holonomy._random_ball_point(rng, d, 0.0, 0.2),
-                        holonomy._random_ball_point(rng, d, 0.0, 0.2),
-                        holonomy._random_ball_point(rng, d, 0.0, 0.3),
+        triples.append((oracles._random_ball_point(rng, d, 0.0, 0.2),
+                        oracles._random_ball_point(rng, d, 0.0, 0.2),
+                        oracles._random_ball_point(rng, d, 0.0, 0.3),
                         core.random_rotation(d, rng), float(rng.uniform(0.0, 0.25))))
     return inputs, triples
 
 
+def cycling(count):
+    return [1 + i % 3 for i in range(count)]
+
+
 def stacked_draws(rng, trials):
-    return (holonomy._draw_stacks(rng, trials, TRIAL_RADII, (-0.5, 0.5)),
-            holonomy._draw_stacks(rng, max(trials // 10, 1), TRIPLE_RADII, (0.0, 0.25)))
+    return (holonomy._draw_stacks(rng, cycling(trials), TRIAL_RADII, (-0.5, 0.5)),
+            holonomy._draw_stacks(rng, cycling(max(trials // 10, 1)), TRIPLE_RADII, (0.0, 0.25)))
 
 
 def scalar_trial_residuals(h):
-    """One trial's per-trial residuals under each tau_sign, from
-    factorize_product and the scalar closed forms."""
-    res = holonomy.factorize_product(h.v, h.w, h.tau, h.m)
+    """One trial's per-trial residuals under each tau_sign, from the oracle's
+    factorize_product and closed forms."""
+    res = oracles.factorize_product(h.v, h.w, h.tau, h.m)
     blocks = (core.unipotent_minus(res.y_out), core.rotation_embed(res.m_out),
               core.geodesic_flow(res.t_out, h.d), core.unipotent_plus(res.phi))
-    gap = (holonomy.lambda_fn(h.v, h.w) - holonomy.lambda_linear(h.v, h.w)
+    gap = (oracles.lambda_fn(h.v, h.w) - oracles.lambda_linear(h.v, h.w)
            - 0.25 * float(h.v @ h.v) * float(h.w @ h.w))
     common = {
-        "phi_round_trip": float(np.abs(res.phi - holonomy.phi_closed_form(h)).max()),
-        "y_round_trip": float(np.abs(res.y_out - holonomy.y_closed_form(h)).max()),
-        "m_round_trip": float(np.abs(res.m_out - holonomy.m_closed_form(h)).max()),
+        "phi_round_trip": float(np.abs(res.phi - oracles.phi_closed_form(h)).max()),
+        "y_round_trip": float(np.abs(res.y_out - oracles.y_closed_form(h)).max()),
+        "m_round_trip": float(np.abs(res.m_out - oracles.m_closed_form(h)).max()),
         "block_coherence": max(core.so_residual(b) for b in blocks),
         "lambda_gap_identity": abs(gap),
     }
-    tau_cf = holonomy.tau_closed_form(h)
+    tau_cf = oracles.tau_closed_form(h)
     return {sign: {**common, "tau_round_trip": abs(res.t_out - sign * tau_cf)}
             for sign in (1.0, -1.0)}
 
 
 def scalar_cocycle_residual(x0, x1, w, m, tau):
-    r1 = holonomy.factorize_product(x0, w, tau, m)
-    r2 = holonomy.factorize_product(x1, r1.y_out, r1.t_out, r1.m_out)
-    comb = holonomy.factorize_product(x1 + x0, w, tau, m)
+    r1 = oracles.factorize_product(x0, w, tau, m)
+    r2 = oracles.factorize_product(x1, r1.y_out, r1.t_out, r1.m_out)
+    comb = oracles.factorize_product(x1 + x0, w, tau, m)
     return max(abs(r2.t_out - comb.t_out), float(np.abs(r2.y_out - comb.y_out).max()),
                float(np.abs(r2.phi + r1.phi - comb.phi).max()),
                float(np.abs(r2.m_out - comb.m_out).max()))
@@ -329,8 +335,8 @@ BAD = 17    # the one bad trial of each crafted stack
 
 def good_stack(d=2, n=40):
     """n regime inputs of dimension d: (v, w, m, tau) stacks."""
-    (v, w), m, tau = holonomy._draw_stacks(np.random.default_rng(3), 3 * n,
-                                           TRIAL_RADII, (-0.5, 0.5))[d - 1]
+    (v, w), m, tau = holonomy._draw_stacks(np.random.default_rng(3), [d] * n,
+                                           TRIAL_RADII, (-0.5, 0.5))[0]
     return v, w, m, tau
 
 
@@ -342,62 +348,170 @@ def refusal(call):
 
 
 def test_stacked_checks_refuse_one_bad_trial():
-    """Each check of the scalar path refuses a stack holding one bad trial
-    among good ones, with the scalar check's class and message: the regime
-    bound, the orthogonality of rotation_embed's input, the cell's leading
-    entry, the orthogonality of the extracted block, the factorization
-    residual bound and lambda."""
+    """Each check of the per-trial oracle refuses a stack holding one bad trial
+    among good ones, with the oracle's class and message: the regime bound,
+    the orthogonality of rotation_embed's input, the cell's leading entry, the
+    orthogonality of the extracted block, the factorization residual bound
+    and lambda.  The functions of one input give the same refusals."""
     v, w, m, tau = good_stack()
-    X = holonomy._product_stack(v, w, tau, m)
-    holonomy._factor_stack(X)
-    holonomy._closed_forms_stack(v, w, tau, m)
+    X = holonomy._product(v, w, tau, m)
+    holonomy._factor(X)
+    holonomy._closed_forms(v, w, tau, m)
 
     far = v.copy()
     far[BAD] = [0.6, 0.0]
-    assert refusal(lambda: holonomy._product_stack(far, w, tau, m)) == refusal(
-        lambda: holonomy.factorize_product(far[BAD], w[BAD], tau[BAD], m[BAD]))
-    assert refusal(lambda: holonomy._product_stack(far, w, tau, m))[0] is holonomy.RegimeError
+    expected = refusal(lambda: oracles.factorize_product(far[BAD], w[BAD], tau[BAD], m[BAD]))
+    assert expected[0] is holonomy.RegimeError
+    assert refusal(lambda: holonomy._product(far, w, tau, m)) == expected
+    assert refusal(lambda: holonomy.factorize_product(
+        far[BAD], w[BAD], tau[BAD], m[BAD])) == expected
 
     skew = m.copy()
     skew[BAD] = np.diag([1.0, 2.0])
-    assert refusal(lambda: holonomy._product_stack(v, w, tau, skew)) == refusal(
-        lambda: holonomy.factorize_product(v[BAD], w[BAD], tau[BAD], skew[BAD]))
+    expected = refusal(lambda: oracles.factorize_product(v[BAD], w[BAD], tau[BAD], skew[BAD]))
+    assert refusal(lambda: holonomy._product(v, w, tau, skew)) == expected
+    assert refusal(lambda: holonomy.factorize_product(
+        v[BAD], w[BAD], tau[BAD], skew[BAD])) == expected
 
     for bad, exc in ((core.gram_matrix(2), core.DegenerateConfigurationError),
                      (np.diag([1.0, 2.0, 1.0, 1.0]), core.ModelViolationError)):
         crafted = X.copy()
         crafted[BAD] = bad
-        assert refusal(lambda: holonomy._factor_stack(crafted)) == refusal(
-            lambda: holonomy.decompose_nmak(bad))
-        assert refusal(lambda: holonomy._factor_stack(crafted))[0] is exc
+        expected = refusal(lambda: oracles.decompose_nmak(bad))
+        assert expected[0] is exc
+        assert refusal(lambda: holonomy._factor(crafted)) == expected
+        assert refusal(lambda: holonomy.decompose_nmak(bad)) == expected
 
     drifted = X.copy()
     drifted[BAD, -1, -1] += 1e-6     # outside the entries the factors are read from
-    *_, residual = holonomy.decompose_nmak(drifted[BAD])
-    exc, message = refusal(lambda: holonomy._factor_stack(drifted))
+    *_, residual = oracles.decompose_nmak(drifted[BAD])
+    exc, message = refusal(lambda: holonomy._factor(drifted))
     assert exc is core.ModelViolationError
     assert message.startswith("factorization residual ") and message.endswith(" exceeds tolerance")
     assert abs(float(message.split()[2]) - residual) <= ORACLE_BOUND
+    assert holonomy.decompose_nmak(drifted[BAD])[4] == residual
 
     antipodal_v, antipodal_w = v.copy(), w.copy()
     antipodal_v[BAD], antipodal_w[BAD] = [2.0, 0.0], [-1.0, 0.0]    # lambda = 0
     cell = types.SimpleNamespace(v=antipodal_v[BAD], w=antipodal_w[BAD])
-    assert refusal(lambda: holonomy._closed_forms_stack(antipodal_v, antipodal_w, tau, m)) == \
-        refusal(lambda: holonomy._cell_lambda(cell))
+    expected = refusal(lambda: oracles._cell_lambda(cell))
+    assert expected[0] is core.DegenerateConfigurationError
+    assert refusal(lambda: holonomy._closed_forms(antipodal_v, antipodal_w, tau, m)) == expected
+    assert refusal(lambda: holonomy._cell_lambda(cell)) == expected
+
+
+NAN = float("nan")
+
+
+def test_nan_inputs_are_refused():
+    """A nan fails every check of the factorization, for one input and for a
+    stack with one nan trial among good ones, which raises that trial's
+    one-input message."""
+    eye = np.eye(2)
+    with pytest.raises(holonomy.RegimeError, match=r"\|\|v\|\| = nan"):
+        holonomy.factorize_product([NAN, 0.1], [0.1, 0.2], 0.1, eye)
+    with pytest.raises(ValueError, match="tau = nan: not a finite number"):
+        holonomy.HolonomyInput(v=[0.1], w=[0.1], m=np.eye(1), tau=NAN)
+    for X in (np.full((4, 4), NAN), core.unipotent_plus([0.1, NAN])):
+        # an all-nan matrix fails the leading entry; a nan in the first row
+        # passes it and fails the extracted block's orthogonality
+        pytest.raises(core.GeometryError, holonomy.decompose_nmak, X)
+    h = make_input([0.1], [0.1])
+    with pytest.raises(ValueError, match="t must be nonnegative"):
+        holonomy.linearization_error(h, [1.0], NAN)
+    with pytest.raises(core.DegenerateConfigurationError, match="lambda = nan"):
+        holonomy._cell_lambda(types.SimpleNamespace(v=np.array([NAN]), w=np.array([0.1])))
+
+    v, w, m, tau = good_stack()
+    X = holonomy._product(v, w, tau, m)
+    for name, call in (("v", lambda a: holonomy._product(a, w, tau, m)),
+                       ("tau", lambda a: holonomy._product(v, w, a, m)),
+                       ("m", lambda a: holonomy._product(v, w, tau, a))):
+        arg = {"v": v, "tau": tau, "m": m}[name].copy()
+        arg[BAD] = NAN
+        one = {"v": v[BAD], "w": w[BAD], "m": m[BAD], "tau": tau[BAD], name: arg[BAD]}
+        assert refusal(lambda: call(arg)) == refusal(
+            lambda: holonomy.factorize_product(one["v"], one["w"], one["tau"], one["m"]))
+    for entry in ((0, 0), (0, 1), (3, 3)):      # lead, extracted block, residual
+        crafted = X.copy()
+        crafted[(BAD, *entry)] = NAN
+        exc, message = refusal(lambda: holonomy._factor(crafted))
+        assert (exc, message) == refusal(lambda: holonomy._factor(crafted[BAD:BAD + 1]))
+        if entry != (3, 3):
+            assert (exc, message) == refusal(lambda: holonomy.decompose_nmak(crafted[BAD]))
+        else:
+            assert message == "factorization residual nan exceeds tolerance"
+    nan_w = w.copy()
+    nan_w[BAD] = NAN
+    assert refusal(lambda: holonomy._closed_forms(v, nan_w, tau, m)) == refusal(
+        lambda: holonomy._cell_lambda(types.SimpleNamespace(v=v[BAD], w=nan_w[BAD])))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_functions_of_one_input_match_the_oracle(d):
+    """The functions of one input run the stacked step on a stack of one and
+    agree with the per-trial oracle within ORACLE_BOUND on 1,000 seeded
+    inputs per d; random_regime_input draws the oracle's bits and leaves the
+    generator in the oracle's state."""
+    rng, oracle_rng = np.random.default_rng([d, 11]), np.random.default_rng([d, 11])
+    for k in range(1000):
+        w_min = 0.1 * (k % 3)
+        h = holonomy.random_regime_input(rng, d, w_min=w_min)
+        expected = oracles.random_regime_input(oracle_rng, d, w_min=w_min)
+        for field in ("v", "w", "m", "tau"):
+            assert np.asarray(getattr(h, field)).tobytes() == \
+                np.asarray(getattr(expected, field)).tobytes()
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+        assert type(h.tau) is float
+
+        X = holonomy.assemble_product(h)
+        assert np.abs(X - oracles.assemble_product(h)).max() <= ORACLE_BOUND
+        for got, want in zip(holonomy.decompose_nmak(X), oracles.decompose_nmak(X)):
+            assert np.abs(np.asarray(got) - want).max() <= ORACLE_BOUND
+        res, want = (f(h.v, h.w, h.tau, h.m) for f in (holonomy.factorize_product,
+                                                      oracles.factorize_product))
+        assert type(res) is holonomy.FactorizationResult
+        assert type(res.t_out) is float and type(res.residual) is float
+        for field in ("y_out", "m_out", "t_out", "phi", "residual"):
+            assert np.abs(getattr(res, field) - getattr(want, field)).max() <= ORACLE_BOUND
+        for name in ("phi_closed_form", "tau_closed_form", "y_closed_form",
+                     "m_closed_form", "_cell_lambda"):
+            got, want = getattr(holonomy, name)(h), getattr(oracles, name)(h)
+            assert np.shape(got) == np.shape(want)
+            assert np.abs(got - want).max() <= ORACLE_BOUND, name
+        assert type(holonomy._cell_lambda(h)) is float
 
 
 def test_suite_runs_no_per_trial_scalar_code(monkeypatch):
-    """The suite's work is stacked: it completes with every per-trial scalar
-    step made to raise."""
+    """The suite's work is stacked: it calls no function of one input, and it
+    makes as many calls to each of core's constructors at 3,000 trials as at
+    300, one per stack."""
     def forbidden(*args, **kwargs):
         raise AssertionError("property_suite ran per-trial scalar code")
 
-    for owner, name in ((holonomy, "factorize_product"), (holonomy, "decompose_nmak"),
-                        (holonomy, "random_regime_input"), (core, "random_rotation"),
-                        (core, "unipotent_plus"), (core, "rotation_embed"),
-                        (core, "geodesic_flow")):
-        monkeypatch.setattr(owner, name, forbidden)
-    assert all(passed for *_, passed in holonomy.property_suite(300))
+    for name in ("assemble_product", "decompose_nmak", "factorize_product",
+                 "phi_closed_form", "tau_closed_form", "y_closed_form", "m_closed_form",
+                 "_cell_lambda", "random_regime_input", "linearization_error"):
+        monkeypatch.setattr(holonomy, name, forbidden)
+    monkeypatch.setattr(core, "random_rotation", forbidden)
+    calls = {}
+
+    def counted(name, real):
+        def call(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args, **kwargs)
+        return call
+
+    constructors = ("unipotent_plus", "unipotent_minus", "geodesic_flow", "rotation_embed")
+    for name in constructors:
+        monkeypatch.setattr(core, name, counted(name, getattr(core, name)))
+    counts = []
+    for trials in (300, 3000):
+        calls.clear()
+        assert all(passed for *_, passed in holonomy.property_suite(trials))
+        counts.append(dict(calls))
+    assert set(counts[0]) == set(constructors)
+    assert counts[0] == counts[1]
 
 
 def test_nan_residual_fails_its_row(monkeypatch):
