@@ -247,7 +247,7 @@ def boundary_from_chart(xi):
     scale = np.abs(xi).max()
     if scale == 0.0:
         raise DegenerateConfigurationError("zero vector is not a boundary point")
-    if abs(xi[-1]) <= DEFAULT_TOL * scale:
+    if not abs(xi[-1]) > DEFAULT_TOL * scale:
         raise ChartInfinityError("boundary point at infinity of the chart ([e_0])")
     return xi[1:-1] / xi[-1]
 
@@ -317,7 +317,7 @@ def busemann(xi, x, y):
     """
     bx = bilinear_form(x, xi)
     by = bilinear_form(y, xi)
-    if np.any(bx <= 0.0) or np.any(by <= 0.0):
+    if not (np.all(bx > 0.0) and np.all(by > 0.0)):
         raise DegenerateConfigurationError(
             "B(point, xi) <= 0: xi not a future null direction for these points")
     return np.log(bx) - np.log(by)

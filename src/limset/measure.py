@@ -61,6 +61,8 @@ class AtomicMeasure:
             raise ValueError("measure needs at least one atom")
         if not np.all(w > 0.0):
             raise ValueError("weights must be strictly positive")
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("points must be finite")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "mass", float(w.sum()))
@@ -174,7 +176,15 @@ def _quantile_span(mu: AtomicMeasure) -> float:
 
 
 def nearest_neighbor_distances(points: np.ndarray) -> np.ndarray:
-    """Distance from each atom to its nearest distinct-index neighbour."""
+    """Distance from each atom to its nearest distinct-index neighbour.
+
+    Exact and numpy-only.  In d = 1 the distances are the gaps of the sorted
+    coordinates; in d >= 2 they come from ``_cell_search``, whose arithmetic
+    is cKDTree's (its sum of squared differences, square root last), so the
+    result equals ``cKDTree(points).query(points, k=2)[0][:, 1]`` bit for
+    bit.  The points must be finite, as an AtomicMeasure's are; coincident
+    atoms have distance 0.
+    """
     if points.shape[0] < 2:
         raise ValueError("need at least two atoms for neighbour distances")
     if points.shape[1] == 1:
@@ -186,8 +196,144 @@ def nearest_neighbor_distances(points: np.ndarray) -> np.ndarray:
         nn = np.empty_like(nn_sorted)
         nn[order] = nn_sorted
         return nn
-    from scipy.spatial import cKDTree   # d >= 2 only: scipy stays off start-up
-    return cKDTree(points).query(points, k=2)[0][:, 1]
+    return _cell_search(points)
+
+
+#: Queries per block, and candidate pairs per pass, of ``_cell_search``.
+_QUERY_BLOCK = 1 << 14
+_PAIR_PASS = 1 << 20
+
+
+def _morton(x: np.ndarray, bits: int) -> np.ndarray:
+    """Z-order keys of the (n, d) non-negative integers x below 2**bits:
+    their bits interleaved from the top, column 0 first."""
+    d = x.shape[1]
+    byte = np.arange(256)
+    spread = sum(((byte >> b) & 1) << (b * d) for b in range(8))
+    key = np.zeros(x.shape[0], dtype=np.int64)
+    for j in range(d):
+        for b in range(0, bits, 8):
+            key |= spread[(x[:, j] >> b) & 255] << (b * d + d - 1 - j)
+    return key
+
+
+def _cell_search(points: np.ndarray) -> np.ndarray:
+    """Exact nearest-neighbour distances in d >= 2 by a search over dyadic cells
+    (the cell method of Bentley, Weide and Yao, ACM TOMS 6, 1980).
+
+    The points are quantized to t = 52 bits per axis (an ulp of the extent
+    or two) and sorted in Z-order, so every dyadic cell is one contiguous run
+    of the sorted points.  The Z-order key is built in stages that each fit
+    an int64: the first takes the leading 62 // k bits of every axis, and
+    each later one the rank of the key so far among the occupied cells,
+    followed by the next bits.
+
+    A point's distances to its two Z-order neighbours on each side bound its
+    nearest-neighbour distance by ub.  It takes the dyadic cell of side at
+    least 2 (ub + 3 quanta): every point within ub then lies in that cell or
+    in its neighbour on the near side along each axis, at most 2^k cells,
+    each found by ``searchsorted`` on the stages' sorted keys.  The cells
+    index the first k = min(d, 6) axes only, which is exact (a point within
+    ub is within ub on every axis) and bounds 2^k in any d; cells lose their
+    edge over a k-d tree from d = 4 on.  The candidates' squared distances
+    are reduced per point, the point itself left out of its own cell.
+    """
+    n, d = points.shape
+    k = min(d, 6)
+    widths = [62 // k]
+    while sum(widths) < 52:             # 52 bits: a quantum exceeds the rounding
+        widths.append(min((63 - n.bit_length()) // k, 52 - sum(widths)))
+    t = sum(widths)
+    half = 0.5 * points[:, :k]          # halved, no difference overflows
+    lo = half.min(axis=0)
+    span = float((half.max(axis=0) - lo).max())
+    scale = np.ldexp(1.0, min(t - int(np.frexp(span)[1]), 1000))   # a power of two: exact
+    grid = np.floor((half - lo) * scale).astype(np.int64)
+
+    order = np.arange(n)
+    rank = np.zeros(n, dtype=np.int64)
+    tables, firsts = [], []
+    low = t
+    for w in widths:
+        low -= w
+        key = rank << k * w | _morton((grid[order] >> low) & ((1 << w) - 1), w)
+        resort = np.argsort(key)
+        order, key = order[resort], key[resort]
+        new = np.concatenate([[True], key[1:] != key[:-1]])
+        tables.append(key[new])
+        firsts.append(np.append(np.flatnonzero(new), n))
+        rank = np.cumsum(new) - 1
+    grid = grid[order]
+    axes = [np.ascontiguousarray(points[order, j]) for j in range(d)]
+
+    def sq_dist(i, j):
+        """cKDTree's sum of squared differences: four running sums over the
+        axes in blocks of four, added in order, then the remaining axes."""
+        sq = [(x[i] - x[j]) ** 2 for x in axes]
+        head = d - d % 4
+        return sum(sq[head:], sum(sum(sq[lane:head:4]) for lane in range(4)))
+
+    def cell_runs(corner, side):
+        """Range in the sorted points of each cell (corner, 2^side), stage by stage."""
+        start = np.zeros(corner.shape[0], dtype=np.int64)
+        stop = np.zeros_like(start)
+        rows = np.arange(corner.shape[0])
+        at = np.zeros_like(start)
+        depth, top, low = t - side, 0, t
+        for w, table, first in zip(widths, tables, firsts):
+            top, low = top + w, low - w
+            pre = at << k * w | _morton((corner[rows] >> low) & ((1 << w) - 1), w)
+            at = np.searchsorted(table, pre)
+            done = depth[rows] <= top
+            end = np.searchsorted(table, pre[done] + (1 << k * (top - depth[rows[done]])))
+            start[rows[done]], stop[rows[done]] = first[at[done]], first[end]
+            deeper = ~done & (table[np.minimum(at, table.shape[0] - 1)] == pre)
+            rows, at = rows[deeper], at[deeper]
+        return start, stop
+
+    out = np.full(n, np.inf)
+    for step in (1, 2):
+        near = sq_dist(np.arange(step, n), np.arange(n - step))
+        np.minimum(out[step:], near, out=out[step:])
+        np.minimum(out[:-step], near, out=out[:-step])
+    reach = np.minimum(np.sqrt(out) * (1.0 + 2.0 ** -40) * (0.5 * scale) + 3.0, 2.0 ** t)
+    moves = [np.array(m) == 1 for m in np.ndindex(*(2,) * k)]   # axes to step along
+    for a in range(0, n, _QUERY_BLOCK):
+        q = np.arange(a, min(a + _QUERY_BLOCK, n))
+        q = q[out[q] > 0.0]                          # 0 is already the minimum
+        if q.shape[0] == 0:
+            continue
+        r = reach[q, None]
+        side = np.minimum(np.frexp(2.0 * r)[1], t).astype(np.int64)
+        cell = grid[q] >> side
+        offset = grid[q] - (cell << side)
+        toward = np.where(offset < r, -1, np.where((1 << side) - offset < r, 1, 0))
+        toward[(cell + toward < 0) | (cell + toward >= 1 << (t - side))] = 0
+        starts = np.zeros((q.shape[0], len(moves) + 1), dtype=np.int64)
+        stops = np.zeros_like(starts)
+        for col, move in enumerate(moves):
+            rows = np.flatnonzero(np.all(toward[:, move] != 0, axis=1))
+            corner = (cell[rows] + toward[rows] * move) << side[rows]
+            starts[rows, col], stops[rows, col] = cell_runs(corner, side[rows, 0])
+        starts[:, -1], stops[:, -1] = q + 1, stops[:, 0]   # own cell, after q
+        stops[:, 0] = q                                    # own cell, before q
+        counts = stops - starts
+        per_query = counts.sum(axis=1)
+        total = np.cumsum(per_query)
+        i = 0
+        while i < q.shape[0]:
+            j = max(int(np.searchsorted(total, total[i] - per_query[i] + _PAIR_PASS,
+                                        side="right")), i + 1)
+            c = counts[i:j].ravel()
+            ends = np.cumsum(c)
+            cand = np.arange(ends[-1]) - np.repeat(ends - c - starts[i:j].ravel(), c)
+            own = np.repeat(q[i:j], per_query[i:j])
+            seg = np.cumsum(per_query[i:j]) - per_query[i:j]
+            out[q[i:j]] = np.minimum.reduceat(sq_dist(own, cand), seg)
+            i = j
+    nn = np.empty(n)
+    nn[order] = np.sqrt(out)
+    return nn
 
 
 def atom_spacing(mu: AtomicMeasure) -> float:

@@ -1,5 +1,6 @@
 """End-to-end command tests: exit codes, emitted files, determinism."""
 
+import ast
 import os
 import re
 import subprocess
@@ -10,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import limset
 from limset import _io, cli, dimension, fourier, measure
@@ -180,20 +183,73 @@ def test_module_entry_point():
     assert "PASS" in proc.stdout
 
 
-def test_start_up_loads_no_scipy():
-    # scipy is imported only by the d >= 2 nearest-neighbour distances
-    script = ("import sys\nfrom limset import cli\ncode = cli.main(['validate', sys.argv[1]])\n"
-              "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+def test_start_up_loads_no_scipy(tmp_path):
+    # no command imports scipy: not at start-up, and not for the atom spacing
+    # that fourier and nonconc take from a d = 2 measure's neighbour distances
+    rng = np.random.default_rng(6)
+    _io.write_measure_file(tmp_path / "plane.csv",
+                           AtomicMeasure(points=rng.uniform(-1.0, 1.0, size=(300, 2)),
+                                         weights=rng.uniform(0.5, 1.0, size=300)))
+    (tmp_path / "plane.cfg").write_text(
+        "[measure]\nfile = plane.csv\n\n[fourier]\nshell_min = 1\nshell_max = 128\n"
+        "grid_max = 4\n\n[nonconc]\nsamples = 40\nr_min = 0.3\n")
+    script = ("import sys\nfrom limset import cli\nref, cfg, out = sys.argv[1:]\n"
+              "codes = [cli.main(['validate', ref])] + [\n"
+              "    cli.main([cmd, '--config', cfg, '--out', out + cmd]) for cmd in ('fourier', 'nonconc')]\n"
+              "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     env = dict(os.environ, PYTHONPATH=str(Path(limset.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-c", script, REF], capture_output=True,
-                          text=True, env=env)
+    proc = subprocess.run([sys.executable, "-c", script, REF, str(tmp_path / "plane.cfg"),
+                           str(tmp_path / "out-")], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "0 []"
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0] []"
+
+
+def test_no_source_file_imports_scipy():
+    # scipy is a test-only oracle: it is not a runtime dependency
+    for path in Path(limset.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import) else
+                     [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            assert not [n for n in names if n.split(".")[0] == "scipy"], path.name
+
+
+def _clustered_orbit_measure():
+    """Depth-6 orbit measure of the benchmark's seeded d = 2 group: its
+    neighbour distances span many decades (5e-13 to 0.9 at depth 8)."""
+    from perfbench.workloads import generated_group
+    group = generated_group(1)
+    return measure.patterson_orbit_measure(group, dimension.estimate_delta(group, n_max=6).delta,
+                                           0.02, 6).points
 
 
 def test_nearest_neighbor_distances_d2_match_kdtree():
     from scipy.spatial import cKDTree
-    points = np.random.default_rng(4).uniform(-1.0, 1.0, size=(500, 2))
+    rng = np.random.default_rng(4)
+    line = np.linspace(-1.0, 1.0, 3000)
+    inputs = {
+        "uniform": rng.uniform(-1.0, 1.0, size=(500, 2)),
+        "lattice": oracles.uniform_square_measure(200).points,
+        "duplicates": np.repeat(rng.uniform(size=(300, 2)), [1, 2, 3] * 100, axis=0),
+        "collinear": np.column_stack([line, 0.3 * line + 0.1]),
+        "on an axis": np.column_stack([line ** 3, np.zeros_like(line)]),
+        "two points": np.array([[0.1, 0.2], [0.4, -0.3]]),
+        "extreme": np.array([[-1e308, 0.0], [1e308, 0.0], [0.0, 1e-310], [0.0, 2e-310]]),
+        "d = 3": rng.normal(size=(4000, 3)),
+        "d = 9": rng.normal(size=(500, 9)),      # cKDTree's four-lane sum, 6 cell axes
+        "clustered": _clustered_orbit_measure(),
+    }
+    for name, points in inputs.items():
+        assert np.array_equal(measure.nearest_neighbor_distances(points),
+                              cKDTree(points).query(points, k=2)[0][:, 1]), name
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 3).flatmap(lambda d: st.lists(
+    st.lists(st.floats(-4.0, 4.0) | st.floats(-4.0, 4.0, width=16), min_size=d, max_size=d),
+    min_size=2, max_size=40)))
+def test_nearest_neighbor_distances_match_kdtree_property(rows):
+    from scipy.spatial import cKDTree
+    points = np.array(rows)
     assert np.array_equal(measure.nearest_neighbor_distances(points),
                           cKDTree(points).query(points, k=2)[0][:, 1])
 

@@ -142,6 +142,8 @@ def test_chart_infinity():
     e0 = np.array([1.0, 0.0, 0.0])
     with pytest.raises(core.ChartInfinityError):
         core.boundary_from_chart(e0)
+    with pytest.raises(core.ChartInfinityError):   # nan is not a chart point
+        core.boundary_from_chart(np.array([np.nan, 0.2, np.nan]))
     # n-(y) maps [e_0]... stays at [e_0]?  No: n- fixes iota(0), moves e_0.
     img, ok = core.chart_action(np.eye(3), np.array([[0.5]]))
     assert ok.all()
@@ -239,6 +241,8 @@ def test_busemann_scale_free_and_degenerate():
     assert core.busemann(7.0 * xi, o, p) == core.busemann(xi, o, p)
     with pytest.raises(core.DegenerateConfigurationError):
         core.busemann(-xi, o, p)
+    with pytest.raises(core.DegenerateConfigurationError, match="B\\(point, xi\\) <= 0"):
+        core.busemann(np.array([np.nan, 0.0, 1.0]), core.basepoint(1), core.basepoint(1))
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,10 @@ def test_atomic_measure_validation():
         measure.AtomicMeasure(points=np.zeros((2, 1)), weights=np.array([1.0, 0.0]))
     with pytest.raises(ValueError):
         measure.AtomicMeasure(points=np.zeros((2, 1)), weights=np.array([1.0]))
+    # a non-finite atom would poison the neighbour distances and the spacing
+    for bad in ([[0.0], [np.nan], [1.0], [2.0], [2.5]], [[0.0, 1.0], [np.inf, 0.0]]):
+        with pytest.raises(ValueError, match="finite"):
+            measure.AtomicMeasure(points=np.array(bad), weights=np.ones(len(bad)))
     m = measure.AtomicMeasure(points=np.array([[0.0], [1.0]]), weights=np.array([0.25, 0.5]))
     assert m.mass == 0.75 and m.n == 2 and m.d == 1
 
