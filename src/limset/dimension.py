@@ -16,10 +16,11 @@ root delta_n of
 
     log a_n(s) - log a_{n-1}(s) = 0
 
-by bisection (the ratio is strictly decreasing in s) and reports the
-deepest-level root.  For elementary groups (k = 1) the shells do not grow
--- the count ratio is 1 for n >= 2 -- so there is no positive root and the
-series is degenerate: delta = 0.
+on the grid of midpoints that a bisection to BISECTION_TOL visits, searched
+from the previous level's root cell (the ratio is strictly decreasing in s),
+and reports the deepest-level root.  For elementary groups (k = 1) the
+shells do not grow -- the count ratio is 1 for n >= 2 -- so there is no
+positive root and the series is degenerate: delta = 0.
 
 Summation is done in the log domain with a max shift, chunked in a fixed
 order so results are bit-identical regardless of thread count.  The
@@ -75,6 +76,8 @@ class DeltaEstimate:
     ``delta`` is the deepest-level estimate delta_{n_max}; ``spread``, max - min
     of the last three delta_n, is no truncation error bar: below BISECTION_TOL
     it is under the bisection's resolution (on the reference it reads 0).
+    ``evaluations[n - 1]`` counts the evaluations of the level-n shell ratio,
+    bracket included; no output file carries it.
     """
 
     delta: float
@@ -83,6 +86,7 @@ class DeltaEstimate:
     spread: float
     counts: np.ndarray
     n_max: int
+    evaluations: np.ndarray
 
 
 def logsumexp(a: np.ndarray) -> np.float64:
@@ -117,10 +121,10 @@ def _chunked_logsumexp(values: np.ndarray, threads: int = 1) -> float:
 def level_distances(group, n_max: int, basepoint: np.ndarray | None = None) -> list[np.ndarray]:
     """Orbit distances d(x, w.x) grouped by word length, n = 0 .. n_max.
 
-    With the default basepoint the cached cancellation-free corner sums are
-    used; for a custom basepoint x the images w.x are built by the level
-    cache's prepend recursion and the distances evaluated through the
-    bilinear form.
+    With the default basepoint these are the level cache's distances,
+    arccosh((v_0 + v_last) / 2) of its orbit vectors v; for a custom basepoint
+    x the images w.x are built by the level cache's prepend recursion and the
+    distances evaluated through the bilinear form.
     """
     if basepoint is None:
         return group.orbit_distances(n_max)
@@ -160,17 +164,36 @@ def shell_sums(
 def delta_from_distances(
     dists: list[np.ndarray],
     threads: int = 1,
-) -> tuple[float, np.ndarray]:
-    """Per-level roots delta_n of log a_n(s) = log a_{n-1}(s).
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Per-level roots delta_n of f_n(s) = log a_n(s) - log a_{n-1}(s) = 0.
 
     ``dists[n]`` holds the level-n orbit distances (``dists[0]`` is the
-    identity shell, ``[0.0]``).  Returns (delta_{n_max}, per-level array).
-    Raises :class:`core.DegenerateConfigurationError` when a shell fails to
-    outgrow its predecessor (count ratio <= 1), in which case the series
-    converges for every s > 0 and delta = 0.
+    identity shell, ``[0.0]``).  Returns (delta_{n_max}, per-level roots,
+    per-level counts of f evaluations, bracket included).
+
+    Each level expands a bracket s = 1, 2, 4, ... to the first hi_0 with
+    f(hi_0) <= 0, then takes the grid s = j h, h = hi_0 / 2^J, whose spacing
+    is the first halving of hi_0 at or below BISECTION_TOL: the points a
+    bisection of [0, hi_0] to BISECTION_TOL would visit, all dyadic and so
+    exact.  The root is the midpoint of the cell [j h, (j + 1) h] where
+    f(j h) > 0 turns false, taking it true at j = 0 and false at j = 2^J as
+    the bisection does.  Level 1 bisects [0, 2^J]; each later level starts
+    from the previous level's cell, steps out from it by doubling strides
+    until the sign flips, and bisects inside.  The deep levels of a
+    converging series end in their predecessor's cell after two evaluations.
+
+    This is the bisection's cell, midpoint for midpoint, while the computed
+    f decreases across the grid points: a grid step lowers f by about
+    h (the gap between the shells' tilted mean distances), far above the
+    ~1e-14 rounding of the log-sum-exp.  Raises
+    :class:`core.DegenerateConfigurationError` when a shell fails to outgrow
+    its predecessor (count ratio <= 1), in which case the series converges
+    for every s > 0 and delta = 0.
     """
     n_max = len(dists) - 1
     per_level = np.empty(n_max)
+    evaluations = np.zeros(n_max, dtype=np.int64)
+    cell = None    # the previous level's root cell [cell, cell + step] in s
     for n in range(1, n_max + 1):
         d_prev, d_cur = dists[n - 1], dists[n]
         ratio0 = np.log(d_cur.shape[0] / d_prev.shape[0])
@@ -182,11 +205,12 @@ def delta_from_distances(
             )
 
         def f(s: float) -> float:
+            evaluations[n - 1] += 1
             return _chunked_logsumexp(-s * d_cur, threads) - _chunked_logsumexp(
                 -s * d_prev, threads
             )
 
-        lo, hi = 0.0, 1.0
+        hi = 1.0
         f_hi = f(hi)
         while f_hi > 0.0 and hi < _BRACKET_CAP:
             hi *= 2.0
@@ -196,14 +220,36 @@ def delta_from_distances(
                 f"bisection bracket failure at level {n}: shell ratio still "
                 f"growing at s = {hi}"
             )
-        while hi - lo > BISECTION_TOL:
-            mid = 0.5 * (lo + hi)
-            if f(mid) > 0.0:
+        step, top = hi, 1
+        while step > BISECTION_TOL:
+            step *= 0.5
+            top *= 2
+
+        def positive(j: int) -> bool:
+            return j <= 0 or (j < top and f(j * step) > 0.0)
+
+        if cell is None:
+            lo, hi = 0, top
+        else:
+            start = min(int(cell / step), top - 1)
+            stride = 1
+            if positive(start):
+                lo, hi = start, start + 1
+                while positive(hi):
+                    lo, hi, stride = hi, min(hi + 2 * stride, top), 2 * stride
+            else:
+                lo, hi = start - 1, start
+                while not positive(lo):
+                    lo, hi, stride = max(lo - 2 * stride, 0), lo, 2 * stride
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if positive(mid):
                 lo = mid
             else:
                 hi = mid
-        per_level[n - 1] = 0.5 * (lo + hi)
-    return float(per_level[-1]), per_level
+        cell = lo * step
+        per_level[n - 1] = 0.5 * (cell + hi * step)
+    return float(per_level[-1]), per_level, evaluations
 
 
 def estimate_delta(
@@ -215,14 +261,16 @@ def estimate_delta(
     """Estimate the critical exponent of a Schottky group.
 
     delta_n is the unique s at which the level-n shell sum equals the
-    level-(n-1) shell sum, found by bisection to BISECTION_TOL; the estimate
+    level-(n-1) shell sum: the midpoint a bisection to BISECTION_TOL finds,
+    searched on the bisection's grid from the previous level's cell (see
+    delta_from_distances, and ``evaluations`` for its cost); the estimate
     is delta_{n_max}, and ``spread`` (see DeltaEstimate) is no truncation error.
     """
     if n_max < MIN_N_MAX:
         raise ValueError(f"n_max must be >= {MIN_N_MAX} for a stable estimate, got {n_max}")
     dists = level_distances(group, n_max, basepoint)
     counts = np.array([d.shape[0] for d in dists])
-    delta, per_level = delta_from_distances(dists, threads)
+    delta, per_level, evaluations = delta_from_distances(dists, threads)
     d = group.d
     if not 0.0 < delta < d:
         raise core.DegenerateConfigurationError(
@@ -237,4 +285,5 @@ def estimate_delta(
         spread=float(tail.max() - tail.min()),
         counts=counts,
         n_max=n_max,
+        evaluations=evaluations,
     )

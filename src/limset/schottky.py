@@ -243,6 +243,9 @@ class SchottkyGroup:
             elem = core.project_so(g.elem, tol=self.tol)
             mats += [elem, core.group_inverse(elem)]
         self.letter_mats = np.stack(mats)
+        # |parent entry| * row-abs-sum bounds every partial sum of an integer
+        # L_b v: within 2^53 each is an integer that float64 holds exactly.
+        self._row_sum = int(np.abs(self.letter_mats).sum(axis=2).max())
         self.letter_balls = []
         for g in gens:
             self.letter_balls.append((g.ball_minus, g.ball_plus))   # for gamma
@@ -299,27 +302,41 @@ class SchottkyGroup:
         """The words one letter longer than ``words`` (one level's), with
         L_b v for each parent vector v: grouped by the prepended letter b,
         parents in order, skipping those that start with b's inverse, which is
-        the lexicographic order."""
+        the lexicographic order.
+
+        It relies on the first-letter block invariant, which it also keeps:
+        a level's words are grouped by first letter in letter order, each block
+        npar / 2k words (level 0 is the one empty word, which no letter skips).
+        So b's parents are two slices, the blocks before and after its
+        inverse's, copied and multiplied as they stand.  numpy multiplies a
+        one-row matrix by dot, not gemm, and the bits differ: a one-row slice
+        of a letter that keeps more rows (a level-1 parent) is multiplied as a
+        two-row stack, and only a letter that keeps one row (level 0, or
+        k = 1) multiplies it alone.  So every row has the bits of one product
+        per letter over all its parents.
+        """
         npar, plen = words.shape
-        first = words[:, 0] if plen else np.full(npar, -1, dtype=np.int8)
-        keep = [first != self._inv(b) for b in range(2 * self.k)]
-        total = sum(int(m.sum()) for m in keep)
-        out_words = np.empty((total, plen + 1), dtype=np.int8)
-        out_vecs = np.empty((total,) + vecs.shape[1:])
-        lo = 0
-        for b, m in enumerate(keep):
-            hi = lo + int(m.sum())
-            out_words[lo:hi, 0] = b
-            out_words[lo:hi, 1:] = words[m]
-            np.matmul(vecs[m], self.letter_mats[b].T, out=out_vecs[lo:hi])
-            lo = hi
+        block = npar // (2 * self.k) if plen else 0
+        per = npar - block
+        out_words = np.empty((2 * self.k * per, plen + 1), dtype=np.int8)
+        out_vecs = np.empty((2 * self.k * per,) + vecs.shape[1:])
+        for b in range(2 * self.k):
+            mat = self.letter_mats[b].T
+            lo = b * per
+            out_words[lo:lo + per, 0] = b
+            skip = self._inv(b) * block
+            for start, stop in ((0, skip), (skip + block, npar)):
+                hi = lo + stop - start
+                out_words[lo:hi, 1:] = words[start:stop]
+                if stop - start == 1 < per:
+                    out_vecs[lo:hi] = np.matmul(vecs[[start, start]], mat)[:1]
+                else:
+                    np.matmul(vecs[start:stop], mat, out=out_vecs[lo:hi])
+                lo = hi
         return out_words, out_vecs
 
     def _next_level(self, parent: _Level):
-        # |parent entry| * row-abs-sum bounds every partial sum of an integer
-        # L_b v: within 2^53 each is an integer that float64 holds exactly.
-        row_sum = int(np.abs(self.letter_mats).sum(axis=2).max())
-        exact = parent.exact and int(parent.max_entry) * row_sum <= _FLOAT_EXACT
+        exact = parent.exact and int(parent.max_entry) * self._row_sum <= _FLOAT_EXACT
         words, vecs = self._prepend(parent.words, parent.vecs)
         dists = np.arccosh(np.maximum(0.5 * (vecs[:, 0] + vecs[:, -1]), 1.0))
         return _Level(words=words, vecs=vecs, dists=dists,

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from limset import _io, core, schottky
+from limset import _io, core, dimension, schottky
 from limset.holonomy import REGIME_BOUND, FactorizationResult, HolonomyInput
 from limset.measure import AtomicMeasure
 
@@ -88,6 +88,50 @@ def matrix_levels(group, n):
                               chart=num / den[:, None])
 
 
+def prepend_masked(group, words, vecs):
+    """The level build's prepend by boolean masks: for each letter b, the
+    parents that do not start with b's inverse, gathered and multiplied in
+    one call.  The oracle of ``SchottkyGroup._prepend``."""
+    npar, plen = words.shape
+    first = words[:, 0] if plen else np.full(npar, -1, dtype=np.int8)
+    keep = [first != group._inv(b) for b in range(2 * group.k)]
+    total = sum(int(m.sum()) for m in keep)
+    out_words = np.empty((total, plen + 1), dtype=np.int8)
+    out_vecs = np.empty((total,) + vecs.shape[1:])
+    lo = 0
+    for b, m in enumerate(keep):
+        hi = lo + int(m.sum())
+        out_words[lo:hi, 0] = b
+        out_words[lo:hi, 1:] = words[m]
+        np.matmul(vecs[m], group.letter_mats[b].T, out=out_vecs[lo:hi])
+        lo = hi
+    return out_words, out_vecs
+
+
+def masked_levels(group, n):
+    """Levels 0..n of ``group`` built by ``prepend_masked``, with the level
+    cache's distances, largest entry and 2^53 exactness guard."""
+    row_sum = int(np.abs(group.letter_mats).sum(axis=2).max())
+    lev = group.level(0)
+    yield lev
+    for _ in range(n):
+        words, vecs = prepend_masked(group, lev.words, lev.vecs)
+        lev = SimpleNamespace(
+            words=words, vecs=vecs,
+            dists=np.arccosh(np.maximum(0.5 * (vecs[:, 0] + vecs[:, -1]), 1.0)),
+            max_entry=float(max(vecs.max(), -vecs.min())),
+            exact=lev.exact and int(lev.max_entry) * row_sum <= schottky._FLOAT_EXACT)
+        yield lev
+
+
+def masked_orbit_images(group, x, n):
+    """W x for the words of each length 0..n, by ``prepend_masked``."""
+    out = [np.asarray(x, dtype=float)[None]]
+    for lev in group.levels(n - 1):
+        out.append(prepend_masked(group, lev.words, out[-1])[1])
+    return out
+
+
 def determinant_delta(group, n):
     """The critical exponent of a d = 1 group from its dynamical determinant,
     independent of the shell sums: the largest zero in s of
@@ -122,6 +166,46 @@ def determinant_delta(group, n):
         mid = 0.5 * (lo + hi)
         lo, hi = (mid, hi) if det(mid) < 0.0 else (lo, mid)
     return 0.5 * (lo + hi)
+
+
+def bisection_delta(dists, threads=1):
+    """Per-level roots of log a_n(s) = log a_{n-1}(s) by plain bisection:
+    expand the bracket s = 1, 2, 4, ... to the first f(hi) <= 0, then halve
+    [0, hi] to ``BISECTION_TOL`` and take the midpoint.  Returns
+    (delta_{n_max}, per-level roots): the oracle of the grid search in
+    ``dimension.delta_from_distances``, with its refusals."""
+    n_max = len(dists) - 1
+    per_level = np.empty(n_max)
+    for n in range(1, n_max + 1):
+        d_prev, d_cur = dists[n - 1], dists[n]
+        ratio0 = np.log(d_cur.shape[0] / d_prev.shape[0])
+        if ratio0 <= 1e-12:
+            raise core.DegenerateConfigurationError(
+                f"degenerate shell growth at level {n}: "
+                f"{d_cur.shape[0]} words after {d_prev.shape[0]}; the series "
+                "converges for all s > 0 (elementary group, delta = 0)")
+
+        def f(s):
+            return (dimension._chunked_logsumexp(-s * d_cur, threads)
+                    - dimension._chunked_logsumexp(-s * d_prev, threads))
+
+        lo, hi = 0.0, 1.0
+        f_hi = f(hi)
+        while f_hi > 0.0 and hi < dimension._BRACKET_CAP:
+            hi *= 2.0
+            f_hi = f(hi)
+        if f_hi > 0.0:
+            raise core.GeometryError(
+                f"bisection bracket failure at level {n}: shell ratio still "
+                f"growing at s = {hi}")
+        while hi - lo > dimension.BISECTION_TOL:
+            mid = 0.5 * (lo + hi)
+            if f(mid) > 0.0:
+                lo = mid
+            else:
+                hi = mid
+        per_level[n - 1] = 0.5 * (lo + hi)
+    return float(per_level[-1]), per_level
 
 
 def orbit_vectors(group, n):

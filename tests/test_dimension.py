@@ -2,12 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from limset import core, dimension, schottky
 
 import oracles
 
 REFERENCE_DELTA = 0.4842963218688965  # level-12 shell-ratio root, bisection tol 1e-6
+REFERENCE_ROOTS = [
+    "0x1.da42a00000000p-2", "0x1.f2ee200000000p-2", "0x1.f65fe00000000p-2",
+    "0x1.f230200000000p-2", "0x1.f054200000000p-2", "0x1.effae00000000p-2",
+    "0x1.efece00000000p-2", "0x1.efeb600000000p-2", "0x1.efeb600000000p-2",
+    "0x1.efeb600000000p-2", "0x1.efeb600000000p-2", "0x1.efeb600000000p-2",
+]
 
 
 # ---------------------------------------------------------------------------
@@ -129,25 +137,67 @@ def test_cyclic_shell_sums_on_axis_closed_form():
 # per-level roots: synthetic closed form
 
 
+def _geometric_shells(c, k, depth=6):
+    # constant distance c n on shell n of the free group on k generators
+    return [np.zeros(1)] + [np.full(2 * k * (2 * k - 1) ** (n - 1), c * n)
+                            for n in range(1, depth + 1)]
+
+
 @pytest.mark.parametrize("c", [0.5, 1.7])
 @pytest.mark.parametrize("k", [2, 3])
 def test_delta_from_distances_matches_geometric_closed_form(c, k):
-    # constant distance c*n per shell: the level-n ratio equation reads
-    # log(2k-1) - s*c = 0 for n >= 2, log(2k) - s*c = 0 for n = 1
-    dists = [np.zeros(1)]
-    for n in range(1, 7):
-        count = 2 * k * (2 * k - 1) ** (n - 1)
-        dists.append(np.full(count, c * n))
-    delta, per_level = dimension.delta_from_distances(dists)
+    # the level-n ratio equation reads log(2k-1) - s*c = 0 for n >= 2,
+    # log(2k) - s*c = 0 for n = 1; c = 0.5, k = 3 roots above 1 (hi_0 = 4)
+    dists = _geometric_shells(c, k)
+    delta, per_level, _ = dimension.delta_from_distances(dists)
     assert abs(per_level[0] - np.log(2 * k) / c) < 2e-6
     assert np.all(np.abs(per_level[1:] - np.log(2 * k - 1) / c) < 2e-6)
     assert delta == per_level[-1]
+    assert np.array_equal(per_level, oracles.bisection_delta(dists)[1])
+
+
+def test_grid_search_follows_a_bracket_that_changes_between_levels():
+    # k = 2, c = 1.2: delta_1 = log 4 / 1.2 > 1 brackets at hi_0 = 2, the
+    # later roots log 3 / 1.2 < 1 at hi_0 = 1, two grids of the same spacing
+    dists = _geometric_shells(1.2, 2)
+    _, per_level, evaluations = dimension.delta_from_distances(dists)
+    assert per_level[0] > 1.0 > per_level[1]
+    assert np.array_equal(per_level, oracles.bisection_delta(dists)[1])
+    assert evaluations[0] == 2 + 21 and np.all(evaluations[2:] == 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(2, 3), c=st.floats(0.3, 3.0), depth=st.integers(2, 6),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_grid_search_matches_bisection_on_growing_shells(k, c, depth, seed):
+    # shell n spreads its distances over [c n, c (n + 1/2)), so each shell's
+    # tilted mean lies past its predecessor's and f_n decreases in s
+    rng = np.random.default_rng(seed)
+    dists = [np.zeros(1)] + [c * (n + 0.5 * rng.random(2 * k * (2 * k - 1) ** (n - 1)))
+                             for n in range(1, depth + 1)]
+    assert np.array_equal(dimension.delta_from_distances(dists)[1],
+                          oracles.bisection_delta(dists)[1])
 
 
 def test_delta_from_distances_degenerate_on_flat_counts():
     dists = [np.zeros(1), np.array([2.0, 2.0]), np.array([4.0, 4.0])]
     with pytest.raises(core.DegenerateConfigurationError):
         dimension.delta_from_distances(dists)
+
+
+def test_delta_from_distances_refusals_keep_the_bisections_class_and_message():
+    flat = [np.zeros(1), np.array([2.0, 2.0]), np.array([4.0, 4.0])]
+    unbounded = [np.zeros(1), np.zeros(2), np.zeros(4)]     # f(s) = log 2 for all s
+    cases = [(flat, core.DegenerateConfigurationError,
+              "degenerate shell growth at level 2: 2 words after 2; the series converges "
+              "for all s > 0 (elementary group, delta = 0)"),
+             (unbounded, core.GeometryError,
+              "bisection bracket failure at level 1: shell ratio still growing at s = 1024.0")]
+    for dists, cls, message in cases:
+        for search in (dimension.delta_from_distances, oracles.bisection_delta):
+            with pytest.raises(cls) as info:
+                search(dists)
+            assert type(info.value) is cls and str(info.value) == message
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +215,38 @@ def test_reference_delta_value_and_stability(reference):
     diffs = np.abs(np.diff(est.per_level))
     assert diffs[-1] <= diffs[0]
     assert est.counts[0] == 1 and est.counts[1] == 4
+
+
+def test_reference_roots_are_pinned(reference):
+    # every delta_n at n_max = 12, as the bisection of [0, 1] found them
+    est = dimension.estimate_delta(reference, n_max=12)
+    assert [x.hex() for x in est.per_level] == REFERENCE_ROOTS
+    assert est.delta == float.fromhex(REFERENCE_ROOTS[-1])
+
+
+@pytest.mark.parametrize("n_max", range(6, 13))
+def test_grid_search_matches_bisection_on_the_reference(reference, n_max):
+    dists = dimension.level_distances(reference, n_max)
+    assert np.array_equal(dimension.estimate_delta(reference, n_max=n_max).per_level,
+                          oracles.bisection_delta(dists)[1])
+
+
+def test_grid_search_matches_bisection_on_generated_groups():
+    from perfbench import workloads
+    for seed in range(8):
+        dists = dimension.level_distances(workloads.generated_group(seed), 8)
+        assert np.array_equal(dimension.delta_from_distances(dists)[1],
+                              oracles.bisection_delta(dists)[1])
+
+
+def test_reference_root_search_evaluation_counts(reference):
+    # delta_8..delta_12 share one cell, so levels 9..12 test its two ends
+    # after the bracket's f(1); bisection takes 21 evaluations a level, 252
+    est = dimension.estimate_delta(reference, n_max=12)
+    assert est.evaluations.shape == (12,)
+    assert est.evaluations[0] == 21
+    assert np.all(est.evaluations[8:] <= 3)
+    assert est.evaluations.sum() <= 200
 
 
 def test_reference_delta_matches_the_dynamical_determinant(reference):
@@ -199,6 +281,19 @@ def test_custom_basepoint_distances_match_the_matrix_oracle(reference, sweep_gro
         for d_n, oracle in zip(dists, oracles.matrix_levels(group, 8)):
             want = core.distance(x[None, :], oracle.mats @ x)
             assert np.abs(d_n - want).max() <= 1e-15 * max(1.0, want.max())
+
+
+def test_grid_search_matches_bisection_at_custom_basepoints(reference, sweep_groups):
+    o = core.basepoint(1)
+    x = core.unipotent_plus(np.array([0.3])) @ core.geodesic_flow(0.4, 1) @ o
+    cases = [(group, x) for group in (reference, sweep_groups[2.0])] + [
+        (reference, h @ o) for h in (core.unipotent_plus(np.array([0.3])),
+                                     core.unipotent_plus(np.array([-0.5])),
+                                     core.geodesic_flow(0.2, 1))]
+    for group, basepoint in cases:
+        dists = dimension.level_distances(group, 10, basepoint=basepoint)
+        assert np.array_equal(dimension.delta_from_distances(dists)[1],
+                              oracles.bisection_delta(dists)[1])
 
 
 def test_cyclic_group_is_degenerate(cyclic):
