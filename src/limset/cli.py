@@ -110,18 +110,21 @@ class _Pipeline:
                                                n_max=self.cfg.measure.n_max)
 
 
-def _input_measure(cfg, threads):
+def _input_measure(cfg, threads, check=lambda d, atoms: None):
     """(measure, delta-or-None, source label) from the config.
 
     A nonempty [measure] file short-circuits the pipeline and loads the atom
     table directly; otherwise the group file is loaded and run through the
-    delta estimate and the orbit-measure construction.
+    delta estimate and the orbit-measure construction.  ``check(d, atoms)``
+    sees the measure's size before any stage runs.
     """
     if cfg.measure.file:
         path = cfg.resolve(cfg.measure.file)
         mu, meta = _io.read_measure_file(path)
+        check(mu.d, mu.n)
         return mu, meta.get("delta"), os.path.basename(path)
     run = _Pipeline(cfg, threads)
+    check(run.group.d, run.group.word_count(cfg.measure.n_max))
     return run.mu, run.estimate.delta, run.group.name
 
 
@@ -184,8 +187,9 @@ def cmd_measure(args):
 
 def cmd_fourier(args):
     cfg, threads, out = _setup(args)
-    mu, delta, source = _input_measure(cfg, threads)
     f = cfg.fourier
+    mu, delta, source = _input_measure(cfg, threads, lambda d, atoms: fourier.check_grid_budget(
+        d, atoms, f.grid_max, f.grid_step, threads))
     spec = fourier.FrequencySpec(mode="shell", r0=f.shell_min, ratio=2.0,
                                  count=_io.shell_count(f.shell_min, f.shell_max),
                                  samples_per_shell=f.samples_per_shell)

@@ -51,6 +51,12 @@ _CHUNK = 1 << 16
 #: Upper end of the bracket-expansion search in s.
 _BRACKET_CAP = 1024.0
 
+#: A walk to a root D grid cells from the previous one costs about
+#: 2 log2(D) + 1 evaluations and a bisection of the bracket about 21, the same
+#: at D = 2^10: a level walks only after a root that moved at most this far,
+#: and gives up a walk whose stride passes it.
+_WALK_CELLS = 1 << 10
+
 
 @dataclass(frozen=True)
 class PoincareTruncation:
@@ -177,10 +183,13 @@ def delta_from_distances(
     bisection of [0, hi_0] to BISECTION_TOL would visit, all dyadic and so
     exact.  The root is the midpoint of the cell [j h, (j + 1) h] where
     f(j h) > 0 turns false, taking it true at j = 0 and false at j = 2^J as
-    the bisection does.  Level 1 bisects [0, 2^J]; each later level starts
-    from the previous level's cell, steps out from it by doubling strides
-    until the sign flips, and bisects inside.  The deep levels of a
-    converging series end in their predecessor's cell after two evaluations.
+    the bisection does.  Levels 1 and 2 bisect [0, 2^J], and so does each
+    level after a root that moved more than _WALK_CELLS cells from its
+    predecessor's.  Otherwise a level starts from the previous level's cell,
+    steps out from it by doubling strides until the sign flips, and bisects
+    inside; a stride past _WALK_CELLS bisects the rest of the bracket instead.
+    The deep levels of a converging series end in their predecessor's cell
+    after two evaluations.
 
     This is the bisection's cell, midpoint for midpoint, while the computed
     f decreases across the grid points: a grid step lowers f by about
@@ -194,6 +203,7 @@ def delta_from_distances(
     per_level = np.empty(n_max)
     evaluations = np.zeros(n_max, dtype=np.int64)
     cell = None    # the previous level's root cell [cell, cell + step] in s
+    moved = np.inf    # cells between the previous level's root and its start
     for n in range(1, n_max + 1):
         d_prev, d_cur = dists[n - 1], dists[n]
         ratio0 = np.log(d_cur.shape[0] / d_prev.shape[0])
@@ -228,18 +238,24 @@ def delta_from_distances(
         def positive(j: int) -> bool:
             return j <= 0 or (j < top and f(j * step) > 0.0)
 
-        if cell is None:
+        start = None if cell is None else min(int(cell / step), top - 1)
+        if moved > _WALK_CELLS:
             lo, hi = 0, top
         else:
-            start = min(int(cell / step), top - 1)
             stride = 1
             if positive(start):
                 lo, hi = start, start + 1
                 while positive(hi):
+                    if stride > _WALK_CELLS:
+                        lo, hi = hi, top
+                        break
                     lo, hi, stride = hi, min(hi + 2 * stride, top), 2 * stride
             else:
                 lo, hi = start - 1, start
                 while not positive(lo):
+                    if stride > _WALK_CELLS:
+                        lo, hi = 0, lo
+                        break
                     lo, hi, stride = max(lo - 2 * stride, 0), lo, 2 * stride
         while hi - lo > 1:
             mid = (lo + hi) // 2
@@ -247,6 +263,7 @@ def delta_from_distances(
                 lo = mid
             else:
                 hi = mid
+        moved = np.inf if start is None else abs(lo - start)
         cell = lo * step
         per_level[n - 1] = 0.5 * (cell + hi * step)
     return float(per_level[-1]), per_level, evaluations

@@ -1,15 +1,18 @@
 """Nonuniform Fourier transform of atomic measures and decay statistics.
 
-Implements mu-hat(xi) = (1/mass) sum_j w_j e^{2 pi i <xi, x_j>} evaluated by
-direct summation (desk scale; no NUFFT).  The phase <xi, x> is summed one
-axis at a time in a fixed order (no BLAS product), the atoms are taken in
+Implements mu-hat(xi) = (1/mass) sum_j w_j e^{2 pi i <xi, x_j>}.  The decay
+scan and ``fourier_transform`` sum it directly: the phase <xi, x> is summed
+one axis at a time in a fixed order (no BLAS product), the atoms are taken in
 fixed chunks whose partial sums combine with Neumaier compensation, and the
 frequencies go to the workers in blocks sized so that one block of complex
 terms stays within a fixed byte budget per worker.  Each frequency is mapped
 into the half-space where its first nonzero coordinate is positive, each
-antipodal pair is evaluated once and mu-hat(-xi) = conj(mu-hat(xi)).  The
-bits of every value are independent of the thread count and the block size.
-On top of the transform sit the experiment statistics:
+antipodal pair is evaluated once and mu-hat(-xi) = conj(mu-hat(xi)).  The grid
+statistics take one type-1 NUFFT instead (``_grid_values``), within 1e-10
+absolute of the direct sum, which stays its test oracle, and refuse a grid
+whose memory estimate exceeds a budget (``check_grid_budget``).  The bits of
+every value are independent of the thread count.  On top of the transform sit
+the experiment statistics:
 
 * ``decay_scan`` -- per-shell maxima of |mu-hat| over sampled directions and
   a least-squares decay exponent kappa fitted on the upper half of the
@@ -51,6 +54,15 @@ MAX_GRID_STEP = 0.25
 MIN_EXCEPTIONAL_T = 4.0
 
 _ATOM_CHUNK = 1 << 16
+
+#: Fine cells on each side of an atom, per axis, that the grid NUFFT spreads
+#: it to (values within about 1e-12 of the direct sum), and the bytes of the
+#: indices and values one worker spreads at a time.
+_SPREAD = 12
+_SPREAD_BYTES = 512 << 10
+
+#: Bytes the grid statistics may hold at once (see check_grid_budget).
+_GRID_BUDGET = 1 << 30
 
 #: Bytes of the complex block one worker fills at a time: the frequency rows
 #: of a block are the most that fit min(atoms, _ATOM_CHUNK) complex terms each.
@@ -296,24 +308,99 @@ def decay_scan(mu: AtomicMeasure, spec: FrequencySpec, seed: int = 0,
     )
 
 
-def _grid_values_1d(pts: np.ndarray, w: np.ndarray, step: float, k_max: int,
-                    threads: int) -> np.ndarray:
-    """mu-hat(k*step) for k = 0..k_max by a running-phase-power recursion."""
+def _fine_size(modes: int) -> int:
+    """Fine-grid side: the least 5-smooth size (a divisor of 30^40) at or above
+    twice the mode count and two kernel widths."""
+    size = max(2 * modes, 2 * _SPREAD)
+    while 30 ** 40 % size:
+        size += 1
+    return size
 
-    def chunk_values(sl: slice) -> np.ndarray:
-        x = pts[sl, 0]
-        z = np.exp(2j * np.pi * step * x)
-        p = w[sl].astype(complex)
-        out = np.empty(k_max + 1, dtype=complex)
-        out[0] = p.sum()
-        for k in range(1, k_max + 1):
-            p *= z
-            out[k] = p.sum()
-        return out
 
-    parts = core.parallel_map(chunk_values, _atom_chunks(pts.shape[0]), threads)
-    total = sum(parts[1:], parts[0])    # in block order, for every thread count
-    return total / total[0].real
+def _grid_values(pts: np.ndarray, w: np.ndarray, step: float, k_max: int,
+                 threads: int) -> np.ndarray:
+    """mu-hat(k * step) on the cube |k_a| <= k_max, an array indexed by k + k_max.
+
+    A type-1 NUFFT by fast Gaussian gridding (Greengard-Lee 2004): e^{2 pi i k
+    step x} has period 1 in u = step x mod 1, so each atom is wrapped to u and
+    spread with e^{-s^2/b} onto the _SPREAD fine cells on each side of it, per
+    axis; one real FFT, half along axis 0, and a per-axis deconvolution give
+    the modes.  Chunk grids add in chunk order, each value with k_0 < 0 is its
+    antipode's conjugate bit for bit, and mu-hat(0) = 1.
+    """
+    n, d = pts.shape
+    q, modes = _SPREAD, 2 * k_max + 1
+    fine = _fine_size(modes)
+    b = q * fine / (math.pi * (fine - 0.5 * modes))     # from the actual oversampling
+    side = fine + 2 * q        # fine cells 1-q .. fine+q, so that no index wraps
+    tail = np.exp(-np.arange(1 - q, q + 1) ** 2 / b)[:, None]
+    rows = max(1, _SPREAD_BYTES // (16 * (2 * q) ** d))
+
+    def spread(sl: slice) -> np.ndarray:
+        grid = np.zeros(side ** d)
+        for lo in range(sl.start, sl.stop, rows):
+            blk = slice(lo, min(lo + rows, sl.stop))
+            for a in range(d):
+                s = np.mod(step * pts[blk, a], 1.0) * fine
+                cell = np.floor(s)
+                frac = s - cell
+                # e^{-(frac - l)^2/b} = e^{-frac^2/b} (e^{2 frac/b})^l e^{-l^2/b}
+                ker = np.empty((2 * q, frac.shape[0]))
+                ker[q - 1] = np.exp(-frac * frac / b) * (w[blk] if a == 0 else 1.0)
+                up, down = np.exp(2.0 * frac / b), np.exp(-2.0 * frac / b)
+                for j in range(q, 2 * q):
+                    np.multiply(ker[j - 1], up, out=ker[j])
+                for j in range(q - 2, -1, -1):
+                    np.multiply(ker[j + 1], down, out=ker[j])
+                ker *= tail
+                shape = (1,) * a + (2 * q,) + (1,) * (d - 1 - a) + (-1,)
+                pos = (cell.astype(np.intp) + np.arange(2 * q)[:, None]).reshape(shape)
+                ker = ker.reshape(shape)
+                idx, val = (pos, ker) if a == 0 else (idx * side + pos, val * ker)
+            np.add.at(grid, idx.ravel(), val.ravel())
+        return grid
+
+    chunks, grid = _atom_chunks(n), np.zeros(side ** d)
+    for i in range(0, len(chunks), max(threads, 1)):   # at most `threads` grids at once
+        for part in core.parallel_map(spread, chunks[i : i + threads], threads):
+            grid += part
+    grid = grid.reshape((side,) * d)
+    for a in range(d):         # fold the padding onto the periodic grid
+        g = np.moveaxis(grid, a, 0)
+        grid = g[q - 1 : q - 1 + fine].copy()
+        grid[: q + 1] += g[q - 1 + fine :]
+        grid[fine - q + 1 :] += g[: q - 1]
+        grid = np.moveaxis(grid, 0, a)
+    spec = np.fft.rfftn(grid, axes=tuple(range(d))[::-1])
+    k = np.arange(-k_max, k_max + 1)
+    vals = np.empty((modes,) * d, dtype=complex)
+    vals[k_max:] = np.conj(spec[np.ix_(k[k_max:], *[k % fine] * (d - 1))]) / np.sum(w)
+    deconv = np.exp(math.pi ** 2 * b * (k / fine) ** 2) / math.sqrt(math.pi * b)
+    for factor in np.ix_(deconv[k_max:], *[deconv] * (d - 1)):
+        vals[k_max:] *= factor
+    flat = vals.reshape(-1)
+    mid = flat.size // 2       # the origin; flat[i] and flat[-1 - i] are antipodes
+    flat[:mid] = np.conj(flat[: mid : -1])
+    flat[mid] = 1.0
+    return vals
+
+
+def check_grid_budget(d: int, atoms: int, radius: float, grid_step: float,
+                      threads: int = 1) -> int:
+    """Bytes ``grid_statistics`` holds at once, from the sizes alone: the padded
+    fine grid as the running total and once per busy worker, its half spectrum,
+    and the values, frequencies and masks of the (2K+1)^d cube.  A ValueError
+    naming the estimate when it exceeds _GRID_BUDGET."""
+    k_max = int(np.floor(radius / grid_step))
+    fine = _fine_size(2 * k_max + 1)
+    workers = min(threads, -(-atoms // _ATOM_CHUNK))
+    need = (8 * (fine + 2 * _SPREAD) ** d * (1 + workers)
+            + 16 * (fine // 2 + 1) * fine ** (d - 1) + (40 + 16 * d) * (2 * k_max + 1) ** d)
+    if need > _GRID_BUDGET:
+        raise ValueError(f"grid statistics to radius {radius:g} at step {grid_step:g} "
+                         f"in d = {d} would hold about {need / 2 ** 30:.3g} GiB, over "
+                         f"the budget of {_GRID_BUDGET >> 30} GiB")
+    return need
 
 
 @dataclass(frozen=True)
@@ -326,21 +413,14 @@ class L2Average:
     coarse: bool
 
 
-def _grid_ball(d: int, radius: float, step: float) -> np.ndarray:
-    ax = np.arange(-np.floor(radius / step), np.floor(radius / step) + 1) * step
-    grids = np.meshgrid(*([ax] * d), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
-    return pts[np.linalg.norm(pts, axis=1) <= radius]
-
-
 def grid_statistics(mu: AtomicMeasure, radius: float, t_values=(), delta_grid=(),
                     grid_step: float = 0.25, threads: int = 1):
     """|mu-hat| evaluated once on the grid k*grid_step of the ball ||xi|| <= radius.
 
-    In d = 1 only the half line k >= 0 is evaluated, each k > 0 standing for
-    the cells +-k*grid_step.  Returns ``(l2, fractions, lebesgues)``: the
-    L2Average over the ball, and the exceptional sets at level T^{-delta} over
-    (delta_grid x t_values), each counted on the cells of the radius-T grid.
+    Returns ``(l2, fractions, lebesgues)``: the L2Average over the ball, and
+    the exceptional sets at level T^{-delta} over (delta_grid x t_values),
+    each counted on the cells of the radius-T grid.  Refused up front when
+    ``check_grid_budget`` refuses its size.
     """
     if not 0.0 < grid_step <= MAX_GRID_STEP:
         raise ValueError(f"grid_step must lie in (0, {MAX_GRID_STEP}], got {grid_step}")
@@ -353,16 +433,19 @@ def grid_statistics(mu: AtomicMeasure, radius: float, t_values=(), delta_grid=()
         if not 0.0 < dexp < 1.0:
             raise ValueError(f"delta_exp must be in (0, 1), got {dexp}")
     d = mu.d
-    if d == 1:
-        k_max = int(np.floor(radius / grid_step))
-        freqs = np.arange(k_max + 1)[:, None] * grid_step
-        mods = np.abs(_grid_values_1d(mu.points, mu.weights, grid_step, k_max, threads))
-    else:
-        freqs = _grid_ball(d, radius, grid_step)
-        mods = np.abs(_nudft(mu.points, mu.weights, freqs, threads))
-    cells = np.where((d == 1) & (freqs[:, 0] > 0), 2, 1)   # on the half line, +-xi
-    m2 = mods ** 2
-    total = grid_step ** d * (np.sum(m2[cells == 1]) + 2.0 * np.sum(m2[cells == 2]))
+    check_grid_budget(d, mu.n, radius, grid_step, threads)
+    k_max = int(np.floor(radius / grid_step))
+    mods = np.abs(_grid_values(mu.points, mu.weights, grid_step, k_max, threads)).ravel()
+    ax = np.arange(-k_max, k_max + 1) * grid_step
+    freqs = np.stack([g.ravel() for g in np.meshgrid(*[ax] * d, indexing="ij")], axis=1)
+    norms = np.linalg.norm(freqs, axis=1)
+
+    def grid(t):
+        """The radius-t grid: |k| <= floor(t/step) per axis, and for d >= 2 the ball."""
+        inside = np.abs(freqs).max(axis=1) <= np.floor(t / grid_step) * grid_step
+        return inside & (norms <= t) if d > 1 else inside
+
+    total = grid_step ** d * np.sum(mods[grid(radius)] ** 2)
     span = float((mu.points.max(axis=0) - mu.points.min(axis=0)).max())
     l2 = L2Average(value=float(total), radius=float(radius),
                    grid_step=float(grid_step), coarse=grid_step * span > 1.0)
@@ -371,12 +454,9 @@ def grid_statistics(mu: AtomicMeasure, radius: float, t_values=(), delta_grid=()
     fractions = np.empty((len(delta_grid), len(t_values)))
     lebesgues = np.empty_like(fractions)
     for j, t in enumerate(t_values):
-        # the radius-T grid: |k| <= floor(T/step) per axis, and for d >= 2 the ball
-        inside = np.abs(freqs).max(axis=1) <= np.floor(t / grid_step) * grid_step
-        if d > 1:
-            inside &= np.linalg.norm(freqs, axis=1) <= t
+        inside = grid(t)
         for i, dexp in enumerate(delta_grid):
-            count = int(np.sum(cells[inside & (mods > t ** (-dexp))]))
+            count = int(np.count_nonzero(inside & (mods > t ** (-dexp))))
             lebesgues[i, j] = count * grid_step ** d
             fractions[i, j] = lebesgues[i, j] / (unit_ball * t ** d)
     return l2, fractions, lebesgues

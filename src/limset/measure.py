@@ -269,9 +269,10 @@ def _cell_search(points: np.ndarray) -> np.ndarray:
     def sq_dist(i, j):
         """cKDTree's sum of squared differences: four running sums over the
         axes in blocks of four, added in order, then the remaining axes."""
-        sq = [(x[i] - x[j]) ** 2 for x in axes]
-        head = d - d % 4
-        return sum(sq[head:], sum(sum(sq[lane:head:4]) for lane in range(4)))
+        with np.errstate(over="ignore"):    # +-1e308 apart is inf, as in cKDTree
+            sq = [(x[i] - x[j]) ** 2 for x in axes]
+            head = d - d % 4
+            return sum(sq[head:], sum(sum(sq[lane:head:4]) for lane in range(4)))
 
     def cell_runs(corner, side):
         """Range in the sorted points of each cell (corner, 2^side), stage by stage."""

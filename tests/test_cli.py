@@ -222,6 +222,7 @@ def _clustered_orbit_measure():
                                            0.02, 6).points
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_nearest_neighbor_distances_d2_match_kdtree():
     from scipy.spatial import cKDTree
     rng = np.random.default_rng(4)
@@ -403,15 +404,14 @@ def test_fourier_svg_follows_the_csv(work, tmp_path):
 
 def test_fourier_evaluates_the_grid_once(work, tmp_path, monkeypatch):
     """The L2 average and the exceptional set read one grid evaluation:
-    after the decay scan's transform, one half-line recursion in d = 1 and
-    one ball transform in d = 2."""
+    after the decay scan's transform, one grid NUFFT in d = 1 and d = 2."""
     calls = []
 
     def counted(name):
         real = getattr(fourier, name)
         return lambda *args, **kw: calls.append(name) or real(*args, **kw)
 
-    for name in ("_nudft", "_grid_values_1d", "_grid_ball"):
+    for name in ("_nudft", "_grid_values"):
         monkeypatch.setattr(fourier, name, counted(name))
     rng = np.random.default_rng(5)
     _io.write_measure_file(tmp_path / "plane.csv",
@@ -419,8 +419,8 @@ def test_fourier_evaluates_the_grid_once(work, tmp_path, monkeypatch):
                                          weights=rng.uniform(0.5, 1.0, size=200)))
     (tmp_path / "plane.cfg").write_text("[measure]\nfile = plane.csv\n\n[fourier]\n"
                                         "shell_min = 1\nshell_max = 128\ngrid_max = 6\n")
-    for cfg, expected in ((work / "segment.cfg", ["_nudft", "_grid_values_1d"]),
-                          (tmp_path / "plane.cfg", ["_nudft", "_grid_ball", "_nudft"])):
+    for cfg, expected in ((work / "segment.cfg", ["_nudft", "_grid_values"]),
+                          (tmp_path / "plane.cfg", ["_nudft", "_grid_values"])):
         calls.clear()
         assert cli.main(["fourier", "--config", str(cfg),
                          "--out", str(tmp_path / cfg.stem)]) == 0
@@ -674,6 +674,30 @@ def test_depth_over_level_cache_budget_exits_2_up_front(tmp_path, capsys, sectio
     assert time.perf_counter() - start < 0.5
     assert peak < 4 << 20
     assert "depth 17 need at least 11.7 GiB" in capsys.readouterr().err
+
+
+def test_grid_over_budget_exits_2_up_front(tmp_path, capsys, monkeypatch):
+    """The grid statistics' memory estimate is refused before any stage runs:
+    a d = 3 measure file at the default grid_max of 256, and the d = 2
+    benchmark group with grid_max 1024."""
+    from perfbench.workloads import generated_group
+    monkeypatch.setattr(dimension, "estimate_delta", _no_stage)
+    monkeypatch.setattr(fourier, "decay_scan", _no_stage)
+    rng = np.random.default_rng(7)
+    _io.write_measure_file(tmp_path / "cube.csv",
+                           AtomicMeasure(points=rng.uniform(size=(50, 3)),
+                                         weights=np.ones(50)))
+    (tmp_path / "cube.cfg").write_text("[measure]\nfile = cube.csv\n")
+    (tmp_path / "plane.group").write_text(_io.group_file_text(generated_group(1)))
+    (tmp_path / "plane.cfg").write_text("[group]\nfile = plane.group\n\n"
+                                        "[fourier]\ngrid_max = 1024\n")
+    for name, d in (("cube.cfg", 3), ("plane.cfg", 2)):
+        assert cli.main(["fourier", "--config", str(tmp_path / name),
+                         "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert re.search(f"in d = {d} would hold about [0-9.e+]+ GiB, over the budget "
+                         "of 1 GiB", err), err
+    assert not (tmp_path / "o" / "fourier.csv").exists()
 
 
 def test_negative_seed_flag_is_refused_naming_it(tmp_path, capsys, monkeypatch):

@@ -156,14 +156,33 @@ def test_delta_from_distances_matches_geometric_closed_form(c, k):
     assert np.array_equal(per_level, oracles.bisection_delta(dists)[1])
 
 
+def _shells_with_roots(roots, k=2):
+    # constant distances on each shell, spaced so that delta_n = roots[n - 1]
+    dists, total = [np.zeros(1)], 0.0
+    for n, root in enumerate(roots, start=1):
+        size = 2 * k * (2 * k - 1) ** (n - 1)
+        total += np.log(size / dists[-1].shape[0]) / root
+        dists.append(np.full(size, total))
+    return dists
+
+
 def test_grid_search_follows_a_bracket_that_changes_between_levels():
     # k = 2, c = 1.2: delta_1 = log 4 / 1.2 > 1 brackets at hi_0 = 2, the
-    # later roots log 3 / 1.2 < 1 at hi_0 = 1, two grids of the same spacing
+    # later roots log 3 / 1.2 < 1 at hi_0 = 1, two grids of the same spacing.
+    # Level 2 bisects, and so does level 3, since delta_2 lies about 2^18
+    # cells from delta_1; later levels end in their predecessor's cell.
     dists = _geometric_shells(1.2, 2)
     _, per_level, evaluations = dimension.delta_from_distances(dists)
     assert per_level[0] > 1.0 > per_level[1]
     assert np.array_equal(per_level, oracles.bisection_delta(dists)[1])
-    assert evaluations[0] == 2 + 21 and np.all(evaluations[2:] == 3)
+    assert list(evaluations) == [2 + 21, 21, 21, 3, 3, 3]
+    # roots 2e-4 apart across s = 1: level 3 walks from delta_2's cell on the
+    # hi_0 = 2 grid, clamped to the top of its own hi_0 = 1 grid
+    dists = _shells_with_roots([1 + 3e-4, 1 + 1e-4] + [1 - 1e-4] * 4)
+    _, per_level, evaluations = dimension.delta_from_distances(dists)
+    assert per_level[1] > 1.0 > per_level[2]
+    assert np.array_equal(per_level, oracles.bisection_delta(dists)[1])
+    assert list(evaluations) == [2 + 21, 2 + 21, 15, 3, 3, 3]
 
 
 @settings(max_examples=60, deadline=None)
@@ -241,12 +260,20 @@ def test_grid_search_matches_bisection_on_generated_groups():
 
 def test_reference_root_search_evaluation_counts(reference):
     # delta_8..delta_12 share one cell, so levels 9..12 test its two ends
-    # after the bracket's f(1); bisection takes 21 evaluations a level, 252
+    # after the bracket's f(1); bisection takes 21 evaluations a level, 252.
+    # Level 2 bisects, and so do levels 3..6, because delta_2..delta_5 each
+    # lie 2^11 to 2^15 cells from their predecessor (walks took 31, 25, 27,
+    # 23 and 19 at levels 2..6); levels 7 and 8 walk after smaller moves
     est = dimension.estimate_delta(reference, n_max=12)
-    assert est.evaluations.shape == (12,)
-    assert est.evaluations[0] == 21
-    assert np.all(est.evaluations[8:] <= 3)
-    assert est.evaluations.sum() <= 200
+    assert list(est.evaluations) == [21] * 6 + [13, 7] + [3] * 4
+
+
+def test_generated_group_root_search_evaluation_counts():
+    # level 2 of the float d = 2 benchmark groups bisects (a walk took 33)
+    from perfbench import workloads
+    for seed, counts in ((0, [21, 21, 21, 21, 5, 3]), (1, [21, 21, 21, 21, 11, 5])):
+        est = dimension.estimate_delta(workloads.generated_group(seed), n_max=6)
+        assert list(est.evaluations) == counts
 
 
 def test_reference_delta_matches_the_dynamical_determinant(reference):

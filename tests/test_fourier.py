@@ -129,8 +129,7 @@ def test_each_antipodal_pair_is_evaluated_once(monkeypatch):
         assert sum(rows) == report.sample_values.shape[0] // 2
     rows.clear()
     fourier.grid_statistics(random_measure(n=50, d=2, seed=3), 6.0)
-    # the ball is symmetric and holds the origin, its own antipode
-    assert sum(rows) == (fourier._grid_ball(2, 6.0, 0.25).shape[0] + 1) // 2
+    assert rows == []       # the grid takes the NUFFT, whose antipodes are conjugates
 
 
 def test_transform_memory_stays_within_the_block_budget(monkeypatch):
@@ -291,12 +290,91 @@ def test_l2_segment_doubling_ratio():
     assert vals[128.0] / vals[64.0] <= 2.0 ** 0.3
 
 
-def test_grid_recursion_matches_direct_transform():
-    mu = random_measure(n=800, seed=23)
-    k_max = 400
-    rec = fourier._grid_values_1d(mu.points, mu.weights, 0.25, k_max, threads=1)
-    direct = fourier.fourier_transform(mu, (np.arange(k_max + 1) * 0.25)[:, None])
-    assert np.abs(rec - direct).max() < 1e-10
+REFERENCE_DELTA = 0.4842963218688965      # delta_12 of the reference (README)
+
+
+def grid_inputs(reference):
+    """(measure, radius) of the four oracle inputs of the grid NUFFT."""
+    mu8 = measure.patterson_orbit_measure(reference, REFERENCE_DELTA, 0.02, 8)
+    return {"segment": (oracles.uniform_segment_measure(1000), 64.0),
+            "mu8": (mu8, 256.0),
+            "d2": (random_measure(n=3000, d=2, seed=41), 8.0),
+            "d3": (random_measure(n=300, d=3, seed=42), 2.0)}
+
+
+def grid_and_direct(mu, radius, step=0.25):
+    """The NUFFT's values on the cube |k_a| <= radius/step, their frequencies
+    in the same order, and the direct sum at those frequencies."""
+    k_max = int(radius // step)
+    ax = np.arange(-k_max, k_max + 1) * step
+    freqs = np.stack([g.ravel() for g in np.meshgrid(*[ax] * mu.d, indexing="ij")], axis=1)
+    vals = fourier._grid_values(mu.points, mu.weights, step, k_max, threads=1).ravel()
+    return freqs, vals, fourier.fourier_transform(mu, freqs)
+
+
+@pytest.mark.parametrize("name", ["segment", "mu8", "d2", "d3"])
+def test_grid_nufft_matches_direct_sum(reference, name):
+    mu, radius = grid_inputs(reference)[name]
+    freqs, vals, direct = grid_and_direct(mu, radius)
+    assert np.abs(vals - direct).max() <= 1e-10
+    if name == "segment":
+        oracle = oracles.segment_modulus_oracle(freqs[:, 0], 1000)
+        assert np.abs(np.abs(vals) - oracle).max() <= 1e-10
+
+
+def test_grid_nufft_exceptional_cells_match_direct_sum(reference):
+    # no cell of the mu8 or d = 2 grid lies on the other side of T^{-delta}
+    # than under the direct sum, at T = the radius and every delta of a sweep
+    inputs = grid_inputs(reference)
+    for name in ("mu8", "d2"):
+        mu, radius = inputs[name]
+        _, vals, direct = grid_and_direct(mu, radius)
+        for dexp in np.arange(0.05, 0.46, 0.05):
+            level = radius ** -dexp
+            assert np.count_nonzero((np.abs(vals) > level) != (np.abs(direct) > level)) == 0
+
+
+def test_grid_nufft_bits_independent_of_threads(monkeypatch):
+    monkeypatch.setattr(fourier, "_SPREAD_BYTES", 1 << 16)  # several blocks a chunk
+    for d, n, k_max in ((1, 3000, 200), (2, 3000, 12), (3, 400, 3)):
+        monkeypatch.setattr(fourier, "_ATOM_CHUNK", n // 4 - 1)    # five chunks
+        mu = random_measure(n=n, d=d, seed=43)
+        one = fourier._grid_values(mu.points, mu.weights, 0.25, k_max, threads=1)
+        for threads in (2, 3):
+            assert np.array_equal(
+                fourier._grid_values(mu.points, mu.weights, 0.25, k_max, threads), one)
+        flat = one.ravel()
+        assert np.array_equal(flat, np.conj(flat[::-1]))      # mu-hat(-xi), bit for bit
+        assert flat[flat.size // 2] == 1.0
+        stats = [fourier.grid_statistics(mu, k_max * 0.25, threads=t)[0] for t in (1, 2)]
+        assert stats[0] == stats[1]
+
+
+def test_grid_budget_refuses_before_any_work(monkeypatch):
+    # the CLI defaults (grid_max 256, step 0.25): a 5-smooth fine grid of
+    # 4320 a side, not 8192, fits in d = 2 and not in d = 3
+    assert fourier._fine_size(2 * 1024 + 1) == 4320
+    assert fourier.check_grid_budget(2, 4687, 256.0, 0.25, threads=2) < fourier._GRID_BUDGET
+    monkeypatch.setattr(fourier, "_grid_values", None)       # would fail if reached
+    for d, radius in ((3, 256.0), (2, 1024.0)):
+        with pytest.raises(ValueError, match="over the budget of 1 GiB"):
+            fourier.check_grid_budget(d, 100, radius, 0.25)
+        with pytest.raises(ValueError, match=f"in d = {d} would hold about"):
+            fourier.grid_statistics(random_measure(n=10, d=d), radius)
+
+
+def test_grid_memory_stays_within_the_estimate(monkeypatch):
+    monkeypatch.setattr(fourier, "_ATOM_CHUNK", 1000)        # a partial grid per worker
+    for d, radius in ((1, 256.0), (2, 24.0)):
+        mu = random_measure(n=4000, d=d, seed=44)
+        need = fourier.check_grid_budget(d, mu.n, radius, 0.25, threads=2)
+        tracemalloc.start()
+        try:
+            fourier.grid_statistics(mu, radius, threads=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= need + 3 * fourier._SPREAD_BYTES    # and a spreading block a worker
 
 
 # --- exceptional set ---------------------------------------------------------
