@@ -68,15 +68,14 @@ def _setup(args):
 
 
 def _meta(command, config_hash, seed, threads, **extra):
-    meta = {
+    return {
         "command": command,
         "config": config_hash if config_hash else "none",
         "version": __version__,
         "seed": int(seed),
         "threads": int(threads),
+        **extra,
     }
-    meta.update(extra)
-    return meta
 
 
 def _report(path, meta, lines):
@@ -103,8 +102,8 @@ class _Pipeline:
 
     @functools.cached_property
     def mu(self) -> measure.AtomicMeasure:
-        # levels first: a measure over the level cache budget fails before delta
-        self.group.levels(self.cfg.measure.n_max)
+        # a measure over the level cache budget fails before delta
+        self.group.check_depth(self.cfg.measure.n_max)
         return measure.patterson_orbit_measure(self.group, self.estimate.delta,
                                                epsilon=self.cfg.measure.epsilon,
                                                n_max=self.cfg.measure.n_max)
@@ -124,6 +123,7 @@ def _input_measure(cfg, threads, check=lambda d, atoms: None):
         check(mu.d, mu.n)
         return mu, meta.get("delta"), os.path.basename(path)
     run = _Pipeline(cfg, threads)
+    run.group.check_depth(cfg.measure.n_max)    # before word_count, slow at a huge depth
     check(run.group.d, run.group.word_count(cfg.measure.n_max))
     return run.mu, run.estimate.delta, run.group.name
 

@@ -145,8 +145,7 @@ def patterson_orbit_measure(
     pts, dists = group.orbit_chart(n_max)
     raw = np.exp(-s * dists)
     if n_max >= 2:
-        sizes = [group.level(n).words.shape[0] for n in range(n_max + 1)]
-        hi = np.cumsum(sizes)
+        hi = np.cumsum([lev.vecs.shape[0] for lev in group.levels(n_max)])
         last = raw[hi[-2] : hi[-1]].sum()
         prev = raw[hi[-3] : hi[-2]].sum()
         if last >= prev:
@@ -157,21 +156,23 @@ def patterson_orbit_measure(
     return AtomicMeasure(points=pts, weights=raw / raw.sum(), dropped=0)
 
 
-def _weighted_quantile(values: np.ndarray, weights: np.ndarray, q: float) -> float:
+def _weighted_quantiles(values: np.ndarray, weights: np.ndarray, qs) -> np.ndarray:
+    """Weighted qs-quantiles of values, from one sort."""
     order = np.argsort(values)
     cum = np.cumsum(weights[order])
-    pos = np.searchsorted(cum, q * cum[-1])
-    return float(values[order][min(pos, values.shape[0] - 1)])
+    pos = np.searchsorted(cum, np.asarray(qs) * cum[-1])
+    return values[order][np.minimum(pos, values.shape[0] - 1)]
 
 
-def _quantile_point(mu: AtomicMeasure, q: float) -> np.ndarray:
-    """Per-axis weighted q-quantiles of the atoms."""
-    return np.array([_weighted_quantile(mu.points[:, j], mu.weights, q) for j in range(mu.d)])
+def _quantile_points(mu: AtomicMeasure, qs) -> np.ndarray:
+    """Per-axis weighted qs-quantiles of the atoms, row i for qs[i], one sort an axis."""
+    return np.stack([_weighted_quantiles(mu.points[:, j], mu.weights, qs)
+                     for j in range(mu.d)], axis=1)
 
 
-def _quantile_span(mu: AtomicMeasure) -> float:
-    """Largest per-axis weighted 10-90 spread of the atoms (1 if it is 0)."""
-    span = float(np.max(_quantile_point(mu, 0.9) - _quantile_point(mu, 0.1)))
+def _quantile_span(q10: np.ndarray, q90: np.ndarray) -> float:
+    """Largest per-axis spread of the atoms' weighted 10% and 90% quantile points (1 if 0)."""
+    span = float(np.max(q90 - q10))
     return 1.0 if span <= 0.0 else span
 
 
@@ -348,7 +349,7 @@ def _nn_spacing(mu: AtomicMeasure) -> tuple[np.ndarray, float]:
     if mu.n < 2:
         return np.full(mu.n, np.inf), np.inf
     nn = nearest_neighbor_distances(mu.points)
-    eta = _weighted_quantile(nn, mu.weights, 0.5)
+    eta = float(_weighted_quantiles(nn, mu.weights, (0.5,))[0])
     if eta <= 0.0:
         raise core.DegenerateConfigurationError("coincident atoms: spacing 0")
     return nn, eta
@@ -358,21 +359,20 @@ def bump_test_functions(mu: AtomicMeasure):
     """Gaussian bumps at 3 weighted-quantile centers and 5 dyadic widths.
 
     Deterministic in the measure; used as the test-function family for the
-    conformality residual.
+    conformality residual.  The returned ``bumps(p)`` yields their values at
+    the points p, center by center, from one squared distance a center.
     """
-    centers = [_quantile_point(mu, q) for q in (0.25, 0.5, 0.75)]
-    span = _quantile_span(mu)
-    funcs = []
-    for c in centers:
-        for j in range(5):
-            sig = span * 0.5 ** j
+    *centers, q10, q90 = _quantile_points(mu, (0.25, 0.5, 0.75, 0.1, 0.9))
+    sigs = [_quantile_span(q10, q90) * 0.5 ** j for j in range(5)]
 
-            def f(p, c=c, sig=sig):
-                p = np.atleast_2d(np.asarray(p, dtype=float))
-                return np.exp(-0.5 * np.sum((p - c) ** 2, axis=-1) / sig ** 2)
+    def bumps(p):
+        p = np.atleast_2d(np.asarray(p, dtype=float))
+        for c in centers:
+            sq = np.sum((p - c) ** 2, axis=-1)
+            for sig in sigs:
+                yield np.exp(-0.5 * sq / sig ** 2)
 
-            funcs.append(f)
-    return funcs
+    return bumps
 
 
 def conformality_residual(mu: AtomicMeasure, gamma: np.ndarray, s: float,
@@ -392,11 +392,12 @@ def conformality_residual(mu: AtomicMeasure, gamma: np.ndarray, s: float,
     xi = core.chart_to_boundary(mu.points)
     o = core.basepoint(mu.d)
     go = np.asarray(gamma, dtype=float) @ o
-    density = np.exp(busemann_sign * s * core.busemann(xi, o, go))
+    w_conf = mu.weights * np.exp(busemann_sign * s * core.busemann(xi, o, go))
+    bumps = bump_test_functions(mu)
     worst = 0.0
-    for f in bump_test_functions(mu):
-        lhs = float(np.sum(w_push * f(p_push)))
-        rhs = float(np.sum(mu.weights * density * f(mu.points)))
+    for f_push, f_atoms in zip(bumps(p_push), bumps(mu.points)):
+        lhs = float(np.sum(w_push * f_push))
+        rhs = float(np.sum(w_conf * f_atoms))
         worst = max(worst, abs(lhs - rhs))
     return worst
 
@@ -491,7 +492,8 @@ def default_radii(mu: AtomicMeasure) -> np.ndarray:
     Spans [span/800, span/16]: low enough to see several refinement scales,
     high enough that single-atom masses do not flatten the fit.
     """
-    return _quantile_span(mu) * np.geomspace(1.0 / 800.0, 1.0 / 16.0, 12)
+    span = _quantile_span(*_quantile_points(mu, (0.1, 0.9)))
+    return span * np.geomspace(1.0 / 800.0, 1.0 / 16.0, 12)
 
 
 def local_dimension_estimate(

@@ -10,8 +10,9 @@ of ball images.
 
 The word engine enumerates reduced words in deterministic lexicographic
 order and caches, per level, each word's orbit vector v = W (e_0 + e_last)
-(twice the orbit point W o), refusing up front a cache over a fixed memory
-budget.  A level is built from its parent by prepending a letter,
+(twice the orbit point W o) and distance, but not its letters, the
+mixed-radix digits of its row; a cache over a fixed memory budget is
+refused up front.  A level is built from its parent by prepending a letter,
 v_child = L_b v_parent.  The generators are reprojected to SO(Q) once, at
 construction; the word vectors are never reprojected.  For integer generators
 a level is certified exact while its parent's largest entry times the
@@ -21,6 +22,7 @@ then an integer that float64 holds.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,7 +31,7 @@ from limset import core
 
 # Integers up to 2^53 in magnitude are exact in float64.
 _FLOAT_EXACT = float(2 ** 53)
-_CACHE_BUDGET = 4 << 30  # bytes of words, orbit vectors and distances in the level cache
+_CACHE_BUDGET = 4 << 30  # bytes of orbit vectors and distances in the level cache
 
 
 class ConfigurationError(ValueError):
@@ -94,9 +96,7 @@ def build_loxodromic(xi_att, xi_rep, length, m=None):
     r = r / pairing
     # B-orthogonal complement of span(a, r); -B is positive definite there
     basis = []
-    for j in range(n):
-        x = np.zeros(n)
-        x[j] = 1.0
+    for x in np.eye(n):
         x = x - core.bilinear_form(x, r) * a - core.bilinear_form(x, a) * r
         for u in basis:
             x = x + core.bilinear_form(x, u) * u  # -B-projection: x -= (-B(x,u)) u
@@ -171,10 +171,6 @@ class SchottkyGenerator:
         if self.ball_plus.gap_to(self.ball_minus) <= 0:
             raise ConfigurationError("ball_plus and ball_minus of a generator overlap")
 
-    @property
-    def length(self):
-        return translation_length(self.elem)
-
 
 @dataclass
 class PingPongReport:
@@ -198,24 +194,40 @@ class PingPongReport:
         return "\n".join(lines)
 
 
-def _letter_names(k):
-    names = []
-    for i in range(k):
-        names.append(f"g{i + 1}")
-        names.append(f"g{i + 1}^-1")
-    return names
+def _words_through(k, n):
+    """The reduced words of length <= n on k generators, in closed form."""
+    base = 2 * k - 1
+    return 1 + 2 * n if base == 1 else 1 + 2 * k * (base ** n - 1) // (base - 1)
 
 
 @dataclass
 class _Level:
     """Cached data for all reduced words of one length."""
 
-    words: np.ndarray        # (N, L) int8 letter ids
     vecs: np.ndarray         # (N, d+2) float64 orbit vectors W (e_0 + e_last)
     dists: np.ndarray        # (N,) d(o, w o)
     max_entry: float         # max |entry| over the level's vectors
     exact: bool              # vecs are the exact integer products (2^53 guard)
+    length: int              # the word length
+    k: int                   # generators: the letters are 0..2k-1
     mats = imats = None  # not fields; perfbench/layers.py reads them until its next change
+
+    @property
+    def words(self):
+        """(N, length) int8 letter ids decoded from the row indices on each
+        access; nothing in limset reads them.  By the first-letter block
+        invariant (``SchottkyGroup._prepend``) row i's letters are its digits
+        in the radices 2k, 2k-1, ..., 2k-1, each after the first shifted up by
+        one when it is at or above the inverse of the letter before it."""
+        base, n = 2 * self.k - 1, self.length
+        words = np.empty((self.vecs.shape[0], n), dtype=np.int8)
+        for j in range(n):
+            # digit j runs through its radix, each value held for base^(n-1-j) rows
+            digit = np.repeat(np.arange(base if j else 2 * self.k, dtype=np.int8),
+                              base ** (n - 1 - j))
+            digit = np.tile(digit, words.shape[0] // digit.size)
+            words[:, j] = digit + (digit >= words[:, j - 1] ^ 1) if j else digit
+        return words
 
 
 class SchottkyGroup:
@@ -250,13 +262,13 @@ class SchottkyGroup:
         for g in gens:
             self.letter_balls.append((g.ball_minus, g.ball_plus))   # for gamma
             self.letter_balls.append((g.ball_plus, g.ball_minus))   # for gamma^{-1}
-        self.letter_names = _letter_names(self.k)
+        self.letter_names = [f"g{i + 1}{inv}" for i in range(self.k) for inv in ("", "^-1")]
         integral = np.array_equal(self.letter_mats, np.rint(self.letter_mats))
         self.validated = False
         self.report = None
         e = np.eye(self.d + 2)
-        self._levels = [_Level(words=np.zeros((1, 0), dtype=np.int8), vecs=e[:1] + e[-1:],
-                               dists=np.zeros(1), max_entry=1.0, exact=bool(integral))]
+        self._levels = [_Level(vecs=e[:1] + e[-1:], dists=np.zeros(1), max_entry=1.0,
+                               exact=bool(integral), length=0, k=self.k)]
 
     # -- words ---------------------------------------------------------------
 
@@ -270,81 +282,71 @@ class SchottkyGroup:
 
     def word_count(self, n):
         """1 + sum_{j<=n} 2k (2k-1)^{j-1} reduced words of length <= n."""
-        total, level = 1, 2 * self.k
-        for _ in range(n):
-            total += level
-            level *= 2 * self.k - 1
-        return total
+        return _words_through(self.k, n)
 
     # -- level cache ----------------------------------------------------------
 
     def cache_bytes(self, n):
-        """Bytes of the words, orbit vectors and distances of levels 0..n,
-        summed until past the level cache budget (a lower bound above it)."""
-        per_word = (self.d + 3) * 8             # a float64 vector and distance
-        total, count = per_word, 2 * self.k     # level 0: the empty word
-        for j in range(1, n + 1):
-            if total > _CACHE_BUDGET:
-                break
-            total += count * (per_word + j)     # and j int8 letters a word
-            count *= 2 * self.k - 1
-        return total
+        """Bytes of the orbit vectors and distances of levels 0..n: a float64
+        vector and distance for each of their word_count(n) words."""
+        return (self.d + 3) * 8 * _words_through(self.k, n)
+
+    def check_depth(self, n):
+        """Refuse levels 0..n over the level cache budget, building nothing; a
+        k >= 2 depth past 64 (over any budget) is named by levels 0..64's size."""
+        shown = n if self.k == 1 else min(n, 64)
+        need = self.cache_bytes(shown)
+        if need > _CACHE_BUDGET:
+            more = "more than " if shown < n else ""
+            raise ValueError(f"word levels to depth {n} need {more}{need / 2 ** 30:.3g} GiB,"
+                             f" over the level cache budget of {_CACHE_BUDGET >> 30} GiB")
 
     def _extend_levels(self, n):
-        need = self.cache_bytes(n) if len(self._levels) <= n else 0
-        if need > _CACHE_BUDGET:
-            raise ValueError(f"word levels to depth {n} need at least {need / 2 ** 30:.1f} GiB,"
-                             f" over the level cache budget of {_CACHE_BUDGET >> 30} GiB")
+        self.check_depth(n)
         while len(self._levels) <= n:
             self._levels.append(self._next_level(self._levels[-1]))
 
-    def _prepend(self, words, vecs):
-        """The words one letter longer than ``words`` (one level's), with
-        L_b v for each parent vector v: grouped by the prepended letter b,
-        parents in order, skipping those that start with b's inverse, which is
-        the lexicographic order.
+    def _prepend(self, vecs):
+        """L_b v for each parent vector v of one level, grouped by the
+        prepended letter b, parents in order, skipping those that start with
+        b's inverse: the next level's vectors in lexicographic word order.
 
-        It relies on the first-letter block invariant, which it also keeps:
-        a level's words are grouped by first letter in letter order, each block
-        npar / 2k words (level 0 is the one empty word, which no letter skips).
-        So b's parents are two slices, the blocks before and after its
-        inverse's, copied and multiplied as they stand.  numpy multiplies a
-        one-row matrix by dot, not gemm, and the bits differ: a one-row slice
-        of a letter that keeps more rows (a level-1 parent) is multiplied as a
-        two-row stack, and only a letter that keeps one row (level 0, or
-        k = 1) multiplies it alone.  So every row has the bits of one product
-        per letter over all its parents.
+        It relies on the first-letter block invariant, which it also keeps: a
+        level's words are grouped by first letter in letter order, npar // 2k
+        words a block (empty at level 0, the one empty word).  So b's parents
+        are two slices, before and after its inverse's block.  numpy
+        multiplies a one-row matrix by dot, not gemm, with other bits: a
+        one-row slice of a letter that keeps more rows (a level-1 parent) is
+        multiplied as a two-row stack, and only a letter that keeps one row
+        (level 0, or k = 1) multiplies it alone.  So every row has the bits of
+        one product per letter over all its parents.
         """
-        npar, plen = words.shape
-        block = npar // (2 * self.k) if plen else 0
+        npar = vecs.shape[0]
+        block = npar // (2 * self.k)
         per = npar - block
-        out_words = np.empty((2 * self.k * per, plen + 1), dtype=np.int8)
-        out_vecs = np.empty((2 * self.k * per,) + vecs.shape[1:])
+        out = np.empty((2 * self.k * per,) + vecs.shape[1:])
         for b in range(2 * self.k):
             mat = self.letter_mats[b].T
             lo = b * per
-            out_words[lo:lo + per, 0] = b
             skip = self._inv(b) * block
             for start, stop in ((0, skip), (skip + block, npar)):
                 hi = lo + stop - start
-                out_words[lo:hi, 1:] = words[start:stop]
                 if stop - start == 1 < per:
-                    out_vecs[lo:hi] = np.matmul(vecs[[start, start]], mat)[:1]
+                    out[lo:hi] = np.matmul(vecs[[start, start]], mat)[:1]
                 else:
-                    np.matmul(vecs[start:stop], mat, out=out_vecs[lo:hi])
+                    np.matmul(vecs[start:stop], mat, out=out[lo:hi])
                 lo = hi
-        return out_words, out_vecs
+        return out
 
     def _next_level(self, parent: _Level):
         exact = parent.exact and int(parent.max_entry) * self._row_sum <= _FLOAT_EXACT
-        words, vecs = self._prepend(parent.words, parent.vecs)
+        vecs = self._prepend(parent.vecs)
         dists = np.arccosh(np.maximum(0.5 * (vecs[:, 0] + vecs[:, -1]), 1.0))
-        return _Level(words=words, vecs=vecs, dists=dists,
-                      max_entry=float(max(vecs.max(), -vecs.min())), exact=exact)
+        return _Level(vecs=vecs, dists=dists, max_entry=float(max(vecs.max(), -vecs.min())),
+                      exact=exact, length=parent.length + 1, k=self.k)
 
     def level(self, n) -> _Level:
-        self._extend_levels(n)
-        return self._levels[n]
+        return self.levels(n)[n]
 
     def levels(self, n):
         self._extend_levels(n)
@@ -360,9 +362,10 @@ class SchottkyGroup:
     def orbit_images(self, x, n):
         """W x for the words W of each length 0..n, one array per length in
         the cache's word order, by the level build's recursion."""
+        self.check_depth(n)
         out = [np.asarray(x, dtype=float)[None]]
-        for lev in self.levels(n - 1):
-            out.append(self._prepend(lev.words, out[-1])[1])
+        for _ in range(n):
+            out.append(self._prepend(out[-1]))
         return out
 
     def orbit_distances(self, n):
@@ -396,13 +399,12 @@ class SchottkyGroup:
         # the plus-balls of the 2k letters run through all 2k balls exactly once
         balls = [self.letter_balls[b][1] for b in range(2 * self.k)]
         min_gap = np.inf
-        for i in range(2 * self.k):
-            for j in range(i + 1, 2 * self.k):
-                gap = balls[i].gap_to(balls[j])
-                min_gap = min(min_gap, gap)
-                if gap <= 0:
-                    raise ConfigurationError(
-                        f"balls of {names[i]} and {names[j]} overlap (gap {gap:.3g})")
+        for i, j in itertools.combinations(range(2 * self.k), 2):
+            gap = balls[i].gap_to(balls[j])
+            min_gap = min(min_gap, gap)
+            if gap <= 0:
+                raise ConfigurationError(
+                    f"balls of {names[i]} and {names[j]} overlap (gap {gap:.3g})")
         rng = np.random.default_rng(0)
         margins, witnesses = {}, []
         ok = True
@@ -497,14 +499,9 @@ class SchottkyGroup:
             comm = a @ b - b @ a
             out["noncommuting"] = bool(np.abs(comm).max() > 1e-9 * np.abs(a @ b).max())
             axes = [fixed_points(g.elem) for g in self.gens]
-            distinct = True
-            for i in range(self.k):
-                for j in range(i + 1, self.k):
-                    for p in axes[i]:
-                        for q in axes[j]:
-                            if core.boundary_equal(p, q, tol=1e-8):
-                                distinct = False
-            out["distinct_axes"] = distinct
+            out["distinct_axes"] = not any(
+                core.boundary_equal(p, q, tol=1e-8)
+                for a, b in itertools.combinations(axes, 2) for p in a for q in b)
         return out
 
     def __repr__(self):

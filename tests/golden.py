@@ -13,12 +13,15 @@ workloads at seeds 0 and 1.  Each (workload, seed, thread count) pass runs
 ``validate``, ``delta``, ``measure``, ``fourier --svg``, ``nonconc`` (at
 ``--threads 1`` and ``2``) and ``holonomy --trials 2000`` as fresh processes,
 and records the exit code and the digests of stdout, stderr and every output
-file.  Two trees behave alike when their OUT.json files are equal.
+file.  Beside its digest it records the text of each stdout and summary
+under 4 KiB.  Two trees behave alike when their OUT.json files are equal.
 ``--diff`` prints each key whose record differs between two OUT.json files,
-or that only one of them has, and exits 1 if there is any.  Not a test
-module: pytest does not collect it.
+or that only one of them has, with the lines that differ where both have
+the text, and exits 1 if there is any.  Not a test module: pytest does not
+collect it.
 """
 
+import difflib
 import hashlib
 import json
 import os
@@ -34,10 +37,16 @@ from perfbench import workloads  # noqa: E402
 SEEDS = (0, 1)
 THREADS = (1, 2)
 HOLONOMY_TRIALS = 2000
+TEXT_LIMIT = 4096   # bytes of stdout or summary recorded as text
 
 
 def _sha256(data):
     return hashlib.sha256(data).hexdigest()
+
+
+def _text(data):
+    """``data`` decoded if it is short enough to record as text, else None."""
+    return data.decode("utf-8", "replace") if len(data) < TEXT_LIMIT else None
 
 
 def _run(src, args, cwd):
@@ -47,7 +56,7 @@ def _run(src, args, cwd):
     proc = subprocess.run([sys.executable, "-m", "limset.cli", *args], cwd=cwd, env=env,
                           capture_output=True, check=False)
     return {"exit": proc.returncode, "stdout": _sha256(proc.stdout),
-            "stderr": _sha256(proc.stderr)}
+            "stderr": _sha256(proc.stderr), "stdout_text": _text(proc.stdout)}
 
 
 def digests(src, work):
@@ -72,21 +81,43 @@ def digests(src, work):
                     record[f"{key}/{command}"] = _run(src, args, run_dir)
                 for file in sorted(os.listdir(out)):
                     with open(os.path.join(out, file), "rb") as fh:
-                        record[f"{key}/out/{file}"] = _sha256(fh.read())
+                        data = fh.read()
+                    record[f"{key}/out/{file}"] = (
+                        {"sha256": _sha256(data), "text": _text(data)}
+                        if file.endswith("_summary.txt") else _sha256(data))
     return record
+
+
+def _text_of(record):
+    """The recorded stdout or summary text of a record, or None."""
+    if isinstance(record, dict):
+        return record.get("stdout_text", record.get("text"))
+    return None
 
 
 def diff(a_path, b_path):
     """Lines naming each key whose record differs between two OUT.json files
-    or that only one of them has, in key order."""
+    or that only one of them has, in key order; where both records hold
+    text, each is followed by its differing lines, "  - " for A's and
+    "  + " for B's."""
     records = []
     for path in (a_path, b_path):
         with open(path, encoding="utf-8") as fh:
             records.append(json.load(fh))
     a, b = records
-    return [f"{key}: " + ("differs" if key in a and key in b else
-                          f"only in {a_path if key in a else b_path}")
-            for key in sorted(a.keys() | b.keys()) if a.get(key) != b.get(key)]
+    lines = []
+    for key in sorted(a.keys() | b.keys()):
+        if a.get(key) == b.get(key):
+            continue
+        if key not in a or key not in b:
+            lines.append(f"{key}: only in {a_path if key in a else b_path}")
+            continue
+        lines.append(f"{key}: differs")
+        old, new = _text_of(a[key]), _text_of(b[key])
+        if old is not None and new is not None:
+            lines += [f"  {line}" for line in difflib.ndiff(old.splitlines(), new.splitlines())
+                      if line[:2] in ("- ", "+ ")]
+    return lines
 
 
 def main(argv):
@@ -103,7 +134,7 @@ def main(argv):
     with open(out_json, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=1, sort_keys=True)
         fh.write("\n")
-    failed = sorted(k for k, v in record.items() if isinstance(v, dict) and v["exit"])
+    failed = sorted(k for k, v in record.items() if isinstance(v, dict) and v.get("exit"))
     print(f"{len(record)} digests, {len(failed)} non-zero exits"
           + (f": {', '.join(failed)}" if failed else ""))
 

@@ -81,11 +81,11 @@ def test_03_model_invariants_at_depth(reference):
     assert worst <= 1e-9, f"form defect {worst} over words of length <= 12"
     # drift correction fixes these words (already on the group, nothing to
     # move), and they are their letters' Python-int products
-    lev = reference.level(12)
+    words = reference.level(12).words     # decoded from the row indices
     for idx in (0, len(mats) // 2, len(mats) - 1):
         assert np.array_equal(core.project_so(mats[idx]), mats[idx])
         assert np.array_equal(mats[idx].astype(object),
-                              oracles.integer_word_product(reference, lev.words[idx]))
+                              oracles.integer_word_product(reference, words[idx]))
 
     rng = np.random.default_rng(31)
     worst_coc = 0.0

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import limset
-from limset import _io, cli, dimension, fourier, measure
+from limset import _io, cli, dimension, fourier, measure, schottky
 from limset.measure import AtomicMeasure
 
 import oracles
@@ -659,7 +659,7 @@ def test_bad_input_exits_2_naming_its_line(tmp_path, capsys, monkeypatch, case):
 
 @pytest.mark.parametrize("section", ["delta", "measure"])
 def test_depth_over_level_cache_budget_exits_2_up_front(tmp_path, capsys, section):
-    # depth 17 of the reference needs 11.7 GiB of levels: refused before any
+    # depth 17 of the reference needs 7.7 GiB of levels: refused before any
     # level (or, for measure, the delta stage) is built
     path = tmp_path / "deep.cfg"
     path.write_text(_GROUP + f"[{section}]\nn_max = 17\n")
@@ -673,13 +673,31 @@ def test_depth_over_level_cache_budget_exits_2_up_front(tmp_path, capsys, sectio
     assert code == 2
     assert time.perf_counter() - start < 0.5
     assert peak < 4 << 20
-    assert "depth 17 need at least 11.7 GiB" in capsys.readouterr().err
+    assert "depth 17 need 7.7 GiB" in capsys.readouterr().err
+
+
+def test_huge_measure_depth_is_refused_before_the_word_count(tmp_path, capsys, monkeypatch):
+    # the grid budget check counts the measure's atoms by word_count, a
+    # big-int power that takes seconds at a depth like this; the level cache
+    # refusal runs first
+    def no_word_count(self, n):
+        raise AssertionError(f"word_count({n}) reached")
+    monkeypatch.setattr(schottky.SchottkyGroup, "word_count", no_word_count)
+    path = tmp_path / "huge.cfg"
+    path.write_text(_GROUP + "[measure]\nn_max = 10000000\n")
+    start = time.perf_counter()
+    code = cli.main(["fourier", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert time.perf_counter() - start < 2.0
+    assert "depth 10000000 need more than" in capsys.readouterr().err
 
 
 def test_grid_over_budget_exits_2_up_front(tmp_path, capsys, monkeypatch):
     """The grid statistics' memory estimate is refused before any stage runs:
     a d = 3 measure file at the default grid_max of 256, and the d = 2
-    benchmark group with grid_max 1024."""
+    benchmark group with grid_max 1024 at the benchmark's depth 5 (at the
+    default depth 12 its levels are over the level cache budget, which is
+    refused first)."""
     from perfbench.workloads import generated_group
     monkeypatch.setattr(dimension, "estimate_delta", _no_stage)
     monkeypatch.setattr(fourier, "decay_scan", _no_stage)
@@ -690,6 +708,7 @@ def test_grid_over_budget_exits_2_up_front(tmp_path, capsys, monkeypatch):
     (tmp_path / "cube.cfg").write_text("[measure]\nfile = cube.csv\n")
     (tmp_path / "plane.group").write_text(_io.group_file_text(generated_group(1)))
     (tmp_path / "plane.cfg").write_text("[group]\nfile = plane.group\n\n"
+                                        "[measure]\nn_max = 5\n\n"
                                         "[fourier]\ngrid_max = 1024\n")
     for name, d in (("cube.cfg", 3), ("plane.cfg", 2)):
         assert cli.main(["fourier", "--config", str(tmp_path / name),

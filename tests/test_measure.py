@@ -58,7 +58,7 @@ def test_patterson_measure_normalized(mu_ref):
 
 def test_patterson_atoms_in_first_letter_balls(reference):
     mu = measure.patterson_orbit_measure(reference, DELTA_REF, 0.05, 6)
-    sizes = [reference.level(n).words.shape[0] for n in range(7)]
+    sizes = [reference.level(n).vecs.shape[0] for n in range(7)]
     hi = np.cumsum(sizes)
     for n in range(1, 7):
         pts = mu.points[hi[n - 1] : hi[n]]

@@ -1,6 +1,8 @@
 """Tests for Schottky construction, word enumeration, ping-pong, limit sets."""
 
+import dataclasses
 import re
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -233,7 +235,8 @@ def test_level_cache_float_view_and_max_entry(reference, sweep_groups):
 
 def test_integer_lane_level_build_holds_one_float_copy():
     # A level is filled in place, so building it holds little more than the
-    # level itself: its vectors, words and distances.
+    # level itself: its vectors and distances, and one temporary of N floats
+    # (a quarter of them) for the distances.
     G = _io.load_group_file(limset.fixture_path("reference"))
     G.level(11)
     tracemalloc.start()
@@ -243,7 +246,7 @@ def test_integer_lane_level_build_holds_one_float_copy():
     finally:
         tracemalloc.stop()
     assert lev.exact
-    assert peak <= 1.25 * (lev.vecs.nbytes + lev.words.nbytes + lev.dists.nbytes)
+    assert peak <= 1.3 * (lev.vecs.nbytes + lev.dists.nbytes)
 
 
 def _cubed(reference):
@@ -281,19 +284,48 @@ def test_exactness_boundary_of_cubed_reference(reference):
             assert (np.abs(core.quadratic_form(lev.vecs) - 2.0) / scale).max() <= 1e-13
 
 
-def test_cache_bytes_is_what_the_levels_hold(reference, sweep_groups):
-    # one copy of words, vectors and distances per level, nothing else
-    for G, n in ((reference, 10), (sweep_groups[2.0], 5)):
+def test_cache_bytes_is_what_the_levels_hold(reference, cyclic, sweep_groups):
+    # one copy of vectors and distances per level, nothing else: no letters
+    stored = {f.name for f in dataclasses.fields(schottky._Level)}
+    assert stored == {"vecs", "dists", "max_entry", "exact", "length", "k"}
+    for G, n in ((reference, 10), (cyclic, 9), (sweep_groups[2.0], 5)):
         assert G.cache_bytes(n) == sum(a.nbytes for lev in G.levels(n)
-                                       for a in (lev.words, lev.vecs, lev.dists))
+                                       for a in (lev.vecs, lev.dists))
+        assert G.cache_bytes(n) == (G.d + 3) * 8 * G.word_count(n)
         assert all(lev.mats is None and lev.imats is None for lev in G.levels(n))
+
+
+def test_decoded_words_match_the_masked_build_for_k_1_2_3(reference, cyclic):
+    from perfbench import workloads
+    for G, depths in ((cyclic, (0, 1, 2, 7)), (reference, (0, 1, 2, 5, 9)),
+                      (workloads.generated_group(2), (0, 1, 3, 6))):
+        oracle = list(oracles.masked_levels(G, max(depths)))
+        for n in depths:
+            words = G.level(n).words
+            assert words.dtype == np.int8 and words.shape == (G.level(n).vecs.shape[0], n)
+            assert np.array_equal(words, oracle[n].words)
 
 
 def test_level_cache_over_budget_is_refused_before_any_build():
     G = _io.load_group_file(limset.fixture_path("reference"))
     assert G.cache_bytes(16) < schottky._CACHE_BUDGET < G.cache_bytes(17)
-    with pytest.raises(ValueError, match=r"depth 17 need at least 11\.7 GiB.*budget of 4 GiB"):
+    with pytest.raises(ValueError, match=r"depth 17 need 7\.7 GiB, over .*budget of 4 GiB"):
         G.level(17)
+    assert len(G._levels) == 1
+
+
+def test_level_cache_budget_check_is_cheap_at_any_depth(cyclic):
+    # a k >= 2 depth past 64 is named by the size of levels 0..64; k = 1
+    # levels grow linearly, so every depth's size is exact
+    G = _io.load_group_file(limset.fixture_path("reference"))
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"depth 10000000 need more than [0-9.e+]+ GiB"):
+        G.check_depth(10 ** 7)
+    with pytest.raises(ValueError, match=r"depth 10000000000 need 596 GiB"):
+        cyclic.check_depth(10 ** 10)
+    assert time.perf_counter() - start < 0.1
+    with pytest.raises(ValueError, match="depth 17 need 7.7 GiB"):
+        G.orbit_images(core.basepoint(1), 17)
     assert len(G._levels) == 1
 
 
@@ -434,17 +466,17 @@ def test_limit_set_nesting(reference):
     # pull back by the prefix and check membership in the last letter's ball
     rng = np.random.default_rng(7)
     for depth in (2, 4, 6):
-        lev = reference.level(depth)
+        words = reference.level(depth).words
         pts, dropped = oracles.limit_set_sample(reference, depth)
         assert dropped == 0
         idx = rng.choice(pts.shape[0], size=min(60, pts.shape[0]), replace=False)
         for i in idx:
-            prefix = lev.words[i, :-1]
+            prefix = words[i, :-1]
             gpre = np.eye(3)
             for b in prefix:
                 gpre = gpre @ reference.letter_mats[b]
             pulled = core.chart_action(core.group_inverse(gpre), pts[i])[0][0]
-            ball = reference.letter_balls[int(lev.words[i, -1])][1]
+            ball = reference.letter_balls[int(words[i, -1])][1]
             assert ball.margin(pulled) > 0
 
 
