@@ -28,8 +28,6 @@ z -> xi radially).
 
 from __future__ import annotations
 
-import concurrent.futures
-
 import numpy as np
 
 DEFAULT_TOL = 1e-9
@@ -357,5 +355,7 @@ def parallel_map(fn, items, threads=1):
         raise ValueError(f"thread count must be at least 1, got {threads}")
     if threads == 1 or len(items) <= 1:
         return [fn(x) for x in items]
+    import concurrent.futures    # here, so a single-threaded run never loads it
+
     with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as ex:
         return list(ex.map(fn, items))

@@ -341,7 +341,9 @@ class SchottkyGroup:
     def _next_level(self, parent: _Level):
         exact = parent.exact and int(parent.max_entry) * self._row_sum <= _FLOAT_EXACT
         vecs = self._prepend(parent.vecs)
-        dists = np.arccosh(np.maximum(0.5 * (vecs[:, 0] + vecs[:, -1]), 1.0))
+        dists = np.add(vecs[:, 0], vecs[:, -1])    # built in place: no temporaries
+        dists *= 0.5
+        np.arccosh(np.maximum(dists, 1.0, out=dists), out=dists)
         return _Level(vecs=vecs, dists=dists, max_entry=float(max(vecs.max(), -vecs.min())),
                       exact=exact, length=parent.length + 1, k=self.k)
 

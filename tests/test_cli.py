@@ -185,7 +185,8 @@ def test_module_entry_point():
 
 def test_start_up_loads_no_scipy(tmp_path):
     # no command imports scipy: not at start-up, and not for the atom spacing
-    # that fourier and nonconc take from a d = 2 measure's neighbour distances
+    # that fourier and nonconc take from a d = 2 measure's neighbour distances;
+    # on one thread no command loads the thread pool's concurrent.futures
     rng = np.random.default_rng(6)
     _io.write_measure_file(tmp_path / "plane.csv",
                            AtomicMeasure(points=rng.uniform(-1.0, 1.0, size=(300, 2)),
@@ -196,12 +197,14 @@ def test_start_up_loads_no_scipy(tmp_path):
     script = ("import sys\nfrom limset import cli\nref, cfg, out = sys.argv[1:]\n"
               "codes = [cli.main(['validate', ref])] + [\n"
               "    cli.main([cmd, '--config', cfg, '--out', out + cmd]) for cmd in ('fourier', 'nonconc')]\n"
-              "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+              "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'),\n"
+              "      'concurrent.futures' in sys.modules)")
     env = dict(os.environ, PYTHONPATH=str(Path(limset.__file__).parents[1]))
+    env.pop("LIMSET_THREADS", None)
     proc = subprocess.run([sys.executable, "-c", script, REF, str(tmp_path / "plane.cfg"),
                            str(tmp_path / "out-")], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[0, 0, 0] []"
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0] [] False"
 
 
 def test_no_source_file_imports_scipy():

@@ -169,20 +169,21 @@ def _shells_with_roots(roots, k=2):
 def test_grid_search_follows_a_bracket_that_changes_between_levels():
     # k = 2, c = 1.2: delta_1 = log 4 / 1.2 > 1 brackets at hi_0 = 2, the
     # later roots log 3 / 1.2 < 1 at hi_0 = 1, two grids of the same spacing.
-    # Level 2 bisects, and so does level 3, since delta_2 lies about 2^18
-    # cells from delta_1; later levels end in their predecessor's cell.
+    # Level 2 walks down from delta_1's cell, clamped to the top of its own
+    # grid, about 2^18 cells to delta_2; later levels end in their
+    # predecessor's cell.
     dists = _geometric_shells(1.2, 2)
     _, per_level, evaluations = dimension.delta_from_distances(dists)
     assert per_level[0] > 1.0 > per_level[1]
     assert np.array_equal(per_level, oracles.bisection_delta(dists)[1])
-    assert list(evaluations) == [2 + 21, 21, 21, 3, 3, 3]
+    assert list(evaluations) == [2 + 21, 35, 3, 3, 3, 3]
     # roots 2e-4 apart across s = 1: level 3 walks from delta_2's cell on the
     # hi_0 = 2 grid, clamped to the top of its own hi_0 = 1 grid
     dists = _shells_with_roots([1 + 3e-4, 1 + 1e-4] + [1 - 1e-4] * 4)
     _, per_level, evaluations = dimension.delta_from_distances(dists)
     assert per_level[1] > 1.0 > per_level[2]
     assert np.array_equal(per_level, oracles.bisection_delta(dists)[1])
-    assert list(evaluations) == [2 + 21, 2 + 21, 15, 3, 3, 3]
+    assert list(evaluations) == [2 + 21, 2 + 16, 15, 3, 3, 3]
 
 
 @settings(max_examples=60, deadline=None)
@@ -194,8 +195,13 @@ def test_grid_search_matches_bisection_on_growing_shells(k, c, depth, seed):
     rng = np.random.default_rng(seed)
     dists = [np.zeros(1)] + [c * (n + 0.5 * rng.random(2 * k * (2 * k - 1) ** (n - 1)))
                              for n in range(1, depth + 1)]
-    assert np.array_equal(dimension.delta_from_distances(dists)[1],
-                          oracles.bisection_delta(dists)[1])
+    _, per_level, evaluations = dimension.delta_from_distances(dists)
+    assert np.array_equal(per_level, oracles.bisection_delta(dists)[1])
+    # after its bracket 1, 2, ..., hi_0 a level takes at most 2J evaluations
+    # on its grid of 2^J cells, hi_0 / 2^J <= BISECTION_TOL
+    hi_0 = 2.0 ** np.maximum(np.ceil(np.log2(per_level)), 0.0)
+    J = np.ceil(np.log2(hi_0 / dimension.BISECTION_TOL))
+    assert np.all(evaluations - (np.log2(hi_0) + 1) <= 2 * J)
 
 
 def test_delta_from_distances_degenerate_on_flat_counts():
@@ -261,17 +267,16 @@ def test_grid_search_matches_bisection_on_generated_groups():
 def test_reference_root_search_evaluation_counts(reference):
     # delta_8..delta_12 share one cell, so levels 9..12 test its two ends
     # after the bracket's f(1); bisection takes 21 evaluations a level, 252.
-    # Level 2 bisects, and so do levels 3..6, because delta_2..delta_5 each
-    # lie 2^11 to 2^15 cells from their predecessor (walks took 31, 25, 27,
-    # 23 and 19 at levels 2..6); levels 7 and 8 walk after smaller moves
+    # Levels 2..6 walk 2^11 to 2^15 cells from their predecessor's root, at
+    # about 2 log2 of the distance, and levels 7 and 8 after smaller moves
     est = dimension.estimate_delta(reference, n_max=12)
-    assert list(est.evaluations) == [21] * 6 + [13, 7] + [3] * 4
+    assert list(est.evaluations) == [21, 31, 25, 27, 23, 19, 13, 7, 3, 3, 3, 3]
 
 
 def test_generated_group_root_search_evaluation_counts():
-    # level 2 of the float d = 2 benchmark groups bisects (a walk took 33)
+    # level 2 of the float d = 2 benchmark groups walks far from delta_1
     from perfbench import workloads
-    for seed, counts in ((0, [21, 21, 21, 21, 5, 3]), (1, [21, 21, 21, 21, 11, 5])):
+    for seed, counts in ((0, [21, 33, 25, 15, 5, 3]), (1, [21, 33, 23, 17, 11, 5])):
         est = dimension.estimate_delta(workloads.generated_group(seed), n_max=6)
         assert list(est.evaluations) == counts
 
