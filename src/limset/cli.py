@@ -209,6 +209,7 @@ def cmd_fourier(args):
         "{",
         f'  "kappa": {_io.fmt(report.kappa)},',
         f'  "fit_residual": {_io.fmt(report.fit_residual)},',
+        f'  "kappa_stderr": {_io.fmt(report.kappa_stderr)},',
         f'  "resolution_cap": {_io.fmt(report.resolution_cap)},',
         f'  "floored": {str(report.floored).lower()},',
         f'  "shells_kept": {report.shell_radii.shape[0]},',

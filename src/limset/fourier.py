@@ -1,22 +1,28 @@
 """Nonuniform Fourier transform of atomic measures and decay statistics.
 
-Implements mu-hat(xi) = (1/mass) sum_j w_j e^{2 pi i <xi, x_j>}.  The decay
-scan and ``fourier_transform`` sum it directly: the phase <xi, x> is summed
-one axis at a time in a fixed order (no BLAS product), the atoms are taken in
-fixed chunks whose partial sums combine with Neumaier compensation, and the
-frequencies go to the workers in blocks sized so that one block of complex
-terms stays within a fixed byte budget per worker.  Each frequency is mapped
-into the half-space where its first nonzero coordinate is positive, each
-antipodal pair is evaluated once and mu-hat(-xi) = conj(mu-hat(xi)).  The grid
-statistics take one type-1 NUFFT instead (``_grid_values``), within 1e-10
-absolute of the direct sum, which stays its test oracle, and refuse a grid
-whose memory estimate exceeds a budget (``check_grid_budget``).  The bits of
-every value are independent of the thread count.  On top of the transform sit
-the experiment statistics:
+Implements mu-hat(xi) = (1/mass) sum_j w_j e^{2 pi i <xi, x_j>} by three
+methods.  ``fourier_transform`` sums it directly (``_nudft``): the phase
+<xi, x> is summed one axis at a time in a fixed order (no BLAS product), the
+atoms are taken in fixed chunks whose partial sums combine with Neumaier
+compensation, and the frequencies go to the workers in blocks sized so that
+one block of complex terms stays within a fixed byte budget per worker.  Each
+frequency is mapped into the half-space where its first nonzero coordinate is
+positive, each antipodal pair is evaluated once and mu-hat(-xi) =
+conj(mu-hat(xi)).  The decay scan, whose frequencies are radii times
+directions, takes a 1-D type-3 NUFFT of the projections along each direction
+(``_ray_transform``), and the grid statistics one type-1 NUFFT
+(``_grid_values``); both share one Gaussian kernel (``_kernel``) and lie
+within 1e-10 absolute of the direct sum, which stays their test oracle.  The
+scan keeps the direct sum when a direction's fine grid would exceed a budget
+(a support wide against the radii's reciprocal), and the grid statistics
+refuse a grid whose memory estimate exceeds it (``check_grid_budget``).  The
+bits of every value are independent of the thread count.  On top of the
+transform sit the experiment statistics:
 
 * ``decay_scan`` -- per-shell maxima of |mu-hat| over sampled directions and
-  a least-squares decay exponent kappa fitted on the upper half of the
-  shells (polynomial Fourier decay |mu-hat| ~ ||xi||^{-kappa});
+  a least-squares decay exponent kappa, with its standard error, fitted on
+  the upper half of the shells (polynomial Fourier decay |mu-hat| ~
+  ||xi||^{-kappa});
 * ``grid_statistics`` -- |mu-hat| evaluated once on a uniform grid over the
   ball ||xi|| <= R, for the Riemann estimate of the L2 average
   int_{||xi|| <= R} |mu-hat|^2, whose doubling ratio tracks R^{d - alpha}
@@ -61,7 +67,12 @@ _ATOM_CHUNK = 1 << 16
 _SPREAD = 12
 _SPREAD_BYTES = 512 << 10
 
-#: Bytes the grid statistics may hold at once (see check_grid_budget).
+#: Step of the decay scan's type-3 grid times the half-range of its radii.
+_RAY_STEP = 0.225
+
+#: Bytes the grid statistics may hold at once (see check_grid_budget), and
+#: the most one direction of the decay scan's type-3 transform may hold (about
+#: four complex arrays of its FFT's size) before the scan sums directly.
 _GRID_BUDGET = 1 << 30
 
 #: Bytes of the complex block one worker fills at a time: the frequency rows
@@ -107,6 +118,12 @@ def _atom_sum(xt: np.ndarray, w: np.ndarray, freqs: np.ndarray) -> np.ndarray:
     return _neumaier(part(sl) for sl in _atom_chunks(xt.shape[1]))
 
 
+def _mass(w: np.ndarray) -> float:
+    """The total weight, chunked and compensated as the transform's sums are."""
+    return _neumaier(np.ones((1, sl.stop - sl.start), dtype=complex) @ w[sl]
+                     for sl in _atom_chunks(w.shape[0])).real[0]
+
+
 def _half_space(freqs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each row flipped into the half-space where its first nonzero coordinate
     is positive (-0.0 made +0.0), and the mask of the flipped rows."""
@@ -139,10 +156,7 @@ def _nudft(pts: np.ndarray, w: np.ndarray, freqs: np.ndarray, threads: int) -> n
     rows = max(1, _BLOCK_BYTES // (16 * min(pts.shape[0], _ATOM_CHUNK)))
     blocks = [uniq[i : i + rows] for i in range(0, uniq.shape[0], rows)]
     num = np.concatenate(core.parallel_map(lambda f: _atom_sum(xt, w, f), blocks, threads))
-    # normalize by the total weight, chunked and compensated as the sums are
-    den = _neumaier(np.ones((1, sl.stop - sl.start), dtype=complex) @ w[sl]
-                    for sl in _atom_chunks(pts.shape[0])).real[0]
-    vals = num / den
+    vals = num / _mass(w)
     vals[~uniq.any(axis=1)] = 1.0     # the division may round den/den below 1
     vals = vals[inverse]
     return np.where(flip, np.conj(vals), vals)
@@ -229,7 +243,8 @@ def default_directions(d: int, count: int = 64, seed: int = 0) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DecayReport:
-    """Shell maxima of |mu-hat| and the fitted polynomial decay exponent."""
+    """Shell maxima of |mu-hat| and the fitted polynomial decay exponent,
+    with the fit's RMS residual and the exponent's standard error."""
 
     shell_radii: np.ndarray
     shell_max: np.ndarray
@@ -237,22 +252,29 @@ class DecayReport:
     sample_values: np.ndarray
     kappa: float
     fit_residual: float
+    kappa_stderr: float
     resolution_cap: float
     floored: bool
     truncated_shells: int
 
 
-def _fit_kappa(radii: np.ndarray, maxima: np.ndarray) -> tuple[float, float, bool]:
-    """-slope of log(shell max) on log R over the upper half of the shells."""
+def _fit_kappa(radii: np.ndarray, maxima: np.ndarray) -> tuple[float, float, float, bool]:
+    """-slope of log(shell max) on log R over the upper half of the shells, the
+    fit's RMS residual, the slope's standard error (nan below three fitted
+    shells) and whether every maximum lies below the floor (no fit)."""
     if np.all(maxima < NUMERICAL_FLOOR):
-        return float("nan"), float("nan"), True
+        return float("nan"), float("nan"), float("nan"), True
     k = radii.shape[0]
     upper = slice(k - k // 2 - (k % 2), k) if k > 1 else slice(0, k)
     x = np.log(radii[upper])
     y = np.log(np.maximum(maxima[upper], NUMERICAL_FLOOR))
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = float(np.sqrt(np.mean((y - slope * x - intercept) ** 2)))
-    return float(-slope), resid, False
+    if x.shape[0] > 2:
+        (slope, intercept), cov = np.polyfit(x, y, 1, cov="unscaled")
+    else:
+        (slope, intercept), cov = np.polyfit(x, y, 1), np.full((2, 2), np.nan)
+    sq = (y - slope * x - intercept) ** 2
+    stderr = np.sqrt(cov[0, 0] * np.sum(sq) / max(x.shape[0] - 2, 1))
+    return float(-slope), float(np.sqrt(np.mean(sq))), float(stderr), False
 
 
 def decay_scan(mu: AtomicMeasure, spec: FrequencySpec, seed: int = 0,
@@ -261,8 +283,9 @@ def decay_scan(mu: AtomicMeasure, spec: FrequencySpec, seed: int = 0,
 
     Shells beyond the measure's resolution cap are dropped (and counted);
     within each kept shell the modulus is maximized over the direction fan
-    and log-spaced radial samples.  kappa = -slope of log(max) vs log(R)
-    over the upper half of the kept shells (a sup-bound fit).
+    and log-spaced radial samples, all taken by ``_ray_transform``.  kappa =
+    -slope of log(max) vs log(R) over the upper half of the kept shells (a
+    sup-bound fit), ``kappa_stderr`` the slope's standard error.
     """
     if spec.count < MIN_SHELLS:
         raise ValueError(f"a decay fit needs at least {MIN_SHELLS} shells, got {spec.count}")
@@ -288,13 +311,13 @@ def decay_scan(mu: AtomicMeasure, spec: FrequencySpec, seed: int = 0,
     n_shell, n_rad = r_samples.shape
     n_dir = dirs.shape[0]
     # fixed sample order: shell-major, then direction, then radial position
-    freqs = (r_samples[:, None, :, None] * dirs[None, :, None, :]).reshape(-1, mu.d)
     dir_index = np.broadcast_to(np.arange(n_dir)[None, :, None],
                                 (n_shell, n_dir, n_rad)).reshape(-1).copy()
-    vals = _nudft(mu.points, mu.weights, freqs, threads)
+    rays = _ray_transform(mu.points, mu.weights, dirs, r_samples.ravel(), threads)
+    vals = rays.reshape(n_dir, n_shell, n_rad).transpose(1, 0, 2).reshape(-1)
     mods = np.abs(vals).reshape(n_shell, n_dir * n_rad)
     shell_max = mods.max(axis=1)
-    kappa, resid, floored = _fit_kappa(kept, shell_max)
+    kappa, resid, stderr, floored = _fit_kappa(kept, shell_max)
     return DecayReport(
         shell_radii=kept,
         shell_max=shell_max,
@@ -302,10 +325,30 @@ def decay_scan(mu: AtomicMeasure, spec: FrequencySpec, seed: int = 0,
         sample_values=vals,
         kappa=kappa,
         fit_residual=resid,
+        kappa_stderr=stderr,
         resolution_cap=cap,
         floored=floored,
         truncated_shells=truncated,
     )
+
+
+def _kernel(s: np.ndarray, b: float, scale=1.0) -> tuple[np.ndarray, np.ndarray]:
+    """The cell floor(s) of each position ``s`` (in fine cells) and the Gaussian
+    weights e^{-(frac - l)^2/b} * scale on its cells l = 1-q .. q (row l + q - 1,
+    q = _SPREAD), frac = s - floor(s), by the recurrence
+    e^{-(frac - l)^2/b} = e^{-frac^2/b} (e^{2 frac/b})^l e^{-l^2/b}."""
+    q = _SPREAD
+    cell = np.floor(s)
+    frac = s - cell
+    ker = np.empty((2 * q, frac.shape[0]))
+    ker[q - 1] = np.exp(-frac * frac / b) * scale
+    up, down = np.exp(2.0 * frac / b), np.exp(-2.0 * frac / b)
+    for j in range(q, 2 * q):
+        np.multiply(ker[j - 1], up, out=ker[j])
+    for j in range(q - 2, -1, -1):
+        np.multiply(ker[j + 1], down, out=ker[j])
+    ker *= np.exp(-np.arange(1 - q, q + 1) ** 2 / b)[:, None]
+    return cell.astype(np.intp), ker
 
 
 def _fine_size(modes: int) -> int:
@@ -333,7 +376,6 @@ def _grid_values(pts: np.ndarray, w: np.ndarray, step: float, k_max: int,
     fine = _fine_size(modes)
     b = q * fine / (math.pi * (fine - 0.5 * modes))     # from the actual oversampling
     side = fine + 2 * q        # fine cells 1-q .. fine+q, so that no index wraps
-    tail = np.exp(-np.arange(1 - q, q + 1) ** 2 / b)[:, None]
     rows = max(1, _SPREAD_BYTES // (16 * (2 * q) ** d))
 
     def spread(sl: slice) -> np.ndarray:
@@ -341,20 +383,10 @@ def _grid_values(pts: np.ndarray, w: np.ndarray, step: float, k_max: int,
         for lo in range(sl.start, sl.stop, rows):
             blk = slice(lo, min(lo + rows, sl.stop))
             for a in range(d):
-                s = np.mod(step * pts[blk, a], 1.0) * fine
-                cell = np.floor(s)
-                frac = s - cell
-                # e^{-(frac - l)^2/b} = e^{-frac^2/b} (e^{2 frac/b})^l e^{-l^2/b}
-                ker = np.empty((2 * q, frac.shape[0]))
-                ker[q - 1] = np.exp(-frac * frac / b) * (w[blk] if a == 0 else 1.0)
-                up, down = np.exp(2.0 * frac / b), np.exp(-2.0 * frac / b)
-                for j in range(q, 2 * q):
-                    np.multiply(ker[j - 1], up, out=ker[j])
-                for j in range(q - 2, -1, -1):
-                    np.multiply(ker[j + 1], down, out=ker[j])
-                ker *= tail
+                cell, ker = _kernel(np.mod(step * pts[blk, a], 1.0) * fine, b,
+                                    w[blk] if a == 0 else 1.0)
                 shape = (1,) * a + (2 * q,) + (1,) * (d - 1 - a) + (-1,)
-                pos = (cell.astype(np.intp) + np.arange(2 * q)[:, None]).reshape(shape)
+                pos = (cell + np.arange(2 * q)[:, None]).reshape(shape)
                 ker = ker.reshape(shape)
                 idx, val = (pos, ker) if a == 0 else (idx * side + pos, val * ker)
             np.add.at(grid, idx.ravel(), val.ravel())
@@ -383,6 +415,94 @@ def _grid_values(pts: np.ndarray, w: np.ndarray, step: float, k_max: int,
     flat[:mid] = np.conj(flat[: mid : -1])
     flat[mid] = 1.0
     return vals
+
+
+def _projection(xt: np.ndarray, theta: np.ndarray, sl: slice) -> np.ndarray:
+    """<theta, x_j> of the atoms ``sl`` of ``xt`` (axis-major, d x n), summed one
+    axis at a time as _atom_sum sums the phase."""
+    t = theta[0] * xt[0, sl]
+    for a in range(1, xt.shape[0]):
+        t += theta[a] * xt[a, sl]
+    return t
+
+
+def _ray_transform(pts: np.ndarray, w: np.ndarray, dirs: np.ndarray, radii: np.ndarray,
+                   threads: int) -> np.ndarray:
+    """mu-hat(r theta) for each row theta of ``dirs`` and each radius r > 0 of
+    ``radii``, an array (directions, radii).
+
+    mu-hat(r theta) = sum_j w_j e^{2 pi i r t_j} / mass is a 1-D type-3 NUFFT of
+    the projections t_j = <theta, x_j> (Lee-Greengard 2005), taken once per
+    antipodal pair of directions (mu-hat(-xi) = conj(mu-hat(xi)) bit for bit)
+    and by one worker per direction, so the bits do not depend on the thread
+    count.  With the atoms centred at c (|t_j - c| <= X) and the radii at s0
+    (|r - s0| <= S), the atoms carry the pre-phase e^{2 pi i s0 (t_j - c)} and
+    are spread with a Gaussian onto a grid of step h = _RAY_STEP / S; a type-2
+    step (deconvolution, one FFT of a 5-smooth size at least twice the grid,
+    Gaussian interpolation at h (r - s0)) gives the grid's transform, which
+    the first Gaussian's transform and the post-phase e^{2 pi i r c} turn into
+    mu-hat.  Values lie within 1e-10 absolute of the direct sum.  A direction
+    along which every projection is c gets the closed form e^{2 pi i r c}.  If
+    the largest direction's FFT would hold more than _GRID_BUDGET bytes (a
+    support wide against 1/S), every value is the direct sum ``_nudft``.
+    """
+    canon, flip = _half_space(dirs)
+    uniq, inverse = _distinct_rows(canon)
+    rs, r_index = np.unique(radii, return_inverse=True)
+    s0, half_s = 0.5 * (rs[-1] + rs[0]), 0.5 * (rs[-1] - rs[0])
+    q = _SPREAD
+    xt, n = pts.T, pts.shape[0]
+    rows = max(1, _SPREAD_BYTES // (32 * 2 * q))   # kernel, index, products per entry
+    blocks = [slice(i, min(i + rows, n)) for i in range(0, n, rows)]
+
+    def plan(theta):
+        """Centre c, half-width X, step h and grid half-length of one direction."""
+        ends = [(t.min(), t.max()) for t in (_projection(xt, theta, sl) for sl in blocks)]
+        lo, hi = min(e[0] for e in ends), max(e[1] for e in ends)
+        c, x_half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        h = min(_RAY_STEP / half_s, x_half) if half_s > 0.0 else x_half
+        # cells -m0 .. m0 hold every kernel: |t - c| / h <= X / h, up to rounding
+        return c, x_half, h, int(x_half / h) + q + 1 if x_half > 0.0 else 0
+
+    plans = [plan(theta) for theta in uniq]
+    grid_max = 2 * max(p[3] for p in plans) + 1
+    if 128 * grid_max > _GRID_BUDGET or 64 * _fine_size(grid_max) > _GRID_BUDGET:
+        freqs = (radii[None, :, None] * dirs[:, None, :]).reshape(-1, dirs.shape[1])
+        return _nudft(pts, w, freqs, threads).reshape(dirs.shape[0], radii.shape[0])
+    mass = _mass(w)
+
+    def transform(k: int) -> np.ndarray:
+        theta, (c, x_half, h, m0) = uniq[k], plans[k]
+        if x_half == 0.0:
+            return np.exp(2j * np.pi * rs * c)
+        size = 2 * m0 + 1
+        b = q / (math.pi * (1.0 - h * half_s))      # from the actual oversampling
+        re, im = np.zeros(size), np.zeros(size)
+        for sl in blocks:
+            x = _projection(xt, theta, sl) - c
+            phase = (2.0 * np.pi * s0) * x
+            cell, ker = _kernel(x / h, b)
+            idx = (cell + (m0 + 1 - q) + np.arange(2 * q)[:, None]).ravel()
+            re += np.bincount(idx, (ker * (w[sl] * np.cos(phase))).ravel(), size)
+            im += np.bincount(idx, (ker * (w[sl] * np.sin(phase))).ravel(), size)
+        # type 2: the grid's modes m at u = h (r - s0), period 1 in u
+        fine = _fine_size(size)
+        b2 = q * fine / (math.pi * (fine - 0.5 * size))
+        m = np.arange(-m0, m0 + 1)
+        spec = np.zeros(fine, dtype=complex)
+        spec[m % fine] = ((re + 1j * im) * np.exp(math.pi ** 2 * b2 * (m / fine) ** 2)
+                          / math.sqrt(math.pi * b2))
+        conv = np.fft.ifft(spec, norm="forward")
+        u = h * (rs - s0)
+        cell, ker = _kernel(fine * u, b2)
+        near = conv.take(cell + (1 - q) + np.arange(2 * q)[:, None], mode="wrap")
+        vals = (ker * near).sum(axis=0)
+        post = np.exp(2j * np.pi * rs * c + math.pi ** 2 * b * u * u) / math.sqrt(math.pi * b)
+        return vals * post / mass
+
+    out = np.stack(core.parallel_map(transform, list(range(uniq.shape[0])), threads))
+    out = out[inverse][:, r_index]
+    return np.where(flip[:, None], np.conj(out), out)
 
 
 def check_grid_budget(d: int, atoms: int, radius: float, grid_step: float,

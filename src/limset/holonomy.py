@@ -108,7 +108,8 @@ def _cell_lambda(h):
 
 def phi_closed_form(h: HolonomyInput):
     """N+ component: m^{-1} (v + (||v||^2/2) w) / (e^tau lambda(v, w))."""
-    return _closed_forms(*_one(h))[1][0]
+    v, w, tau, m = _one(h)
+    return _phi_form(_row(v, w), tau, m, _checked_lambda(v, w))[0]
 
 
 def tau_closed_form(h: HolonomyInput):
@@ -117,18 +118,21 @@ def tau_closed_form(h: HolonomyInput):
     lambda is the leading entry of n+(v) n-(w), and the first row of
     n-(y) m g_t n+(x) is e^t (1, x, ||x||^2/2), so e^{t_out} = e^tau lambda.
     """
-    return _closed_forms(*_one(h))[2][0]
+    v, w, tau, _ = _one(h)
+    return (tau + np.log(_checked_lambda(v, w)))[0]
 
 
 def y_closed_form(h: HolonomyInput):
     """N- component: (w + (||w||^2/2) v) / lambda(v, w); independent of tau, m."""
-    return _closed_forms(*_one(h))[3][0]
+    v, w, _, _ = _one(h)
+    return (_row(w, v) / _checked_lambda(v, w)[:, None])[0]
 
 
 def m_closed_form(h: HolonomyInput):
     """Rotation component: the middle-block Schur-type complement of
     n+(v) n-(w), times m."""
-    return _closed_forms(*_one(h))[4][0]
+    v, w, _, m = _one(h)
+    return _m_form(v, w, _row(v, w), _row(w, v), m, _checked_lambda(v, w))[0]
 
 
 def decompose_nmak(X):
@@ -351,16 +355,27 @@ def _checked_lambda(v, w):
     return lam
 
 
+def _row(v, w):
+    """v + (||v||^2/2) w of each trial: the N+ numerator; _row(w, v) is the N- one."""
+    return v + 0.5 * core.row_dot(v, v)[:, None] * w
+
+
+def _phi_form(row, tau, m, lam):
+    return (np.swapaxes(m, 1, 2) @ row[:, :, None])[:, :, 0] / (np.exp(tau) * lam)[:, None]
+
+
+def _m_form(v, w, row, col, m, lam):
+    mprime = (np.eye(v.shape[1]) + v[:, :, None] * w[:, None, :]
+              - col[:, :, None] * row[:, None, :] / lam[:, None, None])
+    return mprime @ m
+
+
 def _closed_forms(v, w, tau, m):
     """lambda and the closed forms (phi, t, y, m') of each trial."""
     lam = _checked_lambda(v, w)
-    vv, ww = core.row_dot(v, v), core.row_dot(w, w)
-    row = v + 0.5 * vv[:, None] * w
-    col = w + 0.5 * ww[:, None] * v
-    phi = (np.swapaxes(m, 1, 2) @ row[:, :, None])[:, :, 0] / (np.exp(tau) * lam)[:, None]
-    mprime = (np.eye(v.shape[1]) + v[:, :, None] * w[:, None, :]
-              - col[:, :, None] * row[:, None, :] / lam[:, None, None])
-    return lam, phi, tau + np.log(lam), col / lam[:, None], mprime @ m
+    row, col = _row(v, w), _row(w, v)
+    return (lam, _phi_form(row, tau, m, lam), tau + np.log(lam), col / lam[:, None],
+            _m_form(v, w, row, col, m, lam))
 
 
 def _trial_residuals(v, w, m, tau, tau_sign):

@@ -344,6 +344,10 @@ def test_fourier_segment_kappa_near_one(work, tmp_path):
     summary = out / "fourier_summary.txt"
     kappa = float(block_value(summary, "kappa"))
     assert 0.85 <= kappa <= 1.15
+    keys = [line.split('"')[1] for line in summary.read_text().splitlines()
+            if line.startswith('  "')]
+    assert keys[keys.index("fit_residual") + 1] == "kappa_stderr"
+    assert 0.0 < float(block_value(summary, "kappa_stderr")) < 0.1
     cap = float(block_value(summary, "resolution_cap"))
     assert cap == pytest.approx(250.0, rel=1e-9)
     assert int(block_value(summary, "truncated_shells")) == 2
@@ -407,14 +411,14 @@ def test_fourier_svg_follows_the_csv(work, tmp_path):
 
 def test_fourier_evaluates_the_grid_once(work, tmp_path, monkeypatch):
     """The L2 average and the exceptional set read one grid evaluation:
-    after the decay scan's transform, one grid NUFFT in d = 1 and d = 2."""
+    after the decay scan's type-3 transform, one grid NUFFT in d = 1 and d = 2."""
     calls = []
 
     def counted(name):
         real = getattr(fourier, name)
         return lambda *args, **kw: calls.append(name) or real(*args, **kw)
 
-    for name in ("_nudft", "_grid_values"):
+    for name in ("_nudft", "_ray_transform", "_grid_values"):
         monkeypatch.setattr(fourier, name, counted(name))
     rng = np.random.default_rng(5)
     _io.write_measure_file(tmp_path / "plane.csv",
@@ -422,8 +426,8 @@ def test_fourier_evaluates_the_grid_once(work, tmp_path, monkeypatch):
                                          weights=rng.uniform(0.5, 1.0, size=200)))
     (tmp_path / "plane.cfg").write_text("[measure]\nfile = plane.csv\n\n[fourier]\n"
                                         "shell_min = 1\nshell_max = 128\ngrid_max = 6\n")
-    for cfg, expected in ((work / "segment.cfg", ["_nudft", "_grid_values"]),
-                          (tmp_path / "plane.cfg", ["_nudft", "_grid_values"])):
+    for cfg, expected in ((work / "segment.cfg", ["_ray_transform", "_grid_values"]),
+                          (tmp_path / "plane.cfg", ["_ray_transform", "_grid_values"])):
         calls.clear()
         assert cli.main(["fourier", "--config", str(cfg),
                          "--out", str(tmp_path / cfg.stem)]) == 0

@@ -117,19 +117,23 @@ def test_transform_matches_the_plain_sum(d):
 
 
 def test_each_antipodal_pair_is_evaluated_once(monkeypatch):
-    rows = []
-    real = fourier._atom_sum
+    # the decay scan transforms one direction of each antipodal pair, and
+    # neither the scan nor the grid sums directly
+    rows, directions = [], []
+    real_sum, real_map = fourier._atom_sum, core.parallel_map
     monkeypatch.setattr(fourier, "_atom_sum",
-                        lambda xt, w, f: rows.append(f.shape[0]) or real(xt, w, f))
+                        lambda xt, w, f: rows.append(f.shape[0]) or real_sum(xt, w, f))
+    monkeypatch.setattr(core, "parallel_map", lambda fn, items, threads=1:
+                        directions.append(len(items)) or real_map(fn, items, threads))
     plane = random_measure(n=300, d=2, seed=4)
     plane = measure.AtomicMeasure(points=plane.points / 100.0, weights=plane.weights)
-    for mu in (oracles.uniform_segment_measure(500), plane):
-        rows.clear()
+    for mu, fan in ((oracles.uniform_segment_measure(500), 2), (plane, 64)):
+        directions.clear()
         report = fourier.decay_scan(mu, fourier.FrequencySpec())
-        assert sum(rows) == report.sample_values.shape[0] // 2
-    rows.clear()
+        assert directions == [fan // 2]
+        assert np.unique(report.sample_dir_index).size == fan
     fourier.grid_statistics(random_measure(n=50, d=2, seed=3), 6.0)
-    assert rows == []       # the grid takes the NUFFT, whose antipodes are conjugates
+    assert rows == []
 
 
 def test_transform_memory_stays_within_the_block_budget(monkeypatch):
@@ -208,8 +212,30 @@ def test_scan_is_deterministic():
 
 def test_fit_floor_skips_fit():
     radii = 4.0 * 2.0 ** np.arange(8)
-    kappa, resid, floored = fourier._fit_kappa(radii, np.full(8, 1e-16))
-    assert floored and np.isnan(kappa)
+    kappa, resid, stderr, floored = fourier._fit_kappa(radii, np.full(8, 1e-16))
+    assert floored and np.isnan(kappa) and np.isnan(stderr)
+
+
+def test_kappa_stderr_is_the_slope_standard_error():
+    # the hand least-squares fit on the upper half of the shells: slope
+    # sum(dx dy) / sum(dx^2), standard error sqrt(SSR / (n - 2) / sum(dx^2))
+    rng = np.random.default_rng(12)
+    for k in (5, 6, 9):
+        radii = 4.0 * 2.0 ** np.arange(k)
+        maxima = radii ** -0.7 * np.exp(0.3 * rng.normal(size=k))
+        kappa, resid, stderr, floored = fourier._fit_kappa(radii, maxima)
+        x, y = np.log(radii[k // 2:]), np.log(maxima[k // 2:])
+        dx = x - x.mean()
+        slope = np.sum(dx * (y - y.mean())) / np.sum(dx * dx)
+        ssr = np.sum((y - y.mean() - slope * dx) ** 2)
+        assert not floored and x.size == (k + 1) // 2
+        assert kappa == pytest.approx(-slope, rel=1e-12)
+        assert stderr == pytest.approx(np.sqrt(ssr / (x.size - 2) / np.sum(dx * dx)), rel=1e-9)
+    for k in (3, 4):             # two fitted points
+        radii = 4.0 * 2.0 ** np.arange(k)
+        kappa, _, stderr, floored = fourier._fit_kappa(radii, radii ** -0.5)
+        assert not floored and np.isfinite(kappa) and np.isnan(stderr)
+    assert fourier.decay_scan(delta_at([0.0]), fourier.FrequencySpec()).kappa_stderr == 0.0
 
 
 def test_spec_validation():
@@ -232,8 +258,8 @@ def test_ray_mode_samples_nominal_radii_only():
     spec = fourier.FrequencySpec(mode="ray", directions=np.array([[1.0]]))
     report = fourier.decay_scan(mu, spec)
     assert report.sample_values.shape[0] == report.shell_radii.shape[0]
-    assert np.array_equal(report.sample_values,
-                          fourier.fourier_transform(mu, report.shell_radii[:, None]))
+    direct = fourier.fourier_transform(mu, report.shell_radii[:, None])
+    assert np.abs(report.sample_values - direct).max() <= RAY_BOUND
 
 
 def test_d2_fan_is_exactly_antipodal():
@@ -253,6 +279,123 @@ def test_default_directions_are_unit():
         assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0, atol=1e-12)
     assert fourier.default_directions(1).shape == (2, 1)
     assert fourier.default_directions(2).shape == (64, 2)
+
+
+# --- decay scan by the type-3 transform --------------------------------------
+
+RAY_BOUND = 1e-10      # the type-3 scan against the direct sum
+CLI_SHELLS = fourier.FrequencySpec(r0=1.0, count=9)      # shells 1 .. 256
+
+
+def scaled(mu, factor):
+    return measure.AtomicMeasure(points=mu.points * factor, weights=mu.weights)
+
+
+def clustered_measure():
+    """Six clusters of 500 atoms, each 1e-3 wide, spread over [-5, 5]."""
+    rng = np.random.default_rng(54)
+    centres = rng.uniform(-5.0, 5.0, size=(6, 1, 1))
+    pts = (centres + 1e-3 * rng.normal(size=(6, 500, 1))).reshape(-1, 1)
+    return measure.AtomicMeasure(points=pts, weights=rng.uniform(0.1, 1.0, size=3000))
+
+
+def ray_inputs(reference):
+    return {"d1": random_measure(n=3000, seed=51),
+            "d2": scaled(random_measure(n=2000, d=2, seed=52), 0.01),
+            "d3": scaled(random_measure(n=500, d=3, seed=53), 0.01),
+            "segment": oracles.uniform_segment_measure(1000),
+            "mu9": measure.patterson_orbit_measure(reference, REFERENCE_DELTA, 0.02, 9),
+            "clustered": clustered_measure()}
+
+
+def scan_frequencies(mu, spec, report):
+    """The frequency of each sample of ``report`` in its order: shell-major,
+    then direction, then radial position."""
+    dirs = spec.directions if spec.directions is not None else fourier.default_directions(mu.d)
+    frac = (np.arange(spec.samples_per_shell) + 0.5) / spec.samples_per_shell
+    radii = np.minimum(report.shell_radii[:, None] * spec.ratio ** frac[None, :],
+                       report.resolution_cap)
+    return (radii[:, None, :, None] * dirs[None, :, None, :]).reshape(-1, mu.d)
+
+
+@pytest.mark.parametrize("name", ["d1", "d2", "d3", "segment", "mu9", "clustered"])
+def test_ray_scan_matches_the_direct_sum(reference, name):
+    mu = ray_inputs(reference)[name]
+    report = fourier.decay_scan(mu, CLI_SHELLS)
+    freqs = scan_frequencies(mu, CLI_SHELLS, report)
+    direct = fourier._nudft(mu.points, mu.weights, freqs, 1)
+    assert np.abs(report.sample_values - direct).max() <= RAY_BOUND
+    if name == "segment":
+        oracle = oracles.segment_modulus_oracle(freqs[:, 0], 1000)
+        assert np.abs(np.abs(report.sample_values) - oracle).max() <= 1e-12
+
+
+def test_ray_scan_bits_independent_of_threads_and_antipodal(monkeypatch):
+    monkeypatch.setattr(fourier, "_SPREAD_BYTES", 1 << 14)    # many blocks a direction
+    for mu in (random_measure(n=3000, seed=55), scaled(random_measure(n=2000, d=2, seed=56), 0.01)):
+        one = fourier.decay_scan(mu, CLI_SHELLS, threads=1)
+        assert np.array_equal(fourier.decay_scan(mu, CLI_SHELLS, threads=3).sample_values,
+                              one.sample_values)
+        # each fan's second half is its first half negated
+        fan = one.sample_values.reshape(one.shell_radii.shape[0], 2 if mu.d == 1 else 64, -1)
+        half = fan.shape[1] // 2
+        assert np.array_equal(fan[:, half:], np.conj(fan[:, :half]))
+    mu = scaled(random_measure(n=500, d=3, seed=57), 0.01)
+    dirs = fourier.default_directions(3, count=8)
+    radii = np.geomspace(1.0, 200.0, 40)
+    rays = fourier._ray_transform(mu.points, mu.weights, np.concatenate([dirs, -dirs]), radii, 2)
+    assert np.array_equal(rays[8:], np.conj(rays[:8]))
+    assert np.array_equal(rays[:8], fourier._ray_transform(mu.points, mu.weights, dirs, radii, 1))
+
+
+def test_ray_scan_keeps_the_direct_sum_over_the_grid_budget(monkeypatch):
+    direct = fourier._nudft
+
+    def scan_and_direct(mu, spec):
+        report = fourier.decay_scan(mu, spec)
+        freqs = scan_frequencies(mu, spec, report)
+        return report.sample_values, direct(mu.points, mu.weights, freqs, 1)
+
+    mu = scaled(random_measure(n=1000, d=2, seed=58), 0.01)
+    monkeypatch.setattr(fourier, "_nudft", None)     # under the budget: never reached
+    fourier.decay_scan(mu, CLI_SHELLS)
+    monkeypatch.setattr(fourier, "_nudft", direct)
+    monkeypatch.setattr(fourier, "_GRID_BUDGET", 1 << 10)
+    scan, want = scan_and_direct(mu, CLI_SHELLS)
+    assert np.array_equal(scan, want)
+    monkeypatch.undo()
+    # a support spanning 1e6 at the default budget
+    seg = oracles.uniform_segment_measure(1000)
+    wide = measure.AtomicMeasure(points=np.concatenate([seg.points, [[1e6]]]),
+                                 weights=np.full(1001, 1e-3))
+    scan, want = scan_and_direct(wide, fourier.FrequencySpec())
+    assert np.array_equal(scan, want)
+
+
+def test_ray_scan_of_a_single_projection_is_the_closed_form():
+    # a point mass, and a line of atoms seen across it: every projection is t0
+    radii = np.geomspace(1.0, 400.0, 50)
+    line = measure.AtomicMeasure(points=np.stack([np.full(40, 0.3), np.linspace(0, 1, 40)], 1),
+                                 weights=np.full(40, 0.025))
+    for mu, theta, t0 in ((delta_at([0.7]), [1.0], 0.7), (line, [1.0, 0.0], 0.3)):
+        rays = fourier._ray_transform(mu.points, mu.weights, np.array([theta]), radii, 1)
+        assert np.array_equal(rays[0], np.exp(2j * np.pi * radii * t0))
+    rays = fourier._ray_transform(line.points, line.weights, np.array([[0.6, 0.8]]), radii[:1], 1)
+    direct = fourier.fourier_transform(line, radii[0] * np.array([0.6, 0.8]))
+    assert abs(rays[0, 0] - direct) <= RAY_BOUND
+
+
+def test_ray_spread_memory_is_set_by_the_block(monkeypatch):
+    monkeypatch.setattr(fourier, "_mass", lambda w: 1.0)   # the spread's peak alone
+    mu = random_measure(n=200_000, seed=59)
+    radii = np.geomspace(1.0, 64.0, 50)
+    tracemalloc.start()
+    try:
+        fourier._ray_transform(mu.points, mu.weights, np.array([[1.0]]), radii, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * fourier._SPREAD_BYTES      # one unblocked kernel would take 38 MB
 
 
 # --- L2 average -------------------------------------------------------------

@@ -482,6 +482,18 @@ def test_functions_of_one_input_match_the_oracle(d):
         assert type(holonomy._cell_lambda(h)) is float
 
 
+def test_functions_of_one_input_equal_the_stacked_closed_forms():
+    """Each function of one input computes only its own closed form, with the
+    bits _closed_forms gives on the same stack of one."""
+    rng = np.random.default_rng(19)
+    for k in range(300):
+        h = holonomy.random_regime_input(rng, 1 + k % 3, w_min=0.1 * (k % 2))
+        _, phi, t, y, m = holonomy._closed_forms(*holonomy._one(h))
+        for name, want in (("phi", phi), ("tau", t), ("y", y), ("m", m)):
+            got = getattr(holonomy, f"{name}_closed_form")(h)
+            assert np.asarray(got).tobytes() == want[0].tobytes(), name
+
+
 def test_suite_runs_no_per_trial_scalar_code(monkeypatch):
     """The suite's work is stacked: it calls no function of one input, and it
     makes as many calls to each of core's constructors at 3,000 trials as at
