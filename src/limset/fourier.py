@@ -189,8 +189,8 @@ def resolution_cap(mu: AtomicMeasure) -> float:
 class FrequencySpec:
     """Frequency sampling plan: a geometric shell ladder with directions.
 
-    ``mode`` is "shell" (per-shell direction fans with log-spaced radial
-    samples) or "ray" (nominal radii along the given directions only).
+    Each shell is sampled at ``samples_per_shell`` log-spaced radii along
+    every direction of the fan; ``mode`` accepts only "shell", that plan.
     ``grid_step`` is checked and read by nothing: the grid statistics take
     their own step (``grid_statistics(..., grid_step=)``).
     """
@@ -204,15 +204,19 @@ class FrequencySpec:
     grid_step: float = 0.25
 
     def __post_init__(self):
-        if self.mode not in ("shell", "ray"):
+        if self.mode != "shell":
             raise ValueError(f"unknown frequency mode {self.mode!r}")
         if self.r0 <= 0.0 or self.ratio <= 1.0 or self.count < 1:
             raise ValueError("shell ladder must be strictly increasing: "
                              f"r0={self.r0}, ratio={self.ratio}, count={self.count}")
+        if self.samples_per_shell < 1:
+            raise ValueError(f"samples_per_shell must be >= 1, got {self.samples_per_shell}")
         if self.grid_step <= 0.0:
             raise ValueError(f"grid_step must be positive, got {self.grid_step}")
         if self.directions is not None:
             dirs = np.atleast_2d(np.asarray(self.directions, dtype=float))
+            if dirs.shape[0] == 0:
+                raise ValueError("directions must hold at least one vector")
             norms = np.linalg.norm(dirs, axis=1)
             if np.any(np.abs(norms - 1.0) > 1e-9):
                 raise ValueError("directions must be unit vectors")
@@ -261,19 +265,20 @@ class DecayReport:
 def _fit_kappa(radii: np.ndarray, maxima: np.ndarray) -> tuple[float, float, float, bool]:
     """-slope of log(shell max) on log R over the upper half of the shells, the
     fit's RMS residual, the slope's standard error (nan below three fitted
-    shells) and whether every maximum lies below the floor (no fit)."""
+    shells) and whether every maximum lies below the floor (no fit).  Below
+    two fitted shells there is no line: all three are nan, not floored."""
+    nan = float("nan")
     if np.all(maxima < NUMERICAL_FLOOR):
-        return float("nan"), float("nan"), float("nan"), True
+        return nan, nan, nan, True
     k = radii.shape[0]
-    upper = slice(k - k // 2 - (k % 2), k) if k > 1 else slice(0, k)
-    x = np.log(radii[upper])
-    y = np.log(np.maximum(maxima[upper], NUMERICAL_FLOOR))
-    if x.shape[0] > 2:
-        (slope, intercept), cov = np.polyfit(x, y, 1, cov="unscaled")
-    else:
-        (slope, intercept), cov = np.polyfit(x, y, 1), np.full((2, 2), np.nan)
+    x = np.log(radii[k // 2:])
+    y = np.log(np.maximum(maxima[k // 2:], NUMERICAL_FLOOR))
+    n = x.shape[0]
+    if n < 2:
+        return nan, nan, nan, False
+    (slope, intercept), cov = np.polyfit(x, y, 1, cov="unscaled")
     sq = (y - slope * x - intercept) ** 2
-    stderr = np.sqrt(cov[0, 0] * np.sum(sq) / max(x.shape[0] - 2, 1))
+    stderr = np.sqrt(cov[0, 0] * np.sum(sq) / (n - 2)) if n > 2 else nan
     return float(-slope), float(np.sqrt(np.mean(sq))), float(stderr), False
 
 
@@ -302,12 +307,8 @@ def decay_scan(mu: AtomicMeasure, spec: FrequencySpec, seed: int = 0,
         raise core.DegenerateConfigurationError(
             f"all shells lie above the resolution cap {cap:.3g}")
 
-    if spec.mode == "ray":
-        r_samples = kept[:, None]
-    else:
-        frac = (np.arange(spec.samples_per_shell) + 0.5) / spec.samples_per_shell
-        r_samples = kept[:, None] * spec.ratio ** frac[None, :]
-        r_samples = np.minimum(r_samples, cap)
+    frac = (np.arange(spec.samples_per_shell) + 0.5) / spec.samples_per_shell
+    r_samples = np.minimum(kept[:, None] * spec.ratio ** frac[None, :], cap)
     n_shell, n_rad = r_samples.shape
     n_dir = dirs.shape[0]
     # fixed sample order: shell-major, then direction, then radial position

@@ -516,14 +516,14 @@ def local_dimension_estimate(
         raise ValueError("radii must be positive")
     if np.log10(radii[-1] / radii[0]) < 1.5:
         raise ValueError("radii must span at least 1.5 decades")
+    if sample_count < 1:
+        raise ValueError(f"sample_count must be >= 1, got {sample_count}")
     rng = np.random.default_rng(seed)
     prob = mu.weights / mu.mass
     idx = rng.choice(mu.n, size=sample_count, replace=True, p=prob)
     centers = mu.points[idx]
 
-    log_r = np.log(radii)
-    slopes = np.empty(sample_count)
-    dropped = 0
+    # masses[i, j] = mu(B(centers[i], radii[j]))
     if mu.d == 1:
         order = np.argsort(mu.points[:, 0])
         xs = mu.points[order, 0]
@@ -532,18 +532,20 @@ def local_dimension_estimate(
         hi = np.searchsorted(xs, c + radii[None, :], side="right")
         lo = np.searchsorted(xs, c - radii[None, :], side="left")
         masses = cw[hi] - cw[lo]
-        for i in range(sample_count):
-            slopes[i], drops = _loglog_slope(log_r, masses[i])
-            dropped += drops
     else:
+        masses = np.empty((sample_count, radii.shape[0]))
         for i in range(sample_count):
             dist = np.linalg.norm(mu.points - centers[i], axis=1)
             order = np.argsort(dist)
             cw = np.cumsum(mu.weights[order])
             pos = np.searchsorted(dist[order], radii, side="right")
-            masses = np.where(pos > 0, cw[np.maximum(pos - 1, 0)], 0.0)
-            slopes[i], drops = _loglog_slope(log_r, masses)
-            dropped += drops
+            masses[i] = np.where(pos > 0, cw[np.maximum(pos - 1, 0)], 0.0)
+    log_r = np.log(radii)
+    slopes = np.empty(sample_count)
+    dropped = 0
+    for i in range(sample_count):
+        slopes[i], drops = _loglog_slope(log_r, masses[i])
+        dropped += drops
     return LocalDimensionEstimate(
         slope=float(slopes.mean()), per_center=slopes, dropped=dropped
     )

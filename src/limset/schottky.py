@@ -392,10 +392,11 @@ class SchottkyGroup:
         Disjointness of the 2k balls is a hard precondition (raises
         ConfigurationError naming the first offending pair).  For each letter
         the image of the complement of its source ball is bounded as an exact
-        ball image (interval endpoints for d = 1, sphere fit for d >= 2) and
-        must sit inside the target ball; dense boundary and outside samples
-        (including the image of the chart's point at infinity) are checked
-        point-wise, at a fixed seed.  The worst containment margin is reported.
+        ball image (a sphere fit through the images of seeded boundary points,
+        in d = 1 the two endpoints) and must sit inside the target ball; dense
+        outside samples (including the image of the chart's point at infinity)
+        are checked point-wise, at a fixed seed.  The worst containment margin
+        is reported.
         """
         names = self.letter_names
         # the plus-balls of the 2k letters run through all 2k balls exactly once
@@ -438,32 +439,24 @@ class SchottkyGroup:
             return -np.inf, None
         if source.margin(pole) <= 0:
             return -np.inf, pole
-        # exact image of the source-ball boundary
-        if d == 1:
-            ends = np.array([[source.center[0] - source.radius],
-                             [source.center[0] + source.radius]])
-            img, fin = core.chart_action(g, ends)
-            if not fin.all():
-                return -np.inf, ends[~fin][0]
-            fit_margin = float(target.margin(img).min())
-            worst = ends[int(np.argmin(target.margin(img)))]
-        else:
-            u = rng.standard_normal((max(64, d + 3), d))
-            u /= np.linalg.norm(u, axis=1, keepdims=True)
-            sphere = source.center + source.radius * u
-            img, fin = core.chart_action(g, sphere)
-            if not fin.all():
-                return -np.inf, sphere[~fin][0]
-            # Moebius images of spheres are spheres: fit ||y||^2 = 2<y,c> - k
-            A = np.column_stack([2.0 * img, -np.ones(len(img))])
-            rhs = np.sum(img ** 2, axis=1)
-            sol, *_ = np.linalg.lstsq(A, rhs, rcond=None)
-            c_img, k_img = sol[:d], sol[d]
-            r_img = np.sqrt(max(float(c_img @ c_img - k_img), 0.0))
-            if np.abs(A @ sol - rhs).max() > 1e-6 * (1.0 + rhs.max()):
-                return -np.inf, sphere[0]  # not a sphere: g outside the model
-            fit_margin = float(target.radius - np.linalg.norm(c_img - target.center) - r_img)
-            worst = sphere[int(np.argmin(target.margin(img)))]
+        # exact image of the source-ball boundary (in d = 1 the draws take
+        # both signs, so the fit passes through the two endpoints' images)
+        u = rng.standard_normal((max(64, d + 3), d))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        sphere = source.center + source.radius * u
+        img, fin = core.chart_action(g, sphere)
+        if not fin.all():
+            return -np.inf, sphere[~fin][0]
+        # Moebius images of spheres are spheres: fit ||y||^2 = 2<y,c> - k
+        A = np.column_stack([2.0 * img, -np.ones(len(img))])
+        rhs = np.sum(img ** 2, axis=1)
+        sol, *_ = np.linalg.lstsq(A, rhs, rcond=None)
+        c_img, k_img = sol[:d], sol[d]
+        r_img = np.sqrt(max(float(c_img @ c_img - k_img), 0.0))
+        if np.abs(A @ sol - rhs).max() > 1e-6 * (1.0 + rhs.max()):
+            return -np.inf, sphere[0]  # not a sphere: g outside the model
+        fit_margin = float(target.radius - np.linalg.norm(c_img - target.center) - r_img)
+        worst = sphere[int(np.argmin(target.margin(img)))]
         # dense samples outside the source ball, plus the image of infinity
         u = rng.standard_normal((256, d))
         u /= np.linalg.norm(u, axis=1, keepdims=True)

@@ -235,6 +235,16 @@ def limit_set_sample(group, depth):
     return pts, int((~finite).sum())
 
 
+def ball_image_interval(g, ball):
+    """The image under g of the boundary of a d = 1 chart ball: the images of
+    its two endpoints, sorted.  The ping-pong certificate fits a sphere
+    through the images of seeded boundary points instead, in every d."""
+    ends = np.array([[ball.center[0] - ball.radius], [ball.center[0] + ball.radius]])
+    img, fin = core.chart_action(g, ends)
+    assert fin.all(), "an endpoint of the ball maps to infinity"
+    return np.sort(img[:, 0])
+
+
 def in_so_q(g):
     """Whether g preserves Q (scale-relative) and has det close to +1."""
     g = np.asarray(g, dtype=float)

@@ -216,6 +216,39 @@ def test_no_source_file_imports_scipy():
             assert not [n for n in names if n.split(".")[0] == "scipy"], path.name
 
 
+#: Layer of each limset module: a module imports only from its own layer or a
+#: lower one (geometry, measures, statistics, front end).  __init__ is exempt.
+_LAYERS = {"core": 0, "schottky": 0, "holonomy": 0, "dimension": 1, "measure": 1,
+           "fourier": 2, "nonconc": 2, "_io": 3, "cli": 3}
+
+
+def _limset_imports(tree):
+    """The names a module's AST imports from limset: its modules, or for
+    ``from limset import x`` the name x, which may be __init__'s own."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (a.name.split(".")[1] for a in node.names
+                        if a.name.startswith("limset."))
+        elif isinstance(node, ast.ImportFrom):
+            full = node.module or ""
+            if node.level:
+                full = f"limset.{full}" if full else "limset"
+            if full == "limset":
+                yield from (a.name for a in node.names)
+            elif full.startswith("limset."):
+                yield full.split(".")[1]
+
+
+def test_source_imports_go_one_way():
+    folder = Path(limset.__file__).parent
+    assert {p.stem for p in folder.glob("*.py")} == set(_LAYERS) | {"__init__"}
+    for name, layer in _LAYERS.items():
+        path = folder / f"{name}.py"
+        for mod in _limset_imports(ast.parse(path.read_text(), str(path))):
+            # a name that is no module (__version__) is __init__'s: exempt
+            assert _LAYERS.get(mod, -1) <= layer, f"{name} imports {mod}"
+
+
 def _clustered_orbit_measure():
     """Depth-6 orbit measure of the benchmark's seeded d = 2 group: its
     neighbour distances span many decades (5e-13 to 0.9 at depth 8)."""

@@ -1,6 +1,7 @@
 """Fourier transform of atomic measures: closed-form oracles and scan behavior."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -235,12 +236,30 @@ def test_kappa_stderr_is_the_slope_standard_error():
         radii = 4.0 * 2.0 ** np.arange(k)
         kappa, _, stderr, floored = fourier._fit_kappa(radii, radii ** -0.5)
         assert not floored and np.isfinite(kappa) and np.isnan(stderr)
+    for k in (1, 2):             # one fitted point: no line
+        radii = 4.0 * 2.0 ** np.arange(k)
+        kappa, resid, stderr, floored = fourier._fit_kappa(radii, radii ** -0.5)
+        assert not floored and np.isnan([kappa, resid, stderr]).all()
     assert fourier.decay_scan(delta_at([0.0]), fourier.FrequencySpec()).kappa_stderr == 0.0
+    # the resolution cap keeps one shell of this cloud: no line, no warning
+    pts = np.random.default_rng(3).normal(size=(500, 3)) * 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = fourier.decay_scan(delta_at(pts), fourier.FrequencySpec(r0=0.25))
+    assert report.shell_radii.shape[0] == 1 and not report.floored
+    assert np.isnan([report.kappa, report.fit_residual, report.kappa_stderr]).all()
 
 
 def test_spec_validation():
     with pytest.raises(ValueError):
         fourier.FrequencySpec(mode="spiral")
+    with pytest.raises(ValueError, match="mode"):
+        fourier.FrequencySpec(mode="ray")
+    with pytest.raises(ValueError, match="samples_per_shell"):
+        fourier.FrequencySpec(samples_per_shell=0)
+    for d in (1, 3):
+        with pytest.raises(ValueError, match="directions"):
+            fourier.FrequencySpec(directions=np.zeros((0, d)))
     with pytest.raises(ValueError):
         fourier.FrequencySpec(ratio=1.0)
     with pytest.raises(ValueError):
@@ -251,15 +270,6 @@ def test_spec_validation():
         fourier.decay_scan(delta_at([0.0]), fourier.FrequencySpec(count=4))
     with pytest.raises(ValueError):
         fourier.FrequencySpec(mode="grid")
-
-
-def test_ray_mode_samples_nominal_radii_only():
-    mu = oracles.uniform_segment_measure(200)
-    spec = fourier.FrequencySpec(mode="ray", directions=np.array([[1.0]]))
-    report = fourier.decay_scan(mu, spec)
-    assert report.sample_values.shape[0] == report.shell_radii.shape[0]
-    direct = fourier.fourier_transform(mu, report.shell_radii[:, None])
-    assert np.abs(report.sample_values - direct).max() <= RAY_BOUND
 
 
 def test_d2_fan_is_exactly_antipodal():

@@ -207,6 +207,8 @@ def test_local_dimension_radii_validation(mu_ref):
         measure.local_dimension_estimate(mu_ref, np.geomspace(0.1, 1.0, 5))
     with pytest.raises(ValueError):
         measure.local_dimension_estimate(mu_ref, np.array([-0.1, 0.5, 10.0]))
+    with pytest.raises(ValueError, match="sample_count"):
+        measure.local_dimension_estimate(mu_ref, sample_count=0)
 
 
 # ---------------------------------------------------------------------------

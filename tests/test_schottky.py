@@ -405,6 +405,53 @@ def test_failed_inclusion_reported(reference):
 def test_cyclic_ping_pong(cyclic):
     assert cyclic.report.ok
     assert cyclic.k == 1
+    # exact margins: g1 lands with margin 11/16 - 2/3 = 1/48, g1^-1 with 1/11
+    assert cyclic.report.margins["g1"] == pytest.approx(1.0 / 48.0, abs=1e-9)
+    assert cyclic.report.margins["g1^-1"] == pytest.approx(1.0 / 11.0, abs=1e-9)
+    assert cyclic.report.worst_margin == pytest.approx(1.0 / 48.0, abs=1e-9)
+
+
+def _seeded_d1_group(k, seed):
+    """A seeded d = 1 group of k loxodromics, axes 20 apart along the line,
+    balls at each generator's pole and image of infinity with 1.3 times the
+    isometric radius (the construction of conftest.make_sweep_group)."""
+    rng = np.random.default_rng(seed)
+    gens = []
+    for i in range(k):
+        mid = 20.0 * (i - 0.5 * (k - 1)) + rng.uniform(-1.0, 1.0)
+        att, rep = mid + rng.permutation([-2.5, 2.5]) + rng.uniform(-0.5, 0.5, 2)
+        length = rng.uniform(2.0, 4.0)
+        g = schottky.build_loxodromic(core.chart_to_boundary(np.array([att])),
+                                      core.chart_to_boundary(np.array([rep])), length)
+        rho = 1.3 * abs(att - rep) / (2.0 * np.sinh(length / 2.0))
+        gens.append(schottky.SchottkyGenerator(
+            elem=g,
+            ball_plus=schottky.Ball(core.boundary_from_chart(g[:, 0]), rho),
+            ball_minus=schottky.Ball(
+                core.boundary_from_chart(core.group_inverse(g)[:, 0]), rho)))
+    return schottky.SchottkyGroup(gens, name=f"d1-k{k}-seed{seed}")
+
+
+def test_d1_sphere_fit_is_the_endpoint_image():
+    # in d = 1 the certificate's seeded boundary draws must take both signs,
+    # so that the fitted sphere is the interval between the endpoints' images.
+    # A target ball reaching 1 past the oracle interval on one side, and far
+    # past it on the other, has the fit's margin 1 exactly when the fit's end
+    # on that side is the oracle's: images of outside points and of infinity
+    # lie inside the interval, so the fit's margin is the letter's margin
+    for k in (1, 2, 3, 4):
+        G = _seeded_d1_group(k, seed=k)
+        assert G.validate().ok
+        for side in (-1.0, 1.0):
+            rng = np.random.default_rng(0)       # the draws of verify_ping_pong
+            for b in range(2 * k):
+                lo, hi = oracles.ball_image_interval(G.letter_mats[b], G.letter_balls[b][0])
+                reach = hi - lo + 2.0
+                target = schottky.Ball([hi + 1.0 - reach if side < 0 else lo - 1.0 + reach],
+                                       reach)
+                margin, _ = G._letter_margin(G.letter_mats[b], G.letter_balls[b][0],
+                                             target, rng)
+                assert margin == pytest.approx(1.0, abs=1e-12), (k, b, side)
 
 
 def test_sweep_groups_validate(sweep_groups):
