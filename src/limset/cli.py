@@ -20,7 +20,7 @@ output files; every file opens with '# key=value' comments carrying the
 config hash, package version, and seed.  Threads resolve as the --threads
 flag, else the LIMSET_THREADS environment variable, else the config value;
 a count below 1 is refused (exit 2), and so are a --seed below 0 and a
-holonomy --trials below 10.
+holonomy --trials below 10 or above 10^6.
 
 Exit codes: 0 success; 2 validation failure (malformed file, overlapping
 balls, failed certificate, bad parameter); 3 numerical failure (degenerate
@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import sys
 
@@ -190,7 +191,7 @@ def cmd_fourier(args):
     f = cfg.fourier
     mu, delta, source = _input_measure(cfg, threads, lambda d, atoms: fourier.check_grid_budget(
         d, atoms, f.grid_max, f.grid_step, threads))
-    spec = fourier.FrequencySpec(mode="shell", r0=f.shell_min, ratio=2.0,
+    spec = fourier.FrequencySpec(r0=f.shell_min, ratio=2.0,
                                  count=_io.shell_count(f.shell_min, f.shell_max),
                                  samples_per_shell=f.samples_per_shell)
     report = fourier.decay_scan(mu, spec, seed=cfg.run.seed, threads=threads)
@@ -255,16 +256,18 @@ def cmd_nonconc(args):
 
 def cmd_holonomy(args):
     """Run holonomy.property_suite; write its rows and print the report."""
-    for flag, value, least in (("--seed", args.seed, 0),
-                               ("--trials", args.trials, holonomy.MIN_TRIALS)):
+    for flag, value, least, most in (
+            ("--seed", args.seed, 0, math.inf),
+            ("--trials", args.trials, holonomy.MIN_TRIALS, holonomy.MAX_TRIALS)):
         if value < least:
             raise ValueError(f"{flag}: must be at least {least}, got {value}")
-    out = args.out if args.out is not None else "out"
+        if value > most:
+            raise ValueError(f"{flag}: must be at most {most}, got {value}")
     sign = -1.0 if os.environ.get("LIMSET_BUG_TAU_SIGN") == "1" else 1.0
     rows = holonomy.property_suite(args.trials, args.seed, tau_sign=sign)
-    os.makedirs(out, exist_ok=True)
+    os.makedirs(args.out, exist_ok=True)
     columns = ("property", "trials", "max_residual", "tol", "passed")
-    _io.write_csv(os.path.join(out, "holonomy.csv"), dict(zip(columns, zip(*rows))),
+    _io.write_csv(os.path.join(args.out, "holonomy.csv"), dict(zip(columns, zip(*rows))),
                   _meta("holonomy", "", args.seed, 1, trials=args.trials))
     ok = all(passed for *_, passed in rows)
     width = max(len(name) for name, *_ in rows)
@@ -312,7 +315,7 @@ def _parser():
     h = sub.add_parser("holonomy", help="closed-form factorization property suite")
     h.add_argument("--trials", type=int, default=10000)
     h.add_argument("--seed", type=int, default=0)
-    h.add_argument("--out", default=None, help="output directory")
+    h.add_argument("--out", default="out", help="output directory")
     h.set_defaults(func=cmd_holonomy)
     return p
 

@@ -213,17 +213,6 @@ def project_so(g, tol=DEFAULT_TOL):
 # Points, boundary, chart
 # ---------------------------------------------------------------------------
 
-def check_hyperbolic_point(x):
-    """Assert Q(x) = 1 and x on the future sheet; returns x as float array."""
-    x = np.asarray(x, dtype=float)
-    q = quadratic_form(x)
-    if not abs(q - 1.0) <= 1e-6 * max(1.0, float(np.abs(x).max()) ** 2):
-        raise ModelViolationError(f"Q(x) = {q}, not 1 within tolerance")
-    if not x[0] + x[-1] > 0:
-        raise ModelViolationError("point is on the past sheet")
-    return x
-
-
 def chart_to_boundary(x):
     """iota(x) = (||x||^2/2, x, 1): the null direction with chart coordinate x.
 

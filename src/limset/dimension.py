@@ -73,6 +73,10 @@ class PoincareTruncation:
 class DeltaEstimate:
     """Per-level critical exponent estimates delta_n and the final value.
 
+    The shells are the level cache's distances d(o, w o); delta does not
+    depend on the basepoint, so another one's distances d(x, w x) go to
+    delta_from_distances instead.
+
     ``delta`` is the deepest-level estimate delta_{n_max}; ``spread``, max - min
     of the last three delta_n, is no truncation error bar: below BISECTION_TOL
     it is under the bisection's resolution (on the reference it reads 0).
@@ -118,20 +122,6 @@ def _chunked_logsumexp(values: np.ndarray, threads: int = 1) -> float:
     return float(partial[0] if len(partial) == 1 else logsumexp(np.array(partial)))
 
 
-def level_distances(group, n_max: int, basepoint: np.ndarray | None = None) -> list[np.ndarray]:
-    """Orbit distances d(x, w.x) grouped by word length, n = 0 .. n_max.
-
-    With the default basepoint these are the level cache's distances,
-    arccosh((v_0 + v_last) / 2) of its orbit vectors v; for a custom basepoint
-    x the images w.x are built by the level cache's prepend recursion and the
-    distances evaluated through the bilinear form.
-    """
-    if basepoint is None:
-        return group.orbit_distances(n_max)
-    x = core.check_hyperbolic_point(basepoint)
-    return [core.distance(x[None, :], imgs) for imgs in group.orbit_images(x, n_max)]
-
-
 def log_shell_sums(dists: list[np.ndarray], s: float, threads: int = 1) -> np.ndarray:
     """log a_n(s) for each shell of distances, in the given level order."""
     return np.array([_chunked_logsumexp(-s * d, threads) for d in dists])
@@ -141,14 +131,12 @@ def shell_sums(
     group,
     s: float,
     n_max: int,
-    basepoint: np.ndarray | None = None,
     threads: int = 1,
 ) -> PoincareTruncation:
     """Shell sums a_n(s), n = 0 .. n_max, of the truncated Poincare series."""
     if s < 0:
         raise ValueError(f"s must be >= 0, got {s}")
-    dists = level_distances(group, n_max, basepoint)
-    log_a = log_shell_sums(dists, s, threads)
+    log_a = log_shell_sums(group.orbit_distances(n_max), s, threads)
     with np.errstate(over="ignore"):
         values = np.exp(log_a)
     diverged = bool(np.any(~np.isfinite(values)))
@@ -254,7 +242,6 @@ def delta_from_distances(
 def estimate_delta(
     group,
     n_max: int = DEFAULT_N_MAX,
-    basepoint: np.ndarray | None = None,
     threads: int = 1,
 ) -> DeltaEstimate:
     """Estimate the critical exponent of a Schottky group.
@@ -267,7 +254,7 @@ def estimate_delta(
     """
     if n_max < MIN_N_MAX:
         raise ValueError(f"n_max must be >= {MIN_N_MAX} for a stable estimate, got {n_max}")
-    dists = level_distances(group, n_max, basepoint)
+    dists = group.orbit_distances(n_max)
     counts = np.array([d.shape[0] for d in dists])
     delta, per_level, evaluations = delta_from_distances(dists, threads)
     d = group.d

@@ -28,8 +28,8 @@ transform sit the experiment statistics:
   int_{||xi|| <= R} |mu-hat|^2, whose doubling ratio tracks R^{d - alpha}
   (L2-flattening / Frostman scaling), and the Lebesgue measure of the
   super-level sets {||xi|| <= T : |mu-hat(xi)| > T^{-delta}}, T <= R (the
-  flattening exceptional set); ``l2_average``, ``exceptional_set_measure``
-  and ``exceptional_sweep`` read it.
+  flattening exceptional set) over a (delta, T) grid in one pass;
+  ``l2_average`` and ``exceptional_set_measure`` read it.
 
 Atomic discretizations only resolve frequencies below ~1/(atom spacing);
 every scan computes that cap from the weighted median nearest-neighbour
@@ -617,21 +617,3 @@ def exceptional_set_measure(mu: AtomicMeasure, t_value: float, delta_exp: float,
         t_value=float(t_value),
         delta_exp=float(delta_exp),
     )
-
-
-def exceptional_sweep(mu: AtomicMeasure, t_values=(16.0, 64.0, 256.0),
-                      delta_grid=None, grid_step: float = 0.25,
-                      threads: int = 1):
-    """Exceptional-set fractions over a (delta_exp, T) grid from one pass.
-
-    Returns (delta_grid, t_values, fractions, lebesgues) with ``fractions``
-    of shape (len(delta_grid), len(t_values)); every T reads the one grid
-    of radius max(T).
-    """
-    if delta_grid is None:
-        delta_grid = np.arange(0.05, 0.46, 0.05)
-    t_values = np.asarray(sorted(t_values), dtype=float)
-    delta_grid = np.asarray(delta_grid, dtype=float)
-    _, fractions, lebesgues = grid_statistics(mu, t_values[-1], t_values, delta_grid,
-                                              grid_step, threads)
-    return delta_grid, t_values, fractions, lebesgues

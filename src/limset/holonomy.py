@@ -40,6 +40,7 @@ from limset import core
 
 REGIME_BOUND = 0.5
 MIN_TRIALS = 10     # the fewest trials property_suite runs
+MAX_TRIALS = 10 ** 6   # the most: every trial's draws are held at once, ~0.75 KiB each
 
 
 class RegimeError(ValueError):
@@ -228,6 +229,8 @@ def property_suite(trials, seed=0, tau_sign=1.0):
     """
     if trials < MIN_TRIALS:
         raise ValueError(f"need at least {MIN_TRIALS} trials, got {trials}")
+    if trials > MAX_TRIALS:
+        raise ValueError(f"need at most {MAX_TRIALS} trials, got {trials}")
     rng = np.random.default_rng(seed)
     n_triples = max(trials // 10, 1)
     dims = [1 + i % 3 for i in range(trials)]

@@ -43,13 +43,11 @@ class AtomicMeasure:
     """Finite positive atomic measure on R^d (a boundary or N+ chart).
 
     ``points`` has shape (n, d) and ``weights`` shape (n,), all weights
-    strictly positive; ``mass`` is their sum.  ``dropped`` counts atoms
-    discarded during construction (e.g. projections at infinity).
+    strictly positive; ``mass`` is their sum.
     """
 
     points: np.ndarray
     weights: np.ndarray
-    dropped: int = 0
     mass: float = field(init=False)
 
     def __post_init__(self):
@@ -153,7 +151,7 @@ def patterson_orbit_measure(
                 f"shell masses grow at depth {n_max} ({last:.3g} >= {prev:.3g}): "
                 f"exponent {s} is not above the critical exponent"
             )
-    return AtomicMeasure(points=pts, weights=raw / raw.sum(), dropped=0)
+    return AtomicMeasure(points=pts, weights=raw / raw.sum())
 
 
 def _weighted_quantiles(values: np.ndarray, weights: np.ndarray, qs) -> np.ndarray:
@@ -375,16 +373,13 @@ def bump_test_functions(mu: AtomicMeasure):
     return bumps
 
 
-def conformality_residual(mu: AtomicMeasure, gamma: np.ndarray, s: float,
-                          busemann_sign: float = 1.0) -> float:
+def conformality_residual(mu: AtomicMeasure, gamma: np.ndarray, s: float) -> float:
     """Discrepancy between gamma_* mu and the conformal reweighting of mu.
 
     Compares int f d(gamma_* mu) with int f(xi) e^{s b_xi(o, gamma o)} dmu(xi)
     over the test family and returns the worst absolute difference.  ``s`` is
     the conformal dimension of the measure: for a truncated orbit measure
-    pass its construction exponent delta + epsilon.  ``busemann_sign`` is +1
-    for the conformal density; passing -1 evaluates the deliberately wrong
-    sign convention (a diagnostic that should inflate the residual).
+    pass its construction exponent delta + epsilon.
     """
     imgs, finite = core.chart_action(gamma, mu.points)
     w_push = mu.weights[finite]
@@ -392,7 +387,7 @@ def conformality_residual(mu: AtomicMeasure, gamma: np.ndarray, s: float,
     xi = core.chart_to_boundary(mu.points)
     o = core.basepoint(mu.d)
     go = np.asarray(gamma, dtype=float) @ o
-    w_conf = mu.weights * np.exp(busemann_sign * s * core.busemann(xi, o, go))
+    w_conf = mu.weights * np.exp(s * core.busemann(xi, o, go))
     bumps = bump_test_functions(mu)
     worst = 0.0
     for f_push, f_atoms in zip(bumps(p_push), bumps(mu.points)):

@@ -264,8 +264,6 @@ class SchottkyGroup:
             self.letter_balls.append((g.ball_plus, g.ball_minus))   # for gamma^{-1}
         self.letter_names = [f"g{i + 1}{inv}" for i in range(self.k) for inv in ("", "^-1")]
         integral = np.array_equal(self.letter_mats, np.rint(self.letter_mats))
-        self.validated = False
-        self.report = None
         e = np.eye(self.d + 2)
         self._levels = [_Level(vecs=e[:1] + e[-1:], dists=np.zeros(1), max_entry=1.0,
                                exact=bool(integral), length=0, k=self.k)]
@@ -361,15 +359,6 @@ class SchottkyGroup:
 
     # -- orbit ----------------------------------------------------------------
 
-    def orbit_images(self, x, n):
-        """W x for the words W of each length 0..n, one array per length in
-        the cache's word order, by the level build's recursion."""
-        self.check_depth(n)
-        out = [np.asarray(x, dtype=float)[None]]
-        for _ in range(n):
-            out.append(self._prepend(out[-1]))
-        return out
-
     def orbit_distances(self, n):
         return [lev.dists for lev in self.levels(n)]
 
@@ -386,7 +375,7 @@ class SchottkyGroup:
 
     # -- validation -----------------------------------------------------------
 
-    def verify_ping_pong(self):
+    def validate(self):
         """Check the ping-pong mapping condition and return a report.
 
         Disjointness of the 2k balls is a hard precondition (raises
@@ -421,12 +410,11 @@ class SchottkyGroup:
                 if wit is not None:
                     witnesses.append(f"{names[b]}: image of {np.round(wit, 6)} "
                                      f"escapes the target ball")
-        report = PingPongReport(ok=ok, margins=margins,
-                                worst_margin=float(min(margins.values())),
-                                min_ball_gap=float(min_gap),
-                                witnesses=witnesses,
-                                zariski=self.zariski_heuristic())
-        return report
+        return PingPongReport(ok=ok, margins=margins,
+                              worst_margin=float(min(margins.values())),
+                              min_ball_gap=float(min_gap),
+                              witnesses=witnesses,
+                              zariski=self.zariski_heuristic())
 
     def _letter_margin(self, g, source, target, rng):
         d = self.d
@@ -477,13 +465,6 @@ class SchottkyGroup:
         margin = min(fit_margin, sample_margin, inf_margin)
         return margin, (worst if margin <= 0 else None)
 
-    def validate(self):
-        """Run verify_ping_pong, store the report, set .validated on success."""
-        report = self.verify_ping_pong()
-        self.report = report
-        self.validated = bool(report.ok)
-        return report
-
     def zariski_heuristic(self):
         """Heuristic (not a certificate): k >= 2, non-commuting generators,
         pairwise distinct axes.  Zariski density admits no finite numerical
@@ -500,5 +481,4 @@ class SchottkyGroup:
         return out
 
     def __repr__(self):
-        return (f"SchottkyGroup(name={self.name!r}, k={self.k}, d={self.d}, "
-                f"validated={self.validated})")
+        return f"SchottkyGroup(name={self.name!r}, k={self.k}, d={self.d})"

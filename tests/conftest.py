@@ -18,9 +18,7 @@ def reference():
 
 @pytest.fixture(scope="session")
 def cyclic():
-    G = _io.load_group_file(limset.fixture_path("cyclic"))
-    G.validate()
-    return G
+    return _io.load_group_file(limset.fixture_path("cyclic"))
 
 
 def make_sweep_group(length, rho_factor=1.3):

@@ -132,6 +132,24 @@ def masked_orbit_images(group, x, n):
     return out
 
 
+def orbit_images(group, x, n):
+    """W x for the words W of each length 0..n, one array per length in the
+    level cache's word order, by the level build's recursion
+    (``SchottkyGroup._prepend``) from a point x other than o."""
+    group.check_depth(n)
+    out = [np.asarray(x, dtype=float)[None]]
+    for _ in range(n):
+        out.append(group._prepend(out[-1]))
+    return out
+
+
+def basepoint_distances(group, x, n):
+    """d(x, W x) for the words W of each length 0..n: the shells of the
+    Poincare series at the basepoint x, for ``dimension.delta_from_distances``
+    and ``dimension.log_shell_sums``."""
+    return [core.distance(x[None, :], imgs) for imgs in orbit_images(group, x, n)]
+
+
 def determinant_delta(group, n):
     """The critical exponent of a d = 1 group from its dynamical determinant,
     independent of the shell sums: the largest zero in s of
@@ -228,7 +246,7 @@ def limit_set_sample(group, depth):
     z = np.empty((last.size, group.d + 2))
     for b in range(2 * group.k):
         seed = core.chart_to_boundary(group.letter_balls[b][1].center)
-        z[last == b] = group.orbit_images(seed, depth)[depth][last == b]
+        z[last == b] = orbit_images(group, seed, depth)[depth][last == b]
     scale = np.abs(z).max(axis=-1)
     finite = np.abs(z[:, -1]) > 1e-12 * np.maximum(scale, 1.0)
     pts = z[finite, 1:-1] / z[finite, -1][:, None]

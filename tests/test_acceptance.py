@@ -114,9 +114,8 @@ def test_04_critical_exponent_stability(reference):
         f"delta_12 {est12.delta} vs delta_10 {est10.delta}"
     o = core.basepoint(1)
     moved = core.unipotent_plus(np.array([0.3])) @ core.geodesic_flow(0.4, 1) @ o
-    est_p = dimension.estimate_delta(reference, n_max=12, basepoint=moved)
-    assert abs(est_p.delta - est12.delta) < 0.02, \
-        f"basepoint drift {abs(est_p.delta - est12.delta)}"
+    delta_p = dimension.delta_from_distances(oracles.basepoint_distances(reference, moved, 12))[0]
+    assert abs(delta_p - est12.delta) < 0.02, f"basepoint drift {abs(delta_p - est12.delta)}"
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0, f"took {elapsed:.1f}s"
 
@@ -173,9 +172,8 @@ def test_07_decay_flattening_l2_experiment(reference, delta12):
     assert abs(k12 - k10) <= 0.1, f"kappa drift {abs(k12 - k10)}"
 
     # (b) exceptional-set fraction at threshold T^-d_exp shrinks with T
-    grid = np.array([0.05, 0.10, 0.15, 0.20])
-    _, _, fractions, _ = fourier.exceptional_sweep(mu12, t_values=(16.0, 64.0, 256.0),
-                                                   delta_grid=grid)
+    grid, t_values = np.array([0.05, 0.10, 0.15, 0.20]), [16.0, 64.0, 256.0]
+    _, fractions, _ = fourier.grid_statistics(mu12, max(t_values), t_values, grid)
     assert np.all(np.diff(fractions, axis=1) <= 0.0), f"fractions {fractions}"
     assert np.all(fractions[:, -1] < fractions[:, 0])
 

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import limset
-from limset import _io, cli, dimension, fourier, measure, schottky
+from limset import _io, cli, dimension, fourier, holonomy, measure, schottky
 from limset.measure import AtomicMeasure
 
 import oracles
@@ -767,9 +767,19 @@ def test_negative_seed_flag_is_refused_naming_it(tmp_path, capsys, monkeypatch):
         assert cli.main([command, "--config", str(path), "--seed", "-5",
                          "--out", str(tmp_path / "o")]) == 2
         assert "--seed: must be at least 0, got -5" in capsys.readouterr().err
+    # the suite holds every trial's draws at once: a count over the cap is
+    # refused before any draw
     for flags, message in ((["--trials", "10", "--seed", "-5"],
                             "--seed: must be at least 0, got -5"),
-                           (["--trials", "5"], "--trials: must be at least 10, got 5")):
+                           (["--trials", "5"], "--trials: must be at least 10, got 5"),
+                           (["--trials", "1000001"],
+                            "--trials: must be at most 1000000, got 1000001")):
+        start = time.perf_counter()
         assert cli.main(["holonomy", *flags, "--out", str(tmp_path / "h")]) == 2
+        assert time.perf_counter() - start < 0.1
         assert message in capsys.readouterr().err
         assert not (tmp_path / "h").exists()
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="at most 1000000 trials, got 1000001"):
+        holonomy.property_suite(holonomy.MAX_TRIALS + 1)
+    assert time.perf_counter() - start < 0.1

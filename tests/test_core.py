@@ -186,8 +186,6 @@ def test_distance_rejects_off_sheet():
         core.distance(o, -o)
     with pytest.raises(core.ModelViolationError, match="B\\(x, y\\) = nan"):
         core.distance(o, np.array([[1.0, 0.0, 1.0], [np.nan, 0.0, 1.0]]))
-    with pytest.raises(core.ModelViolationError, match="past sheet"):
-        core.check_hyperbolic_point(-o)
 
 
 # ---------------------------------------------------------------------------

@@ -126,11 +126,12 @@ def test_cyclic_shell_sums_on_axis_closed_form():
     group = schottky.SchottkyGroup([gen], name="axis-cyclic")
 
     x = (att + rep) / np.sqrt(2.0 * core.bilinear_form(att, rep))
-    core.check_hyperbolic_point(x)
+    assert core.quadratic_form(x) == pytest.approx(1.0, abs=1e-15) and x[0] + x[-1] > 0
+    dists = oracles.basepoint_distances(group, x, 5)
     for s in (0.2, 1.0):
-        tr = dimension.shell_sums(group, s, 5, basepoint=x)
+        values = np.exp(dimension.log_shell_sums(dists, s))
         n = np.arange(1, 6)
-        assert np.allclose(tr.values[1:], 2.0 * np.exp(-s * n * ell), rtol=1e-10)
+        assert np.allclose(values[1:], 2.0 * np.exp(-s * n * ell), rtol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +243,14 @@ def test_reference_delta_value_and_stability(reference):
     assert est.counts[0] == 1 and est.counts[1] == 4
 
 
+def test_estimate_delta_is_the_distance_seam_on_the_cache(reference, sweep_groups):
+    # estimate_delta reads the level cache's distances; any other set of
+    # orbit distances (another basepoint) goes through the same seam
+    for group, n in ((reference, 12), (sweep_groups[3.0], 10)):
+        got = dimension.delta_from_distances(group.orbit_distances(n))[0]
+        assert got == dimension.estimate_delta(group, n).delta
+
+
 def test_reference_roots_are_pinned(reference):
     # every delta_n at n_max = 12, as the bisection of [0, 1] found them
     est = dimension.estimate_delta(reference, n_max=12)
@@ -251,7 +260,7 @@ def test_reference_roots_are_pinned(reference):
 
 @pytest.mark.parametrize("n_max", range(6, 13))
 def test_grid_search_matches_bisection_on_the_reference(reference, n_max):
-    dists = dimension.level_distances(reference, n_max)
+    dists = reference.orbit_distances(n_max)
     assert np.array_equal(dimension.estimate_delta(reference, n_max=n_max).per_level,
                           oracles.bisection_delta(dists)[1])
 
@@ -259,7 +268,7 @@ def test_grid_search_matches_bisection_on_the_reference(reference, n_max):
 def test_grid_search_matches_bisection_on_generated_groups():
     from perfbench import workloads
     for seed in range(8):
-        dists = dimension.level_distances(workloads.generated_group(seed), 8)
+        dists = workloads.generated_group(seed).orbit_distances(8)
         assert np.array_equal(dimension.delta_from_distances(dists)[1],
                               oracles.bisection_delta(dists)[1])
 
@@ -290,26 +299,21 @@ def test_reference_delta_matches_the_dynamical_determinant(reference):
     assert abs(delta - o10) <= dimension.BISECTION_TOL
 
 
-def test_nan_basepoint_is_refused(reference):
-    with pytest.raises(core.ModelViolationError, match="not 1 within tolerance"):
-        dimension.estimate_delta(reference, n_max=6, basepoint=[np.nan, 0, np.nan])
-
-
 def test_reference_delta_basepoint_drift(reference):
     o = core.basepoint(1)
     base = dimension.estimate_delta(reference, n_max=10).delta
     for h in (core.unipotent_plus(np.array([0.3])),
               core.unipotent_plus(np.array([-0.5])),
               core.geodesic_flow(0.2, 1)):
-        est = dimension.estimate_delta(reference, n_max=10, basepoint=h @ o)
-        assert abs(est.delta - base) < 0.02
+        dists = oracles.basepoint_distances(reference, h @ o, 10)
+        assert abs(dimension.delta_from_distances(dists)[0] - base) < 0.02
 
 
 def test_custom_basepoint_distances_match_the_matrix_oracle(reference, sweep_groups):
     # the prepend recursion from x against W x over the oracle's matrices
     x = core.unipotent_plus(np.array([0.3])) @ core.geodesic_flow(0.4, 1) @ core.basepoint(1)
     for group in (reference, sweep_groups[2.0]):
-        dists = dimension.level_distances(group, 8, basepoint=x)
+        dists = oracles.basepoint_distances(group, x, 8)
         for d_n, oracle in zip(dists, oracles.matrix_levels(group, 8)):
             want = core.distance(x[None, :], oracle.mats @ x)
             assert np.abs(d_n - want).max() <= 1e-15 * max(1.0, want.max())
@@ -323,7 +327,7 @@ def test_grid_search_matches_bisection_at_custom_basepoints(reference, sweep_gro
                                      core.unipotent_plus(np.array([-0.5])),
                                      core.geodesic_flow(0.2, 1))]
     for group, basepoint in cases:
-        dists = dimension.level_distances(group, 10, basepoint=basepoint)
+        dists = oracles.basepoint_distances(group, basepoint, 10)
         assert np.array_equal(dimension.delta_from_distances(dists)[1],
                               oracles.bisection_delta(dists)[1])
 

@@ -559,18 +559,20 @@ def test_exceptional_validation():
 
 
 def test_exceptional_sweep_matches_single_calls():
+    # one grid_statistics call over a (delta, T) grid reads the one grid of
+    # radius max(T); each cell equals the single-purpose call
     mu = oracles.uniform_segment_measure(500)
-    dg, tv, fracs, lebs = fourier.exceptional_sweep(
-        mu, t_values=(16.0, 64.0), delta_grid=np.array([0.2, 0.45]))
+    dg, tv = np.array([0.2, 0.45]), [16.0, 64.0]
+    _, fracs, lebs = fourier.grid_statistics(mu, max(tv), tv, dg)
     for i, dexp in enumerate(dg):
         for j, t in enumerate(tv):
             one = fourier.exceptional_set_measure(mu, t, dexp)
             assert fracs[i, j] == one.fraction
             assert lebs[i, j] == one.lebesgue
-    # d = 2: every T reads the one grid of radius max(T)
+    # d = 2: the ball of each T inside the cube of radius max(T)
     mu2 = random_measure(n=60, d=2, seed=4)
-    dg, tv, fracs, lebs = fourier.exceptional_sweep(
-        mu2, t_values=(6.0, 4.0), delta_grid=np.array([0.2, 0.45]))
+    tv = sorted((6.0, 4.0))
+    _, fracs, lebs = fourier.grid_statistics(mu2, max(tv), tv, dg)
     for i, dexp in enumerate(dg):
         for j, t in enumerate(tv):
             one = fourier.exceptional_set_measure(mu2, t, dexp)
@@ -583,9 +585,9 @@ def test_exceptional_sweep_validation():
     for t, step in (([2.0], 0.5), ([2.0], 0.25), ([16.0], 0.5), ([16.0], 0.0),
                     ([16.0], -0.25)):
         with pytest.raises(ValueError, match=None if t[0] < 4 else f"got {step}"):
-            fourier.exceptional_sweep(mu, t, [0.5], grid_step=step)
+            fourier.grid_statistics(mu, max(t), t, [0.5], grid_step=step)
     with pytest.raises(ValueError):
-        fourier.exceptional_sweep(mu, [16.0], [1.5])
+        fourier.grid_statistics(mu, 16.0, [16.0], [1.5])
 
 
 def test_grid_statistics_reads_one_grid():

@@ -193,7 +193,7 @@ def test_orbit_images_match_the_masked_prepend_bit_for_bit():
          @ core.basepoint(2))
     for seed in (0, 3):
         G = workloads.generated_group(seed)
-        images = G.orbit_images(x, 6)
+        images = oracles.orbit_images(G, x, 6)
         assert len(images) == 7
         for got, want in zip(images, oracles.masked_orbit_images(G, x, 6)):
             assert np.array_equal(got, want)
@@ -324,7 +324,7 @@ def test_level_cache_budget_check_is_cheap_at_any_depth(cyclic):
         cyclic.check_depth(10 ** 10)
     assert time.perf_counter() - start < 0.1
     with pytest.raises(ValueError, match="depth 17 need 7.7 GiB"):
-        G.orbit_images(core.basepoint(1), 17)
+        G.levels(17)
     assert len(G._levels) == 1
 
 
@@ -369,7 +369,7 @@ def test_orbit_injective_discreteness_witness(reference):
 # ---------------------------------------------------------------------------
 
 def test_reference_ping_pong_margins(reference):
-    report = reference.report
+    report = reference.validate()
     assert report.ok
     # exact margins: g1 and g2^-1 land with margin 11/16 - 2/3 = 1/48;
     # g1^-1 and g2 with margin 3 - 32/11 = 1/11
@@ -384,7 +384,7 @@ def test_reference_ping_pong_margins(reference):
 
 def test_overlapping_balls_error():
     with pytest.raises(schottky.ConfigurationError, match="g1.*g2|g2.*g1"):
-        _io.load_group_file(limset.fixture_path("overlapping")).verify_ping_pong()
+        _io.load_group_file(limset.fixture_path("overlapping")).validate()
 
 
 def test_failed_inclusion_reported(reference):
@@ -395,20 +395,20 @@ def test_failed_inclusion_reported(reference):
         ball_plus=schottky.Ball(g1.ball_plus.center, 0.5),
         ball_minus=g1.ball_minus)
     G = schottky.SchottkyGroup([bad, reference.gens[1]])
-    report = G.verify_ping_pong()
+    report = G.validate()
     assert not report.ok
     assert report.margins["g1"] == pytest.approx(0.5 - 2.0 / 3.0, abs=1e-9)
     assert report.witnesses
-    assert not G.validate().ok and not G.validated
 
 
 def test_cyclic_ping_pong(cyclic):
-    assert cyclic.report.ok
+    report = cyclic.validate()
+    assert report.ok
     assert cyclic.k == 1
     # exact margins: g1 lands with margin 11/16 - 2/3 = 1/48, g1^-1 with 1/11
-    assert cyclic.report.margins["g1"] == pytest.approx(1.0 / 48.0, abs=1e-9)
-    assert cyclic.report.margins["g1^-1"] == pytest.approx(1.0 / 11.0, abs=1e-9)
-    assert cyclic.report.worst_margin == pytest.approx(1.0 / 48.0, abs=1e-9)
+    assert report.margins["g1"] == pytest.approx(1.0 / 48.0, abs=1e-9)
+    assert report.margins["g1^-1"] == pytest.approx(1.0 / 11.0, abs=1e-9)
+    assert report.worst_margin == pytest.approx(1.0 / 48.0, abs=1e-9)
 
 
 def _seeded_d1_group(k, seed):
@@ -443,7 +443,7 @@ def test_d1_sphere_fit_is_the_endpoint_image():
         G = _seeded_d1_group(k, seed=k)
         assert G.validate().ok
         for side in (-1.0, 1.0):
-            rng = np.random.default_rng(0)       # the draws of verify_ping_pong
+            rng = np.random.default_rng(0)       # the draws of validate
             for b in range(2 * k):
                 lo, hi = oracles.ball_image_interval(G.letter_mats[b], G.letter_balls[b][0])
                 reach = hi - lo + 2.0
@@ -456,8 +456,9 @@ def test_d1_sphere_fit_is_the_endpoint_image():
 
 def test_sweep_groups_validate(sweep_groups):
     for length, G in sweep_groups.items():
-        assert G.validated, f"sweep group at length {length} failed ping-pong"
-        assert G.report.worst_margin > 0.1
+        report = G.validate()
+        assert report.ok, f"sweep group at length {length} failed ping-pong"
+        assert report.worst_margin > 0.1
 
 
 def test_sweep_float_lane_drift_controlled(sweep_groups):
@@ -489,9 +490,9 @@ def test_near_so_q_generator_is_reprojected_once_at_construction(reference):
 
 
 def test_zariski_heuristic(reference, cyclic):
-    z = reference.report.zariski
+    z = reference.validate().zariski
     assert z["noncommuting"] and z["distinct_axes"] and z["k"] == 2
-    assert cyclic.report.zariski["k"] == 1
+    assert cyclic.validate().zariski["k"] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +552,7 @@ def test_group_file_round_trip(tmp_path, reference):
         assert np.array_equal(a.elem, b.elem)
         assert a.ball_plus.radius == b.ball_plus.radius
         assert np.array_equal(a.ball_minus.center, b.ball_minus.center)
-    assert G2.verify_ping_pong().ok
+    assert G2.validate().ok
 
 
 def test_group_file_from_axis_data(tmp_path):
