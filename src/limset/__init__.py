@@ -2,10 +2,13 @@
 
 The package constructs convex cocompact (Schottky) groups of isometries of
 real hyperbolic space H^{d+1} in the quadratic-form matrix model, approximates
-their Patterson-Sullivan measures and unstable horospherical conditionals, and
-measures Fourier decay, L2 flattening, and affine non-concentration of the
-resulting fractal measures.  The closed-form N-MAN+ holonomy formulas are
-implemented exactly and property-tested against the matrix factorization.
+their Patterson-Sullivan measures, and measures Fourier decay, L2 flattening,
+and affine non-concentration of the resulting fractal measures.  The
+closed-form N-MAN+ holonomy formulas are implemented exactly and
+property-tested against the matrix factorization.  The library holds what
+the commands run; diagnostics only the tests use (the unstable conditionals,
+the local-dimension estimate, the phase-linearization error) live in
+``tests/oracles.py``.
 """
 
 __version__ = "0.1.0"

@@ -439,10 +439,11 @@ def read_measure_file(path):
     meta, columns, rows = read_csv(path)
     if rows.shape[1] < 2:
         raise GroupFileError(f"measure file {path}: no atom table")
-    bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
-    if bad.size:
-        raise GroupFileError(f"measure file {path}: non-finite coordinate or weight",
-                             _csv_lines(path)[1][bad[0]][0])
+    for bad, what in ((~np.isfinite(rows).all(axis=1), "non-finite coordinate or weight"),
+                      (~(rows[:, -1] > 0.0), "weight not strictly positive")):
+        if bad.any():
+            raise GroupFileError(f"measure file {path}: {what}",
+                                 _csv_lines(path)[1][np.argmax(bad)][0])
     d = rows.shape[1] - 1
     for key, found, what in (("d", d, "coordinates"), ("count", rows.shape[0], "rows")):
         try:

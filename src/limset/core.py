@@ -152,18 +152,6 @@ def group_inverse(g):
     return J @ np.swapaxes(g, -1, -2) @ J
 
 
-def random_rotation(d, rng):
-    """Haar-ish random element of SO(d) via QR with sign fix."""
-    if d == 1:
-        return np.eye(1)
-    a = rng.standard_normal((d, d))
-    q, r = np.linalg.qr(a)
-    q = q * np.sign(np.diag(r))
-    if np.linalg.det(q) < 0:
-        q[:, 0] = -q[:, 0]
-    return q
-
-
 # ---------------------------------------------------------------------------
 # Membership checks and drift correction
 # ---------------------------------------------------------------------------
@@ -273,26 +261,9 @@ def normalize_boundary(xi):
     return xi * np.where(s == 0.0, 1.0, s)[..., None]
 
 
-def boundary_equal(a, b, tol=1e-8):
-    """Projective equality of null directions via canonical representatives."""
-    return bool(np.abs(normalize_boundary(a) - normalize_boundary(b)).max() <= tol)
-
-
 # ---------------------------------------------------------------------------
 # Metric quantities
 # ---------------------------------------------------------------------------
-
-def distance(x, y):
-    """d(x, y) = arccosh B(x, y); symmetric, isometry-invariant.
-
-    Broadcasts over leading axes.  B not at least 1 - DEFAULT_TOL (impossible for
-    points on the future sheet; nan included) raises ModelViolationError.
-    """
-    b = bilinear_form(x, y)
-    if not np.all(b >= 1.0 - DEFAULT_TOL):
-        raise ModelViolationError(f"B(x, y) = {np.min(b)} < 1: arguments not on the future sheet")
-    return np.arccosh(np.maximum(b, 1.0))
-
 
 def busemann(xi, x, y):
     """Busemann cocycle beta_xi(x, y) = log(B(x, xi) / B(y, xi)).

@@ -22,12 +22,9 @@ e^t (1, y, ||y||^2/2), and the middle block equals m + e^t y x^T.
 Each step has one implementation, over a stack of trials of one dimension;
 its checks raise the first bad trial's message, and a nan fails each of them.
 The functions of one input run it on a stack of one.  The per-trial code they
-replaced is the tests' oracle (``tests/oracles.py``).
-
-The phase-linearization error quantifies how well the holonomy phase
-exp(i <xi_t, .>) is approximated by its linearization
-alpha(t, v) = exp(i (1 + <v, w>) <xi_t, m v>) after flowing for time t
-(with xi_t = e^{-t} xi); the discrepancy contracts like e^{-t}.
+replaced is the tests' oracle (``tests/oracles.py``), which also holds the
+phase-linearization error, the one-matrix factorization ``decompose_nmak``
+and the linearized multiplier 1 + <v, w>.
 """
 
 from __future__ import annotations
@@ -91,22 +88,6 @@ def lambda_fn(v, w):
     return 1.0 + core.row_dot(v, w) + 0.25 * core.row_dot(v, v) * core.row_dot(w, w)
 
 
-def lambda_linear(v, w):
-    """Linearized multiplier 1 + <v, w>; differs from lambda_fn by exactly
-    ||v||^2 ||w||^2 / 4."""
-    return 1.0 + core.row_dot(np.asarray(v, dtype=float), np.asarray(w, dtype=float))
-
-
-def assemble_product(h: HolonomyInput):
-    """The matrix n+(v) n-(w) g_tau m (rotation and flow commute)."""
-    return _product(*_one(h))[0]
-
-
-def _cell_lambda(h):
-    """lambda(v, w), refused when the product leaves the N-MAN+ cell."""
-    return float(_checked_lambda(np.atleast_2d(h.v), np.atleast_2d(h.w))[0])
-
-
 def phi_closed_form(h: HolonomyInput):
     """N+ component: m^{-1} (v + (||v||^2/2) w) / (e^tau lambda(v, w))."""
     v, w, tau, m = _one(h)
@@ -136,18 +117,6 @@ def m_closed_form(h: HolonomyInput):
     return _m_form(v, w, _row(v, w), _row(w, v), m, _checked_lambda(v, w))[0]
 
 
-def decompose_nmak(X):
-    """Solve X = n-(y) m g_t n+(x) from the entries of X.
-
-    X[0, 0] = e^t must be positive; the first row then gives x, the first
-    column gives y, and the middle block gives m after removing the rank-one
-    part e^t y x^T.  Returns (y, m, t, x, residual) with the reconstruction
-    residual in max norm.  Raises for X outside the open cell (X[0,0] not
-    above core.DEFAULT_TOL) or when the extracted m is not orthogonal (X not in SO(Q)).
-    """
-    return tuple(part[0] for part in _decompose(np.asarray(X, dtype=float)[None]))
-
-
 def factorize_product(x, y, tau=0.0, m=None):
     """Numerically factor n+(x) n-(y) g_tau m into N- M A N+.
 
@@ -161,33 +130,6 @@ def factorize_product(x, y, tau=0.0, m=None):
     y_out, m_out, t_out, phi, residual = (part[0] for part in _factor(_product(*_one(h))))
     return FactorizationResult(y_out=y_out, m_out=m_out, t_out=float(t_out),
                                phi=phi, residual=float(residual))
-
-
-def linearization_error(h: HolonomyInput, xi, t):
-    """Modulus |chi - alpha| of the phase-linearization discrepancy at time t.
-
-    For n = exp(v) on the unstable leaf, the holonomy pullback of the linear
-    phase exp(i <xi_t, .>) evaluates at u = log(phi^{-1}(exp(v))), obtained
-    by factoring n+(v) (n-(w) m g_tau)^{-1} and reading the N+ component.
-    The linearization replaces it by
-
-        alpha = exp(i (1 + <v, w>) <xi_{t - tau}, m v>),   xi_t = e^{-t} xi,
-
-    which is exact when w = 0 (then u = e^tau m v).  Both phases scale by
-    e^{-t}, so the error is 2 |sin(C e^{-t} / 2)| for a constant C determined
-    by (h, xi): it contracts by essentially e^{-s} when t increases by s.
-    """
-    if not t >= 0:
-        raise ValueError("t must be nonnegative")
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    p_minus = (core.unipotent_minus(h.w) @ core.rotation_embed(h.m)
-               @ core.geodesic_flow(h.tau, h.d))
-    Y = core.unipotent_plus(h.v) @ core.group_inverse(p_minus)
-    _, _, _, u, _ = decompose_nmak(Y)
-    xi_t = np.exp(-t) * xi
-    exact = np.exp(1j * float(xi_t @ u))
-    alpha = np.exp(1j * lambda_linear(h.v, h.w) * float((np.exp(h.tau) * xi_t) @ (h.m @ h.v)))
-    return float(abs(exact - alpha))
 
 
 def random_regime_input(rng, d, w_min=0.0):
@@ -257,7 +199,8 @@ def _draw_stacks(rng, dims, radii, tau_range):
     drawing them one at a time: for each (r_min, r_max) of ``radii`` a uniform
     direction (normalized ``rng.standard_normal(d)``) times
     ``rng.uniform(r_min, r_max)``, then a rotation with the draws and bits of
-    ``core.random_rotation``, then ``rng.uniform(*tau_range)``, which is
+    the tests' ``random_rotation`` (a QR of a Gaussian d x d matrix, signs
+    fixed), then ``rng.uniform(*tau_range)``, which is
     ``a + (b - a) * rng.random()``.  One (points, rotations, tau) per distinct
     d, in increasing d, with that d's inputs in draw order; ``points[j]``
     stacks ``radii[j]``."""
@@ -319,8 +262,14 @@ def _product(v, w, tau, m):
 
 
 def _decompose(X):
-    """``decompose_nmak`` of each matrix of an (n, d+2, d+2) stack: the stacks
-    (y, m, t, x, residual)."""
+    """Solve X = n-(y) m g_t n+(x) from the entries of each X of an
+    (n, d+2, d+2) stack.
+
+    X[0, 0] = e^t must be above core.DEFAULT_TOL; the first row then gives x,
+    the first column gives y, and the middle block gives m after removing the
+    rank-one part e^t y x^T.  Returns the stacks (y, m, t, x, residual), with
+    each reconstruction residual in max norm.  Raises when a matrix leaves
+    the open cell or its extracted m is not orthogonal (X not in SO(Q))."""
     d = X.shape[-1] - 2
     lead = X[:, 0, 0]
     _refuse(~(lead > core.DEFAULT_TOL), core.DegenerateConfigurationError,

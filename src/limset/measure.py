@@ -1,4 +1,5 @@
-"""Atomic Patterson-Sullivan measures and their unstable conditionals.
+"""Atomic Patterson-Sullivan measures: the orbit sum, its atom spacing and
+its conformality residual.
 
 The Patterson-Sullivan measure on the limit set is approximated by the
 normalized orbit sum
@@ -11,12 +12,8 @@ boundary chart.  Conformality gamma_* mu ~ e^{s b_xi(o, gamma o)} mu is a
 theorem for the limiting measure and a refinement-testable property of the
 truncation.
 
-The unstable conditional at a frame g transports the boundary measure to
-N+ chart coordinates: the atom at xi moves to the v with (n+(v) g)-forward
-direction xi and is reweighted by the Busemann factor e^{delta b_xi(o, p)}
-with p the basepoint of the translated frame.  In these coordinates the
-translation/rotation/geodesic-flow equivariances of the conditionals are
-exact atom by atom, which the property tests assert directly.
+No command runs the unstable conditionals or the local-dimension
+estimator; they live with the tests, in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -72,56 +69,6 @@ class AtomicMeasure:
     @property
     def d(self) -> int:
         return self.points.shape[1]
-
-    def box_mass(self, half_width: float, center: np.ndarray | None = None) -> float:
-        """Mass of the sup-norm box of the given half width."""
-        pts = self.points if center is None else self.points - center
-        inside = np.all(np.abs(pts) <= half_width, axis=1)
-        return float(self.weights[inside].sum())
-
-
-@dataclass(frozen=True)
-class FramePoint:
-    """A frame of the unit tangent bundle, encoded by a group element g.
-
-    The frame sits at the point g^{-1}.o and looks toward the boundary
-    direction [g^{-1} e_{d+1}]; the identity frame sits at o looking toward
-    the chart origin.  Left translation by n+(v) moves the frame along its
-    unstable horosphere.
-    """
-
-    g: np.ndarray
-
-    def __post_init__(self):
-        g = np.asarray(self.g, dtype=float)
-        if g.ndim != 2 or g.shape[0] != g.shape[1]:
-            raise ValueError(f"frame element must be square, got {g.shape}")
-        if core.so_relative_residual(g) > 1e-6:
-            raise core.ModelViolationError("frame element does not preserve the form")
-        object.__setattr__(self, "g", g)
-
-    @property
-    def d(self) -> int:
-        return self.g.shape[0] - 2
-
-    @property
-    def point(self) -> np.ndarray:
-        return core.group_inverse(self.g) @ core.basepoint(self.d)
-
-    @property
-    def forward(self) -> np.ndarray:
-        xi = core.group_inverse(self.g)[:, -1]
-        return core.normalize_boundary(xi)
-
-
-@dataclass(frozen=True)
-class ConditionalMeasure:
-    """Windowed unstable conditional in N+ chart coordinates."""
-
-    measure: AtomicMeasure
-    excluded: int
-    window: float
-    delta: float
 
 
 def patterson_orbit_measure(
@@ -395,163 +342,3 @@ def conformality_residual(mu: AtomicMeasure, gamma: np.ndarray, s: float) -> flo
         rhs = float(np.sum(w_conf * f_atoms))
         worst = max(worst, abs(lhs - rhs))
     return worst
-
-
-def unstable_conditional(
-    mu_ps: AtomicMeasure,
-    frame: FramePoint,
-    delta: float,
-    window: float = 1.0,
-) -> ConditionalMeasure:
-    """Unstable (N+) conditional of the boundary measure at the given frame.
-
-    The atom at boundary point xi is carried to the chart coordinate v with
-    (n+(v) g)-forward direction xi, i.e. v = -chart(g xi), and reweighted by
-    e^{delta b_xi(o, p)} with p the basepoint of the frame n+(v) g.  Atoms
-    mapping outside the window (or with no chart preimage) are excluded and
-    counted; the result is a Radon measure and is not renormalized.
-    """
-    if window <= 0.0:
-        raise ValueError(f"window must be positive, got {window}")
-    g = frame.g
-    imgs, finite = core.chart_action(g, mu_ps.points)
-    v = -imgs[finite]
-    inside = np.linalg.norm(v, axis=1) <= window
-    v = v[inside]
-    excluded = mu_ps.n - int(inside.sum())
-    if v.shape[0] == 0:
-        raise core.DegenerateConfigurationError(
-            "no atoms inside the conditional window"
-        )
-    kept_pts = mu_ps.points[finite][inside]
-    kept_w = mu_ps.weights[finite][inside]
-    d = mu_ps.d
-
-    # basepoint of the frame n+(v) g: g^{-1} n+(-v) o, built columnwise
-    rt2 = np.sqrt(2.0)
-    no = np.empty((v.shape[0], d + 2))
-    no[:, 0] = (1.0 + 0.5 * np.sum(v ** 2, axis=1)) / rt2
-    no[:, 1:-1] = -v / rt2
-    no[:, -1] = 1.0 / rt2
-    p = no @ core.group_inverse(g).T
-
-    xi = core.chart_to_boundary(kept_pts)
-    o = core.basepoint(d)
-    weights = kept_w * np.exp(delta * core.busemann(xi, o, p))
-    return ConditionalMeasure(
-        measure=AtomicMeasure(points=v, weights=weights),
-        excluded=excluded,
-        window=float(window),
-        delta=float(delta),
-    )
-
-
-def flow_equivariance_ratio(
-    mu_ps: AtomicMeasure,
-    frame: FramePoint,
-    delta: float,
-    t: float,
-) -> float:
-    """Mass ratio testing geodesic-flow equivariance of the conditionals.
-
-    Returns mass(conditional at g_t.frame over the e^t-dilated box) divided
-    by mass(conditional at frame over the box [-1/2, 1/2]^d); the conformal
-    scaling predicts exactly e^{delta t}.
-    """
-    half_width = 0.5
-    d = mu_ps.d
-    et = np.exp(t)
-    w0 = half_width * np.sqrt(d) * (1.0 + 1e-9)
-    c0 = unstable_conditional(mu_ps, frame, delta, window=max(w0, 1e-6))
-    flowed = FramePoint(core.geodesic_flow(t, d) @ frame.g)
-    ct = unstable_conditional(mu_ps, flowed, delta, window=max(et * w0, 1e-6))
-    m0 = c0.measure.box_mass(half_width)
-    mt = ct.measure.box_mass(et * half_width)
-    if m0 <= 0.0:
-        raise core.DegenerateConfigurationError("no conditional mass in the test box")
-    return mt / m0
-
-
-@dataclass(frozen=True)
-class LocalDimensionEstimate:
-    """Weight-averaged Frostman slope of log mu(B(x, r)) against log r."""
-
-    slope: float
-    per_center: np.ndarray
-    dropped: int
-
-
-def default_radii(mu: AtomicMeasure) -> np.ndarray:
-    """Geometric ladder of 12 radii sized to the measure's weighted 10-90 spread.
-
-    Spans [span/800, span/16]: low enough to see several refinement scales,
-    high enough that single-atom masses do not flatten the fit.
-    """
-    span = _quantile_span(*_quantile_points(mu, (0.1, 0.9)))
-    return span * np.geomspace(1.0 / 800.0, 1.0 / 16.0, 12)
-
-
-def local_dimension_estimate(
-    mu: AtomicMeasure,
-    radii=None,
-    sample_count: int = 200,
-    seed: int = 0,
-) -> LocalDimensionEstimate:
-    """Least-squares local dimension of mu at weight-sampled atom centers.
-
-    For each sampled atom x the ball masses mu(B(x, r)) over the given radii
-    (spanning at least 1.5 decades) are fit by a line in log-log scale; the
-    estimate is the mean slope.  Radii with empty balls are dropped from the
-    affected fit and counted in ``dropped``.
-    """
-    if radii is None:
-        radii = default_radii(mu)
-    radii = np.sort(np.asarray(radii, dtype=float))
-    if radii[0] <= 0.0:
-        raise ValueError("radii must be positive")
-    if np.log10(radii[-1] / radii[0]) < 1.5:
-        raise ValueError("radii must span at least 1.5 decades")
-    if sample_count < 1:
-        raise ValueError(f"sample_count must be >= 1, got {sample_count}")
-    rng = np.random.default_rng(seed)
-    prob = mu.weights / mu.mass
-    idx = rng.choice(mu.n, size=sample_count, replace=True, p=prob)
-    centers = mu.points[idx]
-
-    # masses[i, j] = mu(B(centers[i], radii[j]))
-    if mu.d == 1:
-        order = np.argsort(mu.points[:, 0])
-        xs = mu.points[order, 0]
-        cw = np.concatenate([[0.0], np.cumsum(mu.weights[order])])
-        c = centers[:, 0][:, None]
-        hi = np.searchsorted(xs, c + radii[None, :], side="right")
-        lo = np.searchsorted(xs, c - radii[None, :], side="left")
-        masses = cw[hi] - cw[lo]
-    else:
-        masses = np.empty((sample_count, radii.shape[0]))
-        for i in range(sample_count):
-            dist = np.linalg.norm(mu.points - centers[i], axis=1)
-            order = np.argsort(dist)
-            cw = np.cumsum(mu.weights[order])
-            pos = np.searchsorted(dist[order], radii, side="right")
-            masses[i] = np.where(pos > 0, cw[np.maximum(pos - 1, 0)], 0.0)
-    log_r = np.log(radii)
-    slopes = np.empty(sample_count)
-    dropped = 0
-    for i in range(sample_count):
-        slopes[i], drops = _loglog_slope(log_r, masses[i])
-        dropped += drops
-    return LocalDimensionEstimate(
-        slope=float(slopes.mean()), per_center=slopes, dropped=dropped
-    )
-
-
-def _loglog_slope(log_r: np.ndarray, masses: np.ndarray) -> tuple[float, int]:
-    keep = masses > 0.0
-    drops = int((~keep).sum())
-    if keep.sum() < 2:
-        return 0.0, drops
-    x = log_r[keep]
-    y = np.log(masses[keep])
-    slope = np.polyfit(x, y, 1)[0]
-    return float(slope), drops

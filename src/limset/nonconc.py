@@ -69,7 +69,7 @@ class NonConcProfile:
     in_hyperplane: bool
 
     def __post_init__(self):
-        if np.any(self.ratios < 0.0) or np.any(self.ratios > 1.0 + 1e-12):
+        if np.any(self.ratios < 0.0) or np.any(self.ratios > 1.0):
             raise core.GeometryError("slab/ball ratios must lie in [0, 1]")
         if np.any(np.diff(self.ratios) < 0.0):
             raise core.GeometryError("profile must be non-decreasing in eps")
@@ -83,6 +83,17 @@ def _principal_normal(delta: np.ndarray, w: np.ndarray) -> np.ndarray:
     centered = delta - mean
     cov = (centered * w[:, None]).T @ centered
     return np.linalg.eigh(cov)[1][:, 0]
+
+
+def _slab_ratio(w_in: np.ndarray, held: np.ndarray, ball_mass: float) -> float:
+    """Largest slab/ball mass ratio over the slabs, one a column of ``held``.
+
+    ``w_in @ held`` and ``w_in.sum()`` add in different orders, so a slab is
+    capped at the ball's mass, and one that holds every atom of the ball
+    reads exactly 1.
+    """
+    mass = np.where(held.all(axis=0), ball_mass, np.minimum(w_in @ held, ball_mass))
+    return mass.max() / ball_mass
 
 
 def _slab_epsilons(epsilons) -> np.ndarray:
@@ -163,9 +174,7 @@ def affine_profile(mu: AtomicMeasure, epsilons=DEFAULT_EPSILONS,
                 if sub.shape[0] >= 2 else fixed_dirs
             proj = np.abs(sub @ dirs.T)
         # nested slabs from one projection: exact monotonicity in eps
-        sample = np.array([
-            (w_in @ (proj <= e * r)).max() / ball_mass for e in eps
-        ])
+        sample = np.array([_slab_ratio(w_in, proj <= e * r, ball_mass) for e in eps])
         worst = np.maximum(worst, sample)
         used += 1
     if used == 0:

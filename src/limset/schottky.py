@@ -59,20 +59,6 @@ def translation_length(g):
     return float(np.log(radius))
 
 
-def fixed_points(g):
-    """(attracting, repelling) null eigenvectors of a loxodromic g, normalized."""
-    g = np.asarray(g, dtype=float)
-    translation_length(g)  # loxodromy check
-    ev, vecs = np.linalg.eig(g)
-    order = np.argsort(np.abs(ev))
-    rep = np.real(vecs[:, order[0]])
-    att = np.real(vecs[:, order[-1]])
-    for v in (att, rep):
-        if abs(core.quadratic_form(v)) > 1e-6 * float(v @ v):
-            raise core.ModelViolationError("fixed eigenvector is not null")
-    return core.normalize_boundary(att), core.normalize_boundary(rep)
-
-
 def build_loxodromic(xi_att, xi_rep, length, m=None):
     """Loxodromic element with axis (xi_att, xi_rep), translation length, rotation m.
 
@@ -181,7 +167,6 @@ class PingPongReport:
     worst_margin: float
     min_ball_gap: float
     witnesses: list = field(default_factory=list)
-    zariski: dict = field(default_factory=dict)
 
     def __str__(self):
         status = "PASS" if self.ok else "FAIL"
@@ -413,8 +398,7 @@ class SchottkyGroup:
         return PingPongReport(ok=ok, margins=margins,
                               worst_margin=float(min(margins.values())),
                               min_ball_gap=float(min_gap),
-                              witnesses=witnesses,
-                              zariski=self.zariski_heuristic())
+                              witnesses=witnesses)
 
     def _letter_margin(self, g, source, target, rng):
         d = self.d
@@ -464,21 +448,6 @@ class SchottkyGroup:
             return -np.inf, None
         margin = min(fit_margin, sample_margin, inf_margin)
         return margin, (worst if margin <= 0 else None)
-
-    def zariski_heuristic(self):
-        """Heuristic (not a certificate): k >= 2, non-commuting generators,
-        pairwise distinct axes.  Zariski density admits no finite numerical
-        certificate; this records the standard sanity checks only."""
-        out = {"k": self.k, "d": self.d, "noncommuting": False, "distinct_axes": False}
-        if self.k >= 2:
-            a, b = self.gens[0].elem, self.gens[1].elem
-            comm = a @ b - b @ a
-            out["noncommuting"] = bool(np.abs(comm).max() > 1e-9 * np.abs(a @ b).max())
-            axes = [fixed_points(g.elem) for g in self.gens]
-            out["distinct_axes"] = not any(
-                core.boundary_equal(p, q, tol=1e-8)
-                for a, b in itertools.combinations(axes, 2) for p in a for q in b)
-        return out
 
     def __repr__(self):
         return f"SchottkyGroup(name={self.name!r}, k={self.k}, d={self.d})"

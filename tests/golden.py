@@ -13,7 +13,7 @@ workloads at seeds 0 and 1.  Each (workload, seed, thread count) pass runs
 ``validate``, ``delta``, ``measure``, ``fourier --svg``, ``nonconc`` (at
 ``--threads 1`` and ``2``) and ``holonomy --trials 2000`` as fresh processes,
 and records the exit code and the digests of stdout, stderr and every output
-file.  Beside its digest it records the text of each stdout and summary
+file.  ``validate`` also runs on each packaged fixture of the tree.  Beside its digest it records the text of each stdout and summary
 under 4 KiB.  Two trees behave alike when their OUT.json files are equal.
 ``--diff`` prints each key whose record differs between two OUT.json files,
 or that only one of them has, with the lines that differ where both have
@@ -36,6 +36,7 @@ from perfbench import workloads  # noqa: E402
 
 SEEDS = (0, 1)
 THREADS = (1, 2)
+FIXTURES = ("reference", "cyclic", "overlapping")
 HOLONOMY_TRIALS = 2000
 TEXT_LIMIT = 4096   # bytes of stdout or summary recorded as text
 
@@ -62,6 +63,9 @@ def _run(src, args, cwd):
 def digests(src, work):
     """{pass/command or pass/out/file: digest record} of every pass."""
     record = {}
+    for fixture in FIXTURES:
+        path = os.path.join(src, "limset", "fixtures", f"{fixture}.group")
+        record[f"fixtures/{fixture}/validate"] = _run(src, ["validate", path], work)
     for name, workload in workloads.WORKLOADS.items():
         for seed in SEEDS:
             for threads in THREADS:

@@ -1,17 +1,71 @@
-"""Oracles and fixture measures that only the tests read.
+"""Oracles, fixture measures and diagnostics that only the tests read.
 
-Each is a closed form, an exact computation or a slow direct construction
-that the library's fast paths are checked against.
+Most are a closed form, an exact computation or a slow direct construction
+that the library's fast paths are checked against.  The rest are helpers
+and diagnostics that no command runs, moved here from the library: the
+hyperbolic distance ``distance``, ``random_rotation``, ``boundary_equal``
+and ``fixed_points`` of the geometry; the unstable conditionals
+(``FramePoint``, ``unstable_conditional``, ``flow_equivariance_ratio``)
+and the local-dimension estimator (``local_dimension_estimate``) of the
+measure; and the phase-linearization error ``linearization_error`` of the
+holonomy.
 """
 
 import itertools
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
 
 from limset import _io, core, dimension, schottky
 from limset.holonomy import REGIME_BOUND, FactorizationResult, HolonomyInput
-from limset.measure import AtomicMeasure
+from limset.measure import AtomicMeasure, _quantile_points, _quantile_span
+
+
+# Geometry helpers: the metric, random rotations and loxodromic axes.
+
+def distance(x, y):
+    """d(x, y) = arccosh B(x, y); symmetric, isometry-invariant.
+
+    Broadcasts over leading axes.  B not at least 1 - DEFAULT_TOL (impossible for
+    points on the future sheet; nan included) raises ModelViolationError.
+    """
+    b = core.bilinear_form(x, y)
+    if not np.all(b >= 1.0 - core.DEFAULT_TOL):
+        raise core.ModelViolationError(
+            f"B(x, y) = {np.min(b)} < 1: arguments not on the future sheet")
+    return np.arccosh(np.maximum(b, 1.0))
+
+
+def random_rotation(d, rng):
+    """Haar-ish random element of SO(d) via QR with sign fix."""
+    if d == 1:
+        return np.eye(1)
+    a = rng.standard_normal((d, d))
+    q, r = np.linalg.qr(a)
+    q = q * np.sign(np.diag(r))
+    if np.linalg.det(q) < 0:
+        q[:, 0] = -q[:, 0]
+    return q
+
+
+def boundary_equal(a, b, tol=1e-8):
+    """Projective equality of null directions via canonical representatives."""
+    return bool(np.abs(core.normalize_boundary(a) - core.normalize_boundary(b)).max() <= tol)
+
+
+def fixed_points(g):
+    """(attracting, repelling) null eigenvectors of a loxodromic g, normalized."""
+    g = np.asarray(g, dtype=float)
+    schottky.translation_length(g)  # loxodromy check
+    ev, vecs = np.linalg.eig(g)
+    order = np.argsort(np.abs(ev))
+    rep = np.real(vecs[:, order[0]])
+    att = np.real(vecs[:, order[-1]])
+    for v in (att, rep):
+        if abs(core.quadratic_form(v)) > 1e-6 * float(v @ v):
+            raise core.ModelViolationError("fixed eigenvector is not null")
+    return core.normalize_boundary(att), core.normalize_boundary(rep)
 
 
 def enumerate_words(group, n):
@@ -147,7 +201,7 @@ def basepoint_distances(group, x, n):
     """d(x, W x) for the words W of each length 0..n: the shells of the
     Poincare series at the basepoint x, for ``dimension.delta_from_distances``
     and ``dimension.log_shell_sums``."""
-    return [core.distance(x[None, :], imgs) for imgs in orbit_images(group, x, n)]
+    return [distance(x[None, :], imgs) for imgs in orbit_images(group, x, n)]
 
 
 def determinant_delta(group, n):
@@ -355,7 +409,8 @@ def _cell(x):
 
 
 # The per-trial N-MAN+ factorization, closed forms and draws: the oracle of
-# the stacked step in ``limset.holonomy`` and of its functions of one input.
+# the stacked step in ``limset.holonomy`` and of its functions of one input;
+# and the phase-linearization error, which factors one matrix with them.
 
 def lambda_fn(v, w):
     """lambda(v, w) = 1 + <v, w> + ||v||^2 ||w||^2 / 4 (symmetric in v, w)."""
@@ -476,5 +531,247 @@ def random_regime_input(rng, d, w_min=0.0):
     """Random HolonomyInput: ||v|| <= 1/2, ||w|| in [w_min, 1/2], |tau| <= 1/2."""
     return HolonomyInput(v=_random_ball_point(rng, d, 0.0, REGIME_BOUND),
                          w=_random_ball_point(rng, d, w_min, REGIME_BOUND),
-                         m=core.random_rotation(d, rng),
+                         m=random_rotation(d, rng),
                          tau=float(rng.uniform(-0.5, 0.5)))
+
+
+def linearization_error(h: HolonomyInput, xi, t):
+    """Modulus |chi - alpha| of the phase-linearization discrepancy at time t.
+
+    For n = exp(v) on the unstable leaf, the holonomy pullback of the linear
+    phase exp(i <xi_t, .>) evaluates at u = log(phi^{-1}(exp(v))), obtained
+    by factoring n+(v) (n-(w) m g_tau)^{-1} and reading the N+ component.
+    The linearization replaces it by
+
+        alpha = exp(i (1 + <v, w>) <xi_{t - tau}, m v>),   xi_t = e^{-t} xi,
+
+    which is exact when w = 0 (then u = e^tau m v).  Both phases scale by
+    e^{-t}, so the error is 2 |sin(C e^{-t} / 2)| for a constant C determined
+    by (h, xi): it contracts by essentially e^{-s} when t increases by s.
+    """
+    if not t >= 0:
+        raise ValueError("t must be nonnegative")
+    xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    p_minus = (core.unipotent_minus(h.w) @ core.rotation_embed(h.m)
+               @ core.geodesic_flow(h.tau, h.d))
+    Y = core.unipotent_plus(h.v) @ core.group_inverse(p_minus)
+    _, _, _, u, _ = decompose_nmak(Y)
+    xi_t = np.exp(-t) * xi
+    exact = np.exp(1j * float(xi_t @ u))
+    alpha = np.exp(1j * lambda_linear(h.v, h.w) * float((np.exp(h.tau) * xi_t) @ (h.m @ h.v)))
+    return float(abs(exact - alpha))
+
+
+# The unstable conditionals of the orbit measure and the local-dimension
+# estimator: diagnostics of the measure that no command runs.
+
+@dataclass(frozen=True)
+class FramePoint:
+    """A frame of the unit tangent bundle, encoded by a group element g.
+
+    The frame sits at the point g^{-1}.o and looks toward the boundary
+    direction [g^{-1} e_{d+1}]; the identity frame sits at o looking toward
+    the chart origin.  Left translation by n+(v) moves the frame along its
+    unstable horosphere.
+    """
+
+    g: np.ndarray
+
+    def __post_init__(self):
+        g = np.asarray(self.g, dtype=float)
+        if g.ndim != 2 or g.shape[0] != g.shape[1]:
+            raise ValueError(f"frame element must be square, got {g.shape}")
+        if core.so_relative_residual(g) > 1e-6:
+            raise core.ModelViolationError("frame element does not preserve the form")
+        object.__setattr__(self, "g", g)
+
+    @property
+    def d(self) -> int:
+        return self.g.shape[0] - 2
+
+    @property
+    def point(self) -> np.ndarray:
+        return core.group_inverse(self.g) @ core.basepoint(self.d)
+
+    @property
+    def forward(self) -> np.ndarray:
+        xi = core.group_inverse(self.g)[:, -1]
+        return core.normalize_boundary(xi)
+
+
+@dataclass(frozen=True)
+class ConditionalMeasure:
+    """Windowed unstable conditional in N+ chart coordinates."""
+
+    measure: AtomicMeasure
+    excluded: int
+    window: float
+    delta: float
+
+
+def box_mass(mu: AtomicMeasure, half_width: float) -> float:
+    """Mass of the sup-norm box of the given half width about the origin."""
+    inside = np.all(np.abs(mu.points) <= half_width, axis=1)
+    return float(mu.weights[inside].sum())
+
+
+def unstable_conditional(
+    mu_ps: AtomicMeasure,
+    frame: FramePoint,
+    delta: float,
+    window: float = 1.0,
+) -> ConditionalMeasure:
+    """Unstable (N+) conditional of the boundary measure at the given frame.
+
+    The atom at boundary point xi is carried to the chart coordinate v with
+    (n+(v) g)-forward direction xi, i.e. v = -chart(g xi), and reweighted by
+    e^{delta b_xi(o, p)} with p the basepoint of the frame n+(v) g.  Atoms
+    mapping outside the window (or with no chart preimage) are excluded and
+    counted; the result is a Radon measure and is not renormalized.  In these
+    coordinates the translation, rotation and geodesic-flow equivariances of
+    the conditionals are exact atom by atom.
+    """
+    if window <= 0.0:
+        raise ValueError(f"window must be positive, got {window}")
+    g = frame.g
+    imgs, finite = core.chart_action(g, mu_ps.points)
+    v = -imgs[finite]
+    inside = np.linalg.norm(v, axis=1) <= window
+    v = v[inside]
+    excluded = mu_ps.n - int(inside.sum())
+    if v.shape[0] == 0:
+        raise core.DegenerateConfigurationError(
+            "no atoms inside the conditional window"
+        )
+    kept_pts = mu_ps.points[finite][inside]
+    kept_w = mu_ps.weights[finite][inside]
+    d = mu_ps.d
+
+    # basepoint of the frame n+(v) g: g^{-1} n+(-v) o, built columnwise
+    rt2 = np.sqrt(2.0)
+    no = np.empty((v.shape[0], d + 2))
+    no[:, 0] = (1.0 + 0.5 * np.sum(v ** 2, axis=1)) / rt2
+    no[:, 1:-1] = -v / rt2
+    no[:, -1] = 1.0 / rt2
+    p = no @ core.group_inverse(g).T
+
+    xi = core.chart_to_boundary(kept_pts)
+    o = core.basepoint(d)
+    weights = kept_w * np.exp(delta * core.busemann(xi, o, p))
+    return ConditionalMeasure(
+        measure=AtomicMeasure(points=v, weights=weights),
+        excluded=excluded,
+        window=float(window),
+        delta=float(delta),
+    )
+
+
+def flow_equivariance_ratio(
+    mu_ps: AtomicMeasure,
+    frame: FramePoint,
+    delta: float,
+    t: float,
+) -> float:
+    """Mass ratio testing geodesic-flow equivariance of the conditionals.
+
+    Returns mass(conditional at g_t.frame over the e^t-dilated box) divided
+    by mass(conditional at frame over the box [-1/2, 1/2]^d); the conformal
+    scaling predicts exactly e^{delta t}.
+    """
+    half_width = 0.5
+    d = mu_ps.d
+    et = np.exp(t)
+    w0 = half_width * np.sqrt(d) * (1.0 + 1e-9)
+    c0 = unstable_conditional(mu_ps, frame, delta, window=max(w0, 1e-6))
+    flowed = FramePoint(core.geodesic_flow(t, d) @ frame.g)
+    ct = unstable_conditional(mu_ps, flowed, delta, window=max(et * w0, 1e-6))
+    m0 = box_mass(c0.measure, half_width)
+    mt = box_mass(ct.measure, et * half_width)
+    if m0 <= 0.0:
+        raise core.DegenerateConfigurationError("no conditional mass in the test box")
+    return mt / m0
+
+
+@dataclass(frozen=True)
+class LocalDimensionEstimate:
+    """Weight-averaged Frostman slope of log mu(B(x, r)) against log r."""
+
+    slope: float
+    per_center: np.ndarray
+    dropped: int
+
+
+def default_radii(mu: AtomicMeasure) -> np.ndarray:
+    """Geometric ladder of 12 radii sized to the measure's weighted 10-90 spread.
+
+    Spans [span/800, span/16]: low enough to see several refinement scales,
+    high enough that single-atom masses do not flatten the fit.
+    """
+    span = _quantile_span(*_quantile_points(mu, (0.1, 0.9)))
+    return span * np.geomspace(1.0 / 800.0, 1.0 / 16.0, 12)
+
+
+def local_dimension_estimate(
+    mu: AtomicMeasure,
+    radii=None,
+    sample_count: int = 200,
+    seed: int = 0,
+) -> LocalDimensionEstimate:
+    """Least-squares local dimension of mu at weight-sampled atom centers.
+
+    For each sampled atom x the ball masses mu(B(x, r)) over the given radii
+    (spanning at least 1.5 decades) are fit by a line in log-log scale; the
+    estimate is the mean slope.  Radii with empty balls are dropped from the
+    affected fit and counted in ``dropped``.
+    """
+    if radii is None:
+        radii = default_radii(mu)
+    radii = np.sort(np.asarray(radii, dtype=float))
+    if radii[0] <= 0.0:
+        raise ValueError("radii must be positive")
+    if np.log10(radii[-1] / radii[0]) < 1.5:
+        raise ValueError("radii must span at least 1.5 decades")
+    if sample_count < 1:
+        raise ValueError(f"sample_count must be >= 1, got {sample_count}")
+    rng = np.random.default_rng(seed)
+    prob = mu.weights / mu.mass
+    idx = rng.choice(mu.n, size=sample_count, replace=True, p=prob)
+    centers = mu.points[idx]
+
+    # masses[i, j] = mu(B(centers[i], radii[j]))
+    if mu.d == 1:
+        order = np.argsort(mu.points[:, 0])
+        xs = mu.points[order, 0]
+        cw = np.concatenate([[0.0], np.cumsum(mu.weights[order])])
+        c = centers[:, 0][:, None]
+        hi = np.searchsorted(xs, c + radii[None, :], side="right")
+        lo = np.searchsorted(xs, c - radii[None, :], side="left")
+        masses = cw[hi] - cw[lo]
+    else:
+        masses = np.empty((sample_count, radii.shape[0]))
+        for i in range(sample_count):
+            dist = np.linalg.norm(mu.points - centers[i], axis=1)
+            order = np.argsort(dist)
+            cw = np.cumsum(mu.weights[order])
+            pos = np.searchsorted(dist[order], radii, side="right")
+            masses[i] = np.where(pos > 0, cw[np.maximum(pos - 1, 0)], 0.0)
+    log_r = np.log(radii)
+    slopes = np.empty(sample_count)
+    dropped = 0
+    for i in range(sample_count):
+        slopes[i], drops = _loglog_slope(log_r, masses[i])
+        dropped += drops
+    return LocalDimensionEstimate(
+        slope=float(slopes.mean()), per_center=slopes, dropped=dropped
+    )
+
+
+def _loglog_slope(log_r: np.ndarray, masses: np.ndarray) -> tuple[float, int]:
+    keep = masses > 0.0
+    drops = int((~keep).sum())
+    if keep.sum() < 2:
+        return 0.0, drops
+    x = log_r[keep]
+    y = np.log(masses[keep])
+    slope = np.polyfit(x, y, 1)[0]
+    return float(slope), drops

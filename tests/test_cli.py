@@ -537,7 +537,7 @@ def test_nonconc_segment_in_plane_flagged(work, tmp_path, capsys):
     assert "hyperplane" in capsys.readouterr().out
     meta, _, rows = _io.read_csv(out / "nonconc.csv")
     assert meta["in_hyperplane"] == "true"
-    assert np.all(rows[:, 1] >= 1.0 - 1e-12)
+    assert np.all(rows[:, 1] == 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -625,6 +625,7 @@ _BAD_INPUTS = {   # case -> (command, group file or config text)
     "unknown-config-section": ("delta", "[run]\nseed = 1\n[other]\n"),
     "epsilon-above-half": ("delta", "[nonconc]\nepsilons = 0.2 0.6\n"),
     "nan-measure-file": ("fourier", "[measure]\nfile = nan.csv\n"),
+    "measure-weight-negative": ("fourier", "[measure]\nfile = weight.csv\n"),
     "measure-bad-cell": ("fourier", "[measure]\nfile = cell.csv\n"),
     "measure-header-d": ("fourier", "[measure]\nfile = d.csv\n"),
     "measure-header-count": ("fourier", "[measure]\nfile = count.csv\n"),
@@ -652,6 +653,7 @@ _BAD_INPUTS = {   # case -> (command, group file or config text)
 }
 _MEASURE_FILES = {      # name -> text; the table starts after the headers
     "nan.csv": "# count=3\n# d=1\nx1,weight\n0.1,1\nnan,1\n0.3,1\n",
+    "weight.csv": "# count=3\n# d=1\nx1,weight\n0.1,1\n0.2,1\n0.3,-0.5\n",
     "cell.csv": "# count=3\n# d=1\nx1,weight\n0.1,1\n\n0.2,abc\n0.3,1\n",
     "d.csv": "# count=2\n# d=2\nx1,weight\n0.1,1\n0.2,1\n",
     "count.csv": "# count=3\n# d=1\nx1,weight\n0.1,1\n0.2,1\n",
@@ -660,6 +662,7 @@ _MEASURE_FILES = {      # name -> text; the table starts after the headers
 }
 _BAD_LINES = {          # case -> the file line its refusal must name
     "nan-measure-file": 5,
+    "measure-weight-negative": 6,
     "measure-bad-cell": 6,
     "measure-header-d": 2,
     "measure-header-count": 1,

@@ -315,7 +315,7 @@ def test_custom_basepoint_distances_match_the_matrix_oracle(reference, sweep_gro
     for group in (reference, sweep_groups[2.0]):
         dists = oracles.basepoint_distances(group, x, 8)
         for d_n, oracle in zip(dists, oracles.matrix_levels(group, 8)):
-            want = core.distance(x[None, :], oracle.mats @ x)
+            want = oracles.distance(x[None, :], oracle.mats @ x)
             assert np.abs(d_n - want).max() <= 1e-15 * max(1.0, want.max())
 
 

@@ -1,4 +1,5 @@
-"""Tests for the N-MAN+ factorization, closed forms, and phase linearization."""
+"""Tests for the N-MAN+ factorization, closed forms, and phase linearization
+(the last an oracle of ``tests/oracles.py``)."""
 
 import types
 
@@ -29,7 +30,7 @@ def test_lambda_values():
     # orthogonal half-norm vectors: middle term dies, quartic term is 1/64
     v, w = np.array([0.5, 0.0]), np.array([0.0, 0.5])
     assert holonomy.lambda_fn(v, w) == pytest.approx(1.015625, abs=0)
-    assert holonomy.lambda_linear(v, w) == 1.0
+    assert oracles.lambda_linear(v, w) == 1.0
 
 
 @settings(max_examples=100, deadline=None)
@@ -39,7 +40,7 @@ def test_lambda_symmetry_and_linear_gap(seed):
     d = int(rng.integers(1, 4))
     v, w = 0.5 * rng.uniform(-1, 1, d), 0.5 * rng.uniform(-1, 1, d)
     assert holonomy.lambda_fn(v, w) == holonomy.lambda_fn(w, v)
-    gap = holonomy.lambda_fn(v, w) - holonomy.lambda_linear(v, w)
+    gap = holonomy.lambda_fn(v, w) - oracles.lambda_linear(v, w)
     assert gap == pytest.approx(0.25 * (v @ v) * (w @ w), abs=1e-15)
 
 
@@ -76,7 +77,7 @@ def test_factorize_trivial_cases():
     assert np.abs(res.m_out - np.eye(2)).max() < 1e-15
     # y = 0: conjugation by AM only
     rng = np.random.default_rng(3)
-    m = core.random_rotation(3, rng)
+    m = oracles.random_rotation(3, rng)
     x = np.array([0.2, -0.1, 0.3])
     res = holonomy.factorize_product(x, np.zeros(3), tau=0.6, m=m)
     assert res.t_out == pytest.approx(0.6, abs=1e-12)
@@ -120,7 +121,7 @@ def test_cocycle_composition():
     for d in (1, 2):
         x0, x1 = 0.2 * rng.standard_normal(d), 0.2 * rng.standard_normal(d)
         w = 0.3 * rng.standard_normal(d)
-        m = core.random_rotation(d, rng)
+        m = oracles.random_rotation(d, rng)
         tau = 0.25
         r1 = holonomy.factorize_product(x0, w, tau, m)
         r2 = holonomy.factorize_product(x1, r1.y_out, r1.t_out, r1.m_out)
@@ -145,9 +146,9 @@ def test_regime_enforced():
 def test_decompose_outside_cell():
     J = core.gram_matrix(1)  # J[0,0] = 0: on the boundary of the cell
     with pytest.raises(core.DegenerateConfigurationError):
-        holonomy.decompose_nmak(J)
+        holonomy._factor(J[None])
     with pytest.raises(core.ModelViolationError):
-        holonomy.decompose_nmak(np.diag([1.0, 2.0, 1.0]))  # not in SO(Q)
+        holonomy._factor(np.diag([1.0, 2.0, 1.0])[None])  # not in SO(Q)
 
 
 # ---------------------------------------------------------------------------
@@ -159,10 +160,10 @@ def test_linearization_exact_when_w_zero():
     for d in (1, 2, 3):
         v = 0.4 * rng.standard_normal(d)
         v *= min(1.0, 0.49 / np.linalg.norm(v))
-        h = make_input(v, np.zeros(d), m=core.random_rotation(d, rng), tau=0.3)
+        h = make_input(v, np.zeros(d), m=oracles.random_rotation(d, rng), tau=0.3)
         xi = rng.uniform(1.0, 8.0) * rng.standard_normal(d)
         for t in (0.0, 2.0, 7.0):
-            assert holonomy.linearization_error(h, xi, t) < 1e-12
+            assert oracles.linearization_error(h, xi, t) < 1e-12
 
 
 def test_linearization_decay_ratio():
@@ -171,10 +172,10 @@ def test_linearization_decay_ratio():
         for _ in range(20):
             h = holonomy.random_regime_input(rng, d, w_min=0.1)
             xi = rng.uniform(1.0, 8.0) * (lambda u: u / np.linalg.norm(u))(rng.standard_normal(d))
-            e5 = holonomy.linearization_error(h, xi, 5.0)
+            e5 = oracles.linearization_error(h, xi, 5.0)
             if e5 < 1e-13:
                 continue  # phases coincide to rounding; ratio is 0/0 noise
-            e10 = holonomy.linearization_error(h, xi, 10.0)
+            e10 = oracles.linearization_error(h, xi, 10.0)
             assert e10 / e5 <= 3.0 * np.exp(-5.0)
 
 
@@ -183,8 +184,8 @@ def test_linearization_pure_exponential_profile():
     # the O((C e^{-5})^2) sine correction
     h = make_input(np.array([0.3, 0.1]), np.array([-0.2, 0.35]), tau=0.2)
     xi = np.array([4.0, -2.5])
-    e5 = holonomy.linearization_error(h, xi, 5.0)
-    e8 = holonomy.linearization_error(h, xi, 8.0)
+    e5 = oracles.linearization_error(h, xi, 5.0)
+    e8 = oracles.linearization_error(h, xi, 8.0)
     assert e8 / e5 == pytest.approx(np.exp(-3.0), rel=1e-3)
 
 
@@ -195,14 +196,14 @@ def test_linearization_shrinks_with_w():
     errs = []
     for s in (0.4, 0.2, 0.1):
         h = make_input(v, s * w_dir, tau=0.15)
-        errs.append(holonomy.linearization_error(h, xi, 3.0))
+        errs.append(oracles.linearization_error(h, xi, 3.0))
     assert errs[0] > errs[1] > errs[2] > 0.0
 
 
 def test_linearization_rejects_negative_time():
     h = make_input(np.array([0.1]), np.array([0.1]))
     with pytest.raises(ValueError):
-        holonomy.linearization_error(h, np.array([1.0]), -1.0)
+        oracles.linearization_error(h, np.array([1.0]), -1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +229,7 @@ def scalar_draws(rng, trials):
         triples.append((oracles._random_ball_point(rng, d, 0.0, 0.2),
                         oracles._random_ball_point(rng, d, 0.0, 0.2),
                         oracles._random_ball_point(rng, d, 0.0, 0.3),
-                        core.random_rotation(d, rng), float(rng.uniform(0.0, 0.25))))
+                        oracles.random_rotation(d, rng), float(rng.uniform(0.0, 0.25))))
     return inputs, triples
 
 
@@ -352,7 +353,7 @@ def test_stacked_checks_refuse_one_bad_trial():
     among good ones, with the oracle's class and message: the regime bound,
     the orthogonality of rotation_embed's input, the cell's leading entry, the
     orthogonality of the extracted block, the factorization residual bound
-    and lambda.  The functions of one input give the same refusals."""
+    and lambda.  factorize_product gives the same refusals."""
     v, w, m, tau = good_stack()
     X = holonomy._product(v, w, tau, m)
     holonomy._factor(X)
@@ -380,7 +381,6 @@ def test_stacked_checks_refuse_one_bad_trial():
         expected = refusal(lambda: oracles.decompose_nmak(bad))
         assert expected[0] is exc
         assert refusal(lambda: holonomy._factor(crafted)) == expected
-        assert refusal(lambda: holonomy.decompose_nmak(bad)) == expected
 
     drifted = X.copy()
     drifted[BAD, -1, -1] += 1e-6     # outside the entries the factors are read from
@@ -389,7 +389,6 @@ def test_stacked_checks_refuse_one_bad_trial():
     assert exc is core.ModelViolationError
     assert message.startswith("factorization residual ") and message.endswith(" exceeds tolerance")
     assert abs(float(message.split()[2]) - residual) <= ORACLE_BOUND
-    assert holonomy.decompose_nmak(drifted[BAD])[4] == residual
 
     antipodal_v, antipodal_w = v.copy(), w.copy()
     antipodal_v[BAD], antipodal_w[BAD] = [2.0, 0.0], [-1.0, 0.0]    # lambda = 0
@@ -397,7 +396,6 @@ def test_stacked_checks_refuse_one_bad_trial():
     expected = refusal(lambda: oracles._cell_lambda(cell))
     assert expected[0] is core.DegenerateConfigurationError
     assert refusal(lambda: holonomy._closed_forms(antipodal_v, antipodal_w, tau, m)) == expected
-    assert refusal(lambda: holonomy._cell_lambda(cell)) == expected
 
 
 NAN = float("nan")
@@ -415,12 +413,12 @@ def test_nan_inputs_are_refused():
     for X in (np.full((4, 4), NAN), core.unipotent_plus([0.1, NAN])):
         # an all-nan matrix fails the leading entry; a nan in the first row
         # passes it and fails the extracted block's orthogonality
-        pytest.raises(core.GeometryError, holonomy.decompose_nmak, X)
+        pytest.raises(core.GeometryError, holonomy._factor, X[None])
     h = make_input([0.1], [0.1])
     with pytest.raises(ValueError, match="t must be nonnegative"):
-        holonomy.linearization_error(h, [1.0], NAN)
+        oracles.linearization_error(h, [1.0], NAN)
     with pytest.raises(core.DegenerateConfigurationError, match="lambda = nan"):
-        holonomy._cell_lambda(types.SimpleNamespace(v=np.array([NAN]), w=np.array([0.1])))
+        holonomy._closed_forms(np.array([[NAN]]), np.array([[0.1]]), np.zeros(1), np.eye(1)[None])
 
     v, w, m, tau = good_stack()
     X = holonomy._product(v, w, tau, m)
@@ -437,14 +435,12 @@ def test_nan_inputs_are_refused():
         crafted[(BAD, *entry)] = NAN
         exc, message = refusal(lambda: holonomy._factor(crafted))
         assert (exc, message) == refusal(lambda: holonomy._factor(crafted[BAD:BAD + 1]))
-        if entry != (3, 3):
-            assert (exc, message) == refusal(lambda: holonomy.decompose_nmak(crafted[BAD]))
-        else:
+        if entry == (3, 3):
             assert message == "factorization residual nan exceeds tolerance"
     nan_w = w.copy()
     nan_w[BAD] = NAN
     assert refusal(lambda: holonomy._closed_forms(v, nan_w, tau, m)) == refusal(
-        lambda: holonomy._cell_lambda(types.SimpleNamespace(v=v[BAD], w=nan_w[BAD])))
+        lambda: holonomy._closed_forms(*(a[BAD:BAD + 1] for a in (v, nan_w, tau, m))))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -464,22 +460,16 @@ def test_functions_of_one_input_match_the_oracle(d):
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
         assert type(h.tau) is float
 
-        X = holonomy.assemble_product(h)
-        assert np.abs(X - oracles.assemble_product(h)).max() <= ORACLE_BOUND
-        for got, want in zip(holonomy.decompose_nmak(X), oracles.decompose_nmak(X)):
-            assert np.abs(np.asarray(got) - want).max() <= ORACLE_BOUND
         res, want = (f(h.v, h.w, h.tau, h.m) for f in (holonomy.factorize_product,
                                                       oracles.factorize_product))
         assert type(res) is holonomy.FactorizationResult
         assert type(res.t_out) is float and type(res.residual) is float
         for field in ("y_out", "m_out", "t_out", "phi", "residual"):
             assert np.abs(getattr(res, field) - getattr(want, field)).max() <= ORACLE_BOUND
-        for name in ("phi_closed_form", "tau_closed_form", "y_closed_form",
-                     "m_closed_form", "_cell_lambda"):
+        for name in ("phi_closed_form", "tau_closed_form", "y_closed_form", "m_closed_form"):
             got, want = getattr(holonomy, name)(h), getattr(oracles, name)(h)
             assert np.shape(got) == np.shape(want)
             assert np.abs(got - want).max() <= ORACLE_BOUND, name
-        assert type(holonomy._cell_lambda(h)) is float
 
 
 def test_functions_of_one_input_equal_the_stacked_closed_forms():
@@ -501,11 +491,9 @@ def test_suite_runs_no_per_trial_scalar_code(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("property_suite ran per-trial scalar code")
 
-    for name in ("assemble_product", "decompose_nmak", "factorize_product",
-                 "phi_closed_form", "tau_closed_form", "y_closed_form", "m_closed_form",
-                 "_cell_lambda", "random_regime_input", "linearization_error"):
+    for name in ("factorize_product", "phi_closed_form", "tau_closed_form", "y_closed_form",
+                 "m_closed_form", "random_regime_input"):
         monkeypatch.setattr(holonomy, name, forbidden)
-    monkeypatch.setattr(core, "random_rotation", forbidden)
     calls = {}
 
     def counted(name, real):

@@ -144,6 +144,17 @@ def test_readme_config_block_parses(tmp_path):
     assert cfg.nonconc.epsilons == (0.05, 0.1, 0.2, 0.4)
 
 
+def test_readme_library_block_runs(capsys):
+    """The library example in README.md runs as printed."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {})
+    delta, scan = capsys.readouterr().out.splitlines()
+    assert float(delta) == pytest.approx(0.4843, abs=5e-5)
+    kappa, cap = map(float, scan.split())
+    assert kappa > 0.0 and np.isfinite(cap)
+
+
 def test_readme_config_table_runs(tmp_path):
     """Each row of the README config table: its default is the value an empty
     config parses to, and its refused example is refused at its line."""

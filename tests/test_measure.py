@@ -5,6 +5,8 @@ import pytest
 
 from limset import core, dimension, measure
 
+import oracles
+
 DELTA_REF = 0.4842963218688965
 
 
@@ -31,11 +33,11 @@ def test_atomic_measure_validation():
 
 
 def test_frame_point_accessors():
-    fr = measure.FramePoint(np.eye(3))
+    fr = oracles.FramePoint(np.eye(3))
     assert np.allclose(fr.point, core.basepoint(1))
     assert core.boundary_from_chart(fr.forward) == pytest.approx(0.0)
     with pytest.raises(core.ModelViolationError):
-        measure.FramePoint(np.diag([2.0, 1.0, 1.0]))
+        oracles.FramePoint(np.diag([2.0, 1.0, 1.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +110,7 @@ def test_conformality_sign_flip_inflates(reference, mu_ref):
 
 
 def test_conditional_identity_frame_reflects_atoms(mu_ref):
-    cond = measure.unstable_conditional(mu_ref, measure.FramePoint(np.eye(3)),
+    cond = oracles.unstable_conditional(mu_ref, oracles.FramePoint(np.eye(3)),
                                         DELTA_REF, window=32.0)
     assert cond.excluded == 0
     assert np.array_equal(cond.measure.points, -mu_ref.points)
@@ -116,26 +118,26 @@ def test_conditional_identity_frame_reflects_atoms(mu_ref):
 
 
 def test_conditional_window_monotone(mu_ref):
-    fr = measure.FramePoint(np.eye(3))
+    fr = oracles.FramePoint(np.eye(3))
     masses = [
-        measure.unstable_conditional(mu_ref, fr, DELTA_REF, window=w).measure.mass
+        oracles.unstable_conditional(mu_ref, fr, DELTA_REF, window=w).measure.mass
         for w in (0.5, 1.0, 2.0)
     ]
     assert masses[0] <= masses[1] <= masses[2]
-    cond = measure.unstable_conditional(mu_ref, fr, DELTA_REF, window=0.5)
+    cond = oracles.unstable_conditional(mu_ref, fr, DELTA_REF, window=0.5)
     outside = int((np.linalg.norm(mu_ref.points, axis=1) > 0.5).sum())
     assert cond.excluded == outside
     with pytest.raises(ValueError):
-        measure.unstable_conditional(mu_ref, fr, DELTA_REF, window=0.0)
+        oracles.unstable_conditional(mu_ref, fr, DELTA_REF, window=0.0)
 
 
 def test_conditional_translation_equivariance(mu_ref):
     # frame moved by n+(y): atoms shift by -y, weights unchanged atom by atom
     y = np.array([0.375])
-    base = measure.FramePoint(np.eye(3))
-    moved = measure.FramePoint(core.unipotent_plus(y))
-    c0 = measure.unstable_conditional(mu_ref, base, DELTA_REF, window=64.0)
-    c1 = measure.unstable_conditional(mu_ref, moved, DELTA_REF, window=64.0)
+    base = oracles.FramePoint(np.eye(3))
+    moved = oracles.FramePoint(core.unipotent_plus(y))
+    c0 = oracles.unstable_conditional(mu_ref, base, DELTA_REF, window=64.0)
+    c1 = oracles.unstable_conditional(mu_ref, moved, DELTA_REF, window=64.0)
     assert c0.excluded == 0 and c1.excluded == 0
     assert np.allclose(c1.measure.points, c0.measure.points - y, atol=1e-12)
     assert np.allclose(c1.measure.weights, c0.measure.weights, rtol=1e-12)
@@ -147,25 +149,25 @@ def test_conditional_rotation_equivariance_synthetic_plane():
     mu = measure.AtomicMeasure(points=pts, weights=rng.uniform(0.1, 1.0, 300))
     theta = 0.7
     m = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
-    base = measure.FramePoint(np.eye(4))
-    rot = measure.FramePoint(core.rotation_embed(m))
-    c0 = measure.unstable_conditional(mu, base, 0.6, window=16.0)
-    c1 = measure.unstable_conditional(mu, rot, 0.6, window=16.0)
+    base = oracles.FramePoint(np.eye(4))
+    rot = oracles.FramePoint(core.rotation_embed(m))
+    c0 = oracles.unstable_conditional(mu, base, 0.6, window=16.0)
+    c1 = oracles.unstable_conditional(mu, rot, 0.6, window=16.0)
     assert np.allclose(c1.measure.points, c0.measure.points @ m.T, atol=1e-12)
     assert np.allclose(c1.measure.weights, c0.measure.weights, rtol=1e-12)
 
 
 def test_conditional_flow_equivariance_exact(mu_ref):
-    fr = measure.FramePoint(np.eye(3))
+    fr = oracles.FramePoint(np.eye(3))
     for t in (0.5, 1.0):
-        ratio = measure.flow_equivariance_ratio(mu_ref, fr, DELTA_REF, t)
+        ratio = oracles.flow_equivariance_ratio(mu_ref, fr, DELTA_REF, t)
         assert ratio == pytest.approx(np.exp(DELTA_REF * t), rel=1e-10)
 
 
 def test_conditional_flow_equivariance_composite_frame(reference, mu_ref):
     g = reference.letter_mats[0] @ core.unipotent_plus(np.array([0.25]))
-    fr = measure.FramePoint(g)
-    ratio = measure.flow_equivariance_ratio(mu_ref, fr, DELTA_REF, 1.0)
+    fr = oracles.FramePoint(g)
+    ratio = oracles.flow_equivariance_ratio(mu_ref, fr, DELTA_REF, 1.0)
     assert ratio == pytest.approx(np.exp(DELTA_REF), rel=1e-10)
 
 
@@ -175,7 +177,7 @@ def test_conditional_flow_equivariance_composite_frame(reference, mu_ref):
 
 def test_local_dimension_single_atom():
     one = measure.AtomicMeasure(points=np.array([[0.3, -0.2]]), weights=np.array([1.0]))
-    est = measure.local_dimension_estimate(one, np.geomspace(0.01, 0.5, 8),
+    est = oracles.local_dimension_estimate(one, np.geomspace(0.01, 0.5, 8),
                                            sample_count=4, seed=0)
     assert est.slope == 0.0
 
@@ -184,30 +186,30 @@ def test_local_dimension_uniform_segment_plane():
     xs = np.linspace(-1.0, 1.0, 4001)
     pts = np.stack([xs, np.zeros_like(xs)], axis=1)
     seg = measure.AtomicMeasure(points=pts, weights=np.full(4001, 1.0 / 4001))
-    est = measure.local_dimension_estimate(seg, np.geomspace(0.008, 0.3, 10),
+    est = oracles.local_dimension_estimate(seg, np.geomspace(0.008, 0.3, 10),
                                            sample_count=120, seed=3)
     assert abs(est.slope - 1.0) < 0.1
 
 
 def test_local_dimension_matches_delta(mu_ref):
-    est = measure.local_dimension_estimate(mu_ref, sample_count=200, seed=0)
+    est = oracles.local_dimension_estimate(mu_ref, sample_count=200, seed=0)
     assert abs(est.slope - DELTA_REF) < 0.05
     assert est.dropped == 0
 
 
 def test_local_dimension_deterministic(mu_ref):
-    a = measure.local_dimension_estimate(mu_ref, sample_count=50, seed=11)
-    b = measure.local_dimension_estimate(mu_ref, sample_count=50, seed=11)
+    a = oracles.local_dimension_estimate(mu_ref, sample_count=50, seed=11)
+    b = oracles.local_dimension_estimate(mu_ref, sample_count=50, seed=11)
     assert np.array_equal(a.per_center, b.per_center)
 
 
 def test_local_dimension_radii_validation(mu_ref):
     with pytest.raises(ValueError):
-        measure.local_dimension_estimate(mu_ref, np.geomspace(0.1, 1.0, 5))
+        oracles.local_dimension_estimate(mu_ref, np.geomspace(0.1, 1.0, 5))
     with pytest.raises(ValueError):
-        measure.local_dimension_estimate(mu_ref, np.array([-0.1, 0.5, 10.0]))
+        oracles.local_dimension_estimate(mu_ref, np.array([-0.1, 0.5, 10.0]))
     with pytest.raises(ValueError, match="sample_count"):
-        measure.local_dimension_estimate(mu_ref, sample_count=0)
+        oracles.local_dimension_estimate(mu_ref, sample_count=0)
 
 
 # ---------------------------------------------------------------------------
@@ -216,5 +218,5 @@ def test_local_dimension_radii_validation(mu_ref):
 
 def test_delta_and_measure_agree(reference, mu_ref):
     est = dimension.estimate_delta(reference, n_max=10)
-    slope = measure.local_dimension_estimate(mu_ref, sample_count=150, seed=1).slope
+    slope = oracles.local_dimension_estimate(mu_ref, sample_count=150, seed=1).slope
     assert abs(est.delta - slope) < 0.05
