@@ -21,8 +21,6 @@ def fixture_path(name):
     return str(files("limset") / "fixtures" / fname)
 
 
-from limset import core, dimension, fourier, holonomy, measure, nonconc, schottky
-
 __all__ = [
     "core",
     "dimension",
@@ -34,3 +32,11 @@ __all__ = [
     "fixture_path",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    """Import a layer on first use (PEP 562): ``import limset`` loads none."""
+    if name in __all__:
+        from importlib import import_module
+        return import_module(f"limset.{name}")
+    raise AttributeError(f"module 'limset' has no attribute {name!r}")

@@ -7,8 +7,9 @@ data in the chart.  Numbers are written with 17 significant digits so that
 round-tripping is lossless.  Group files and configs share one schema reader,
 ``_read``: an unknown section or key, a missing key and a malformed or
 non-finite number are refused at the 1-based line of the key or its section.
-Each config key is named once, in ``_CONFIG``, with its converter and default;
-the converter also refuses a value out of the range the library accepts.
+Each config key is named once, in ``_config_schema()``, with its converter and
+default; the converter also refuses a value out of the library's range.  Only
+``core`` is imported at module level; each function imports the layers it reads.
 
 CSV files start with '# key=value' header comments (config hash, version,
 seed), use '%.17g' for floats, and are byte-identical across reruns at fixed
@@ -18,7 +19,6 @@ seed and thread configuration: no timestamps, no environment-dependent text.
 from __future__ import annotations
 
 import functools
-import hashlib
 import itertools
 import math
 import os
@@ -29,7 +29,7 @@ import warnings
 
 import numpy as np
 
-from limset import core, dimension, fourier, measure, nonconc, schottky
+from limset import core
 
 FLOAT_FMT = "%.17g"
 CSV_CHUNK_ROWS = 16384     # rows rendered by one %-format in write_csv
@@ -190,6 +190,7 @@ def _thread_count(value, line, what="value"):
 
 def _epsilons(value, line, what="value"):
     """[nonconc] epsilons, refused by nonconc's own bound with its line number."""
+    from limset import nonconc
     eps = _at_line(line, nonconc._slab_epsilons, _floats(value, line, what=what))
     return tuple(eps.tolist())
 
@@ -200,6 +201,7 @@ def _epsilons(value, line, what="value"):
 
 def parse_group_text(text, name="group"):
     """Build a SchottkyGroup from group-file text (see module docstring)."""
+    from limset import schottky
     sections = _parse_sections(text, _GROUP_SECTION_RE.fullmatch)
     if "model" not in sections:
         raise GroupFileError("missing [model] section")
@@ -249,7 +251,7 @@ def load_group_file(path):
                             name=os.path.basename(path).removesuffix(".group"))
 
 
-def group_file_text(group: schottky.SchottkyGroup, comment=None):
+def group_file_text(group, comment=None):
     """Serialize a group losslessly (17 significant digits)."""
     lines = []
     if comment:
@@ -272,29 +274,32 @@ def group_file_text(group: schottky.SchottkyGroup, comment=None):
 # Experiment configs
 # ---------------------------------------------------------------------------
 
-#: Every config key, named once: section -> key -> (converter, default).
-_CONFIG = {
-    "run": {"seed": (_number(_one_int, 0), 0), "threads": (_thread_count, 1)},
-    "group": {"file": (_text, "")},
-    "delta": {"n_max": (_number(_one_int, dimension.MIN_N_MAX), dimension.DEFAULT_N_MAX)},
-    "measure": {"file": (_text, ""),    # nonempty: load atoms here, skip the pipeline
-                "epsilon": (_positive, measure.DEFAULT_EPSILON),
-                "n_max": (_number(_one_int, 0), measure.DEFAULT_N_MAX)},
-    "fourier": {"shell_min": (_positive, 1.0), "shell_max": (_positive, 256.0),
-                "samples_per_shell": (_number(_one_int, 1), 16),
-                "grid_step": (_number(_one_float, 0, fourier.MAX_GRID_STEP, above=True),
-                              0.25),
-                "grid_max": (_number(_one_float, fourier.MIN_EXCEPTIONAL_T), 256.0)},
-    "nonconc": {"samples": (_number(_one_int, 1), nonconc.DEFAULT_BALL_SAMPLES),
-                "r_min": (_number(_one_float, 0.0, 1.0, below=True), 0.0),   # 0 = auto
-                "epsilons": (_epsilons, nonconc.DEFAULT_EPSILONS)},
-    "output": {"dir": (_text, "out"), "svg": (_boolean, False)},
-}
+@functools.cache
+def _config_schema():
+    """Every config key, named once: section -> key -> (converter, default)."""
+    from limset import dimension, fourier, measure, nonconc
+    return {
+        "run": {"seed": (_number(_one_int, 0), 0), "threads": (_thread_count, 1)},
+        "group": {"file": (_text, "")},
+        "delta": {"n_max": (_number(_one_int, dimension.MIN_N_MAX), dimension.DEFAULT_N_MAX)},
+        "measure": {"file": (_text, ""),    # nonempty: load atoms here, skip the pipeline
+                    "epsilon": (_positive, measure.DEFAULT_EPSILON),
+                    "n_max": (_number(_one_int, 0), measure.DEFAULT_N_MAX)},
+        "fourier": {"shell_min": (_positive, 1.0), "shell_max": (_positive, 256.0),
+                    "samples_per_shell": (_number(_one_int, 1), 16),
+                    "grid_step": (_number(_one_float, 0, fourier.MAX_GRID_STEP, above=True),
+                                  0.25),
+                    "grid_max": (_number(_one_float, fourier.MIN_EXCEPTIONAL_T), 256.0)},
+        "nonconc": {"samples": (_number(_one_int, 1), nonconc.DEFAULT_BALL_SAMPLES),
+                    "r_min": (_number(_one_float, 0.0, 1.0, below=True), 0.0),   # 0 = auto
+                    "epsilons": (_epsilons, nonconc.DEFAULT_EPSILONS)},
+        "output": {"dir": (_text, "out"), "svg": (_boolean, False)},
+    }
 
 
 class ExperimentConfig(types.SimpleNamespace):
     """A parsed config: the ``sha256`` and ``path`` of its file, and one
-    namespace per section of _CONFIG holding its values (cfg.fourier.grid_max)."""
+    namespace per section of _config_schema() holding its values (cfg.fourier.grid_max)."""
 
     def resolve(self, rel):
         """Resolve a path relative to the config file's directory."""
@@ -312,14 +317,16 @@ def shell_count(shell_min, shell_max):
 
 def parse_experiment_config(path):
     """Read a config; each bad value is refused at its line before any work."""
+    import hashlib
+    from limset import fourier
     try:
         with open(path, "rb") as fh:
             data = fh.read()
     except OSError as exc:
         raise FileNotFoundError(f"cannot read config {path}: {exc}") from exc
-    sections = _parse_sections(_decode(data, f"config {path}"), _CONFIG.__contains__)
+    sections = _parse_sections(_decode(data, f"config {path}"), _config_schema().__contains__)
     values = {name: types.SimpleNamespace(**_read(sections, name, schema, kind="config key"))
-              for name, schema in _CONFIG.items()}
+              for name, schema in _config_schema().items()}
     f, keys = values["fourier"], sections.get("fourier", (None, {}))[1]
     if shell_count(f.shell_min, f.shell_max) < fourier.MIN_SHELLS:
         key = "shell_max" if "shell_max" in keys else "shell_min"
@@ -436,6 +443,7 @@ def write_measure_file(path, mu, meta=None):
 
 def read_measure_file(path):
     """Inverse of write_measure_file: (AtomicMeasure, header meta dict; its delta a float)."""
+    from limset import measure
     meta, columns, rows = read_csv(path)
     if rows.shape[1] < 2:
         raise GroupFileError(f"measure file {path}: no atom table")

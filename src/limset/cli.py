@@ -41,8 +41,7 @@ import sys
 
 import numpy as np
 
-from limset import (__version__, _io, core, dimension, fourier, holonomy,
-                    measure, nonconc)
+from limset import __version__, _io, core    # each command imports its own layers
 
 _EXC_DELTA_EXP = 0.1    # threshold exponent reported by cmd_fourier
 
@@ -97,12 +96,14 @@ class _Pipeline:
         self.group = _io.load_group_file(cfg.resolve(cfg.group.file))
 
     @functools.cached_property
-    def estimate(self) -> dimension.DeltaEstimate:
+    def estimate(self):
+        from limset import dimension
         return dimension.estimate_delta(self.group, n_max=self.cfg.delta.n_max,
                                         threads=self.threads)
 
     @functools.cached_property
-    def mu(self) -> measure.AtomicMeasure:
+    def mu(self):
+        from limset import measure
         # a measure over the level cache budget fails before delta
         self.group.check_depth(self.cfg.measure.n_max)
         return measure.patterson_orbit_measure(self.group, self.estimate.delta,
@@ -141,6 +142,7 @@ def cmd_validate(args):
 
 
 def cmd_delta(args):
+    from limset import dimension
     cfg, threads, out = _setup(args)
     run = _Pipeline(cfg, threads)
     meta = _meta("delta", cfg.sha256, cfg.run.seed, threads, group=run.group.name)
@@ -166,6 +168,7 @@ def cmd_delta(args):
 
 
 def cmd_measure(args):
+    from limset import measure
     cfg, threads, out = _setup(args)
     run = _Pipeline(cfg, threads)
     mu, est = run.mu, run.estimate
@@ -187,6 +190,7 @@ def cmd_measure(args):
 
 
 def cmd_fourier(args):
+    from limset import fourier
     cfg, threads, out = _setup(args)
     f = cfg.fourier
     mu, delta, source = _input_measure(cfg, threads, lambda d, atoms: fourier.check_grid_budget(
@@ -234,6 +238,7 @@ def cmd_fourier(args):
 
 
 def cmd_nonconc(args):
+    from limset import nonconc
     cfg, threads, out = _setup(args)
     mu, _, source = _input_measure(cfg, threads)
     n = cfg.nonconc
@@ -256,6 +261,7 @@ def cmd_nonconc(args):
 
 def cmd_holonomy(args):
     """Run holonomy.property_suite; write its rows and print the report."""
+    from limset import holonomy
     for flag, value, least, most in (
             ("--seed", args.seed, 0, math.inf),
             ("--trials", args.trials, holonomy.MIN_TRIALS, holonomy.MAX_TRIALS)):

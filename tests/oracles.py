@@ -356,6 +356,17 @@ def exact_integer_residual(g):
     return max(abs(int(v)) for v in resid.ravel())
 
 
+def shell_measure(group, delta, n) -> AtomicMeasure:
+    """Level-n shell measure: atoms at the chart points of w.o over the
+    reduced words of length exactly n, weighted e^{-delta d(o, w.o)} and
+    normalised.  By Sullivan's shadow lemma its length-n cylinder masses
+    match the Patterson-Sullivan measure's up to bounded factors, with no
+    heavy shallow atoms (the orbit sum's largest atom holds about 0.1)."""
+    lev = group.levels(n)[n]
+    raw = np.exp(-delta * lev.dists)
+    return AtomicMeasure(points=lev.vecs[:, 1:-1] / lev.vecs[:, -1:], weights=raw / raw.sum())
+
+
 def uniform_segment_measure(n: int) -> AtomicMeasure:
     """n-atom midpoint discretization of the uniform measure on [0, 1].
 
@@ -436,7 +447,7 @@ def assemble_product(h: HolonomyInput):
 def _cell_lambda(h: HolonomyInput):
     """lambda(v, w), refused when the product leaves the N-MAN+ cell."""
     lam = lambda_fn(h.v, h.w)
-    if lam <= core.DEFAULT_TOL:
+    if not lam > core.DEFAULT_TOL:      # a nan is refused too
         raise core.DegenerateConfigurationError(
             f"lambda = {lam}: product outside the N-MAN+ cell")
     return lam
@@ -480,20 +491,21 @@ def decompose_nmak(X):
     X[0, 0] = e^t must be positive; the first row then gives x, the first
     column gives y, and the middle block gives m after removing the rank-one
     part e^t y x^T.  Returns (y, m, t, x, residual) with the reconstruction
-    residual in max norm.  Raises for X outside the open cell (X[0,0] <= core.DEFAULT_TOL)
-    or when the extracted m is not orthogonal (X not in SO(Q)).
+    residual in max norm.  Raises for X outside the open cell (X[0,0] not above
+    core.DEFAULT_TOL, a nan included) or when the extracted m is not
+    orthogonal (X not in SO(Q)).
     """
     X = np.asarray(X, dtype=float)
     d = X.shape[0] - 2
     lead = X[0, 0]
-    if lead <= core.DEFAULT_TOL:
+    if not lead > core.DEFAULT_TOL:     # a nan is refused too
         raise core.DegenerateConfigurationError(
             f"leading entry {lead} <= {core.DEFAULT_TOL:g}: matrix outside the N-MAN+ cell")
     t = np.log(lead)
     x = X[0, 1:d + 1] / lead
     y = X[1:d + 1, 0] / lead
     m = X[1:d + 1, 1:d + 1] - np.outer(X[1:d + 1, 0], X[0, 1:d + 1]) / lead
-    if np.abs(m.T @ m - np.eye(d)).max() > 1e3 * core.DEFAULT_TOL:
+    if not np.abs(m.T @ m - np.eye(d)).max() <= 1e3 * core.DEFAULT_TOL:
         raise core.ModelViolationError("extracted rotation block not orthogonal; "
                                        "input matrix is not in SO(Q)")
     recon = (core.unipotent_minus(y) @ core.rotation_embed(m)

@@ -188,6 +188,19 @@ def test_07_decay_flattening_l2_experiment(reference, delta12):
     assert elapsed < 600.0, f"took {elapsed:.1f}s"
 
 
+def test_07_shell_measure_decay_is_resolved(reference, delta12):
+    # the level-n shell measure, where no shallow atom holds the mass, shows
+    # the paper's polynomial decay: kappa beyond twice its standard error on
+    # 12 shells from radius 4, at n = 10 and 12 (0.202 +- 0.093 at both)
+    spec = fourier.FrequencySpec(count=12)
+    reports = [fourier.decay_scan(oracles.shell_measure(reference, delta12.delta, n), spec,
+                                  seed=0) for n in (10, 12)]
+    for n, report in zip((10, 12), reports):
+        assert report.kappa > 2.0 * report.kappa_stderr, \
+            f"n = {n}: kappa {report.kappa} +- {report.kappa_stderr}"
+    assert abs(reports[1].kappa - reports[0].kappa) <= 0.1
+
+
 def test_08_affine_nonconcentration_profiles(reference, delta12):
     mu = measure.patterson_orbit_measure(reference, delta12.delta, 0.05, 12)
     prof = nonconc.affine_profile(mu)

@@ -207,6 +207,45 @@ def test_start_up_loads_no_scipy(tmp_path):
     assert proc.stdout.splitlines()[-1] == "[0, 0, 0] [] False"
 
 
+_MODULES_SCRIPT = """\
+import sys
+import limset
+mode, *argv = sys.argv[1:]
+code = None
+if mode == 'cli':
+    from limset import cli
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:   # argparse's refusal
+        code = exc.code
+print(code, sorted(m for m in sys.modules if m.startswith('limset.')),
+      '_hashlib' in sys.modules)
+print(limset.fourier.decay_scan.__module__)
+"""
+
+
+def test_each_command_loads_only_its_layers(tmp_path):
+    # each case in a fresh interpreter: `import limset` loads no layer, a
+    # layer still resolves as an attribute, and a command loads only the
+    # layers it runs; no config is parsed, so hashlib is not loaded unless
+    # numpy.random is (validate's and holonomy's draws import it through secrets)
+    front = ["limset._io", "limset.cli", "limset.core"]
+    cases = {
+        ("import",): "None [] False",
+        ("cli",): f"2 {front} False",     # no subcommand: argparse exits 2
+        ("cli", "validate", REF): f"0 {sorted(front + ['limset.schottky'])}",
+        ("cli", "holonomy", "--trials", "10", "--out", str(tmp_path)):
+            f"0 {sorted(front + ['limset.holonomy'])}",
+    }
+    env = dict(os.environ, PYTHONPATH=str(Path(limset.__file__).parents[1]))
+    for argv, loaded in cases.items():
+        proc = subprocess.run([sys.executable, "-c", _MODULES_SCRIPT, *argv],
+                              capture_output=True, text=True, env=env)
+        modules, resolved = proc.stdout.splitlines()[-2:]
+        assert modules.startswith(loaded), (argv, modules, proc.stderr)
+        assert resolved == "limset.fourier", argv
+
+
 def test_no_source_file_imports_scipy():
     # scipy is a test-only oracle: it is not a runtime dependency
     for path in Path(limset.__file__).parent.glob("*.py"):

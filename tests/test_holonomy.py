@@ -443,6 +443,28 @@ def test_nan_inputs_are_refused():
         lambda: holonomy._closed_forms(*(a[BAD:BAD + 1] for a in (v, nan_w, tau, m))))
 
 
+def test_oracle_refuses_nan_as_the_stack_of_one_does():
+    """The per-trial oracle and the stacked step, given one trial, refuse the
+    same nan inputs with the same class and message: a nan leading entry, a
+    nan in the first row (the extracted block), and a nan lambda."""
+    v, w, m, tau = good_stack(n=1)
+    X = holonomy._product(v, w, tau, m)[0]
+    for entry in ((0, 0), (0, 1)):
+        crafted = X.copy()
+        crafted[entry] = NAN
+        expected = refusal(lambda: oracles.decompose_nmak(crafted))
+        assert expected[0] in (core.DegenerateConfigurationError, core.ModelViolationError)
+        assert refusal(lambda: holonomy._factor(crafted[None])) == expected, entry
+    for name in ("v", "w"):
+        nan = {"v": v.copy(), "w": w.copy()}
+        nan[name][0, 0] = NAN
+        cell = types.SimpleNamespace(v=nan["v"][0], w=nan["w"][0])
+        expected = refusal(lambda: oracles._cell_lambda(cell))
+        assert expected == (core.DegenerateConfigurationError,
+                            "lambda = nan: product outside the N-MAN+ cell")
+        assert refusal(lambda: holonomy._closed_forms(nan["v"], nan["w"], tau, m)) == expected
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_functions_of_one_input_match_the_oracle(d):
     """The functions of one input run the stacked step on a stack of one and

@@ -161,7 +161,7 @@ def test_readme_config_table_runs(tmp_path):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     rows = re.findall(r"^\| `\[(\w+)\] (\w+)` \| (.*?) \| .*? \| (.*?) \|$", readme, re.M)
     assert sorted((sec, key) for sec, key, *_ in rows) == sorted(
-        (sec, key) for sec, keys in _io._CONFIG.items() for key in keys)
+        (sec, key) for sec, keys in _io._config_schema().items() for key in keys)
     path = tmp_path / "c.cfg"
     path.write_text("")
     defaults = _io.parse_experiment_config(path)
@@ -450,7 +450,8 @@ def test_fuzzed_config_is_honoured_or_refused_at_a_line(tmp_path_factory, text):
     except _io.GroupFileError as exc:
         assert exc.line is not None
         return
-    assert _finite(v for section in _io._CONFIG for v in vars(getattr(cfg, section)).values()
+    assert _finite(v for section in _io._config_schema()
+                   for v in vars(getattr(cfg, section)).values()
                    if isinstance(v, (int, float, tuple)))
     _assert_in_range(cfg)
 
