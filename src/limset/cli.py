@@ -104,8 +104,9 @@ class _Pipeline:
     @functools.cached_property
     def mu(self):
         from limset import measure
-        # a measure over the level cache budget fails before delta
-        self.group.check_depth(self.cfg.measure.n_max)
+        # the measure's vector levels before delta's distances, so each level is
+        # built once; a measure over the level cache budget fails before delta
+        self.group.levels(self.cfg.measure.n_max)
         return measure.patterson_orbit_measure(self.group, self.estimate.delta,
                                                epsilon=self.cfg.measure.epsilon,
                                                n_max=self.cfg.measure.n_max)

@@ -115,16 +115,17 @@ def logsumexp(a: np.ndarray) -> np.float64:
         return np.log(np.exp(a).sum())
 
 
-def _chunked_logsumexp(values: np.ndarray, threads: int = 1) -> float:
-    """log(sum(exp(values))) with a fixed chunked reduction order."""
-    chunks = [values[i : i + _CHUNK] for i in range(0, values.shape[0], _CHUNK)]
-    partial = core.parallel_map(logsumexp, chunks, threads)
+def _chunked_logsumexp(dists: np.ndarray, s: float, threads: int = 1) -> float:
+    """log(sum(exp(-s * dists))) with a fixed chunked reduction order; each
+    chunk is scaled by -s on its own, so no scaled copy of a shell is held."""
+    chunks = [dists[i : i + _CHUNK] for i in range(0, dists.shape[0], _CHUNK)]
+    partial = core.parallel_map(lambda c: logsumexp(-s * c), chunks, threads)
     return float(partial[0] if len(partial) == 1 else logsumexp(np.array(partial)))
 
 
 def log_shell_sums(dists: list[np.ndarray], s: float, threads: int = 1) -> np.ndarray:
     """log a_n(s) for each shell of distances, in the given level order."""
-    return np.array([_chunked_logsumexp(-s * d, threads) for d in dists])
+    return np.array([_chunked_logsumexp(d, s, threads) for d in dists])
 
 
 def shell_sums(
@@ -194,8 +195,8 @@ def delta_from_distances(
 
         def f(s: float) -> float:
             evaluations[n - 1] += 1
-            return _chunked_logsumexp(-s * d_cur, threads) - _chunked_logsumexp(
-                -s * d_prev, threads
+            return _chunked_logsumexp(d_cur, s, threads) - _chunked_logsumexp(
+                d_prev, s, threads
             )
 
         hi = 1.0

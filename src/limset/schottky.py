@@ -9,15 +9,15 @@ discrete, and convex cocompact, and its limit set is the nested intersection
 of ball images.
 
 The word engine enumerates reduced words in deterministic lexicographic
-order and caches, per level, each word's orbit vector v = W (e_0 + e_last)
-(twice the orbit point W o) and distance, but not its letters, the
-mixed-radix digits of its row; a cache over a fixed memory budget is
-refused up front.  A level is built from its parent by prepending a letter,
-v_child = L_b v_parent.  The generators are reprojected to SO(Q) once, at
-construction; the word vectors are never reprojected.  For integer generators
-a level is certified exact while its parent's largest entry times the
-letters' largest row-abs-sum is at most 2^53: every partial sum of L_b v is
-then an integer that float64 holds.
+order and caches, per level, each word's distance and, on the levels whose
+vectors a caller reads, its orbit vector v = W (e_0 + e_last) (twice the
+orbit point W o), but not its letters, the mixed-radix digits of its row; a
+cache over a fixed memory budget is refused up front.  A level is built from
+its parent by prepending a letter, v_child = L_b v_parent.  The generators
+are reprojected to SO(Q) once, at construction; the word vectors never are.
+For integer generators a level is certified exact while its parent's
+largest entry times the letters' largest row-abs-sum is at most 2^53: every
+partial sum of L_b v is then an integer that float64 holds.
 """
 
 from __future__ import annotations
@@ -189,7 +189,7 @@ def _words_through(k, n):
 class _Level:
     """Cached data for all reduced words of one length."""
 
-    vecs: np.ndarray         # (N, d+2) float64 orbit vectors W (e_0 + e_last)
+    vecs: np.ndarray | None  # (N, d+2) float64 W (e_0 + e_last); None unless read
     dists: np.ndarray        # (N,) d(o, w o)
     max_entry: float         # max |entry| over the level's vectors
     exact: bool              # vecs are the exact integer products (2^53 guard)
@@ -205,7 +205,7 @@ class _Level:
         in the radices 2k, 2k-1, ..., 2k-1, each after the first shifted up by
         one when it is at or above the inverse of the letter before it."""
         base, n = 2 * self.k - 1, self.length
-        words = np.empty((self.vecs.shape[0], n), dtype=np.int8)
+        words = np.empty((self.dists.shape[0], n), dtype=np.int8)
         for j in range(n):
             # digit j runs through its radix, each value held for base^(n-1-j) rows
             digit = np.repeat(np.arange(base if j else 2 * self.k, dtype=np.int8),
@@ -271,7 +271,9 @@ class SchottkyGroup:
 
     def cache_bytes(self, n):
         """Bytes of the orbit vectors and distances of levels 0..n: a float64
-        vector and distance for each of their word_count(n) words."""
+        vector and distance for each of their word_count(n) words.  The cache
+        holds every built level's distances but only the vectors of the levels
+        read as vectors, so this is what it holds at most."""
         return (self.d + 3) * 8 * _words_through(self.k, n)
 
     def check_depth(self, n):
@@ -284,15 +286,26 @@ class SchottkyGroup:
             raise ValueError(f"word levels to depth {n} need {more}{need / 2 ** 30:.3g} GiB,"
                              f" over the level cache budget of {_CACHE_BUDGET >> 30} GiB")
 
-    def _extend_levels(self, n):
+    def _extend_levels(self, n, read):
+        """Build levels 0..n with their distances and the vectors of levels
+        0..read, from the deepest level holding vectors (they are a prefix): a
+        level built only as a parent drops them once its child is built, and
+        the last level of a distances-only build never holds them whole."""
         self.check_depth(n)
-        while len(self._levels) <= n:
-            self._levels.append(self._next_level(self._levels[-1]))
+        levels = self._levels
+        held = sum(lev.vecs is not None for lev in levels) - 1
+        top = n if n >= len(levels) else read
+        for j in range(held + 1, top + 1):
+            child = self._next_level(levels[j - 1], keep=j < top or j <= read)
+            if j - 1 > max(held, read):
+                levels[j - 1].vecs = None
+            levels[j:j + 1] = [child]       # appends, or replaces a level without vectors
 
-    def _prepend(self, vecs):
+    def _prepend(self, vecs, out=None):
         """L_b v for each parent vector v of one level, grouped by the
         prepended letter b, parents in order, skipping those that start with
         b's inverse: the next level's vectors in lexicographic word order.
+        Yields (lo, hi, rows lo..hi) per product block, into ``out`` if given.
 
         It relies on the first-letter block invariant, which it also keeps: a
         level's words are grouped by first letter in letter order, npar // 2k
@@ -307,34 +320,47 @@ class SchottkyGroup:
         npar = vecs.shape[0]
         block = npar // (2 * self.k)
         per = npar - block
-        out = np.empty((2 * self.k * per,) + vecs.shape[1:])
+        lo = 0
         for b in range(2 * self.k):
             mat = self.letter_mats[b].T
-            lo = b * per
             skip = self._inv(b) * block
             for start, stop in ((0, skip), (skip + block, npar)):
+                if stop == start:
+                    continue
                 hi = lo + stop - start
+                dest = np.empty((hi - lo, vecs.shape[1])) if out is None else out[lo:hi]
                 if stop - start == 1 < per:
-                    out[lo:hi] = np.matmul(vecs[[start, start]], mat)[:1]
+                    dest[:] = np.matmul(vecs[[start, start]], mat)[:1]
                 else:
-                    np.matmul(vecs[start:stop], mat, out=out[lo:hi])
+                    np.matmul(vecs[start:stop], mat, out=dest)
+                yield lo, hi, dest
+                del dest                    # a block the caller dropped is freed now
                 lo = hi
-        return out
 
-    def _next_level(self, parent: _Level):
+    def _next_level(self, parent: _Level, keep=True):
+        """The child level of ``parent``; without ``keep`` each product block
+        goes into its distances and largest entry and is dropped."""
         exact = parent.exact and int(parent.max_entry) * self._row_sum <= _FLOAT_EXACT
-        vecs = self._prepend(parent.vecs)
-        dists = np.add(vecs[:, 0], vecs[:, -1])    # built in place: no temporaries
-        dists *= 0.5
-        np.arccosh(np.maximum(dists, 1.0, out=dists), out=dists)
-        return _Level(vecs=vecs, dists=dists, max_entry=float(max(vecs.max(), -vecs.min())),
+        npar = parent.vecs.shape[0]
+        count = 2 * self.k * (npar - npar // (2 * self.k))
+        vecs = np.empty((count, self.d + 2)) if keep else None
+        dists = np.empty(count)
+        top = 0.0
+        for lo, hi, prod in self._prepend(parent.vecs, vecs):
+            part = dists[lo:hi]                     # built in place: no temporaries
+            np.add(prod[:, 0], prod[:, -1], out=part)
+            part *= 0.5
+            np.arccosh(np.maximum(part, 1.0, out=part), out=part)
+            top = max(top, prod.max(), -prod.min())
+            del prod                                # freed before the next block is made
+        return _Level(vecs=vecs, dists=dists, max_entry=float(top),
                       exact=exact, length=parent.length + 1, k=self.k)
 
     def level(self, n) -> _Level:
         return self.levels(n)[n]
 
     def levels(self, n):
-        self._extend_levels(n)
+        self._extend_levels(n, read=n)
         return self._levels[:n + 1]
 
     def exact_through(self, n):
@@ -345,7 +371,9 @@ class SchottkyGroup:
     # -- orbit ----------------------------------------------------------------
 
     def orbit_distances(self, n):
-        return [lev.dists for lev in self.levels(n)]
+        """d(o, w o) for the words of each length 0..n; see _extend_levels."""
+        self._extend_levels(n, read=0)
+        return [lev.dists for lev in self._levels[:n + 1]]
 
     def orbit_chart(self, n):
         """Chart coordinates of all orbit points of word length <= n, with

@@ -193,7 +193,7 @@ def orbit_images(group, x, n):
     group.check_depth(n)
     out = [np.asarray(x, dtype=float)[None]]
     for _ in range(n):
-        out.append(group._prepend(out[-1]))
+        out.append(np.concatenate([prod for _, _, prod in group._prepend(out[-1])]))
     return out
 
 
@@ -258,8 +258,8 @@ def bisection_delta(dists, threads=1):
                 "converges for all s > 0 (elementary group, delta = 0)")
 
         def f(s):
-            return (dimension._chunked_logsumexp(-s * d_cur, threads)
-                    - dimension._chunked_logsumexp(-s * d_prev, threads))
+            return (dimension._chunked_logsumexp(d_cur, s, threads)
+                    - dimension._chunked_logsumexp(d_prev, s, threads))
 
         lo, hi = 0.0, 1.0
         f_hi = f(hi)

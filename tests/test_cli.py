@@ -77,6 +77,7 @@ r_min = 0.05
     config("cyc.cfg", pipeline.format(group=CYC, delta_n=8, measure_n=8))
     config("ref_n0.cfg", pipeline.format(group=REF, delta_n=6, measure_n=0))
     config("ref_n12.cfg", pipeline.format(group=REF, delta_n=8, measure_n=12))
+    config("ref_n6.cfg", pipeline.format(group=REF, delta_n=8, measure_n=6))
     config("segment.cfg", """
 [run]
 seed = 0
@@ -390,6 +391,25 @@ def test_measure_depth_zero_single_atom(work, tmp_path):
                      "--out", str(out)]) == 0
     mu, _ = _io.read_measure_file(out / "measure.csv")
     assert mu.n == 1
+
+
+def test_measure_builds_each_level_once(work, tmp_path, monkeypatch):
+    """The measure's vector levels are built before delta's distances, so
+    each level's products are built once, whether the measure is shallower
+    than delta or as deep."""
+    built = []
+    real = schottky.SchottkyGroup._next_level
+
+    def counted(self, parent, keep=True):
+        built.append(parent.length + 1)
+        return real(self, parent, keep)
+
+    monkeypatch.setattr(schottky.SchottkyGroup, "_next_level", counted)
+    for cfg in ("ref_n6.cfg", "ref.cfg"):
+        built.clear()
+        assert cli.main(["measure", "--config", str(work / cfg),
+                         "--out", str(tmp_path / cfg)]) == 0
+        assert built == list(range(1, 9)), cfg
 
 
 def test_measure_refinement_shrinks_residual(work, tmp_path):

@@ -94,8 +94,8 @@ def test_chunked_logsumexp_bits_independent_of_threads():
     rng = np.random.default_rng(7)
     for n in (1, dimension._CHUNK, 5 * dimension._CHUNK + 123):
         a = np.round(rng.normal(scale=30.0, size=n))
-        one = dimension._chunked_logsumexp(a, threads=1)
-        two = dimension._chunked_logsumexp(a, threads=2)
+        one = dimension._chunked_logsumexp(a, 0.5, threads=1)
+        two = dimension._chunked_logsumexp(a, 0.5, threads=2)
         assert np.float64(one).tobytes() == np.float64(two).tobytes()
 
 

@@ -1,6 +1,7 @@
 """Tests for Schottky construction, word enumeration, ping-pong, limit sets."""
 
 import dataclasses
+import functools
 import re
 import time
 import tracemalloc
@@ -166,22 +167,41 @@ def test_vector_cache_stays_near_the_reprojected_matrix_oracle_on_float_groups()
         assert G.exact_through(8) == -1
 
 
-def _assert_levels_match_the_masked_oracle(group, depth):
-    for lev, oracle in zip(group.levels(depth), oracles.masked_levels(group, depth)):
+def _same_bits(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _assert_levels_match_the_masked_oracle(make, depth):
+    # four fresh groups: the oracle's; levels built as vectors; distances
+    # built alone (the last level's from product blocks, no level's vectors
+    # kept); and vectors asked for after a distances-only build, which
+    # rebuilds the dropped ones
+    fresh = make().levels(depth)
+    dists = make().orbit_distances(depth)
+    rebuilt = make()
+    rebuilt.orbit_distances(depth)
+    rebuilt = rebuilt.levels(depth)
+    for lev, again, d, oracle in zip(fresh, rebuilt, dists,
+                                     oracles.masked_levels(make(), depth), strict=True):
         for name in ("words", "vecs", "dists"):
-            got, want = getattr(lev, name), getattr(oracle, name)
-            assert got.dtype == want.dtype and np.array_equal(got, want), name
-        assert lev.max_entry == oracle.max_entry and lev.exact == oracle.exact
+            want = getattr(oracle, name)
+            assert _same_bits(getattr(lev, name), want), name
+            assert _same_bits(getattr(again, name), want), name
+        assert _same_bits(d, lev.dists)
+        for got in (lev, again):
+            assert got.max_entry == oracle.max_entry and got.exact == oracle.exact
 
 
-def test_sliced_level_build_matches_the_masked_prepend_bit_for_bit(reference, cyclic):
+def test_sliced_level_build_matches_the_masked_prepend_bit_for_bit():
     # the prepend copies and multiplies the two slices around the skipped
     # first-letter block; the oracle gathers each letter's parents by mask
     from perfbench import workloads
-    _assert_levels_match_the_masked_oracle(reference, 12)
-    _assert_levels_match_the_masked_oracle(cyclic, 12)
+    for name in ("reference", "cyclic"):
+        _assert_levels_match_the_masked_oracle(
+            functools.partial(_io.load_group_file, limset.fixture_path(name)), 12)
     for seed in range(8):
-        _assert_levels_match_the_masked_oracle(workloads.generated_group(seed), 8)
+        _assert_levels_match_the_masked_oracle(
+            functools.partial(workloads.generated_group, seed), 8)
 
 
 def test_orbit_images_match_the_masked_prepend_bit_for_bit():
@@ -246,6 +266,27 @@ def test_integer_lane_level_build_holds_one_float_copy():
         tracemalloc.stop()
     assert lev.exact
     assert peak <= 1.05 * (lev.vecs.nbytes + lev.dists.nbytes)
+
+
+def test_distances_only_build_holds_no_deep_vectors():
+    # orbit_distances drops each parent level's vectors once its child is
+    # built and turns the last level's product blocks into distances, so
+    # the build holds the distances, one parent level's vectors and one
+    # product block (at most 2k - 1 of the parent's 2k first-letter blocks),
+    # and leaves the distances held (level 0 was built with the group)
+    G = _io.load_group_file(limset.fixture_path("reference"))
+    tracemalloc.start()
+    try:
+        dists = G.orbit_distances(12)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    dist_bytes = sum(d.nbytes for d in dists)
+    parent_vecs = (G.d + 2) * dists[11].nbytes
+    assert dist_bytes == 8 * G.word_count(12)
+    assert peak <= 1.05 * (dist_bytes + 2 * parent_vecs)
+    assert held <= dist_bytes + 16 * 1024
+    assert [lev.vecs is None for lev in G._levels] == [False] + [True] * 12
 
 
 def _cubed(reference):
