@@ -153,11 +153,12 @@ def cmd_delta(args):
     except core.DegenerateConfigurationError as exc:
         _report(summary_path, meta, ["status = degenerate", f"reason = {exc}"])
         return 3
-    trunc = dimension.shell_sums(run.group, est.delta, cfg.delta.n_max,
-                                 threads=threads)
+    log_a = dimension.shell_sums(run.group, est.delta, cfg.delta.n_max, threads=threads)
+    with np.errstate(over="ignore"):
+        a_n = np.exp(log_a)[est.levels]
     _io.write_csv(os.path.join(out, "delta.csv"), {
         "n": est.levels, "s": np.full(est.levels.size, est.delta),
-        "a_n": trunc.values[est.levels], "delta_n": est.per_level[est.levels - 1]}, meta)
+        "a_n": a_n, "delta_n": est.per_level[est.levels - 1]}, meta)
     _report(summary_path, meta, [
         "status = ok",
         f"delta = {_io.fmt(est.delta)}",

@@ -65,14 +65,6 @@ def gram_matrix(d):
     return J
 
 
-def quadratic_form(x):
-    """Q(x) = 2 x_0 x_{d+1} - sum of squared middle coordinates."""
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] < 3:
-        raise ModelViolationError(f"vector length {x.shape[-1]} < 3; need d >= 1")
-    return 2.0 * x[..., 0] * x[..., -1] - np.sum(x[..., 1:-1] ** 2, axis=-1)
-
-
 def bilinear_form(x, y):
     """B(x, y), broadcasting over leading axes of either argument."""
     x = np.asarray(x, dtype=float)

@@ -53,23 +53,6 @@ _BRACKET_CAP = 1024.0
 
 
 @dataclass(frozen=True)
-class PoincareTruncation:
-    """Shell sums a_n(s) of the truncated Poincare series.
-
-    ``values[n]`` is a_n(s) for n = levels[n]; ``log_values`` carries the
-    same data in the log domain (useful once the float values underflow).
-    ``diverged`` flags shells whose sum overflowed double precision; the
-    remaining entries are still valid partial data.
-    """
-
-    s: float
-    levels: np.ndarray
-    values: np.ndarray
-    log_values: np.ndarray
-    diverged: bool = False
-
-
-@dataclass(frozen=True)
 class DeltaEstimate:
     """Per-level critical exponent estimates delta_n and the final value.
 
@@ -128,26 +111,13 @@ def log_shell_sums(dists: list[np.ndarray], s: float, threads: int = 1) -> np.nd
     return np.array([_chunked_logsumexp(d, s, threads) for d in dists])
 
 
-def shell_sums(
-    group,
-    s: float,
-    n_max: int,
-    threads: int = 1,
-) -> PoincareTruncation:
-    """Shell sums a_n(s), n = 0 .. n_max, of the truncated Poincare series."""
+def shell_sums(group, s: float, n_max: int, threads: int = 1) -> np.ndarray:
+    """log a_n(s), n = 0 .. n_max, the log shell sums of the truncated
+    Poincare series over the level cache's distances (an a_n that overflows
+    double precision stays finite here)."""
     if s < 0:
         raise ValueError(f"s must be >= 0, got {s}")
-    log_a = log_shell_sums(group.orbit_distances(n_max), s, threads)
-    with np.errstate(over="ignore"):
-        values = np.exp(log_a)
-    diverged = bool(np.any(~np.isfinite(values)))
-    return PoincareTruncation(
-        s=float(s),
-        levels=np.arange(n_max + 1),
-        values=values,
-        log_values=log_a,
-        diverged=diverged,
-    )
+    return log_shell_sums(group.orbit_distances(n_max), s, threads)
 
 
 def delta_from_distances(

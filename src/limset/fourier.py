@@ -1,23 +1,20 @@
 """Nonuniform Fourier transform of atomic measures and decay statistics.
 
-Implements mu-hat(xi) = (1/mass) sum_j w_j e^{2 pi i <xi, x_j>} by three
-methods.  ``fourier_transform`` sums it directly (``_nudft``): the phase
-<xi, x> is summed one axis at a time in a fixed order (no BLAS product), the
-atoms are taken in fixed chunks whose partial sums combine with Neumaier
-compensation, and the frequencies go to the workers in blocks sized so that
-one block of complex terms stays within a fixed byte budget per worker.  Each
-frequency is mapped into the half-space where its first nonzero coordinate is
-positive, each antipodal pair is evaluated once and mu-hat(-xi) =
-conj(mu-hat(xi)).  The decay scan, whose frequencies are radii times
-directions, takes a 1-D type-3 NUFFT of the projections along each direction
-(``_ray_transform``), and the grid statistics one type-1 NUFFT
-(``_grid_values``); both share one Gaussian kernel (``_kernel``) and lie
-within 1e-10 absolute of the direct sum, which stays their test oracle.  The
-scan keeps the direct sum when a direction's fine grid would exceed a budget
-(a support wide against the radii's reciprocal), and the grid statistics
+Implements mu-hat(xi) = (1/mass) sum_j w_j e^{2 pi i <xi, x_j>} by two
+NUFFTs that share one Gaussian kernel (``_kernel``).  The decay scan, whose
+frequencies are radii times directions, takes a 1-D type-3 NUFFT of the
+projections along each direction (``_ray_transform``), and the grid
+statistics one type-1 NUFFT (``_grid_values``).  Both lie within 1e-10
+absolute of the direct d-dimensional sum, which the tests keep as their
+oracle, while |xi| max_j |x_j| stays at most 2.5e6 for the scan and 2.5e5
+for the grid: past that the rounding of the phase 2 pi <xi, x_j> dominates
+the gap, which grows as about 1.5e-17 |xi| max_j |x_j| for the scan and
+1e-16 |xi| max_j |x_j| for the grid.  When a direction's fine grid would
+exceed a budget (a support wide against the radii's reciprocal) the scan
+sums directly along the projections (``_ray_sum``), and the grid statistics
 refuse a grid whose memory estimate exceeds it (``check_grid_budget``).  The
 bits of every value are independent of the thread count.  On top of the
-transform sit the experiment statistics:
+transforms sit the experiment statistics:
 
 * ``decay_scan`` -- per-shell maxima of |mu-hat| over sampled directions and
   a least-squares decay exponent kappa, with its standard error, fitted on
@@ -75,13 +72,9 @@ _RAY_STEP = 0.225
 #: four complex arrays of its FFT's size) before the scan sums directly.
 _GRID_BUDGET = 1 << 30
 
-#: Bytes of the complex block one worker fills at a time: the frequency rows
-#: of a block are the most that fit min(atoms, _ATOM_CHUNK) complex terms each.
-_BLOCK_BYTES = 16 << 20
-
 
 def _neumaier(parts) -> np.ndarray:
-    """Compensated sum of per-atom-chunk partial sums, taken in chunk order."""
+    """Compensated sum of partial sums over atom chunks or blocks, in order."""
     total = comp = 0.0
     for part in parts:
         t = total + part
@@ -95,31 +88,8 @@ def _atom_chunks(n: int) -> list[slice]:
     return [slice(i, min(i + _ATOM_CHUNK, n)) for i in range(0, n, _ATOM_CHUNK)]
 
 
-def _atom_sum(xt: np.ndarray, w: np.ndarray, freqs: np.ndarray) -> np.ndarray:
-    """sum_j w_j e^{2 pi i <xi, x_j>} over the atoms ``xt`` (axis-major, d x n).
-
-    The phase is summed one axis at a time (a BLAS product's bits depend on
-    the block's row count) and the exponent is taken in place.  The block
-    keeps at least two rows, so numpy multiplies it by gemv, never by dot,
-    whose summation order differs: a row's bits do not depend on its block.
-    """
-    rows = freqs.shape[0]
-
-    def part(sl: slice) -> np.ndarray:
-        z = np.zeros((max(rows, 2), sl.stop - sl.start), dtype=complex)
-        phase = z.imag[:rows]
-        np.multiply(freqs[:, 0, None], xt[0, sl], out=phase)
-        for a in range(1, xt.shape[0]):
-            phase += freqs[:, a, None] * xt[a, sl]
-        phase *= 2.0 * np.pi
-        np.exp(z[:rows], out=z[:rows])
-        return (z @ w[sl])[:rows]
-
-    return _neumaier(part(sl) for sl in _atom_chunks(xt.shape[1]))
-
-
 def _mass(w: np.ndarray) -> float:
-    """The total weight, chunked and compensated as the transform's sums are."""
+    """The total weight, summed over atom chunks and compensated."""
     return _neumaier(np.ones((1, sl.stop - sl.start), dtype=complex) @ w[sl]
                      for sl in _atom_chunks(w.shape[0])).real[0]
 
@@ -132,53 +102,6 @@ def _half_space(freqs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.where(flip[:, None], -freqs, freqs) + 0.0, flip
 
 
-def _distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of ``a``, sorted, and the index of each row among them.
-
-    Same result as np.unique(a, axis=0, return_inverse=True), which sorts the
-    rows as structured records, about 20 times slower on a large grid.
-    """
-    order = np.lexsort(a.T[::-1])
-    srt = a[order]
-    first = np.ones(a.shape[0], dtype=bool)
-    first[1:] = np.any(srt[1:] != srt[:-1], axis=1)
-    inverse = np.empty(a.shape[0], dtype=np.intp)
-    inverse[order] = np.cumsum(first) - 1
-    return srt[first], inverse
-
-
-def _nudft(pts: np.ndarray, w: np.ndarray, freqs: np.ndarray, threads: int) -> np.ndarray:
-    """mu-hat at each row of ``freqs``, evaluating each antipodal pair once:
-    mu-hat(-xi) = conj(mu-hat(xi)) holds bit for bit."""
-    canon, flip = _half_space(freqs)
-    uniq, inverse = _distinct_rows(canon)
-    xt = np.ascontiguousarray(pts.T)
-    rows = max(1, _BLOCK_BYTES // (16 * min(pts.shape[0], _ATOM_CHUNK)))
-    blocks = [uniq[i : i + rows] for i in range(0, uniq.shape[0], rows)]
-    num = np.concatenate(core.parallel_map(lambda f: _atom_sum(xt, w, f), blocks, threads))
-    vals = num / _mass(w)
-    vals[~uniq.any(axis=1)] = 1.0     # the division may round den/den below 1
-    vals = vals[inverse]
-    return np.where(flip, np.conj(vals), vals)
-
-
-def fourier_transform(mu: AtomicMeasure, xi, threads: int = 1):
-    """mu-hat(xi) = (1/mass) sum_j w_j e^{2 pi i <xi, x_j>}.
-
-    ``xi`` is a single frequency vector (length d) or a batch (..., d);
-    returns a complex scalar or array accordingly.  mu-hat(0) = 1 exactly
-    and mu-hat(-xi) = conj(mu-hat(xi)).
-    """
-    xi = np.asarray(xi, dtype=float)
-    single = xi.ndim == 1
-    freqs = np.atleast_2d(xi)
-    if freqs.shape[-1] != mu.d:
-        raise ValueError(f"frequency dim {freqs.shape[-1]} != measure dim {mu.d}")
-    shape = freqs.shape[:-1]
-    vals = _nudft(mu.points, mu.weights, freqs.reshape(-1, mu.d), threads)
-    return complex(vals[0]) if single else vals.reshape(shape)
-
-
 def resolution_cap(mu: AtomicMeasure) -> float:
     """Largest honestly resolvable frequency: 1/(4 eta) for atom spacing eta."""
     eta = atom_spacing(mu)
@@ -187,10 +110,11 @@ def resolution_cap(mu: AtomicMeasure) -> float:
 
 @dataclass(frozen=True)
 class FrequencySpec:
-    """Frequency sampling plan: a geometric shell ladder with directions.
+    """Frequency sampling plan: a geometric shell ladder.
 
     Each shell is sampled at ``samples_per_shell`` log-spaced radii along
-    every direction of the fan; ``mode`` accepts only "shell", that plan.
+    every direction of the fan (``default_directions``); ``mode`` accepts
+    only "shell", that plan.
     ``grid_step`` is checked and read by nothing: the grid statistics take
     their own step (``grid_statistics(..., grid_step=)``).
     """
@@ -199,7 +123,6 @@ class FrequencySpec:
     r0: float = 4.0
     ratio: float = 2.0
     count: int = 8
-    directions: np.ndarray | None = None
     samples_per_shell: int = 16
     grid_step: float = 0.25
 
@@ -213,14 +136,6 @@ class FrequencySpec:
             raise ValueError(f"samples_per_shell must be >= 1, got {self.samples_per_shell}")
         if self.grid_step <= 0.0:
             raise ValueError(f"grid_step must be positive, got {self.grid_step}")
-        if self.directions is not None:
-            dirs = np.atleast_2d(np.asarray(self.directions, dtype=float))
-            if dirs.shape[0] == 0:
-                raise ValueError("directions must hold at least one vector")
-            norms = np.linalg.norm(dirs, axis=1)
-            if np.any(np.abs(norms - 1.0) > 1e-9):
-                raise ValueError("directions must be unit vectors")
-            object.__setattr__(self, "directions", dirs)
 
     @property
     def radii(self) -> np.ndarray:
@@ -294,11 +209,7 @@ def decay_scan(mu: AtomicMeasure, spec: FrequencySpec, seed: int = 0,
     """
     if spec.count < MIN_SHELLS:
         raise ValueError(f"a decay fit needs at least {MIN_SHELLS} shells, got {spec.count}")
-    dirs = spec.directions
-    if dirs is None:
-        dirs = default_directions(mu.d, seed=seed)
-    if dirs.shape[1] != mu.d:
-        raise ValueError(f"direction dim {dirs.shape[1]} != measure dim {mu.d}")
+    dirs = default_directions(mu.d, seed=seed)
     cap = resolution_cap(mu)
     radii = spec.radii
     kept = radii[radii <= cap]
@@ -420,11 +331,38 @@ def _grid_values(pts: np.ndarray, w: np.ndarray, step: float, k_max: int,
 
 def _projection(xt: np.ndarray, theta: np.ndarray, sl: slice) -> np.ndarray:
     """<theta, x_j> of the atoms ``sl`` of ``xt`` (axis-major, d x n), summed one
-    axis at a time as _atom_sum sums the phase."""
+    axis at a time in a fixed order (no BLAS product)."""
     t = theta[0] * xt[0, sl]
     for a in range(1, xt.shape[0]):
         t += theta[a] * xt[a, sl]
     return t
+
+
+def _ray_sum(xt: np.ndarray, w: np.ndarray, theta: np.ndarray, rs: np.ndarray,
+             blocks: list[slice]) -> np.ndarray:
+    """sum_j w_j e^{2 pi i r t_j} at each radius r of ``rs``, summed directly
+    over the projections t_j = <theta, x_j>.
+
+    The atoms go by ``blocks`` and, within a block, the radii by rows of at
+    most _SPREAD_BYTES of complex terms, however many radii there are; the
+    phase 2 pi (r t_j) is exponentiated in place, and the block sums combine
+    with Neumaier compensation in block order.
+    """
+    def part(sl: slice) -> np.ndarray:
+        t = _projection(xt, theta, sl)
+        rows = max(1, _SPREAD_BYTES // (16 * t.shape[0]))
+        sums = []
+        for i in range(0, rs.shape[0], rows):
+            z = np.zeros((min(rows, rs.shape[0] - i), t.shape[0]), dtype=complex)
+            phase = z.imag
+            np.multiply(rs[i : i + rows, None], t, out=phase)
+            phase *= 2.0 * np.pi
+            np.exp(z, out=z)
+            sums.append(z @ w[sl])
+            del z, phase       # free these terms before the next rows
+        return np.concatenate(sums)
+
+    return _neumaier(part(sl) for sl in blocks)
 
 
 def _ray_transform(pts: np.ndarray, w: np.ndarray, dirs: np.ndarray, radii: np.ndarray,
@@ -442,13 +380,15 @@ def _ray_transform(pts: np.ndarray, w: np.ndarray, dirs: np.ndarray, radii: np.n
     step (deconvolution, one FFT of a 5-smooth size at least twice the grid,
     Gaussian interpolation at h (r - s0)) gives the grid's transform, which
     the first Gaussian's transform and the post-phase e^{2 pi i r c} turn into
-    mu-hat.  Values lie within 1e-10 absolute of the direct sum.  A direction
-    along which every projection is c gets the closed form e^{2 pi i r c}.  If
-    the largest direction's FFT would hold more than _GRID_BUDGET bytes (a
-    support wide against 1/S), every value is the direct sum ``_nudft``.
+    mu-hat.  Values lie within 1e-10 absolute of the direct d-dimensional sum
+    while r max_j |x_j| <= 2.5e6; the gap grows as about 1.5e-17 r max_j |x_j|.
+    A direction along which every projection is c gets the closed form
+    e^{2 pi i r c}.  If the largest direction's FFT would hold more than
+    _GRID_BUDGET bytes (a support wide against 1/S), each direction without
+    that closed form is summed directly along its projections (``_ray_sum``).
     """
     canon, flip = _half_space(dirs)
-    uniq, inverse = _distinct_rows(canon)
+    uniq, inverse = np.unique(canon, axis=0, return_inverse=True)
     rs, r_index = np.unique(radii, return_inverse=True)
     s0, half_s = 0.5 * (rs[-1] + rs[0]), 0.5 * (rs[-1] - rs[0])
     q = _SPREAD
@@ -467,15 +407,15 @@ def _ray_transform(pts: np.ndarray, w: np.ndarray, dirs: np.ndarray, radii: np.n
 
     plans = [plan(theta) for theta in uniq]
     grid_max = 2 * max(p[3] for p in plans) + 1
-    if 128 * grid_max > _GRID_BUDGET or 64 * _fine_size(grid_max) > _GRID_BUDGET:
-        freqs = (radii[None, :, None] * dirs[:, None, :]).reshape(-1, dirs.shape[1])
-        return _nudft(pts, w, freqs, threads).reshape(dirs.shape[0], radii.shape[0])
+    direct = 128 * grid_max > _GRID_BUDGET or 64 * _fine_size(grid_max) > _GRID_BUDGET
     mass = _mass(w)
 
     def transform(k: int) -> np.ndarray:
         theta, (c, x_half, h, m0) = uniq[k], plans[k]
         if x_half == 0.0:
             return np.exp(2j * np.pi * rs * c)
+        if direct:
+            return _ray_sum(xt, w, theta, rs, blocks) / mass
         size = 2 * m0 + 1
         b = q / (math.pi * (1.0 - h * half_s))      # from the actual oversampling
         re, im = np.zeros(size), np.zeros(size)

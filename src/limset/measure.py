@@ -90,9 +90,9 @@ def patterson_orbit_measure(
     pts, dists = group.orbit_chart(n_max)
     raw = np.exp(-s * dists)
     if n_max >= 2:
-        hi = np.cumsum([lev.vecs.shape[0] for lev in group.levels(n_max)])
-        last = raw[hi[-2] : hi[-1]].sum()
-        prev = raw[hi[-3] : hi[-2]].sum()
+        lo, mid, hi = (group.word_count(n) for n in range(n_max - 2, n_max + 1))
+        last = raw[mid:hi].sum()
+        prev = raw[lo:mid].sum()
         if last >= prev:
             raise DivergenceError(
                 f"shell masses grow at depth {n_max} ({last:.3g} >= {prev:.3g}): "

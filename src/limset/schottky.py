@@ -259,10 +259,6 @@ class SchottkyGroup:
     def _inv(letter_id):
         return letter_id ^ 1
 
-    def signed(self, letter_id):
-        """External signed index of a letter id: 2i -> i+1, 2i+1 -> -(i+1)."""
-        return (letter_id // 2 + 1) * (1 if letter_id % 2 == 0 else -1)
-
     def word_count(self, n):
         """1 + sum_{j<=n} 2k (2k-1)^{j-1} reduced words of length <= n."""
         return _words_through(self.k, n)

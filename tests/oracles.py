@@ -1,10 +1,13 @@
 """Oracles, fixture measures and diagnostics that only the tests read.
 
 Most are a closed form, an exact computation or a slow direct construction
-that the library's fast paths are checked against.  The rest are helpers
-and diagnostics that no command runs, moved here from the library: the
-hyperbolic distance ``distance``, ``random_rotation``, ``boundary_equal``
-and ``fixed_points`` of the geometry; the unstable conditionals
+that the library's fast paths are checked against; among them the direct
+d-dimensional Fourier sum ``fourier_transform`` (``_nudft``), which the
+decay scan and the grid statistics replaced.  The rest are helpers and
+diagnostics that no command runs, moved here from the library: the form
+``quadratic_form``, the hyperbolic distance ``distance``,
+``random_rotation``, ``boundary_equal``, ``fixed_points`` and the signed
+letter index ``signed`` of the geometry; the unstable conditionals
 (``FramePoint``, ``unstable_conditional``, ``flow_equivariance_ratio``)
 and the local-dimension estimator (``local_dimension_estimate``) of the
 measure; and the phase-linearization error ``linearization_error`` of the
@@ -18,11 +21,20 @@ from types import SimpleNamespace
 import numpy as np
 
 from limset import _io, core, dimension, schottky
+from limset.fourier import _ATOM_CHUNK, _atom_chunks, _half_space, _mass, _neumaier
 from limset.holonomy import REGIME_BOUND, FactorizationResult, HolonomyInput
 from limset.measure import AtomicMeasure, _quantile_points, _quantile_span
 
 
-# Geometry helpers: the metric, random rotations and loxodromic axes.
+# Geometry helpers: the form, the metric, random rotations and loxodromic axes.
+
+def quadratic_form(x):
+    """Q(x) = 2 x_0 x_{d+1} - sum of squared middle coordinates."""
+    x = np.asarray(x, dtype=float)
+    if x.shape[-1] < 3:
+        raise core.ModelViolationError(f"vector length {x.shape[-1]} < 3; need d >= 1")
+    return 2.0 * x[..., 0] * x[..., -1] - np.sum(x[..., 1:-1] ** 2, axis=-1)
+
 
 def distance(x, y):
     """d(x, y) = arccosh B(x, y); symmetric, isometry-invariant.
@@ -63,9 +75,14 @@ def fixed_points(g):
     rep = np.real(vecs[:, order[0]])
     att = np.real(vecs[:, order[-1]])
     for v in (att, rep):
-        if abs(core.quadratic_form(v)) > 1e-6 * float(v @ v):
+        if abs(quadratic_form(v)) > 1e-6 * float(v @ v):
             raise core.ModelViolationError("fixed eigenvector is not null")
     return core.normalize_boundary(att), core.normalize_boundary(rep)
+
+
+def signed(letter_id):
+    """External signed index of a letter id: 2i -> i+1, 2i+1 -> -(i+1)."""
+    return (letter_id // 2 + 1) * (1 if letter_id % 2 == 0 else -1)
 
 
 def enumerate_words(group, n):
@@ -83,7 +100,7 @@ def enumerate_words(group, n):
                 nxt.append(w + (b,))
         frontier = nxt
         for w in frontier:
-            yield tuple(group.signed(b) for b in w)
+            yield tuple(signed(b) for b in w)
 
 
 def word_to_element(group, word):
@@ -365,6 +382,83 @@ def shell_measure(group, delta, n) -> AtomicMeasure:
     lev = group.levels(n)[n]
     raw = np.exp(-delta * lev.dists)
     return AtomicMeasure(points=lev.vecs[:, 1:-1] / lev.vecs[:, -1:], weights=raw / raw.sum())
+
+
+# The Fourier transform's direct sum: the oracle of both NUFFTs.
+
+#: Bytes of the complex block one worker fills at a time: the frequency rows
+#: of a block are the most that fit min(atoms, _ATOM_CHUNK) complex terms each.
+_BLOCK_BYTES = 16 << 20
+
+
+def _atom_sum(xt: np.ndarray, w: np.ndarray, freqs: np.ndarray) -> np.ndarray:
+    """sum_j w_j e^{2 pi i <xi, x_j>} over the atoms ``xt`` (axis-major, d x n).
+
+    The phase is summed one axis at a time (a BLAS product's bits depend on
+    the block's row count) and the exponent is taken in place.  The block
+    keeps at least two rows, so numpy multiplies it by gemv, never by dot,
+    whose summation order differs: a row's bits do not depend on its block.
+    """
+    rows = freqs.shape[0]
+
+    def part(sl: slice) -> np.ndarray:
+        z = np.zeros((max(rows, 2), sl.stop - sl.start), dtype=complex)
+        phase = z.imag[:rows]
+        np.multiply(freqs[:, 0, None], xt[0, sl], out=phase)
+        for a in range(1, xt.shape[0]):
+            phase += freqs[:, a, None] * xt[a, sl]
+        phase *= 2.0 * np.pi
+        np.exp(z[:rows], out=z[:rows])
+        return (z @ w[sl])[:rows]
+
+    return _neumaier(part(sl) for sl in _atom_chunks(xt.shape[1]))
+
+
+def _distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of ``a``, sorted, and the index of each row among them.
+
+    Same result as np.unique(a, axis=0, return_inverse=True), which sorts the
+    rows as structured records, about 20 times slower on a large grid.
+    """
+    order = np.lexsort(a.T[::-1])
+    srt = a[order]
+    first = np.ones(a.shape[0], dtype=bool)
+    first[1:] = np.any(srt[1:] != srt[:-1], axis=1)
+    inverse = np.empty(a.shape[0], dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return srt[first], inverse
+
+
+def _nudft(pts: np.ndarray, w: np.ndarray, freqs: np.ndarray, threads: int) -> np.ndarray:
+    """mu-hat at each row of ``freqs``, evaluating each antipodal pair once:
+    mu-hat(-xi) = conj(mu-hat(xi)) holds bit for bit."""
+    canon, flip = _half_space(freqs)
+    uniq, inverse = _distinct_rows(canon)
+    xt = np.ascontiguousarray(pts.T)
+    rows = max(1, _BLOCK_BYTES // (16 * min(pts.shape[0], _ATOM_CHUNK)))
+    blocks = [uniq[i : i + rows] for i in range(0, uniq.shape[0], rows)]
+    num = np.concatenate(core.parallel_map(lambda f: _atom_sum(xt, w, f), blocks, threads))
+    vals = num / _mass(w)
+    vals[~uniq.any(axis=1)] = 1.0     # the division may round den/den below 1
+    vals = vals[inverse]
+    return np.where(flip, np.conj(vals), vals)
+
+
+def fourier_transform(mu: AtomicMeasure, xi, threads: int = 1):
+    """mu-hat(xi) = (1/mass) sum_j w_j e^{2 pi i <xi, x_j>}.
+
+    ``xi`` is a single frequency vector (length d) or a batch (..., d);
+    returns a complex scalar or array accordingly.  mu-hat(0) = 1 exactly
+    and mu-hat(-xi) = conj(mu-hat(xi)).
+    """
+    xi = np.asarray(xi, dtype=float)
+    single = xi.ndim == 1
+    freqs = np.atleast_2d(xi)
+    if freqs.shape[-1] != mu.d:
+        raise ValueError(f"frequency dim {freqs.shape[-1]} != measure dim {mu.d}")
+    shape = freqs.shape[:-1]
+    vals = _nudft(mu.points, mu.weights, freqs.reshape(-1, mu.d), threads)
+    return complex(vals[0]) if single else vals.reshape(shape)
 
 
 def uniform_segment_measure(n: int) -> AtomicMeasure:

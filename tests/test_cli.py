@@ -510,7 +510,7 @@ def test_fourier_evaluates_the_grid_once(work, tmp_path, monkeypatch):
         real = getattr(fourier, name)
         return lambda *args, **kw: calls.append(name) or real(*args, **kw)
 
-    for name in ("_nudft", "_ray_transform", "_grid_values"):
+    for name in ("_ray_transform", "_grid_values"):
         monkeypatch.setattr(fourier, name, counted(name))
     rng = np.random.default_rng(5)
     _io.write_measure_file(tmp_path / "plane.csv",

@@ -24,28 +24,28 @@ REFERENCE_ROOTS = [
 
 def test_shell_sums_identity_level(reference):
     for s in (0.0, 0.7, 100.0):
-        tr = dimension.shell_sums(reference, s, 4)
-        assert tr.values[0] == 1.0
-        assert tr.log_values[0] == 0.0
+        log_a = dimension.shell_sums(reference, s, 4)
+        assert np.exp(log_a)[0] == 1.0
+        assert log_a[0] == 0.0
 
 
 def test_shell_sums_at_zero_count_words(reference):
-    tr = dimension.shell_sums(reference, 0.0, 5)
+    log_a = dimension.shell_sums(reference, 0.0, 5)
     counts = np.array([1] + [4 * 3 ** (n - 1) for n in range(1, 6)])
-    assert np.allclose(tr.values, counts, rtol=1e-12)
+    assert np.allclose(np.exp(log_a), counts, rtol=1e-12)
 
 
 def test_shell_sums_strictly_decreasing_in_s(reference):
     grid = [0.0, 0.3, 0.7, 1.2, 2.5]
-    stack = np.array([dimension.shell_sums(reference, s, 5).log_values for s in grid])
+    stack = np.array([dimension.shell_sums(reference, s, 5) for s in grid])
     # entrywise strictly decreasing in s for every shell with positive distances
     assert np.all(np.diff(stack[:, 1:], axis=0) < 0.0)
 
 
 def test_shell_sums_decay_geometrically_at_large_s(reference):
-    tr = dimension.shell_sums(reference, 100.0, 6)
-    assert not tr.diverged
-    assert np.all(np.diff(tr.log_values) < -100.0)
+    log_a = dimension.shell_sums(reference, 100.0, 6)
+    assert np.isfinite(np.exp(log_a)).all()
+    assert np.all(np.diff(log_a) < -100.0)
 
 
 def test_shell_sums_rejects_negative_s(reference):
@@ -54,8 +54,8 @@ def test_shell_sums_rejects_negative_s(reference):
 
 
 def test_shell_sums_threads_bit_identical(reference):
-    a = dimension.shell_sums(reference, 0.48, 8, threads=1).log_values
-    b = dimension.shell_sums(reference, 0.48, 8, threads=4).log_values
+    a = dimension.shell_sums(reference, 0.48, 8, threads=1)
+    b = dimension.shell_sums(reference, 0.48, 8, threads=4)
     assert np.array_equal(a, b)
 
 
@@ -126,7 +126,7 @@ def test_cyclic_shell_sums_on_axis_closed_form():
     group = schottky.SchottkyGroup([gen], name="axis-cyclic")
 
     x = (att + rep) / np.sqrt(2.0 * core.bilinear_form(att, rep))
-    assert core.quadratic_form(x) == pytest.approx(1.0, abs=1e-15) and x[0] + x[-1] > 0
+    assert oracles.quadratic_form(x) == pytest.approx(1.0, abs=1e-15) and x[0] + x[-1] > 0
     dists = oracles.basepoint_distances(group, x, 5)
     for s in (0.2, 1.0):
         values = np.exp(dimension.log_shell_sums(dists, s))

@@ -31,36 +31,36 @@ def random_measure(n=400, d=1, seed=11):
 def test_point_mass_transform_is_constant_one():
     mu = delta_at([0.0])
     xi = np.array([[0.0], [3.0], [-17.5], [101.25]])
-    vals = fourier.fourier_transform(mu, xi)
+    vals = oracles.fourier_transform(mu, xi)
     assert np.all(vals == 1.0 + 0.0j)
 
 
 def test_zero_frequency_is_exactly_one():
     mu = random_measure(n=70000, seed=3)  # spans two atom chunks
-    assert fourier.fourier_transform(mu, np.zeros(1)) == 1.0
-    batch = fourier.fourier_transform(mu, np.zeros((3, 1)))
+    assert oracles.fourier_transform(mu, np.zeros(1)) == 1.0
+    batch = oracles.fourier_transform(mu, np.zeros((3, 1)))
     assert np.all(batch == 1.0 + 0.0j)
 
 
 def test_two_atom_half_frequency_cancellation():
     # (delta_0 + delta_1)/2 has mu-hat(1/2) = (1 + e^{i pi})/2 = 0
     mu = delta_at([[0.0], [1.0]])
-    assert abs(fourier.fourier_transform(mu, np.array([0.5]))) < 1e-15
+    assert abs(oracles.fourier_transform(mu, np.array([0.5]))) < 1e-15
 
 
 def test_conjugate_symmetry_exact():
     mu = random_measure(n=500, d=2, seed=5)
     rng = np.random.default_rng(6)
     xi = rng.normal(size=(40, 2)) * 8.0
-    plus = fourier.fourier_transform(mu, xi)
-    minus = fourier.fourier_transform(mu, -xi)
+    plus = oracles.fourier_transform(mu, xi)
+    minus = oracles.fourier_transform(mu, -xi)
     assert np.array_equal(minus, np.conj(plus))
 
 
 def test_modulus_bounded_by_one():
     mu = random_measure(n=2000, seed=7)
     xi = np.linspace(-50.0, 50.0, 777)[:, None]
-    assert np.abs(fourier.fourier_transform(mu, xi)).max() <= 1.0 + 1e-12
+    assert np.abs(oracles.fourier_transform(mu, xi)).max() <= 1.0 + 1e-12
 
 
 @settings(max_examples=25, deadline=None)
@@ -69,8 +69,8 @@ def test_translation_rotates_phase(shift, freq):
     mu = random_measure(n=200, seed=13)
     shifted = measure.AtomicMeasure(points=mu.points + shift, weights=mu.weights)
     xi = np.array([freq])
-    a = fourier.fourier_transform(mu, xi)
-    b = fourier.fourier_transform(shifted, xi)
+    a = oracles.fourier_transform(mu, xi)
+    b = oracles.fourier_transform(shifted, xi)
     assert abs(b - np.exp(2j * np.pi * freq * shift) * a) < 1e-10
     assert abs(abs(b) - abs(a)) < 1e-12
 
@@ -79,8 +79,8 @@ def test_thread_count_does_not_change_bits():
     mu = random_measure(n=5000, seed=17)
     xi = np.linspace(-40.0, 40.0, 2500)[:, None]  # several frequency blocks
     assert np.array_equal(
-        fourier.fourier_transform(mu, xi, threads=1),
-        fourier.fourier_transform(mu, xi, threads=4),
+        oracles.fourier_transform(mu, xi, threads=1),
+        oracles.fourier_transform(mu, xi, threads=4),
     )
 
 
@@ -102,10 +102,10 @@ def test_bits_independent_of_block_size_and_threads(d, monkeypatch):
     mu = random_measure(n=3000, d=d, seed=31)
     xi = ball_frequencies(d, 300, 256.0, seed=32)
     xi = np.concatenate([xi, -xi[:40], np.zeros((1, d))])  # antipodes, the origin
-    default = fourier.fourier_transform(mu, xi, threads=1)
-    monkeypatch.setattr(fourier, "_BLOCK_BYTES", 1)      # one row per block
-    assert np.array_equal(fourier.fourier_transform(mu, xi, threads=3), default)
-    assert fourier.fourier_transform(mu, xi[7]) == default[7]
+    default = oracles.fourier_transform(mu, xi, threads=1)
+    monkeypatch.setattr(oracles, "_BLOCK_BYTES", 1)      # one row per block
+    assert np.array_equal(oracles.fourier_transform(mu, xi, threads=3), default)
+    assert oracles.fourier_transform(mu, xi[7]) == default[7]
     assert default[-1] == 1.0
 
 
@@ -113,7 +113,7 @@ def test_bits_independent_of_block_size_and_threads(d, monkeypatch):
 def test_transform_matches_the_plain_sum(d):
     mu = random_measure(n=2000, d=d, seed=33)
     xi = ball_frequencies(d, 400, 256.0, seed=34)
-    err = np.abs(fourier.fourier_transform(mu, xi) - plain_transform(mu, xi))
+    err = np.abs(oracles.fourier_transform(mu, xi) - plain_transform(mu, xi))
     assert err.max() <= 1e-12
 
 
@@ -121,9 +121,8 @@ def test_each_antipodal_pair_is_evaluated_once(monkeypatch):
     # the decay scan transforms one direction of each antipodal pair, and
     # neither the scan nor the grid sums directly
     rows, directions = [], []
-    real_sum, real_map = fourier._atom_sum, core.parallel_map
-    monkeypatch.setattr(fourier, "_atom_sum",
-                        lambda xt, w, f: rows.append(f.shape[0]) or real_sum(xt, w, f))
+    real_map = core.parallel_map
+    monkeypatch.setattr(fourier, "_ray_sum", lambda *args: rows.append(args) or None)
     monkeypatch.setattr(core, "parallel_map", lambda fn, items, threads=1:
                         directions.append(len(items)) or real_map(fn, items, threads))
     plane = random_measure(n=300, d=2, seed=4)
@@ -139,12 +138,12 @@ def test_each_antipodal_pair_is_evaluated_once(monkeypatch):
 
 def test_transform_memory_stays_within_the_block_budget(monkeypatch):
     budget = 1 << 20
-    monkeypatch.setattr(fourier, "_BLOCK_BYTES", budget)
+    monkeypatch.setattr(oracles, "_BLOCK_BYTES", budget)
     mu = random_measure(n=20000, d=2, seed=35)
     xi = ball_frequencies(2, 200, 64.0, seed=36)
     tracemalloc.start()
     try:
-        fourier.fourier_transform(mu, xi)
+        oracles.fourier_transform(mu, xi)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -153,7 +152,7 @@ def test_transform_memory_stays_within_the_block_budget(monkeypatch):
 
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
-        fourier.fourier_transform(random_measure(d=2), np.array([1.0]))
+        oracles.fourier_transform(random_measure(d=2), np.array([1.0]))
 
 
 # --- segment calibration --------------------------------------------------
@@ -162,7 +161,7 @@ def test_dimension_mismatch_rejected():
 def test_segment_modulus_matches_sinc():
     mu = oracles.uniform_segment_measure(1000)
     xi = np.arange(0.05, 20.0001, 0.05)
-    mods = np.abs(fourier.fourier_transform(mu, xi[:, None]))
+    mods = np.abs(oracles.fourier_transform(mu, xi[:, None]))
     # continuous sinc up to the discretization correction (pi xi / n)^2 / 6
     assert np.abs(mods - np.abs(np.sinc(xi))).max() < 1e-3
     # exact discrete closed form down to roundoff
@@ -257,15 +256,10 @@ def test_spec_validation():
         fourier.FrequencySpec(mode="ray")
     with pytest.raises(ValueError, match="samples_per_shell"):
         fourier.FrequencySpec(samples_per_shell=0)
-    for d in (1, 3):
-        with pytest.raises(ValueError, match="directions"):
-            fourier.FrequencySpec(directions=np.zeros((0, d)))
     with pytest.raises(ValueError):
         fourier.FrequencySpec(ratio=1.0)
     with pytest.raises(ValueError):
         fourier.FrequencySpec(r0=-2.0)
-    with pytest.raises(ValueError):
-        fourier.FrequencySpec(directions=np.array([[2.0]]))
     with pytest.raises(ValueError):
         fourier.decay_scan(delta_at([0.0]), fourier.FrequencySpec(count=4))
     with pytest.raises(ValueError):
@@ -309,11 +303,17 @@ def clustered_measure():
     return measure.AtomicMeasure(points=pts, weights=rng.uniform(0.1, 1.0, size=3000))
 
 
+def shifted_segment(shift):
+    seg = oracles.uniform_segment_measure(1000)
+    return measure.AtomicMeasure(points=seg.points + shift, weights=seg.weights)
+
+
 def ray_inputs(reference):
     return {"d1": random_measure(n=3000, seed=51),
             "d2": scaled(random_measure(n=2000, d=2, seed=52), 0.01),
             "d3": scaled(random_measure(n=500, d=3, seed=53), 0.01),
             "segment": oracles.uniform_segment_measure(1000),
+            "shifted": shifted_segment(1e4),       # r max |x_j| up to 2.5e6
             "mu9": measure.patterson_orbit_measure(reference, REFERENCE_DELTA, 0.02, 9),
             "clustered": clustered_measure()}
 
@@ -321,19 +321,19 @@ def ray_inputs(reference):
 def scan_frequencies(mu, spec, report):
     """The frequency of each sample of ``report`` in its order: shell-major,
     then direction, then radial position."""
-    dirs = spec.directions if spec.directions is not None else fourier.default_directions(mu.d)
+    dirs = fourier.default_directions(mu.d)
     frac = (np.arange(spec.samples_per_shell) + 0.5) / spec.samples_per_shell
     radii = np.minimum(report.shell_radii[:, None] * spec.ratio ** frac[None, :],
                        report.resolution_cap)
     return (radii[:, None, :, None] * dirs[None, :, None, :]).reshape(-1, mu.d)
 
 
-@pytest.mark.parametrize("name", ["d1", "d2", "d3", "segment", "mu9", "clustered"])
+@pytest.mark.parametrize("name", ["d1", "d2", "d3", "segment", "shifted", "mu9", "clustered"])
 def test_ray_scan_matches_the_direct_sum(reference, name):
     mu = ray_inputs(reference)[name]
     report = fourier.decay_scan(mu, CLI_SHELLS)
     freqs = scan_frequencies(mu, CLI_SHELLS, report)
-    direct = fourier._nudft(mu.points, mu.weights, freqs, 1)
+    direct = oracles._nudft(mu.points, mu.weights, freqs, 1)
     assert np.abs(report.sample_values - direct).max() <= RAY_BOUND
     if name == "segment":
         oracle = oracles.segment_modulus_oracle(freqs[:, 0], 1000)
@@ -359,27 +359,48 @@ def test_ray_scan_bits_independent_of_threads_and_antipodal(monkeypatch):
 
 
 def test_ray_scan_keeps_the_direct_sum_over_the_grid_budget(monkeypatch):
-    direct = fourier._nudft
-
     def scan_and_direct(mu, spec):
-        report = fourier.decay_scan(mu, spec)
+        """The scan's values at threads 1 and 3, and the direct d-dimensional sum."""
+        report = fourier.decay_scan(mu, spec, threads=1)
+        three = fourier.decay_scan(mu, spec, threads=3).sample_values
         freqs = scan_frequencies(mu, spec, report)
-        return report.sample_values, direct(mu.points, mu.weights, freqs, 1)
+        return report.sample_values, three, oracles._nudft(mu.points, mu.weights, freqs, 1)
 
     mu = scaled(random_measure(n=1000, d=2, seed=58), 0.01)
-    monkeypatch.setattr(fourier, "_nudft", None)     # under the budget: never reached
+    real_sum = fourier._ray_sum
+    monkeypatch.setattr(fourier, "_ray_sum", None)     # under the budget: never reached
     fourier.decay_scan(mu, CLI_SHELLS)
-    monkeypatch.setattr(fourier, "_nudft", direct)
+    monkeypatch.setattr(fourier, "_ray_sum", real_sum)
     monkeypatch.setattr(fourier, "_GRID_BUDGET", 1 << 10)
-    scan, want = scan_and_direct(mu, CLI_SHELLS)
-    assert np.array_equal(scan, want)
+    one, three, want = scan_and_direct(mu, CLI_SHELLS)
+    assert np.array_equal(one, three)
+    assert np.abs(one - want).max() <= 1e-12
     monkeypatch.undo()
-    # a support spanning 1e6 at the default budget
+    # supports spanning 1e6 at the default budget: in d = 1 the phase r t_j
+    # rounds as the direct sum's does; in d = 2 r <theta, x_j> and
+    # sum_a (r theta_a) x_a differ at phases near 1e9 (2.4e-10 seen)
     seg = oracles.uniform_segment_measure(1000)
-    wide = measure.AtomicMeasure(points=np.concatenate([seg.points, [[1e6]]]),
-                                 weights=np.full(1001, 1e-3))
-    scan, want = scan_and_direct(wide, fourier.FrequencySpec())
-    assert np.array_equal(scan, want)
+    for far, bound in (([1e6], 1e-12), ([1e6, 3e5], 1e-9)):
+        pts = np.concatenate([np.repeat(seg.points, len(far), axis=1), [far]])
+        wide = measure.AtomicMeasure(points=pts, weights=np.full(1001, 1e-3))
+        one, three, want = scan_and_direct(wide, fourier.FrequencySpec())
+        assert np.array_equal(one, three)
+        assert np.abs(one - want).max() <= bound
+
+
+def test_ray_sum_memory_is_set_by_the_block():
+    mu = random_measure(n=8192, seed=60)
+    xt, radii = mu.points.T, np.geomspace(1.0, 64.0, 2000)
+    blocks = [slice(i, min(i + 4096, mu.n)) for i in range(0, mu.n, 4096)]
+    tracemalloc.start()
+    try:
+        sums = fourier._ray_sum(xt, mu.weights, np.array([1.0]), radii, blocks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * fourier._SPREAD_BYTES    # all 2000 radii a block would take 131 MB
+    want = oracles._nudft(mu.points, mu.weights, radii[:, None], 1)
+    assert np.abs(sums / mu.weights.sum() - want).max() <= 1e-12
 
 
 def test_ray_scan_of_a_single_projection_is_the_closed_form():
@@ -391,7 +412,7 @@ def test_ray_scan_of_a_single_projection_is_the_closed_form():
         rays = fourier._ray_transform(mu.points, mu.weights, np.array([theta]), radii, 1)
         assert np.array_equal(rays[0], np.exp(2j * np.pi * radii * t0))
     rays = fourier._ray_transform(line.points, line.weights, np.array([[0.6, 0.8]]), radii[:1], 1)
-    direct = fourier.fourier_transform(line, radii[0] * np.array([0.6, 0.8]))
+    direct = oracles.fourier_transform(line, radii[0] * np.array([0.6, 0.8]))
     assert abs(rays[0, 0] - direct) <= RAY_BOUND
 
 
@@ -447,9 +468,10 @@ REFERENCE_DELTA = 0.4842963218688965      # delta_12 of the reference (README)
 
 
 def grid_inputs(reference):
-    """(measure, radius) of the four oracle inputs of the grid NUFFT."""
+    """(measure, radius) of the five oracle inputs of the grid NUFFT."""
     mu8 = measure.patterson_orbit_measure(reference, REFERENCE_DELTA, 0.02, 8)
     return {"segment": (oracles.uniform_segment_measure(1000), 64.0),
+            "shifted": (shifted_segment(1e3), 250.0),      # |xi| max |x_j| up to 2.5e5
             "mu8": (mu8, 256.0),
             "d2": (random_measure(n=3000, d=2, seed=41), 8.0),
             "d3": (random_measure(n=300, d=3, seed=42), 2.0)}
@@ -462,10 +484,10 @@ def grid_and_direct(mu, radius, step=0.25):
     ax = np.arange(-k_max, k_max + 1) * step
     freqs = np.stack([g.ravel() for g in np.meshgrid(*[ax] * mu.d, indexing="ij")], axis=1)
     vals = fourier._grid_values(mu.points, mu.weights, step, k_max, threads=1).ravel()
-    return freqs, vals, fourier.fourier_transform(mu, freqs)
+    return freqs, vals, oracles.fourier_transform(mu, freqs)
 
 
-@pytest.mark.parametrize("name", ["segment", "mu8", "d2", "d3"])
+@pytest.mark.parametrize("name", ["segment", "shifted", "mu8", "d2", "d3"])
 def test_grid_nufft_matches_direct_sum(reference, name):
     mu, radius = grid_inputs(reference)[name]
     freqs, vals, direct = grid_and_direct(mu, radius)
@@ -608,7 +630,7 @@ def test_grid_statistics_reads_one_grid():
 def test_thread_count_below_one_is_refused():
     mu = random_measure(n=50, seed=2)
     with pytest.raises(ValueError, match="at least 1"):
-        fourier.fourier_transform(mu, [1.0], threads=-5)
+        oracles.fourier_transform(mu, [1.0], threads=-5)
     with pytest.raises(ValueError, match="at least 1"):
         fourier.decay_scan(mu, fourier.FrequencySpec(), threads=0)
     with pytest.raises(ValueError, match="at least 1"):

@@ -130,7 +130,7 @@ def test_level_cache_matches_enumeration(reference):
     rng = np.random.default_rng(0)
     for idx in rng.choice(36, size=8, replace=False):
         w = words[int(idx)]
-        assert tuple(reference.signed(b) for b in lev.words[idx]) == w
+        assert tuple(oracles.signed(b) for b in lev.words[idx]) == w
         g = oracles.word_to_element(reference, w)
         assert np.array_equal(lev.vecs[idx], g[:, 0] + g[:, -1])
 
@@ -321,7 +321,7 @@ def test_exactness_boundary_of_cubed_reference(reference):
         else:
             assert core.so_relative_residual(oracle.mats).max() < 1e-10
             scale = np.abs(lev.vecs).max(axis=-1) ** 2
-            assert (np.abs(core.quadratic_form(lev.vecs) - 2.0) / scale).max() <= 1e-13
+            assert (np.abs(oracles.quadratic_form(lev.vecs) - 2.0) / scale).max() <= 1e-13
 
 
 def test_cache_bytes_is_what_the_levels_hold(reference, cyclic, sweep_groups):
@@ -394,7 +394,7 @@ def test_orbit_chart_all_finite(reference):
     # Q(w.o) = 1 up to the cancellation floor ~ ||w.o||^2 eps of evaluating
     # the form in double precision
     scale = 1.0 + np.abs(vecs).max(axis=-1) ** 2
-    assert (np.abs(core.quadratic_form(vecs) - 1.0) / scale).max() < 1e-12
+    assert (np.abs(oracles.quadratic_form(vecs) - 1.0) / scale).max() < 1e-12
 
 
 def test_orbit_injective_discreteness_witness(reference):
@@ -508,7 +508,7 @@ def test_sweep_float_lane_drift_controlled(sweep_groups):
     for lev, oracle in zip(G.levels(6), oracles.matrix_levels(G, 6)):
         assert core.so_relative_residual(oracle.mats).max() < 1e-10
         scale = np.abs(lev.vecs).max(axis=-1) ** 2
-        assert (np.abs(core.quadratic_form(lev.vecs) - 2.0) / scale).max() <= 1e-13
+        assert (np.abs(oracles.quadratic_form(lev.vecs) - 2.0) / scale).max() <= 1e-13
 
 
 def test_near_so_q_generator_is_reprojected_once_at_construction(reference):
@@ -526,7 +526,7 @@ def test_near_so_q_generator_is_reprojected_once_at_construction(reference):
     assert np.array_equal(G.letter_mats[2:], reference.letter_mats[2:])
     assert G.validate().ok and G.exact_through(8) == -1
     vecs = np.concatenate([lev.vecs for lev in G.levels(8)])
-    assert (np.abs(core.quadratic_form(vecs) - 2.0)
+    assert (np.abs(oracles.quadratic_form(vecs) - 2.0)
             / np.sum(vecs ** 2, axis=-1)).max() <= 1e-13
 
 
