@@ -105,9 +105,12 @@ class _Pipeline:
     def mu(self):
         from limset import measure
         # the measure's vector levels before delta's distances, so each level is
-        # built once; a measure over the level cache budget fails before delta
+        # built once; a measure over the level cache budget fails before delta;
+        # the distances below the measure's depth served only the estimate
         self.group.levels(self.cfg.measure.n_max)
-        return measure.patterson_orbit_measure(self.group, self.estimate.delta,
+        delta = self.estimate.delta
+        self.group.truncate(self.cfg.measure.n_max)
+        return measure.patterson_orbit_measure(self.group, delta,
                                                epsilon=self.cfg.measure.epsilon,
                                                n_max=self.cfg.measure.n_max)
 

@@ -31,6 +31,7 @@ without importing it.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,33 +77,46 @@ class DeltaEstimate:
     evaluations: np.ndarray
 
 
-def logsumexp(a: np.ndarray) -> np.float64:
-    """log(sum(exp(a))) of a nonempty float array, with the bits of scipy's.
+def logsumexp(a: np.ndarray, scale: float = 1.0, out: np.ndarray | None = None) -> np.float64:
+    """log(sum(exp(scale * a))) of a nonempty float array, with the bits of
+    scipy's ``logsumexp(scale * a)``.
 
-    The ``m`` entries tied at the maximum are split out of the shifted sum
-    s = sum(exp(a - max)) over the rest, and the result is
-    log1p(s / m) + log(m) + max.  Only when that is not finite (an infinite
-    or nan maximum) is the direct log(sum(exp(a))) taken instead.
+    ``scale * a`` goes into ``out`` (an array of a's shape, overwritten; a
+    new one by default).  The ``m`` entries tied at its maximum are split out
+    of the shifted sum s = sum(exp(scale * a - max)) over the rest, and the
+    result is log1p(s / m) + log(m) + max.  Only when that is not finite (an
+    infinite or nan maximum) is the direct log(sum(exp(scale * a))) taken
+    instead, from ``a``.
     """
-    a_max = a.max()
-    ties = a == a_max
+    shifted = np.multiply(a, scale, out=out)
+    a_max = shifted.max()
+    ties = shifted == a_max
     m = np.float64(np.count_nonzero(ties))
     with np.errstate(all="ignore"):
-        shifted = np.where(ties, -np.inf, a)
+        np.copyto(shifted, -np.inf, where=ties)
         shifted -= a_max
         s = np.exp(shifted, out=shifted).sum()
-        out = np.log1p(s if s == 0 else s / m) + np.log(m) + a_max
-    if np.isfinite(out):
-        return out
+        result = np.log1p(s if s == 0 else s / m) + np.log(m) + a_max
+    if np.isfinite(result):
+        return result
     with np.errstate(all="ignore"):
-        return np.log(np.exp(a).sum())
+        return np.log(np.exp(scale * a).sum())
 
 
 def _chunked_logsumexp(dists: np.ndarray, s: float, threads: int = 1) -> float:
-    """log(sum(exp(-s * dists))) with a fixed chunked reduction order; each
-    chunk is scaled by -s on its own, so no scaled copy of a shell is held."""
+    """log(sum(exp(-s * dists))) with a fixed chunked reduction order.  Each
+    chunk is scaled by -s into one scratch buffer of a chunk per worker
+    thread, so neither a scaled copy of a shell nor a temporary per chunk is
+    made."""
     chunks = [dists[i : i + _CHUNK] for i in range(0, dists.shape[0], _CHUNK)]
-    partial = core.parallel_map(lambda c: logsumexp(-s * c), chunks, threads)
+    scratch = threading.local()
+
+    def part(c):
+        if not hasattr(scratch, "buf"):
+            scratch.buf = np.empty(chunks[0].shape[0])
+        return logsumexp(c, -s, scratch.buf[: c.shape[0]])
+
+    partial = core.parallel_map(part, chunks, threads)
     return float(partial[0] if len(partial) == 1 else logsumexp(np.array(partial)))
 
 

@@ -13,8 +13,11 @@ order and caches, per level, each word's distance and, on the levels whose
 vectors a caller reads, its orbit vector v = W (e_0 + e_last) (twice the
 orbit point W o), but not its letters, the mixed-radix digits of its row; a
 cache over a fixed memory budget is refused up front.  A level is built from
-its parent by prepending a letter, v_child = L_b v_parent.  The generators
-are reprojected to SO(Q) once, at construction; the word vectors never are.
+its parent by prepending a letter, v_child = L_b v_parent: whole while it is
+read as vectors or small, and below that streamed depth first from fixed
+chunks of parent rows, so no deeper level's vectors are ever held whole.  The
+generators are reprojected to SO(Q) once, at construction; the word vectors
+never are.
 For integer generators a level is certified exact while its parent's
 largest entry times the letters' largest row-abs-sum is at most 2^53: every
 partial sum of L_b v is then an integer that float64 holds.
@@ -32,6 +35,7 @@ from limset import core
 # Integers up to 2^53 in magnitude are exact in float64.
 _FLOAT_EXACT = float(2 ** 53)
 _CACHE_BUDGET = 4 << 30  # bytes of orbit vectors and distances in the level cache
+_ROWS = 1 << 14          # parent rows per product chunk of the streamed levels
 
 
 class ConfigurationError(ValueError):
@@ -284,73 +288,107 @@ class SchottkyGroup:
 
     def _extend_levels(self, n, read):
         """Build levels 0..n with their distances and the vectors of levels
-        0..read, from the deepest level holding vectors (they are a prefix): a
-        level built only as a parent drops them once its child is built, and
-        the last level of a distances-only build never holds them whole."""
+        0..read.  The levels holding vectors are a prefix.  The missing levels
+        are built whole from the deepest of them, down to ``read`` or to the
+        deepest level of at most _ROWS words, whichever is deeper; the rest
+        are streamed from there (``_build``) and never hold vectors.  A level
+        built with vectors only as a parent drops them at the end."""
         self.check_depth(n)
         levels = self._levels
         held = sum(lev.vecs is not None for lev in levels) - 1
-        top = n if n >= len(levels) else read
-        for j in range(held + 1, top + 1):
-            child = self._next_level(levels[j - 1], keep=j < top or j <= read)
-            if j - 1 > max(held, read):
-                levels[j - 1].vecs = None
-            levels[j:j + 1] = [child]       # appends, or replaces a level without vectors
+        whole = read if n < len(levels) else max(read, held, self._one_chunk_through(n))
+        for j in range(held + 1, whole + 1):
+            self._build(j - 1, j, vectors=True)
+        if n >= len(levels):                # level n is still missing
+            self._build(whole, n, vectors=False)
+        for parent, lev in zip(levels, levels[1:]):
+            lev.exact = parent.exact and int(parent.max_entry) * self._row_sum <= _FLOAT_EXACT
+        for lev in levels[max(held, read) + 1:]:
+            lev.vecs = None
 
-    def _prepend(self, vecs, out=None):
-        """L_b v for each parent vector v of one level, grouped by the
-        prepended letter b, parents in order, skipping those that start with
-        b's inverse: the next level's vectors in lexicographic word order.
-        Yields (lo, hi, rows lo..hi) per product block, into ``out`` if given.
+    def _one_chunk_through(self, n):
+        """The deepest level <= n of at most _ROWS words."""
+        j = 0
+        while j < n and _words_through(self.k, j + 1) - _words_through(self.k, j) <= _ROWS:
+            j += 1
+        return j
+
+    def _build(self, j, n, vectors):
+        """Levels j+1..n from level j's vectors, replacing any built before:
+        whole, with vectors, when ``vectors``; otherwise as distances only,
+        from chunks of _ROWS rows of level j, depth first (``_descend``)."""
+        levels = self._levels
+        for i in range(j + 1, n + 1):
+            count = _words_through(self.k, i) - _words_through(self.k, i - 1)
+            lev = _Level(vecs=np.empty((count, self.d + 2)) if vectors else None,
+                         dists=np.empty(count), max_entry=0.0, exact=False,
+                         length=i, k=self.k)
+            levels[i:i + 1] = [lev]         # appends, or replaces a level
+        vecs = levels[j].vecs
+        step = vecs.shape[0] if vectors else _ROWS
+        for first in range(0, vecs.shape[0], step):
+            self._descend(j, first, vecs[first:first + step], n)
+
+    def _descend(self, j, first, vecs, n):
+        """Fill levels j+1..n below rows first.. of level j (``vecs``): each
+        product block goes into its level's distances, largest entry and
+        vectors (when that level holds them), then down to level n."""
+        child = self._levels[j + 1]
+        npar = self._levels[j].dists.shape[0]
+        for lo, hi, prod in self._prepend(vecs, first, npar, child.vecs):
+            part = child.dists[lo:hi]               # built in place: no temporaries
+            np.add(prod[:, 0], prod[:, -1], out=part)
+            part *= 0.5
+            np.arccosh(np.maximum(part, 1.0, out=part), out=part)
+            child.max_entry = max(child.max_entry, float(prod.max()), float(-prod.min()))
+            if j + 1 < n:
+                self._descend(j + 1, lo, prod, n)
+            del prod                                # freed before the next block is made
+
+    def _prepend(self, vecs, first=0, npar=None, out=None):
+        """L_b v for the parent vectors ``vecs``, rows first.. of a level of
+        ``npar`` rows (by default all of it), grouped by the prepended letter
+        b, parents in order, skipping those that start with b's inverse: the
+        next level's vectors in lexicographic word order.  Yields (lo, hi,
+        rows lo..hi of the next level) per product block, into ``out`` (the
+        next level's vectors) if given.
 
         It relies on the first-letter block invariant, which it also keeps: a
         level's words are grouped by first letter in letter order, npar // 2k
         words a block (empty at level 0, the one empty word).  So b's parents
-        are two slices, before and after its inverse's block.  numpy
-        multiplies a one-row matrix by dot, not gemm, with other bits: a
-        one-row slice of a letter that keeps more rows (a level-1 parent) is
-        multiplied as a two-row stack, and only a letter that keeps one row
-        (level 0, or k = 1) multiplies it alone.  So every row has the bits of
-        one product per letter over all its parents.
+        are two slices, before and after its inverse's block, and parent p
+        goes to row b * per + (p if it is before the block, else p - block).
+        numpy multiplies a one-row matrix by dot, not gemm, with other bits:
+        a one-row slice of a letter that keeps more rows (a level-1 parent,
+        or a chunk's edge) is multiplied as a two-row stack, and only a
+        letter that keeps one row (level 0, or k = 1) multiplies it alone.
+        So every row has the bits of one product per letter over all its
+        parents, however the parents are chunked.
         """
-        npar = vecs.shape[0]
+        npar = vecs.shape[0] if npar is None else npar
         block = npar // (2 * self.k)
         per = npar - block
-        lo = 0
+        end = first + vecs.shape[0]
         for b in range(2 * self.k):
             mat = self.letter_mats[b].T
             skip = self._inv(b) * block
-            for start, stop in ((0, skip), (skip + block, npar)):
-                if stop == start:
+            for start, stop in ((first, min(end, skip)), (max(first, skip + block), end)):
+                if stop <= start:
                     continue
+                lo = b * per + (start if start < skip else start - block)
                 hi = lo + stop - start
+                rows = vecs[start - first:stop - first]
                 dest = np.empty((hi - lo, vecs.shape[1])) if out is None else out[lo:hi]
                 if stop - start == 1 < per:
-                    dest[:] = np.matmul(vecs[[start, start]], mat)[:1]
+                    dest[:] = np.matmul(rows[[0, 0]], mat)[:1]
                 else:
-                    np.matmul(vecs[start:stop], mat, out=dest)
+                    np.matmul(rows, mat, out=dest)
                 yield lo, hi, dest
                 del dest                    # a block the caller dropped is freed now
-                lo = hi
 
-    def _next_level(self, parent: _Level, keep=True):
-        """The child level of ``parent``; without ``keep`` each product block
-        goes into its distances and largest entry and is dropped."""
-        exact = parent.exact and int(parent.max_entry) * self._row_sum <= _FLOAT_EXACT
-        npar = parent.vecs.shape[0]
-        count = 2 * self.k * (npar - npar // (2 * self.k))
-        vecs = np.empty((count, self.d + 2)) if keep else None
-        dists = np.empty(count)
-        top = 0.0
-        for lo, hi, prod in self._prepend(parent.vecs, vecs):
-            part = dists[lo:hi]                     # built in place: no temporaries
-            np.add(prod[:, 0], prod[:, -1], out=part)
-            part *= 0.5
-            np.arccosh(np.maximum(part, 1.0, out=part), out=part)
-            top = max(top, prod.max(), -prod.min())
-            del prod                                # freed before the next block is made
-        return _Level(vecs=vecs, dists=dists, max_entry=float(top),
-                      exact=exact, length=parent.length + 1, k=self.k)
+    def truncate(self, n):
+        """Forget the levels deeper than n; asking for them again rebuilds them."""
+        del self._levels[n + 1:]
 
     def level(self, n) -> _Level:
         return self.levels(n)[n]

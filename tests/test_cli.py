@@ -1,6 +1,7 @@
 """End-to-end command tests: exit codes, emitted files, determinism."""
 
 import ast
+import gc
 import os
 import re
 import subprocess
@@ -78,6 +79,7 @@ r_min = 0.05
     config("ref_n0.cfg", pipeline.format(group=REF, delta_n=6, measure_n=0))
     config("ref_n12.cfg", pipeline.format(group=REF, delta_n=8, measure_n=12))
     config("ref_n6.cfg", pipeline.format(group=REF, delta_n=8, measure_n=6))
+    config("ref_d12_m9.cfg", pipeline.format(group=REF, delta_n=12, measure_n=9))
     config("segment.cfg", """
 [run]
 seed = 0
@@ -393,23 +395,64 @@ def test_measure_depth_zero_single_atom(work, tmp_path):
     assert mu.n == 1
 
 
+def _count_level_builds(monkeypatch):
+    """The levels each ``SchottkyGroup._build`` call makes, in call order."""
+    built = []
+    real = schottky.SchottkyGroup._build
+
+    def counted(self, j, n, vectors):
+        built.extend(range(j + 1, n + 1))
+        return real(self, j, n, vectors)
+
+    monkeypatch.setattr(schottky.SchottkyGroup, "_build", counted)
+    return built
+
+
 def test_measure_builds_each_level_once(work, tmp_path, monkeypatch):
     """The measure's vector levels are built before delta's distances, so
     each level's products are built once, whether the measure is shallower
-    than delta or as deep."""
-    built = []
-    real = schottky.SchottkyGroup._next_level
+    than delta or as deep, and whether delta's deeper levels are built whole
+    or streamed (at 100 rows a chunk, below level 3)."""
+    built = _count_level_builds(monkeypatch)
+    for rows in (schottky._ROWS, 100):
+        monkeypatch.setattr(schottky, "_ROWS", rows)
+        for cfg in ("ref_n6.cfg", "ref.cfg"):
+            built.clear()
+            assert cli.main(["measure", "--config", str(work / cfg),
+                             "--out", str(tmp_path / cfg)]) == 0
+            assert built == list(range(1, 9)), (rows, cfg)
 
-    def counted(self, parent, keep=True):
-        built.append(parent.length + 1)
-        return real(self, parent, keep)
 
-    monkeypatch.setattr(schottky.SchottkyGroup, "_next_level", counted)
-    for cfg in ("ref_n6.cfg", "ref.cfg"):
+def test_delta_builds_each_level_once(work, tmp_path, monkeypatch):
+    """The shell sums of delta.csv reuse the estimate's distances."""
+    built = _count_level_builds(monkeypatch)
+    for rows in (schottky._ROWS, 100):
+        monkeypatch.setattr(schottky, "_ROWS", rows)
         built.clear()
-        assert cli.main(["measure", "--config", str(work / cfg),
-                         "--out", str(tmp_path / cfg)]) == 0
-        assert built == list(range(1, 9)), cfg
+        assert cli.main(["delta", "--config", str(work / "ref.cfg"),
+                         "--out", str(tmp_path / "d")]) == 0
+        assert built == list(range(1, 9)), rows
+
+
+def test_measure_holds_no_levels_below_its_depth(work):
+    """Once delta is estimated the pipeline forgets the distances below the
+    measure's depth, which only the estimate read; with gc off, so that no
+    reference cycle may keep the streamed levels alive either."""
+    cfg = _io.parse_experiment_config(str(work / "ref_d12_m9.cfg"))
+    gc.disable()
+    tracemalloc.start()
+    try:
+        run = cli._Pipeline(cfg, 1)
+        mu = run.mu
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert run.estimate.n_max == 12 and len(run.group._levels) == 10
+    # levels 0..9 with vectors and distances, the atoms, and what a first
+    # import holds (0.12 MiB in a fresh process); the distances of levels
+    # 10..12 alone are 7.8 MiB
+    assert held <= run.group.cache_bytes(9) + mu.points.nbytes + mu.weights.nbytes + (256 << 10)
 
 
 def test_measure_refinement_shrinks_residual(work, tmp_path):
@@ -428,6 +471,29 @@ def test_measure_refinement_shrinks_residual(work, tmp_path):
 # ---------------------------------------------------------------------------
 # fourier
 # ---------------------------------------------------------------------------
+
+def test_readme_kappa_figure(tmp_path):
+    """The README's kappa and its standard error, to the printed digits, from
+    the README config on the reference with the measure at the depth the
+    sentence names."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    flat = " ".join(readme.split())
+    depth, kappa, stderr = re.search(
+        r"the README config but `\[measure\] n_max = (\d+)` .*? kappa is ([-\d.]+) "
+        r"with a standard error of ([\d.]+),", flat).groups()
+    block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+    block = re.sub(r"(\[measure\]\nepsilon = [\d.]+\nn_max = )\d+", rf"\g<1>{depth}", block)
+    assert f"n_max = {depth}\n" in block
+    (tmp_path / "reference.group").write_text(Path(REF).read_text())
+    (tmp_path / "readme.cfg").write_text(block)
+    out = tmp_path / "out"
+    assert cli.main(["fourier", "--config", str(tmp_path / "readme.cfg"),
+                     "--out", str(out)]) == 0
+    summary = out / "fourier_summary.txt"
+    for printed, key in ((kappa, "kappa"), (stderr, "kappa_stderr")):
+        digits = len(printed.split(".")[1])
+        assert f"{float(block_value(summary, key)):.{digits}f}" == printed, key
+
 
 def test_fourier_segment_kappa_near_one(work, tmp_path):
     out = tmp_path / "f"

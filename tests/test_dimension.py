@@ -1,5 +1,7 @@
 """Critical exponent estimation: closed-form roots, fixtures, stability."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -90,13 +92,48 @@ def test_logsumexp_matches_scipy_bit_for_bit():
                 a.size, ours, theirs)
 
 
-def test_chunked_logsumexp_bits_independent_of_threads():
+def _chunked_cases():
     rng = np.random.default_rng(7)
     for n in (1, dimension._CHUNK, 5 * dimension._CHUNK + 123):
-        a = np.round(rng.normal(scale=30.0, size=n))
-        one = dimension._chunked_logsumexp(a, 0.5, threads=1)
-        two = dimension._chunked_logsumexp(a, 0.5, threads=2)
-        assert np.float64(one).tobytes() == np.float64(two).tobytes()
+        yield np.round(rng.normal(scale=30.0, size=n)), 0.5
+    d = np.abs(rng.normal(scale=30.0, size=3 * dimension._CHUNK))
+    d[dimension._CHUNK:2 * dimension._CHUNK] = np.inf    # a chunk's terms all 0
+    yield d, 0.5
+    d = d.copy()
+    d[5] = -np.inf                                       # a chunk's maximum inf
+    d[-1] = np.nan
+    yield d, 0.5
+    yield np.array([np.inf, 3.0]), 0.0                   # 0 * inf is nan
+
+
+def test_chunked_logsumexp_bits_independent_of_threads():
+    # a non-finite chunk takes the direct log(sum(exp)) from the distances,
+    # not from the scratch buffer that the shifted sum overwrote
+    from scipy.special import logsumexp as scipy_logsumexp
+    with np.errstate(all="ignore"):
+        for a, s in _chunked_cases():
+            parts = [scipy_logsumexp(-s * a[i:i + dimension._CHUNK])
+                     for i in range(0, a.size, dimension._CHUNK)]
+            want = np.float64(parts[0] if len(parts) == 1 else scipy_logsumexp(parts))
+            for threads in (1, 2, 3):
+                got = np.float64(dimension._chunked_logsumexp(a, s, threads=threads))
+                assert got.tobytes() == want.tobytes(), (a.size, s, threads, got, want)
+
+
+def test_chunked_logsumexp_memory_is_one_chunk_per_worker():
+    # each worker scales its chunks into one scratch buffer of a chunk, and
+    # the shifted sum works in it; the ties mask is an eighth of a chunk,
+    # and the thread pool's own objects take a few KiB
+    a = np.abs(np.random.default_rng(0).normal(scale=30.0, size=5 * dimension._CHUNK + 123))
+    dimension._chunked_logsumexp(a, 0.5, threads=3)     # the pool's first start
+    for threads in (1, 2, 3):
+        tracemalloc.start()
+        try:
+            dimension._chunked_logsumexp(a, 0.5, threads=threads)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= threads * 9 * dimension._CHUNK + (64 << 10), threads
 
 
 def test_thread_count_below_one_is_refused(reference):

@@ -173,22 +173,23 @@ def _same_bits(got, want):
 
 def _assert_levels_match_the_masked_oracle(make, depth):
     # four fresh groups: the oracle's; levels built as vectors; distances
-    # built alone (the last level's from product blocks, no level's vectors
-    # kept); and vectors asked for after a distances-only build, which
-    # rebuilds the dropped ones
+    # built alone (streamed below the deepest level of one chunk of rows, no
+    # level's vectors kept); and vectors asked for after a distances-only
+    # build, which rebuilds the dropped ones
     fresh = make().levels(depth)
-    dists = make().orbit_distances(depth)
+    alone = make()
+    alone.orbit_distances(depth)
     rebuilt = make()
     rebuilt.orbit_distances(depth)
     rebuilt = rebuilt.levels(depth)
-    for lev, again, d, oracle in zip(fresh, rebuilt, dists,
-                                     oracles.masked_levels(make(), depth), strict=True):
+    for lev, streamed, again, oracle in zip(fresh, alone._levels, rebuilt,
+                                            oracles.masked_levels(make(), depth), strict=True):
         for name in ("words", "vecs", "dists"):
             want = getattr(oracle, name)
             assert _same_bits(getattr(lev, name), want), name
             assert _same_bits(getattr(again, name), want), name
-        assert _same_bits(d, lev.dists)
-        for got in (lev, again):
+        assert _same_bits(streamed.dists, lev.dists)
+        for got in (lev, streamed, again):
             assert got.max_entry == oracle.max_entry and got.exact == oracle.exact
 
 
@@ -202,6 +203,34 @@ def test_sliced_level_build_matches_the_masked_prepend_bit_for_bit():
     for seed in range(8):
         _assert_levels_match_the_masked_oracle(
             functools.partial(workloads.generated_group, seed), 8)
+
+
+def test_streamed_levels_match_the_masked_prepend_bit_for_bit(monkeypatch):
+    # Below the levels built whole, orbit_distances streams from chunks of
+    # _ROWS parent rows.  With a few rows the chunk edges cut the letters'
+    # slices into one-row ranges (multiplied as a two-row stack), and at one
+    # row the stream starts at level 0, whose one row each letter multiplies
+    # alone (dot, per == 1), as every letter does on the k = 1 group.  The
+    # cubed reference loses exactness at level 5, inside the stream.
+    from perfbench import workloads
+
+    def reference():
+        return _io.load_group_file(limset.fixture_path("reference"))
+
+    cases = ((reference, 7), (lambda: _cubed(reference()), 7),
+             (functools.partial(workloads.generated_group, 0), 5),
+             (functools.partial(_io.load_group_file, limset.fixture_path("cyclic")), 12))
+    for make, depth in cases:
+        oracle = list(oracles.masked_levels(make(), depth))
+        for rows in (1, 2, 3, 5, 16, 100):
+            monkeypatch.setattr(schottky, "_ROWS", rows)
+            G = make()
+            dists = G.orbit_distances(depth)
+            assert [lev.vecs is None for lev in G._levels] == [False] + [True] * depth
+            for lev, d, want in zip(G._levels, dists, oracle, strict=True):
+                assert _same_bits(d, want.dists), (rows, lev.length)
+                assert lev.max_entry == want.max_entry, (rows, lev.length)
+                assert lev.exact == want.exact, (rows, lev.length)
 
 
 def test_orbit_images_match_the_masked_prepend_bit_for_bit():
@@ -269,24 +298,28 @@ def test_integer_lane_level_build_holds_one_float_copy():
 
 
 def test_distances_only_build_holds_no_deep_vectors():
-    # orbit_distances drops each parent level's vectors once its child is
-    # built and turns the last level's product blocks into distances, so
-    # the build holds the distances, one parent level's vectors and one
-    # product block (at most 2k - 1 of the parent's 2k first-letter blocks),
-    # and leaves the distances held (level 0 was built with the group)
-    G = _io.load_group_file(limset.fixture_path("reference"))
-    tracemalloc.start()
-    try:
-        dists = G.orbit_distances(12)
-        held, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    dist_bytes = sum(d.nbytes for d in dists)
-    parent_vecs = (G.d + 2) * dists[11].nbytes
-    assert dist_bytes == 8 * G.word_count(12)
-    assert peak <= 1.05 * (dist_bytes + 2 * parent_vecs)
-    assert held <= dist_bytes + 16 * 1024
-    assert [lev.vecs is None for lev in G._levels] == [False] + [True] * 12
+    # orbit_distances builds whole only the levels of at most one chunk of
+    # _ROWS rows (levels 0..8 on the reference, 1.5 chunks of rows together)
+    # and streams the deeper ones depth first, holding one product block of
+    # at most a chunk per streamed level: above the distances it holds a
+    # chunk per level, not a level's vectors (measured 0.76, 0.91 and 1.06
+    # MiB at depths 11, 12 and 13; the level-by-level build held level 11's
+    # 5.4 MiB of vectors and a product block at depth 12).  It leaves the
+    # distances held (level 0 was built with the group).
+    for depth in (11, 12, 13):
+        G = _io.load_group_file(limset.fixture_path("reference"))
+        tracemalloc.start()
+        try:
+            dists = G.orbit_distances(depth)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        dist_bytes = sum(d.nbytes for d in dists)
+        chunk = (G.d + 2) * 8 * schottky._ROWS
+        assert dist_bytes == 8 * G.word_count(depth)
+        assert peak <= dist_bytes + (2 + depth - G._one_chunk_through(depth)) * chunk, depth
+        assert held <= dist_bytes + 16 * 1024
+        assert [lev.vecs is None for lev in G._levels] == [False] + [True] * depth
 
 
 def _cubed(reference):
@@ -367,6 +400,16 @@ def test_level_cache_budget_check_is_cheap_at_any_depth(cyclic):
     with pytest.raises(ValueError, match="depth 17 need 7.7 GiB"):
         G.levels(17)
     assert len(G._levels) == 1
+
+
+def test_readme_streamed_level_figures():
+    readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
+    rows, level = re.search(r"the deepest of at most ([\d,]+) words, whichever is deeper "
+                            r"\(level (\d+) on the reference\)", readme).groups()
+    assert int(rows.replace(",", "")) == schottky._ROWS
+    assert f"chunks of {rows} parent rows" in readme
+    G = _io.load_group_file(limset.fixture_path("reference"))
+    assert G._one_chunk_through(12) == int(level)
 
 
 def test_readme_level_cache_figures_are_cache_bytes():
