@@ -183,6 +183,12 @@ class PingPongReport:
         return "\n".join(lines)
 
 
+def _direction(v):
+    """The unit vector along v, or the first axis when v is zero."""
+    norm = np.linalg.norm(v)
+    return v / norm if norm > 0 else np.eye(v.shape[0])[0]
+
+
 def _words_through(k, n):
     """The reduced words of length <= n on k generators, in closed form."""
     base = 2 * k - 1
@@ -269,18 +275,22 @@ class SchottkyGroup:
 
     # -- level cache ----------------------------------------------------------
 
-    def cache_bytes(self, n):
-        """Bytes of the orbit vectors and distances of levels 0..n: a float64
-        vector and distance for each of their word_count(n) words.  The cache
-        holds every built level's distances but only the vectors of the levels
-        read as vectors, so this is what it holds at most."""
-        return (self.d + 3) * 8 * _words_through(self.k, n)
+    def cache_bytes(self, n, read=None, held=0):
+        """Bytes the level cache holds at most while ``_extend_levels`` builds
+        levels 0..n with vectors through ``read`` (by default n), levels
+        0..``held`` already holding theirs: a float64 distance for each word of
+        levels 0..n, and a (d+2)-float vector for each word of the levels built
+        whole and for each row of one _ROWS chunk per level streamed below."""
+        read = n if read is None else read
+        whole = max(read, held, self._one_chunk_through(n))
+        vectors = _words_through(self.k, whole) + max(n - whole, 0) * _ROWS
+        return 8 * (_words_through(self.k, n) + (self.d + 2) * vectors)
 
-    def check_depth(self, n):
-        """Refuse levels 0..n over the level cache budget, building nothing; a
-        k >= 2 depth past 64 (over any budget) is named by levels 0..64's size."""
+    def check_depth(self, n, read=None, held=0):
+        """Refuse levels 0..n over the level cache budget (``cache_bytes``),
+        building nothing; a k >= 2 depth past 64 is named by levels 0..64's."""
         shown = n if self.k == 1 else min(n, 64)
-        need = self.cache_bytes(shown)
+        need = self.cache_bytes(shown, min(n if read is None else read, shown), min(held, shown))
         if need > _CACHE_BUDGET:
             more = "more than " if shown < n else ""
             raise ValueError(f"word levels to depth {n} need {more}{need / 2 ** 30:.3g} GiB,"
@@ -293,9 +303,9 @@ class SchottkyGroup:
         deepest level of at most _ROWS words, whichever is deeper; the rest
         are streamed from there (``_build``) and never hold vectors.  A level
         built with vectors only as a parent drops them at the end."""
-        self.check_depth(n)
         levels = self._levels
         held = sum(lev.vecs is not None for lev in levels) - 1
+        self.check_depth(n, read, held)
         whole = read if n < len(levels) else max(read, held, self._one_chunk_through(n))
         for j in range(held + 1, whole + 1):
             self._build(j - 1, j, vectors=True)
@@ -307,8 +317,8 @@ class SchottkyGroup:
             lev.vecs = None
 
     def _one_chunk_through(self, n):
-        """The deepest level <= n of at most _ROWS words."""
-        j = 0
+        """The deepest level <= n of at most _ROWS words (n when k = 1)."""
+        j = n if self.k == 1 else 0
         while j < n and _words_through(self.k, j + 1) - _words_through(self.k, j) <= _ROWS:
             j += 1
         return j
@@ -427,12 +437,9 @@ class SchottkyGroup:
 
         Disjointness of the 2k balls is a hard precondition (raises
         ConfigurationError naming the first offending pair).  For each letter
-        the image of the complement of its source ball is bounded as an exact
-        ball image (a sphere fit through the images of seeded boundary points,
-        in d = 1 the two endpoints) and must sit inside the target ball; dense
-        outside samples (including the image of the chart's point at infinity)
-        are checked point-wise, at a fixed seed.  The worst containment margin
-        is reported.
+        the image of the complement of its source ball, an exact ball
+        (``_letter_margin``), must sit inside the target ball; the worst
+        containment margin is reported.
         """
         names = self.letter_names
         # the plus-balls of the 2k letters run through all 2k balls exactly once
@@ -444,13 +451,11 @@ class SchottkyGroup:
             if gap <= 0:
                 raise ConfigurationError(
                     f"balls of {names[i]} and {names[j]} overlap (gap {gap:.3g})")
-        rng = np.random.default_rng(0)
         margins, witnesses = {}, []
         ok = True
         for b in range(2 * self.k):
-            g = self.letter_mats[b]
             source, target = self.letter_balls[b]
-            margin, wit = self._letter_margin(g, source, target, rng)
+            margin, wit = self._letter_margin(self.letter_mats[b], source, target)
             margins[names[b]] = margin
             if margin <= 0:
                 ok = False
@@ -462,54 +467,36 @@ class SchottkyGroup:
                               min_ball_gap=float(min_gap),
                               witnesses=witnesses)
 
-    def _letter_margin(self, g, source, target, rng):
-        d = self.d
-        # the point sent to chart-infinity must lie inside the source ball,
-        # otherwise the image of the complement is unbounded
-        ginv = core.group_inverse(g)
+    @staticmethod
+    def _letter_margin(g, source, target):
+        """The margin by which g maps the complement of ``source`` into
+        ``target``, and for a margin <= 0 a source point whose image escapes.
+
+        A positive leading eigenvalue (``translation_length``) makes g time-
+        orientation preserving: a Moebius map of the chart that sends only its
+        pole p = g^-1(inf) to infinity, so the image is bounded exactly when p
+        is inside the source ball.  The source diameter through p lies on a
+        line orthogonal to the source sphere, whose image is a line through the
+        image sphere's centre: the diameter's ends map to antipodes of it.  A
+        failure's witness is the preimage of its point farthest from the target.
+        """
         try:
-            pole = core.boundary_from_chart(ginv[:, 0])
+            pole = core.boundary_from_chart(core.group_inverse(g)[:, 0])
         except core.ChartInfinityError:
             return -np.inf, None
         if source.margin(pole) <= 0:
             return -np.inf, pole
-        # exact image of the source-ball boundary (in d = 1 the draws take
-        # both signs, so the fit passes through the two endpoints' images)
-        u = rng.standard_normal((max(64, d + 3), d))
-        u /= np.linalg.norm(u, axis=1, keepdims=True)
-        sphere = source.center + source.radius * u
-        img, fin = core.chart_action(g, sphere)
-        if not fin.all():
-            return -np.inf, sphere[~fin][0]
-        # Moebius images of spheres are spheres: fit ||y||^2 = 2<y,c> - k
-        A = np.column_stack([2.0 * img, -np.ones(len(img))])
-        rhs = np.sum(img ** 2, axis=1)
-        sol, *_ = np.linalg.lstsq(A, rhs, rcond=None)
-        c_img, k_img = sol[:d], sol[d]
-        r_img = np.sqrt(max(float(c_img @ c_img - k_img), 0.0))
-        if np.abs(A @ sol - rhs).max() > 1e-6 * (1.0 + rhs.max()):
-            return -np.inf, sphere[0]  # not a sphere: g outside the model
-        fit_margin = float(target.radius - np.linalg.norm(c_img - target.center) - r_img)
-        worst = sphere[int(np.argmin(target.margin(img)))]
-        # dense samples outside the source ball, plus the image of infinity
-        u = rng.standard_normal((256, d))
-        u /= np.linalg.norm(u, axis=1, keepdims=True)
-        radii = source.radius * np.exp(rng.uniform(0.0, 5.0, len(u)))
-        outside = source.center + radii[:, None] * u
-        img_out, fin = core.chart_action(g, outside)
-        if not fin.all():
-            return -np.inf, outside[~fin][0]
-        m = target.margin(img_out)
-        sample_margin = float(m.min())
-        if sample_margin < fit_margin - 1e-9:
-            worst = outside[int(np.argmin(m))]
-        try:
-            inf_img = core.boundary_from_chart(g[:, 0])
-            inf_margin = float(target.margin(inf_img))
-        except core.ChartInfinityError:
-            return -np.inf, None
-        margin = min(fit_margin, sample_margin, inf_margin)
-        return margin, (worst if margin <= 0 else None)
+        axis = _direction(pole - source.center)
+        ends = source.center + source.radius * np.array([axis, -axis])
+        img, fin = core.chart_action(g, ends)
+        if not fin.all():               # an end so near p that its image leaves the chart
+            return -np.inf, ends[~fin][0]
+        centre, radius = 0.5 * (img[0] + img[1]), 0.5 * np.linalg.norm(img[0] - img[1])
+        margin = float(target.margin(centre) - radius)
+        if margin > 0:
+            return margin, None
+        far = centre + radius * _direction(centre - target.center)
+        return margin, core.chart_action(core.group_inverse(g), far)[0][0]
 
     def __repr__(self):
         return f"SchottkyGroup(name={self.name!r}, k={self.k}, d={self.d})"

@@ -326,12 +326,66 @@ def limit_set_sample(group, depth):
 
 def ball_image_interval(g, ball):
     """The image under g of the boundary of a d = 1 chart ball: the images of
-    its two endpoints, sorted.  The ping-pong certificate fits a sphere
-    through the images of seeded boundary points instead, in every d."""
+    its two endpoints, sorted.  In d = 1 the ping-pong certificate's source
+    diameter is the ball itself, so it maps these same two endpoints."""
     ends = np.array([[ball.center[0] - ball.radius], [ball.center[0] + ball.radius]])
     img, fin = core.chart_action(g, ends)
     assert fin.all(), "an endpoint of the ball maps to infinity"
     return np.sort(img[:, 0])
+
+
+def sampled_letter_margin(g, source, target, rng):
+    """The ping-pong margin of one letter, sampled: a least-squares sphere fit
+    through the images of seeded points on the source sphere, 256 seeded
+    points outside it and the image of infinity.  The d >= 2 oracle of
+    ``SchottkyGroup._letter_margin``, which maps two points instead."""
+    d = source.center.shape[0]
+    # the point sent to chart-infinity must lie inside the source ball,
+    # otherwise the image of the complement is unbounded
+    ginv = core.group_inverse(g)
+    try:
+        pole = core.boundary_from_chart(ginv[:, 0])
+    except core.ChartInfinityError:
+        return -np.inf, None
+    if source.margin(pole) <= 0:
+        return -np.inf, pole
+    # exact image of the source-ball boundary (in d = 1 the draws take
+    # both signs, so the fit passes through the two endpoints' images)
+    u = rng.standard_normal((max(64, d + 3), d))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    sphere = source.center + source.radius * u
+    img, fin = core.chart_action(g, sphere)
+    if not fin.all():
+        return -np.inf, sphere[~fin][0]
+    # Moebius images of spheres are spheres: fit ||y||^2 = 2<y,c> - k
+    A = np.column_stack([2.0 * img, -np.ones(len(img))])
+    rhs = np.sum(img ** 2, axis=1)
+    sol, *_ = np.linalg.lstsq(A, rhs, rcond=None)
+    c_img, k_img = sol[:d], sol[d]
+    r_img = np.sqrt(max(float(c_img @ c_img - k_img), 0.0))
+    if np.abs(A @ sol - rhs).max() > 1e-6 * (1.0 + rhs.max()):
+        return -np.inf, sphere[0]  # not a sphere: g outside the model
+    fit_margin = float(target.radius - np.linalg.norm(c_img - target.center) - r_img)
+    worst = sphere[int(np.argmin(target.margin(img)))]
+    # dense samples outside the source ball, plus the image of infinity
+    u = rng.standard_normal((256, d))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    radii = source.radius * np.exp(rng.uniform(0.0, 5.0, len(u)))
+    outside = source.center + radii[:, None] * u
+    img_out, fin = core.chart_action(g, outside)
+    if not fin.all():
+        return -np.inf, outside[~fin][0]
+    m = target.margin(img_out)
+    sample_margin = float(m.min())
+    if sample_margin < fit_margin - 1e-9:
+        worst = outside[int(np.argmin(m))]
+    try:
+        inf_img = core.boundary_from_chart(g[:, 0])
+        inf_margin = float(target.margin(inf_img))
+    except core.ChartInfinityError:
+        return -np.inf, None
+    margin = min(fit_margin, sample_margin, inf_margin)
+    return margin, (worst if margin <= 0 else None)
 
 
 def in_so_q(g):

@@ -175,6 +175,17 @@ def test_validate_malformed_reports_line(tmp_path, capsys):
     assert "line 5" in capsys.readouterr().err
 
 
+def test_validate_failed_inclusion_exits_2_with_a_witness(tmp_path, capsys):
+    # g1's plus ball shrunk to radius 0.5, below g1's image radius 2/3
+    text = Path(REF).read_text()
+    shrunk = tmp_path / "shrunk.group"
+    shrunk.write_text(text.replace("plus_radius = 0.6875\n", "plus_radius = 0.5\n", 1))
+    assert cli.main(["validate", str(shrunk)]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("ping-pong FAIL")
+    assert re.search(r"^  witness: g1: image of \[-?[\d.]+\] escapes the target ball$", out, re.M)
+
+
 def test_validate_missing_file_io_exit(tmp_path):
     assert cli.main(["validate", str(tmp_path / "nope.group")]) == 4
 
@@ -222,7 +233,7 @@ if mode == 'cli':
     except SystemExit as exc:   # argparse's refusal
         code = exc.code
 print(code, sorted(m for m in sys.modules if m.startswith('limset.')),
-      '_hashlib' in sys.modules)
+      '_hashlib' in sys.modules, 'numpy.random' in sys.modules)
 print(limset.fourier.decay_scan.__module__)
 """
 
@@ -231,12 +242,13 @@ def test_each_command_loads_only_its_layers(tmp_path):
     # each case in a fresh interpreter: `import limset` loads no layer, a
     # layer still resolves as an attribute, and a command loads only the
     # layers it runs; no config is parsed, so hashlib is not loaded unless
-    # numpy.random is (validate's and holonomy's draws import it through secrets)
+    # numpy.random is (holonomy's draws import it through secrets); validate
+    # draws nothing and loads neither
     front = ["limset._io", "limset.cli", "limset.core"]
     cases = {
         ("import",): "None [] False",
         ("cli",): f"2 {front} False",     # no subcommand: argparse exits 2
-        ("cli", "validate", REF): f"0 {sorted(front + ['limset.schottky'])}",
+        ("cli", "validate", REF): f"0 {sorted(front + ['limset.schottky'])} False False",
         ("cli", "holonomy", "--trials", "10", "--out", str(tmp_path)):
             f"0 {sorted(front + ['limset.holonomy'])}",
     }
@@ -825,12 +837,15 @@ def test_bad_input_exits_2_naming_its_line(tmp_path, capsys, monkeypatch, case):
         assert int(line.group(1)) == _BAD_LINES[case]
 
 
-@pytest.mark.parametrize("section", ["delta", "measure"])
-def test_depth_over_level_cache_budget_exits_2_up_front(tmp_path, capsys, section):
-    # depth 17 of the reference needs 7.7 GiB of levels: refused before any
-    # level (or, for measure, the delta stage) is built
+@pytest.mark.parametrize("section, depth, need", [
+    pytest.param("delta", 18, "5.78", id="delta"),
+    pytest.param("measure", 17, "7.7", id="measure")])
+def test_depth_over_level_cache_budget_exits_2_up_front(tmp_path, capsys, section, depth, need):
+    # the levels of the reference over the budget, refused before any level
+    # (or, for measure, the delta stage) is built: delta holds distances
+    # only, so its depth 17 (1.9 GiB) fits and depth 18 does not
     path = tmp_path / "deep.cfg"
-    path.write_text(_GROUP + f"[{section}]\nn_max = 17\n")
+    path.write_text(_GROUP + f"[{section}]\nn_max = {depth}\n")
     tracemalloc.start()
     start = time.perf_counter()
     try:
@@ -841,7 +856,7 @@ def test_depth_over_level_cache_budget_exits_2_up_front(tmp_path, capsys, sectio
     assert code == 2
     assert time.perf_counter() - start < 0.5
     assert peak < 4 << 20
-    assert "depth 17 need 7.7 GiB" in capsys.readouterr().err
+    assert f"depth {depth} need {need} GiB" in capsys.readouterr().err
 
 
 def test_huge_measure_depth_is_refused_before_the_word_count(tmp_path, capsys, monkeypatch):

@@ -384,6 +384,12 @@ def test_level_cache_over_budget_is_refused_before_any_build():
     assert G.cache_bytes(16) < schottky._CACHE_BUDGET < G.cache_bytes(17)
     with pytest.raises(ValueError, match=r"depth 17 need 7\.7 GiB, over .*budget of 4 GiB"):
         G.level(17)
+    # distances only: 1.92 GiB of distances and under 4 MiB of vectors (levels
+    # 0..8 whole, one chunk per streamed level) fit; depth 18 does not
+    G.check_depth(17, read=0)
+    assert G.cache_bytes(17, read=0) - 8 * G.word_count(17) < 4 << 20
+    with pytest.raises(ValueError, match=r"depth 18 need 5\.78 GiB"):
+        G.orbit_distances(18)
     assert len(G._levels) == 1
 
 
@@ -413,14 +419,16 @@ def test_readme_streamed_level_figures():
 
 
 def test_readme_level_cache_figures_are_cache_bytes():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    sentence = re.search(r"`\[delta\] n_max = (\d+)`.*?needs ([\d.]+) GiB, depth (\d+) "
-                         r"([\d.]+) GiB", readme, re.S)
+    readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
     G = _io.load_group_file(limset.fixture_path("reference"))
-    over, over_gib, under, under_gib = sentence.groups()
-    assert f"{G.cache_bytes(int(over)) / 2 ** 30:.1f}" == over_gib
-    assert f"{G.cache_bytes(int(under)) / 2 ** 30:.1f}" == under_gib
-    assert G.cache_bytes(int(under)) <= schottky._CACHE_BUDGET < G.cache_bytes(int(over))
+    # a measure reads its levels as vectors; delta reads distances only
+    for section, read in (("measure", None), ("delta", 0)):
+        figures = re.search(rf"`\[{section}\] n_max = (\d+)` needs ([\d.]+) GiB(?:, [^,]*,)? "
+                            r"and depth (\d+) ([\d.]+) GiB", readme).groups()
+        for n, gib in (figures[:2], figures[2:]):
+            need = G.cache_bytes(int(n), read)
+            assert f"{need / 2 ** 30:.1f}" == gib, section
+            assert (need > schottky._CACHE_BUDGET) == (float(gib) > 4), section
 
 
 def test_orbit_distances_level_one(reference):
@@ -457,11 +465,11 @@ def test_reference_ping_pong_margins(reference):
     assert report.ok
     # exact margins: g1 and g2^-1 land with margin 11/16 - 2/3 = 1/48;
     # g1^-1 and g2 with margin 3 - 32/11 = 1/11
-    assert report.worst_margin == pytest.approx(1.0 / 48.0, abs=1e-9)
-    assert report.margins["g1"] == pytest.approx(1.0 / 48.0, abs=1e-9)
-    assert report.margins["g2^-1"] == pytest.approx(1.0 / 48.0, abs=1e-9)
-    assert report.margins["g1^-1"] == pytest.approx(1.0 / 11.0, abs=1e-9)
-    assert report.margins["g2"] == pytest.approx(1.0 / 11.0, abs=1e-9)
+    assert report.worst_margin == pytest.approx(1.0 / 48.0, abs=1e-12)
+    assert report.margins["g1"] == pytest.approx(1.0 / 48.0, abs=1e-12)
+    assert report.margins["g2^-1"] == pytest.approx(1.0 / 48.0, abs=1e-12)
+    assert report.margins["g1^-1"] == pytest.approx(1.0 / 11.0, abs=1e-12)
+    assert report.margins["g2"] == pytest.approx(1.0 / 11.0, abs=1e-12)
     assert report.min_ball_gap == pytest.approx(5.0 / 16.0, abs=1e-12)
     assert "PASS" in str(report)
 
@@ -471,18 +479,58 @@ def test_overlapping_balls_error():
         _io.load_group_file(limset.fixture_path("overlapping")).validate()
 
 
-def test_failed_inclusion_reported(reference):
-    # shrink g1's plus ball below the exact image radius 2/3: inclusion fails
+def _shrunk_reference(reference):
+    """The reference with g1's plus ball shrunk to radius 0.5, below the
+    exact image radius 2/3 of g1; g1^-1's image radius grows to 2 / 0.5 = 4."""
     g1 = reference.gens[0]
     bad = schottky.SchottkyGenerator(
         elem=g1.elem,
         ball_plus=schottky.Ball(g1.ball_plus.center, 0.5),
         ball_minus=g1.ball_minus)
-    G = schottky.SchottkyGroup([bad, reference.gens[1]])
-    report = G.validate()
+    return schottky.SchottkyGroup([bad, reference.gens[1]])
+
+
+def test_failed_inclusion_reported(reference):
+    report = _shrunk_reference(reference).validate()
     assert not report.ok
-    assert report.margins["g1"] == pytest.approx(0.5 - 2.0 / 3.0, abs=1e-9)
-    assert report.witnesses
+    assert report.margins["g1"] == pytest.approx(0.5 - 2.0 / 3.0, abs=1e-12)
+    assert report.margins["g1^-1"] == pytest.approx(3.0 - 4.0, abs=1e-12)
+    assert [w.split(":")[0] for w in report.witnesses] == ["g1", "g1^-1"]
+
+
+def test_bounded_failure_witness_escapes_its_target(reference):
+    # a failing letter's witness lies on its source sphere, and g maps it
+    # outside the target, to the image sphere's point farthest from the
+    # target's centre: its image's margin is the letter's margin
+    from perfbench import workloads
+    failed = 0
+    for G in [_shrunk_reference(reference)] + [workloads.generated_group(s) for s in range(4)]:
+        for b in range(2 * G.k):
+            g, (source, target) = G.letter_mats[b], G.letter_balls[b]
+            for tgt in (target, schottky.Ball(target.center, 0.5 * target.radius),
+                        schottky.Ball(target.center + target.radius, target.radius)):
+                margin, wit = G._letter_margin(g, source, tgt)
+                if margin > 0:
+                    assert wit is None
+                    continue
+                failed += 1
+                assert np.isfinite(margin)
+                assert abs(np.linalg.norm(wit - source.center) - source.radius) <= 1e-12
+                image = core.chart_action(g, wit)[0][0]
+                assert tgt.margin(image) <= 0
+                assert tgt.margin(image) == pytest.approx(margin, abs=1e-9)
+    assert failed >= 2 + 2 * 6 * 4
+
+
+def test_unbounded_image_fails_with_its_witness(reference):
+    # g1's pole is -4: a source ball without it has an unbounded image, and
+    # one with it 1e-6 inside its sphere has an end whose image the chart
+    # cannot hold (the image's last coordinate vanishes to second order)
+    g, (_, target) = reference.letter_mats[0], reference.letter_balls[0]
+    for center, witness in ((-0.5, -4.0), (-1.0 - 1e-6, -4.0 - 1e-6)):
+        margin, wit = reference._letter_margin(g, schottky.Ball([center], 3.0), target)
+        assert margin == -np.inf
+        assert wit == pytest.approx([witness], abs=1e-12)
 
 
 def test_cyclic_ping_pong(cyclic):
@@ -490,9 +538,9 @@ def test_cyclic_ping_pong(cyclic):
     assert report.ok
     assert cyclic.k == 1
     # exact margins: g1 lands with margin 11/16 - 2/3 = 1/48, g1^-1 with 1/11
-    assert report.margins["g1"] == pytest.approx(1.0 / 48.0, abs=1e-9)
-    assert report.margins["g1^-1"] == pytest.approx(1.0 / 11.0, abs=1e-9)
-    assert report.worst_margin == pytest.approx(1.0 / 48.0, abs=1e-9)
+    assert report.margins["g1"] == pytest.approx(1.0 / 48.0, abs=1e-12)
+    assert report.margins["g1^-1"] == pytest.approx(1.0 / 11.0, abs=1e-12)
+    assert report.worst_margin == pytest.approx(1.0 / 48.0, abs=1e-12)
 
 
 def _seeded_d1_group(k, seed):
@@ -517,25 +565,39 @@ def _seeded_d1_group(k, seed):
 
 
 def test_d1_sphere_fit_is_the_endpoint_image():
-    # in d = 1 the certificate's seeded boundary draws must take both signs,
-    # so that the fitted sphere is the interval between the endpoints' images.
-    # A target ball reaching 1 past the oracle interval on one side, and far
-    # past it on the other, has the fit's margin 1 exactly when the fit's end
-    # on that side is the oracle's: images of outside points and of infinity
-    # lie inside the interval, so the fit's margin is the letter's margin
+    # in d = 1 the certificate's source diameter is the source ball, so its
+    # image ball is the interval between the endpoints' images.  A target
+    # ball reaching 1 past the oracle interval on one side, and far past it
+    # on the other, has margin 1 exactly when the image's end on that side
+    # is the oracle's
     for k in (1, 2, 3, 4):
         G = _seeded_d1_group(k, seed=k)
         assert G.validate().ok
         for side in (-1.0, 1.0):
-            rng = np.random.default_rng(0)       # the draws of validate
             for b in range(2 * k):
                 lo, hi = oracles.ball_image_interval(G.letter_mats[b], G.letter_balls[b][0])
                 reach = hi - lo + 2.0
                 target = schottky.Ball([hi + 1.0 - reach if side < 0 else lo - 1.0 + reach],
                                        reach)
                 margin, _ = G._letter_margin(G.letter_mats[b], G.letter_balls[b][0],
-                                             target, rng)
+                                             target)
                 assert margin == pytest.approx(1.0, abs=1e-12), (k, b, side)
+
+
+def test_letter_margin_matches_the_sampled_sphere_fit(sweep_groups):
+    # the d >= 2 oracle: a sphere fit through 64 seeded boundary images and
+    # 256 seeded outside points, at seed 0.  These groups centre each source
+    # ball on its letter's pole, where every diameter passes through the
+    # pole, so each source ball is also moved off the pole by 0.4 radii
+    from perfbench import workloads
+    for G in [workloads.generated_group(s) for s in range(8)] + list(sweep_groups.values()):
+        rng = np.random.default_rng(0)
+        for b in range(2 * G.k):
+            g, (source, target) = G.letter_mats[b], G.letter_balls[b]
+            shift = 0.4 * source.radius * np.resize([0.6, 0.8], G.d)
+            for src in (source, schottky.Ball(source.center + shift, source.radius)):
+                sampled, _ = oracles.sampled_letter_margin(g, src, target, rng)
+                assert G._letter_margin(g, src, target)[0] == pytest.approx(sampled, abs=1e-9)
 
 
 def test_sweep_groups_validate(sweep_groups):
