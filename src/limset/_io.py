@@ -9,7 +9,8 @@ round-tripping is lossless.  Group files and configs share one schema reader,
 non-finite number are refused at the 1-based line of the key or its section.
 Each config key is named once, in ``_config_schema()``, with its converter and
 default; the converter also refuses a value out of the library's range.  Only
-``core`` is imported at module level; each function imports the layers it reads.
+``core`` is imported at module level; parsing a config imports no layer, and
+each other function imports the layers it reads.
 
 CSV files start with '# key=value' header comments (config hash, version,
 seed), use '%.17g' for floats, and are byte-identical across reruns at fixed
@@ -189,9 +190,8 @@ def _thread_count(value, line, what="value"):
 
 
 def _epsilons(value, line, what="value"):
-    """[nonconc] epsilons, refused by nonconc's own bound with its line number."""
-    from limset import nonconc
-    eps = _at_line(line, nonconc._slab_epsilons, _floats(value, line, what=what))
+    """[nonconc] epsilons, refused by the slab-width rule with its line number."""
+    eps = _at_line(line, core.slab_epsilons, _floats(value, line, what=what))
     return tuple(eps.tolist())
 
 
@@ -276,23 +276,24 @@ def group_file_text(group, comment=None):
 
 @functools.cache
 def _config_schema():
-    """Every config key, named once: section -> key -> (converter, default)."""
-    from limset import dimension, fourier, measure, nonconc
+    """Every config key, named once: section -> key -> (converter, default);
+    the layers' defaults and bounds are read from ``core``, not the layers."""
     return {
         "run": {"seed": (_number(_one_int, 0), 0), "threads": (_thread_count, 1)},
         "group": {"file": (_text, "")},
-        "delta": {"n_max": (_number(_one_int, dimension.MIN_N_MAX), dimension.DEFAULT_N_MAX)},
+        "delta": {"n_max": (_number(_one_int, core.DELTA_MIN_N_MAX),
+                            core.DELTA_DEFAULT_N_MAX)},
         "measure": {"file": (_text, ""),    # nonempty: load atoms here, skip the pipeline
-                    "epsilon": (_positive, measure.DEFAULT_EPSILON),
-                    "n_max": (_number(_one_int, 0), measure.DEFAULT_N_MAX)},
+                    "epsilon": (_positive, core.MEASURE_DEFAULT_EPSILON),
+                    "n_max": (_number(_one_int, 0), core.MEASURE_DEFAULT_N_MAX)},
         "fourier": {"shell_min": (_positive, 1.0), "shell_max": (_positive, 256.0),
                     "samples_per_shell": (_number(_one_int, 1), 16),
-                    "grid_step": (_number(_one_float, 0, fourier.MAX_GRID_STEP, above=True),
-                                  0.25),
-                    "grid_max": (_number(_one_float, fourier.MIN_EXCEPTIONAL_T), 256.0)},
-        "nonconc": {"samples": (_number(_one_int, 1), nonconc.DEFAULT_BALL_SAMPLES),
+                    "grid_step": (_number(_one_float, 0, core.FOURIER_MAX_GRID_STEP,
+                                          above=True), 0.25),
+                    "grid_max": (_number(_one_float, core.FOURIER_MIN_EXCEPTIONAL_T), 256.0)},
+        "nonconc": {"samples": (_number(_one_int, 1), core.NONCONC_DEFAULT_BALL_SAMPLES),
                     "r_min": (_number(_one_float, 0.0, 1.0, below=True), 0.0),   # 0 = auto
-                    "epsilons": (_epsilons, nonconc.DEFAULT_EPSILONS)},
+                    "epsilons": (_epsilons, core.NONCONC_DEFAULT_EPSILONS)},
         "output": {"dir": (_text, "out"), "svg": (_boolean, False)},
     }
 
@@ -315,10 +316,19 @@ def shell_count(shell_min, shell_max):
     return int(np.floor(np.log2(ratio) + 1e-9)) + 1
 
 
+def _sha256(data):
+    """Hex SHA-256 by the built-in module hashlib falls back to (``_sha2`` on
+    CPython >= 3.12, ``_sha256`` on 3.10-3.11), else by hashlib, which maps
+    OpenSSL's libcrypto (3.6 MiB resident over numpy's) to hash one config."""
+    for name in ("_sha2", "_sha256", "hashlib"):
+        try:
+            return __import__(name).sha256(data).hexdigest()
+        except ImportError:
+            pass
+
+
 def parse_experiment_config(path):
     """Read a config; each bad value is refused at its line before any work."""
-    import hashlib
-    from limset import fourier
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -328,11 +338,11 @@ def parse_experiment_config(path):
     values = {name: types.SimpleNamespace(**_read(sections, name, schema, kind="config key"))
               for name, schema in _config_schema().items()}
     f, keys = values["fourier"], sections.get("fourier", (None, {}))[1]
-    if shell_count(f.shell_min, f.shell_max) < fourier.MIN_SHELLS:
+    if shell_count(f.shell_min, f.shell_max) < core.FOURIER_MIN_SHELLS:
         key = "shell_max" if "shell_max" in keys else "shell_min"
-        raise GroupFileError(f"{key}: fewer than {fourier.MIN_SHELLS} shells from "
+        raise GroupFileError(f"{key}: fewer than {core.FOURIER_MIN_SHELLS} shells from "
                              f"{f.shell_min:g} to {f.shell_max:g}", keys[key][1])
-    return ExperimentConfig(sha256=hashlib.sha256(data).hexdigest(), path=str(path), **values)
+    return ExperimentConfig(sha256=_sha256(data), path=str(path), **values)
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,18 @@ import numpy as np
 
 DEFAULT_TOL = 1e-9
 
+#: Defaults and bounds of the layers' config keys, defined here so that parsing
+#: a config imports no layer; each layer imports its own under its old name.
+DELTA_DEFAULT_N_MAX = 12            # truncation depth of the delta estimate,
+DELTA_MIN_N_MAX = 6                 # and the shallowest that gives a stable one
+MEASURE_DEFAULT_EPSILON = 0.05      # exponent offset above the critical exponent
+MEASURE_DEFAULT_N_MAX = 12          # orbit truncation depth of the measure
+FOURIER_MIN_SHELLS = 8              # fewest shells of a decay fit
+FOURIER_MAX_GRID_STEP = 0.25        # coarsest step of the grid statistics
+FOURIER_MIN_EXCEPTIONAL_T = 4.0     # smallest exceptional-set radius T
+NONCONC_DEFAULT_EPSILONS = (0.05, 0.1, 0.2, 0.4)    # slab widths eps of a profile
+NONCONC_DEFAULT_BALL_SAMPLES = 200  # balls a profile samples
+
 
 class GeometryError(ValueError):
     """Base class for model-consistency failures."""
@@ -274,8 +286,16 @@ def busemann(xi, x, y):
 
 
 # ---------------------------------------------------------------------------
-# Thread count and the ordered parallel map
+# Config rules (slab widths, thread count) and the ordered parallel map
 # ---------------------------------------------------------------------------
+
+def slab_epsilons(epsilons):
+    """nonconc's slab widths eps as a float array; each must lie in (0, 1/2]."""
+    eps = np.asarray(epsilons, dtype=float)
+    if eps.size == 0 or not np.all((eps > 0.0) & (eps <= 0.5)):
+        raise ValueError("epsilon values must lie in (0, 1/2]")
+    return eps
+
 
 def resolve_threads(flag=None, env=None, configured=1):
     """Worker-thread count: ``flag``, else ``env``, else ``configured``.

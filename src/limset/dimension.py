@@ -37,13 +37,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
+from .core import DELTA_DEFAULT_N_MAX as DEFAULT_N_MAX, DELTA_MIN_N_MAX as MIN_N_MAX
 
 #: Bisection tolerance in s for the per-level roots.
 BISECTION_TOL = 1e-6
-
-#: Default truncation depth, and the shallowest that gives a stable estimate.
-DEFAULT_N_MAX = 12
-MIN_N_MAX = 6
 
 #: Fixed chunk length for the log-sum-exp reduction tree.  Partial sums are
 #: combined in chunk order, so the result does not depend on thread count.

@@ -41,6 +41,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
+from .core import FOURIER_MAX_GRID_STEP as MAX_GRID_STEP
+from .core import FOURIER_MIN_EXCEPTIONAL_T as MIN_EXCEPTIONAL_T
+from .core import FOURIER_MIN_SHELLS as MIN_SHELLS
 from .measure import AtomicMeasure, atom_spacing
 
 #: Values of |mu-hat| below this are double-precision cancellation noise.
@@ -49,12 +52,6 @@ NUMERICAL_FLOOR = 1e-14
 #: Resolution cap: frequencies above 1/(4 eta) for atom spacing eta are
 #: artifacts of the discretization.
 _CAP_FACTOR = 0.25
-
-#: Fewest shells of a decay fit; coarsest step and smallest exceptional-set
-#: radius T of the grid statistics.
-MIN_SHELLS = 8
-MAX_GRID_STEP = 0.25
-MIN_EXCEPTIONAL_T = 4.0
 
 _ATOM_CHUNK = 1 << 16
 
@@ -86,12 +83,6 @@ def _neumaier(parts) -> np.ndarray:
 
 def _atom_chunks(n: int) -> list[slice]:
     return [slice(i, min(i + _ATOM_CHUNK, n)) for i in range(0, n, _ATOM_CHUNK)]
-
-
-def _mass(w: np.ndarray) -> float:
-    """The total weight, summed over atom chunks and compensated."""
-    return _neumaier(np.ones((1, sl.stop - sl.start), dtype=complex) @ w[sl]
-                     for sl in _atom_chunks(w.shape[0])).real[0]
 
 
 def _half_space(freqs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -358,7 +349,8 @@ def _ray_sum(xt: np.ndarray, w: np.ndarray, theta: np.ndarray, rs: np.ndarray,
             np.multiply(rs[i : i + rows, None], t, out=phase)
             phase *= 2.0 * np.pi
             np.exp(z, out=z)
-            sums.append(z @ w[sl])
+            z *= w[sl]         # summed without BLAS, whose order follows its threads
+            sums.append(z.sum(axis=1))
             del z, phase       # free these terms before the next rows
         return np.concatenate(sums)
 
@@ -408,7 +400,7 @@ def _ray_transform(pts: np.ndarray, w: np.ndarray, dirs: np.ndarray, radii: np.n
     plans = [plan(theta) for theta in uniq]
     grid_max = 2 * max(p[3] for p in plans) + 1
     direct = 128 * grid_max > _GRID_BUDGET or 64 * _fine_size(grid_max) > _GRID_BUDGET
-    mass = _mass(w)
+    mass = np.sum(w)       # the grid's and AtomicMeasure.mass's total
 
     def transform(k: int) -> np.ndarray:
         theta, (c, x_half, h, m0) = uniq[k], plans[k]

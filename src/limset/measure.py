@@ -23,12 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import core
-
-#: Default exponent offset above the critical exponent.
-DEFAULT_EPSILON = 0.05
-
-#: Default orbit truncation depth.
-DEFAULT_N_MAX = 12
+from .core import MEASURE_DEFAULT_EPSILON as DEFAULT_EPSILON
+from .core import MEASURE_DEFAULT_N_MAX as DEFAULT_N_MAX
 
 
 class DivergenceError(core.GeometryError):

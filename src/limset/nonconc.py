@@ -47,10 +47,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
+from .core import NONCONC_DEFAULT_BALL_SAMPLES as DEFAULT_BALL_SAMPLES
+from .core import NONCONC_DEFAULT_EPSILONS as DEFAULT_EPSILONS
 from .measure import AtomicMeasure, _nn_spacing
-
-DEFAULT_EPSILONS = (0.05, 0.1, 0.2, 0.4)
-DEFAULT_BALL_SAMPLES = 200
 
 #: Balls must span at least this many atom spacings to be meaningful.
 _RESOLUTION_MARGIN = 5.0
@@ -96,14 +95,6 @@ def _slab_ratio(w_in: np.ndarray, held: np.ndarray, ball_mass: float) -> float:
     return mass.max() / ball_mass
 
 
-def _slab_epsilons(epsilons) -> np.ndarray:
-    """The slab widths eps as a float array; each must lie in (0, 1/2]."""
-    eps = np.asarray(epsilons, dtype=float)
-    if eps.size == 0 or not np.all((eps > 0.0) & (eps <= 0.5)):
-        raise ValueError("epsilon values must lie in (0, 1/2]")
-    return eps
-
-
 def affine_profile(mu: AtomicMeasure, epsilons=DEFAULT_EPSILONS,
                    ball_samples: int = DEFAULT_BALL_SAMPLES, seed: int = 0,
                    r_min=None) -> NonConcProfile:
@@ -115,7 +106,7 @@ def affine_profile(mu: AtomicMeasure, epsilons=DEFAULT_EPSILONS,
     from the same projected distances -- so the profile is non-decreasing
     in eps exactly, per sample.  Returns the worst ratio per eps.
     """
-    eps = np.sort(_slab_epsilons(epsilons))
+    eps = np.sort(core.slab_epsilons(epsilons))
     if ball_samples < 1:
         raise ValueError("need at least one ball sample")
     nn, spacing = _nn_spacing(mu)

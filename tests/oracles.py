@@ -21,7 +21,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from limset import _io, core, dimension, schottky
-from limset.fourier import _ATOM_CHUNK, _atom_chunks, _half_space, _mass, _neumaier
+from limset.fourier import _ATOM_CHUNK, _atom_chunks, _half_space, _neumaier
 from limset.holonomy import REGIME_BOUND, FactorizationResult, HolonomyInput
 from limset.measure import AtomicMeasure, _quantile_points, _quantile_span
 
@@ -492,7 +492,7 @@ def _nudft(pts: np.ndarray, w: np.ndarray, freqs: np.ndarray, threads: int) -> n
     rows = max(1, _BLOCK_BYTES // (16 * min(pts.shape[0], _ATOM_CHUNK)))
     blocks = [uniq[i : i + rows] for i in range(0, uniq.shape[0], rows)]
     num = np.concatenate(core.parallel_map(lambda f: _atom_sum(xt, w, f), blocks, threads))
-    vals = num / _mass(w)
+    vals = num / np.sum(w)
     vals[~uniq.any(axis=1)] = 1.0     # the division may round den/den below 1
     vals = vals[inverse]
     return np.where(flip, np.conj(vals), vals)

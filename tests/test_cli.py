@@ -233,31 +233,48 @@ if mode == 'cli':
     except SystemExit as exc:   # argparse's refusal
         code = exc.code
 print(code, sorted(m for m in sys.modules if m.startswith('limset.')),
-      '_hashlib' in sys.modules, 'numpy.random' in sys.modules)
+      *(m in sys.modules for m in ('hashlib', '_hashlib', 'numpy.random')))
 print(limset.fourier.decay_scan.__module__)
 """
 
 
-def test_each_command_loads_only_its_layers(tmp_path):
+def test_each_command_loads_only_its_layers(work, tmp_path):
     # each case in a fresh interpreter: `import limset` loads no layer, a
     # layer still resolves as an attribute, and a command loads only the
-    # layers it runs; no config is parsed, so hashlib is not loaded unless
-    # numpy.random is (holonomy's draws import it through secrets); validate
-    # draws nothing and loads neither
+    # layers it runs; parsing a config imports no layer and no hashlib, so
+    # hashlib and _hashlib are loaded exactly when numpy.random is (holonomy's
+    # and nonconc's draws import them through secrets)
     front = ["limset._io", "limset.cli", "limset.core"]
+    pipeline = front + ["limset.dimension", "limset.schottky"]
+
+    def config(command, cfg):
+        return ("cli", command, "--config", str(work / cfg),
+                "--out", str(tmp_path / f"{command}-{cfg}"))
+
+    def line(code, modules, draws=False):
+        return f"{code} {sorted(modules)} {draws} {draws} {draws}"
+
     cases = {
-        ("import",): "None [] False",
-        ("cli",): f"2 {front} False",     # no subcommand: argparse exits 2
-        ("cli", "validate", REF): f"0 {sorted(front + ['limset.schottky'])} False False",
+        ("import",): line(None, []),
+        ("cli",): line(2, front),     # no subcommand: argparse exits 2
+        ("cli", "validate", REF): line(0, front + ["limset.schottky"]),
         ("cli", "holonomy", "--trials", "10", "--out", str(tmp_path)):
-            f"0 {sorted(front + ['limset.holonomy'])}",
+            line(0, front + ["limset.holonomy"], draws=True),
+        config("delta", "ref.cfg"): line(0, pipeline),
+        config("measure", "ref.cfg"): line(0, pipeline + ["limset.measure"]),
+        config("fourier", "ref.cfg"): line(0, pipeline + ["limset.measure", "limset.fourier"]),
+        config("nonconc", "ref.cfg"):
+            line(0, pipeline + ["limset.measure", "limset.nonconc"], draws=True),
+        config("fourier", "segment.cfg"): line(0, front + ["limset.measure", "limset.fourier"]),
+        config("nonconc", "square.cfg"):
+            line(0, front + ["limset.measure", "limset.nonconc"], draws=True),
     }
     env = dict(os.environ, PYTHONPATH=str(Path(limset.__file__).parents[1]))
     for argv, loaded in cases.items():
         proc = subprocess.run([sys.executable, "-c", _MODULES_SCRIPT, *argv],
                               capture_output=True, text=True, env=env)
         modules, resolved = proc.stdout.splitlines()[-2:]
-        assert modules.startswith(loaded), (argv, modules, proc.stderr)
+        assert modules == loaded, (argv, modules, proc.stderr)
         assert resolved == "limset.fourier", argv
 
 
@@ -546,6 +563,21 @@ def test_fourier_rerun_identical_bytes(work, tmp_path):
                          "--out", str(out), "--threads", "1", "--svg"]) == 0
     for name in ("fourier.csv", "fourier_summary.txt", "fourier.svg"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def test_fourier_bytes_do_not_depend_on_the_blas_thread_count(work, tmp_path):
+    # OpenBLAS splits a long product's sum across its threads, so no sum of
+    # the scan may go through BLAS; 39,365 atoms, above its split threshold
+    outs = {blas: tmp_path / f"blas{blas}" for blas in ("1", "2")}
+    for blas, out in outs.items():
+        env = dict(os.environ, PYTHONPATH=str(Path(limset.__file__).parents[1]),
+                   OPENBLAS_NUM_THREADS=blas)
+        proc = subprocess.run([sys.executable, "-m", "limset.cli", "fourier", "--config",
+                               str(work / "ref_d12_m9.cfg"), "--out", str(out)],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+    for name in ("fourier.csv", "fourier_summary.txt"):
+        assert (outs["1"] / name).read_bytes() == (outs["2"] / name).read_bytes(), name
 
 
 def test_fourier_thread_count_leaves_data_rows_unchanged(work, tmp_path):

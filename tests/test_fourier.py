@@ -416,8 +416,7 @@ def test_ray_scan_of_a_single_projection_is_the_closed_form():
     assert abs(rays[0, 0] - direct) <= RAY_BOUND
 
 
-def test_ray_spread_memory_is_set_by_the_block(monkeypatch):
-    monkeypatch.setattr(fourier, "_mass", lambda w: 1.0)   # the spread's peak alone
+def test_ray_spread_memory_is_set_by_the_block():
     mu = random_measure(n=200_000, seed=59)
     radii = np.geomspace(1.0, 64.0, 50)
     tracemalloc.start()

@@ -1,5 +1,6 @@
 """Config parsing, CSV/measure-file round trips, SVG emission."""
 
+import hashlib
 import re
 import tracemalloc
 from pathlib import Path
@@ -86,6 +87,17 @@ def test_config_hash_tracks_bytes(tmp_path):
     assert ha != hb
     b.write_text("[run]\nseed = 1\n")
     assert _io.parse_experiment_config(b).sha256 == ha
+
+
+@pytest.mark.parametrize("data", [
+    FULL_CONFIG.encode("ascii"),
+    "# δ, then μ = Patterson–Sullivan\r\n[run]\r\nseed = 3  # ≥ 0\r\n".encode("utf-8"),
+    b""], ids=["ascii", "non-ascii-crlf", "empty"])
+def test_config_digest_is_the_files_sha256(tmp_path, data):
+    # the built-in SHA-256 that parsing uses in place of hashlib's OpenSSL one
+    path = tmp_path / "c.cfg"
+    path.write_bytes(data)
+    assert _io.parse_experiment_config(path).sha256 == hashlib.sha256(data).hexdigest()
 
 
 def test_config_unknown_key_has_line_number(tmp_path):

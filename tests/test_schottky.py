@@ -152,6 +152,16 @@ def test_vector_cache_matches_the_matrix_oracle_bit_for_bit_while_exact(referenc
     assert G.exact_through(13) == 12
 
 
+def test_readme_exactness_figure():
+    """The depth to which the README says the 2^53 guard certifies the
+    reference's word products is the one ``exact_through`` certifies."""
+    readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
+    depth = int(re.search(r"all word products to length (\d+) are float64 products "
+                          r"certified exact by the 2\^53 guard", readme).group(1))
+    G = _io.load_group_file(limset.fixture_path("reference"))
+    assert G.exact_through(depth + 1) == depth
+
+
 def test_vector_cache_stays_near_the_reprojected_matrix_oracle_on_float_groups():
     # the float-d2-grid benchmark groups: the matrix oracle reprojects every
     # level, the vector cache never does; measured 1.4e-14 (dists, 8.7e-16
