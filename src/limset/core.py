@@ -28,6 +28,8 @@ z -> xi radially).
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 DEFAULT_TOL = 1e-9
@@ -297,6 +299,55 @@ def slab_epsilons(epsilons):
     return eps
 
 
+class Stream:
+    """Seeded counter-based random stream, which imports nothing.
+
+    Output i is SplitMix64's (Steele, Lea & Flood 2014) mix of
+    seed + (i + 1) * 0x9E3779B97F4A7C15 mod 2^64: the i-th output of
+    SplitMix64 seeded with ``seed``, computed from i alone.  The counter is
+    the only state, so n values drawn at once equal the same n drawn in
+    pieces.  ``random`` and ``standard_normal`` take a shape as numpy's
+    Generator methods of those names do.  A seed must be at least 0; seeds
+    congruent mod 2^64 give the same stream.
+    """
+
+    def __init__(self, seed=0):
+        if seed < 0:
+            raise ValueError(f"seed must be at least 0, got {seed}")
+        self.seed = int(seed) % 2 ** 64
+        self.count = 0
+
+    def bits(self, n):
+        """The next n outputs, as uint64."""
+        z = np.arange(self.count + 1, self.count + n + 1, dtype=np.uint64)
+        self.count += n
+        z *= 0x9E3779B97F4A7C15     # uint64 arithmetic wraps mod 2^64
+        z += self.seed
+        z ^= z >> 30
+        z *= 0xBF58476D1CE4E5B9
+        z ^= z >> 27
+        z *= 0x94D049BB133111EB
+        z ^= z >> 31
+        return z
+
+    def random(self, shape):
+        """Uniforms in [0, 1): the top 53 bits of each output times 2^-53."""
+        return ((self.bits(int(np.prod(shape))) >> 11) * 2.0 ** -53).reshape(shape)
+
+    def standard_normal(self, shape):
+        """Box-Muller normals sqrt(-2 log(1 - u)) cos(2 pi v), normal k from
+        the uniforms (u, v) of outputs 2k and 2k + 1."""
+        u, v = self.random((int(np.prod(shape)), 2)).T
+        return (np.sqrt(-2.0 * np.log(1.0 - u)) * np.cos(2.0 * np.pi * v)).reshape(shape)
+
+    def choice(self, weights, size):
+        """``size`` indices drawn with probability proportional to ``weights``
+        by inverse CDF, numpy's rule for ``Generator.choice(p=...)``; an
+        atom of weight 0 is never drawn."""
+        cdf = np.cumsum(weights)
+        return np.searchsorted(cdf, self.random(size) * cdf[-1], side="right")
+
+
 def resolve_threads(flag=None, env=None, configured=1):
     """Worker-thread count: ``flag``, else ``env``, else ``configured``.
 
@@ -327,7 +378,13 @@ def parallel_map(fn, items, threads=1):
         raise ValueError(f"thread count must be at least 1, got {threads}")
     if threads == 1 or len(items) <= 1:
         return [fn(x) for x in items]
+    return list(_pool(threads).map(fn, items))
+
+
+@functools.cache
+def _pool(threads):
+    """The process's executor of ``threads`` workers, started on first use and
+    kept, so repeated maps start no threads; one per count a run asks for."""
     import concurrent.futures    # here, so a single-threaded run never loads it
 
-    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(fn, items))
+    return concurrent.futures.ThreadPoolExecutor(max_workers=threads)

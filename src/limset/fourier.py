@@ -136,8 +136,8 @@ class FrequencySpec:
 def default_directions(d: int, count: int = 64, seed: int = 0) -> np.ndarray:
     """Deterministic quasi-uniform directions: {+1,-1} for d=1, an equal-angle
     fan for d=2 (for an even count its second half is exactly the negated
-    first half, so the transform evaluates each antipodal pair once), seeded
-    normalized Gaussians for d >= 3."""
+    first half, so the transform evaluates each antipodal pair once), and for
+    d >= 3 normalized Gaussians of the seeded ``core.Stream``."""
     if d == 1:
         return np.array([[1.0], [-1.0]])
     if d == 2:
@@ -146,8 +146,7 @@ def default_directions(d: int, count: int = 64, seed: int = 0) -> np.ndarray:
         if count % 2 == 0:
             fan[count // 2:] = -fan[: count // 2]
         return fan
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal((count, d))
+    v = core.Stream(seed).standard_normal((count, d))
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 

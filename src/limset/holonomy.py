@@ -133,7 +133,9 @@ def factorize_product(x, y, tau=0.0, m=None):
 
 
 def random_regime_input(rng, d, w_min=0.0):
-    """Random HolonomyInput: ||v|| <= 1/2, ||w|| in [w_min, 1/2], |tau| <= 1/2."""
+    """Random HolonomyInput: ||v|| <= 1/2, ||w|| in [w_min, 1/2], |tau| <= 1/2,
+    the stack of one of ``_draw_stacks``; ``rng`` is a ``core.Stream`` or a
+    numpy Generator."""
     [((v, w), m, tau)] = _draw_stacks(rng, (d,), ((0.0, REGIME_BOUND), (w_min, REGIME_BOUND)),
                                       (-0.5, 0.5))
     return HolonomyInput(v=v[0], w=w[0], m=m[0], tau=tau[0])
@@ -161,8 +163,9 @@ def property_suite(trials, seed=0, tau_sign=1.0):
     for the cocycle triples are clipped so every intermediate stays inside
     the ||.|| <= 1/2 regime.
 
-    Every input is drawn first, in the RNG order of ``random_regime_input``;
-    then each dimension runs as one stacked pass.
+    Every input is drawn first from ``core.Stream(seed)`` (``_draw_stacks``:
+    the regime inputs, then the triples); then each dimension runs as one
+    stacked pass.
 
     ``tau_sign`` multiplies the closed-form flow component before its round
     trip: -1 is a deliberate negative control under which the suite fails.
@@ -173,7 +176,7 @@ def property_suite(trials, seed=0, tau_sign=1.0):
         raise ValueError(f"need at least {MIN_TRIALS} trials, got {trials}")
     if trials > MAX_TRIALS:
         raise ValueError(f"need at most {MAX_TRIALS} trials, got {trials}")
-    rng = np.random.default_rng(seed)
+    rng = core.Stream(seed)
     n_triples = max(trials // 10, 1)
     dims = [1 + i % 3 for i in range(trials)]
     inputs = _draw_stacks(rng, dims, ((0.0, REGIME_BOUND),) * 2, (-0.5, 0.5))
@@ -195,36 +198,31 @@ def property_suite(trials, seed=0, tau_sign=1.0):
 # The stacked pass: each step runs over a stack of trials of one dimension.
 
 def _draw_stacks(rng, dims, radii, tau_range):
-    """One input of dimension d for each d of ``dims``, in the RNG order of
-    drawing them one at a time: for each (r_min, r_max) of ``radii`` a uniform
-    direction (normalized ``rng.standard_normal(d)``) times
-    ``rng.uniform(r_min, r_max)``, then a rotation with the draws and bits of
-    the tests' ``random_rotation`` (a QR of a Gaussian d x d matrix, signs
-    fixed), then ``rng.uniform(*tau_range)``, which is
-    ``a + (b - a) * rng.random()``.  One (points, rotations, tau) per distinct
-    d, in increasing d, with that d's inputs in draw order; ``points[j]``
-    stacks ``radii[j]``."""
-    draws = {d: ([], []) for d in sorted(set(dims))}    # normals, uniforms
-    for d in dims:
-        normals, uniforms = draws[d]
-        for _ in radii:
-            normals.append(rng.standard_normal(d))
-            uniforms.append(rng.random())
-        if d > 1:
-            normals.append(rng.standard_normal(d * d))
-        uniforms.append(rng.random())
+    """One input of dimension d for each d of ``dims``: for each
+    (r_min, r_max) of ``radii`` a uniform direction (normalized standard
+    normals) times a uniform radius, then a rotation with the bits of the
+    tests' ``random_rotation`` (a QR of a Gaussian d x d matrix, signs
+    fixed), then a uniform tau in ``tau_range``; each uniform is
+    ``a + (b - a) * u``.  ``rng`` is a ``core.Stream`` or a numpy Generator.
+    For each distinct d, in increasing d, it draws that d's normals in one
+    call, then its uniforms in one, a row per input: the directions and
+    then the rotation's d * d normals (none for d = 1), and the radii and
+    then tau.  One (points, rotations, tau) per distinct d, with that d's
+    inputs in the order of ``dims``; ``points[j]`` stacks ``radii[j]``."""
     stacks = []
     low, high = np.array((*radii, tau_range)).T
-    for d, (normals, uniforms) in draws.items():
-        u = low + (high - low) * np.reshape(uniforms, (-1, len(radii) + 1))
-        z = np.concatenate(normals).reshape(len(u), -1)
+    k = len(radii)
+    for d in sorted(set(dims)):
+        n = dims.count(d)
+        z = rng.standard_normal((n, k * d + (d * d if d > 1 else 0)))
+        u = low + (high - low) * rng.random((n, k + 1))
         points = []
-        for j in range(len(radii)):
+        for j in range(k):
             unit = z[:, j * d:(j + 1) * d]
             points.append(u[:, j, None] * (unit / np.sqrt(core.row_dot(unit, unit))[:, None]))
-        q = np.ones((len(u), 1, 1))
+        q = np.ones((n, 1, 1))
         if d > 1:
-            q, r = np.linalg.qr(z[:, len(radii) * d:].reshape(-1, d, d))
+            q, r = np.linalg.qr(z[:, k * d:].reshape(-1, d, d))
             q = q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
             flip = np.linalg.det(q) < 0
             q[flip, :, 0] = -q[flip, :, 0]

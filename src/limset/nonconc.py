@@ -11,9 +11,9 @@ balls and candidate hyperplanes through the ball center.  The quantifier
 over all hyperplanes is not searchable; candidates are the local principal
 frame (the hyperplane spanned by the top principal directions of the atoms
 in the ball, i.e. slab normal = least principal direction), the coordinate
-axes, and 8 seed-fixed random normals -- so the reported profile is a lower
-bound on the true sup.  In d = 1 a hyperplane is a point and the slab
-around the center is just the ball B(x, eps r).
+axes, and 8 random normals from the seeded ``core.Stream`` -- so the
+reported profile is a lower bound on the true sup.  In d = 1 a hyperplane
+is a point and the slab around the center is just the ball B(x, eps r).
 
 Resolution honesty: an atomic discretization looks like a finite point set
 below its atom spacing, where every ratio saturates at 1.  Radii are drawn
@@ -101,10 +101,10 @@ def affine_profile(mu: AtomicMeasure, epsilons=DEFAULT_EPSILONS,
     """Empirical non-concentration profile delta-hat(eps) of ``mu``.
 
     Ball centers are drawn from the atoms by weight, radii log-uniformly
-    from [r_min, 1].  For each kept ball the slab/ball mass ratio is
-    maximized over candidate hyperplanes through the center, at every eps
-    from the same projected distances -- so the profile is non-decreasing
-    in eps exactly, per sample.  Returns the worst ratio per eps.
+    from [r_min, 1), both from ``core.Stream(seed)``.  For each kept ball
+    the slab/ball mass ratio is maximized over candidate hyperplanes
+    through the center, at every eps from the same projected distances --
+    so the profile is non-decreasing in eps exactly, per sample.  Returns the worst ratio per eps.
     """
     eps = np.sort(core.slab_epsilons(epsilons))
     if ball_samples < 1:
@@ -121,11 +121,11 @@ def affine_profile(mu: AtomicMeasure, epsilons=DEFAULT_EPSILONS,
         raise core.DegenerateConfigurationError(
             f"resolution floor {r_min:.3g} leaves no radii below 1")
 
-    rng = np.random.default_rng(seed)
-    centers = rng.choice(mu.n, size=ball_samples, p=mu.weights / mu.mass)
-    radii = np.exp(rng.uniform(np.log(r_min), 0.0, size=ball_samples))
+    stream = core.Stream(seed)
+    centers = stream.choice(mu.weights, ball_samples)
+    radii = np.exp(np.log(r_min) * (1.0 - stream.random(ball_samples)))
     if mu.d >= 2:
-        rand_dirs = rng.standard_normal((8, mu.d))
+        rand_dirs = stream.standard_normal((8, mu.d))
         rand_dirs /= np.linalg.norm(rand_dirs, axis=1, keepdims=True)
         fixed_dirs = np.concatenate([np.eye(mu.d), rand_dirs])
         method = "principal+axes+random"

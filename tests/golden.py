@@ -13,7 +13,9 @@ workloads at seeds 0 and 1.  Each (workload, seed, thread count) pass runs
 ``validate``, ``delta``, ``measure``, ``fourier --svg``, ``nonconc`` (at
 ``--threads 1`` and ``2``) and ``holonomy --trials 2000`` as fresh processes,
 and records the exit code and the digests of stdout, stderr and every output
-file.  ``validate`` also runs on each packaged fixture of the tree.  Beside its digest it records the text of each stdout and summary
+file.  ``fourier`` also runs, at the same seeds and thread counts, on a d = 3
+measure file (``DUST_DEPTH``), where the directions come from the seeded
+stream.  ``validate`` also runs on each packaged fixture of the tree.  Beside its digest it records the text of each stdout and summary
 under 4 KiB.  Two trees behave alike when their OUT.json files are equal.
 ``--diff`` prints each key whose record differs between two OUT.json files,
 or that only one of them has, with the lines that differ where both have
@@ -38,6 +40,15 @@ SEEDS = (0, 1)
 THREADS = (1, 2)
 FIXTURES = ("reference", "cyclic", "overlapping")
 HOLONOMY_TRIALS = 2000
+DUST_DEPTH = 3      # the d = 3 measure: the cube of a depth-3 Cantor measure, 512 atoms
+DUST_CONFIG = """[measure]
+file = dust.csv
+
+[fourier]
+shell_min = 1
+shell_max = 256
+grid_max = 8
+"""
 TEXT_LIMIT = 4096   # bytes of stdout or summary recorded as text
 
 
@@ -83,13 +94,49 @@ def digests(src, work):
                         ("holonomy", ["holonomy", "--trials", str(HOLONOMY_TRIALS),
                                       "--seed", str(seed), "--out", out])):
                     record[f"{key}/{command}"] = _run(src, args, run_dir)
-                for file in sorted(os.listdir(out)):
-                    with open(os.path.join(out, file), "rb") as fh:
-                        data = fh.read()
-                    record[f"{key}/out/{file}"] = (
-                        {"sha256": _sha256(data), "text": _text(data)}
-                        if file.endswith("_summary.txt") else _sha256(data))
+                _record_outputs(record, key, out)
+    dust_dir = os.path.join(work, "d3")
+    _write_dust(dust_dir)
+    for seed in SEEDS:
+        for threads in THREADS:
+            key = f"d3/seed{seed}/threads{threads}"
+            out = os.path.join(work, key, "out")
+            record[f"{key}/fourier"] = _run(
+                src, ["fourier", "--config", "dust.cfg", "--seed", str(seed), "--out", out,
+                      "--threads", str(threads)], dust_dir)
+            _record_outputs(record, key, out)
     return record
+
+
+def _record_outputs(record, key, out):
+    """Record the digest of each file in ``out``, and the text of a summary."""
+    for file in sorted(os.listdir(out)):
+        with open(os.path.join(out, file), "rb") as fh:
+            data = fh.read()
+        record[f"{key}/out/{file}"] = (
+            {"sha256": _sha256(data), "text": _text(data)}
+            if file.endswith("_summary.txt") else _sha256(data))
+
+
+def _write_dust(work):
+    """Write dust.csv, the cube of the middle-thirds Cantor measure of depth
+    ``DUST_DEPTH`` with weights 0.3 and 0.7 (a d = 3 measure file), and
+    dust.cfg, which reads it, into ``work``."""
+    import numpy as np
+
+    from limset import _io
+    from limset.measure import AtomicMeasure
+
+    x, w = np.zeros(1), np.ones(1)
+    for k in range(DUST_DEPTH):
+        x, w = np.concatenate([x, x + 2.0 * 3.0 ** -(k + 1)]), np.concatenate([0.3 * w, 0.7 * w])
+    points = np.stack(np.meshgrid(x, x, x, indexing="ij"), axis=-1).reshape(-1, 3)
+    weights = (w[:, None, None] * w[None, :, None] * w[None, None, :]).ravel()
+    os.makedirs(work, exist_ok=True)
+    _io.write_measure_file(os.path.join(work, "dust.csv"),
+                           AtomicMeasure(points=points, weights=weights), {"source": "dust"})
+    with open(os.path.join(work, "dust.cfg"), "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(DUST_CONFIG)
 
 
 def _text_of(record):

@@ -61,6 +61,18 @@ def random_rotation(d, rng):
     return q
 
 
+def splitmix64(seed, n):
+    """The first n outputs of SplitMix64 seeded with ``seed``, one at a time
+    in Python integers: the oracle of ``core.Stream.bits``."""
+    state, out = seed % 2 ** 64, []
+    for _ in range(n):
+        state = (state + 0x9E3779B97F4A7C15) % 2 ** 64
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) % 2 ** 64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % 2 ** 64
+        out.append(z ^ (z >> 31))
+    return out
+
+
 def boundary_equal(a, b, tol=1e-8):
     """Projective equality of null directions via canonical representatives."""
     return bool(np.abs(core.normalize_boundary(a) - core.normalize_boundary(b)).max() <= tol)
@@ -685,6 +697,28 @@ def _random_ball_point(rng, d, r_min, r_max):
     u = rng.standard_normal(d)
     u /= np.linalg.norm(u)
     return rng.uniform(r_min, r_max) * u
+
+
+class Replay:
+    """A generator for the per-trial draws that replays one input's rows of
+    the stacked draws: ``standard_normal`` hands out the next values of
+    ``normals`` and ``random`` the next of ``uniforms``, in order; ``used``
+    tells whether both rows were used up."""
+
+    def __init__(self, normals, uniforms):
+        self.normals, self.uniforms = iter(normals), iter(uniforms)
+
+    def standard_normal(self, shape):
+        return np.array([next(self.normals) for _ in range(int(np.prod(shape)))]).reshape(shape)
+
+    def random(self):
+        return next(self.uniforms)
+
+    def uniform(self, low, high):
+        return low + (high - low) * self.random()
+
+    def used(self):
+        return next(self.normals, None) is None and next(self.uniforms, None) is None
 
 
 def random_regime_input(rng, d, w_min=0.0):

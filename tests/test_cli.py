@@ -41,6 +41,10 @@ def work(tmp_path_factory):
     _io.write_measure_file(root / "square.csv",
                            oracles.uniform_square_measure(200),
                            {"source": "uniform-square"})
+    _io.write_measure_file(root / "cube.csv",
+                           AtomicMeasure(points=np.random.default_rng(8).uniform(
+                               -1.0, 1.0, size=(300, 3)), weights=np.full(300, 1.0 / 300)),
+                           {"source": "uniform-cube"})
     x = np.linspace(-1.0, 1.0, 2001)
     flat = AtomicMeasure(points=np.column_stack([x, np.zeros_like(x)]),
                          weights=np.full(x.size, 1.0 / x.size))
@@ -91,6 +95,15 @@ file = segment.csv
 shell_min = 4
 shell_max = 512
 grid_max = 64
+""")
+    config("cube.cfg", """
+[measure]
+file = cube.csv
+
+[fourier]
+shell_min = 1
+shell_max = 256
+grid_max = 8
 """)
     config("point.cfg", """
 [measure]
@@ -241,9 +254,10 @@ print(limset.fourier.decay_scan.__module__)
 def test_each_command_loads_only_its_layers(work, tmp_path):
     # each case in a fresh interpreter: `import limset` loads no layer, a
     # layer still resolves as an attribute, and a command loads only the
-    # layers it runs; parsing a config imports no layer and no hashlib, so
-    # hashlib and _hashlib are loaded exactly when numpy.random is (holonomy's
-    # and nonconc's draws import them through secrets)
+    # layers it runs; parsing a config imports no layer and no hashlib, and
+    # the seeded draws of holonomy, nonconc and fourier in d = 3 (cube.cfg)
+    # come from core.Stream, so no command loads numpy.random, or hashlib
+    # and _hashlib, which numpy.random imports through secrets
     front = ["limset._io", "limset.cli", "limset.core"]
     pipeline = front + ["limset.dimension", "limset.schottky"]
 
@@ -251,23 +265,22 @@ def test_each_command_loads_only_its_layers(work, tmp_path):
         return ("cli", command, "--config", str(work / cfg),
                 "--out", str(tmp_path / f"{command}-{cfg}"))
 
-    def line(code, modules, draws=False):
-        return f"{code} {sorted(modules)} {draws} {draws} {draws}"
+    def line(code, modules):
+        return f"{code} {sorted(modules)} False False False"
 
     cases = {
         ("import",): line(None, []),
         ("cli",): line(2, front),     # no subcommand: argparse exits 2
         ("cli", "validate", REF): line(0, front + ["limset.schottky"]),
         ("cli", "holonomy", "--trials", "10", "--out", str(tmp_path)):
-            line(0, front + ["limset.holonomy"], draws=True),
+            line(0, front + ["limset.holonomy"]),
         config("delta", "ref.cfg"): line(0, pipeline),
         config("measure", "ref.cfg"): line(0, pipeline + ["limset.measure"]),
         config("fourier", "ref.cfg"): line(0, pipeline + ["limset.measure", "limset.fourier"]),
-        config("nonconc", "ref.cfg"):
-            line(0, pipeline + ["limset.measure", "limset.nonconc"], draws=True),
+        config("nonconc", "ref.cfg"): line(0, pipeline + ["limset.measure", "limset.nonconc"]),
         config("fourier", "segment.cfg"): line(0, front + ["limset.measure", "limset.fourier"]),
-        config("nonconc", "square.cfg"):
-            line(0, front + ["limset.measure", "limset.nonconc"], draws=True),
+        config("fourier", "cube.cfg"): line(0, front + ["limset.measure", "limset.fourier"]),
+        config("nonconc", "square.cfg"): line(0, front + ["limset.measure", "limset.nonconc"]),
     }
     env = dict(os.environ, PYTHONPATH=str(Path(limset.__file__).parents[1]))
     for argv, loaded in cases.items():

@@ -1,5 +1,7 @@
 """Tests for the quadratic-form model: subgroup algebra, metric, Busemann cocycle."""
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -303,6 +305,88 @@ def test_parallel_map_refuses_thread_counts_below_one():
             core.parallel_map(abs, [1, 2, 3], threads)
         with pytest.raises(ValueError, match="at least 1"):
             core.parallel_map(abs, [], threads)
+
+
+def test_parallel_map_keeps_its_workers():
+    """Repeated maps at one thread count run on the workers the first map
+    started, and give the bits of threads = 1."""
+    names = set()
+
+    def work(k):
+        names.add(threading.current_thread().name)
+        return np.sin(np.arange(k, k + 50) * 0.37).sum()
+
+    items = list(range(40))
+    serial = core.parallel_map(work, items, 1)
+    for _ in range(5):
+        assert np.array(core.parallel_map(work, items, 2)).tobytes() == \
+            np.array(serial).tobytes()
+    names.discard(threading.current_thread().name)
+    assert 1 <= len(names) <= 2, names
+
+
+# ---------------------------------------------------------------------------
+# The seeded stream
+# ---------------------------------------------------------------------------
+
+def test_stream_is_splitmix64():
+    """Known answers: the outputs of SplitMix64 computed one at a time in
+    Python integers, among them the published first five for seed 1234567."""
+    assert core.Stream(1234567).bits(5).tolist() == [
+        6457827717110365317, 3203168211198807973, 9817491932198370423,
+        4593380528125082431, 16408922859458223821]
+    for seed in (0, 1, 2 ** 64 - 1, 0x9E3779B97F4A7C15):
+        assert core.Stream(seed).bits(300).tolist() == oracles.splitmix64(seed, 300)
+    assert core.Stream(2 ** 64 + 5).bits(4).tolist() == oracles.splitmix64(5, 4)
+    with pytest.raises(ValueError, match="at least 0"):
+        core.Stream(-1)
+
+
+def test_stream_draws_in_pieces_equal_one_draw():
+    """The counter is the only state: n values drawn at once equal the same n
+    drawn in pieces of any shape, for each kind of draw."""
+    for kind, n in (("random", 1000), ("standard_normal", 500)):
+        whole = getattr(core.Stream(7), kind)(n)
+        stream = core.Stream(7)
+        pieces = [getattr(stream, kind)(shape) for shape in (1, (3, 4), 0, 187)]
+        pieces.append(getattr(stream, kind)(n - 200))
+        assert np.concatenate([p.ravel() for p in pieces]).tobytes() == whole.tobytes()
+    stream = core.Stream(7)
+    stream.random(3)
+    assert stream.standard_normal((2, 2)).shape == (2, 2)
+    assert stream.count == 3 + 8
+
+
+def test_stream_uniforms_lie_in_the_unit_interval(monkeypatch):
+    u = core.Stream(3).random(10 ** 5)
+    assert u.min() >= 0.0 and u.max() < 1.0
+    # the extreme outputs map to 0 and 1 - 2^-53, and give finite normals
+    monkeypatch.setattr(core.Stream, "bits",
+                        lambda self, n: np.resize(np.array([0, 2 ** 64 - 1], dtype=np.uint64), n))
+    assert core.Stream(0).random(2).tolist() == [0.0, 1.0 - 2.0 ** -53]
+    assert np.isfinite(core.Stream(0).standard_normal(3)).all()
+
+
+def test_stream_normals_have_mean_0_and_variance_1():
+    n = 10 ** 5
+    z = core.Stream(11).standard_normal(n)
+    assert abs(z.mean()) <= 5.0 / np.sqrt(n)
+    assert abs(z.var() - 1.0) <= 5.0 * np.sqrt(2.0 / n)
+
+
+def test_stream_choice_is_the_inverse_cdf():
+    """Centres drawn by inverse CDF always pick an atom holding all the mass,
+    never an atom of weight 0, and with uniform weights each atom's count is
+    within 5 sigma of its binomial mean."""
+    for weights in ([0.0, 0.0, 2.5, 0.0], [3.0], [0.0, 1e-300]):
+        picks = core.Stream(5).choice(np.array(weights), 1000)
+        assert set(picks.tolist()) == {int(np.argmax(weights))}
+    weights = np.array([0.0, 1.0, 0.0, 2.0, 0.0])
+    assert set(core.Stream(6).choice(weights, 1000).tolist()) == {1, 3}
+    k, n = 10, 10 ** 5
+    counts = np.bincount(core.Stream(9).choice(np.ones(k), n), minlength=k)
+    assert counts.size == k
+    assert np.abs(counts - n / k).max() <= 5.0 * np.sqrt(n * (1 / k) * (1 - 1 / k))
 
 
 def test_exact_integer_residual():

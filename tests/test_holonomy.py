@@ -219,18 +219,28 @@ TRIAL_RADII = ((0.0, holonomy.REGIME_BOUND),) * 2
 TRIPLE_RADII = ((0.0, 0.2), (0.0, 0.2), (0.0, 0.3))
 
 
-def scalar_draws(rng, trials):
-    """The suite's inputs drawn one at a time by the per-trial oracle:
-    ``trials`` regime inputs, then trials // 10 cocycle triples (x0, x1, w, m, tau)."""
-    inputs = [oracles.random_regime_input(rng, 1 + i % 3) for i in range(trials)]
-    triples = []
-    for i in range(max(trials // 10, 1)):
-        d = 1 + i % 3
-        triples.append((oracles._random_ball_point(rng, d, 0.0, 0.2),
-                        oracles._random_ball_point(rng, d, 0.0, 0.2),
-                        oracles._random_ball_point(rng, d, 0.0, 0.3),
-                        oracles.random_rotation(d, rng), float(rng.uniform(0.0, 0.25))))
-    return inputs, triples
+class Recording:
+    """A generator that keeps every array it draws, in order."""
+
+    def __init__(self, rng):
+        self.rng, self.draws = rng, []
+
+    def standard_normal(self, shape):
+        self.draws.append(self.rng.standard_normal(shape))
+        return self.draws[-1]
+
+    def random(self, shape):
+        self.draws.append(self.rng.random(shape))
+        return self.draws[-1]
+
+
+def replayed(draw, normals, uniforms):
+    """``draw(rng)`` of the per-trial oracle on one input's rows of the
+    stacked draws, which it must use up."""
+    rng = oracles.Replay(normals, uniforms)
+    out = draw(rng)
+    assert rng.used()
+    return out
 
 
 def cycling(count):
@@ -238,8 +248,37 @@ def cycling(count):
 
 
 def stacked_draws(rng, trials):
+    """The suite's stacks: ``trials`` regime inputs, then trials // 10 cocycle
+    triples, d cycling 1..3."""
     return (holonomy._draw_stacks(rng, cycling(trials), TRIAL_RADII, (-0.5, 0.5)),
             holonomy._draw_stacks(rng, cycling(max(trials // 10, 1)), TRIPLE_RADII, (0.0, 0.25)))
+
+
+def oracle_triple(rng, d):
+    """One cocycle triple (x0, x1, w, m, tau), drawn by the per-trial oracle."""
+    return (*(oracles._random_ball_point(rng, d, 0.0, r_max) for r_max in (0.2, 0.2, 0.3)),
+            oracles.random_rotation(d, rng), float(rng.uniform(0.0, 0.25)))
+
+
+def scalar_draws(draws):
+    """The suite's inputs built one at a time by the per-trial oracle from the
+    arrays ``stacked_draws`` drew (``draws``: normals, then uniforms, for
+    each d of the inputs and then of the triples): for each d, its regime
+    inputs and its cocycle triples."""
+    assert len(draws) == 12
+    pairs = list(zip(draws[0::2], draws[1::2]))
+    inputs = {d: [replayed(lambda rng: oracles.random_regime_input(rng, d), *row)
+                  for row in zip(*pairs[d - 1])] for d in (1, 2, 3)}
+    triples = {d: [replayed(lambda rng: oracle_triple(rng, d), *row)
+                   for row in zip(*pairs[d + 2])] for d in (1, 2, 3)}
+    return inputs, triples
+
+
+def suite_draws(seed, trials):
+    """The stacks property_suite draws from ``core.Stream(seed)``, and the
+    oracle's inputs built from the same arrays."""
+    rng = Recording(core.Stream(seed))
+    return stacked_draws(rng, trials), scalar_draws(rng.draws)
 
 
 def scalar_trial_residuals(h):
@@ -278,19 +317,17 @@ def same_bits(stack, scalars):
 
 @pytest.mark.parametrize("seed", [0, 1, 7])
 def test_stacked_draws_equal_scalar_draws(seed):
-    """The suite's inputs, drawn first, are today's draws bit for bit, in the
-    same RNG order: the regime inputs (Haar rotations included), then the
-    cocycle triples; both generators end in the same state."""
-    scalar_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    inputs, triples = scalar_draws(scalar_rng, 601)
-    stacks, triple_stacks = stacked_draws(rng, 601)
-    assert rng.bit_generator.state == scalar_rng.bit_generator.state
+    """The suite's stacked inputs are, bit for bit, the inputs the per-trial
+    oracle builds one at a time from the same drawn arrays: the unit vectors
+    and radii, the sign-fixed QR rotations and tau, of the regime inputs and
+    then of the cocycle triples; each input uses up its rows."""
+    (stacks, triple_stacks), (inputs, triples) = suite_draws(seed, 601)
     for d, ((v, w), m, tau) in zip((1, 2, 3), stacks):
-        scalar = inputs[d - 1::3]
+        scalar = inputs[d]
         assert same_bits(v, [h.v for h in scalar]) and same_bits(w, [h.w for h in scalar])
         assert same_bits(m, [h.m for h in scalar]) and same_bits(tau, [h.tau for h in scalar])
     for d, (points, m, tau) in zip((1, 2, 3), triple_stacks):
-        scalar = triples[d - 1::3]
+        scalar = triples[d]
         for j, stack in enumerate(points):
             assert same_bits(stack, [t[j] for t in scalar])
         assert same_bits(m, [t[3] for t in scalar]) and same_bits(tau, [t[4] for t in scalar])
@@ -303,19 +340,18 @@ def test_stacked_suite_matches_scalar_oracle(seed):
     equals the oracle's suite: the same passed verdicts, and under the
     tau_sign = -1 control only tau_round_trip fails."""
     trials = 2000
-    inputs, triples = scalar_draws(np.random.default_rng(seed), trials)
-    stacks, triple_stacks = stacked_draws(np.random.default_rng(seed), trials)
+    (stacks, triple_stacks), (inputs, triples) = suite_draws(seed, trials)
     worst = {sign: dict.fromkeys(holonomy.SUITE_TOLS, 0.0) for sign in (1.0, -1.0)}
     for d, ((v, w), m, tau) in zip((1, 2, 3), stacks):
         stacked = {sign: holonomy._trial_residuals(v, w, m, tau, sign) for sign in worst}
-        for k, h in enumerate(inputs[d - 1::3]):
+        for k, h in enumerate(inputs[d]):
             for sign, residuals in scalar_trial_residuals(h).items():
                 for name, value in residuals.items():
                     assert abs(stacked[sign][name][k] - value) <= ORACLE_BOUND, (name, k)
                     worst[sign][name] = max(worst[sign][name], value)
     for d, (points, m, tau) in zip((1, 2, 3), triple_stacks):
         stacked = holonomy._cocycle_residuals(*points, m, tau)
-        for k, triple in enumerate(triples[d - 1::3]):
+        for k, triple in enumerate(triples[d]):
             value = scalar_cocycle_residual(*triple)
             assert abs(stacked[k] - value) <= ORACLE_BOUND, k
             for sign in worst:
@@ -469,17 +505,19 @@ def test_oracle_refuses_nan_as_the_stack_of_one_does():
 def test_functions_of_one_input_match_the_oracle(d):
     """The functions of one input run the stacked step on a stack of one and
     agree with the per-trial oracle within ORACLE_BOUND on 1,000 seeded
-    inputs per d; random_regime_input draws the oracle's bits and leaves the
-    generator in the oracle's state."""
-    rng, oracle_rng = np.random.default_rng([d, 11]), np.random.default_rng([d, 11])
+    inputs per d; random_regime_input, given a numpy Generator, draws one
+    row of normals and one of uniforms, and builds the input the oracle
+    builds from them bit for bit."""
+    rng = Recording(np.random.default_rng([d, 11]))
     for k in range(1000):
         w_min = 0.1 * (k % 3)
         h = holonomy.random_regime_input(rng, d, w_min=w_min)
-        expected = oracles.random_regime_input(oracle_rng, d, w_min=w_min)
+        (normals,), (uniforms,) = rng.draws[-2:]
+        expected = replayed(lambda r: oracles.random_regime_input(r, d, w_min=w_min),
+                            normals, uniforms)
         for field in ("v", "w", "m", "tau"):
             assert np.asarray(getattr(h, field)).tobytes() == \
                 np.asarray(getattr(expected, field)).tobytes()
-        assert rng.bit_generator.state == oracle_rng.bit_generator.state
         assert type(h.tau) is float
 
         res, want = (f(h.v, h.w, h.tau, h.m) for f in (holonomy.factorize_product,
