@@ -110,9 +110,11 @@ class _Pipeline:
         self.group.levels(self.cfg.measure.n_max)
         delta = self.estimate.delta
         self.group.truncate(self.cfg.measure.n_max)
-        return measure.patterson_orbit_measure(self.group, delta,
-                                               epsilon=self.cfg.measure.epsilon,
-                                               n_max=self.cfg.measure.n_max)
+        mu = measure.patterson_orbit_measure(self.group, delta,
+                                             epsilon=self.cfg.measure.epsilon,
+                                             n_max=self.cfg.measure.n_max)
+        self.group.truncate(0)      # no command reads the levels once the measure exists
+        return mu
 
 
 def _input_measure(cfg, threads, check=lambda d, atoms: None):

@@ -195,7 +195,10 @@ def decay_scan(mu: AtomicMeasure, spec: FrequencySpec, seed: int = 0,
     within each kept shell the modulus is maximized over the direction fan
     and log-spaced radial samples, all taken by ``_ray_transform``.  kappa =
     -slope of log(max) vs log(R) over the upper half of the kept shells (a
-    sup-bound fit), ``kappa_stderr`` the slope's standard error.
+    sup-bound fit), ``kappa_stderr`` the slope's standard error.  The type-3
+    transform takes the directions one after another on the calling thread;
+    ``threads`` workers serve only the direct sums past the grid budget, and
+    a count below 1 is refused either way.
     """
     if spec.count < MIN_SHELLS:
         raise ValueError(f"a decay fit needs at least {MIN_SHELLS} shells, got {spec.count}")
@@ -363,20 +366,22 @@ def _ray_transform(pts: np.ndarray, w: np.ndarray, dirs: np.ndarray, radii: np.n
 
     mu-hat(r theta) = sum_j w_j e^{2 pi i r t_j} / mass is a 1-D type-3 NUFFT of
     the projections t_j = <theta, x_j> (Lee-Greengard 2005), taken once per
-    antipodal pair of directions (mu-hat(-xi) = conj(mu-hat(xi)) bit for bit)
-    and by one worker per direction, so the bits do not depend on the thread
-    count.  With the atoms centred at c (|t_j - c| <= X) and the radii at s0
-    (|r - s0| <= S), the atoms carry the pre-phase e^{2 pi i s0 (t_j - c)} and
-    are spread with a Gaussian onto a grid of step h = _RAY_STEP / S; a type-2
-    step (deconvolution, one FFT of a 5-smooth size at least twice the grid,
-    Gaussian interpolation at h (r - s0)) gives the grid's transform, which
-    the first Gaussian's transform and the post-phase e^{2 pi i r c} turn into
-    mu-hat.  Values lie within 1e-10 absolute of the direct d-dimensional sum
-    while r max_j |x_j| <= 2.5e6; the gap grows as about 1.5e-17 r max_j |x_j|.
+    antipodal pair of directions (mu-hat(-xi) = conj(mu-hat(xi)) bit for bit),
+    direction by direction on the calling thread.  With the atoms centred at
+    c (|t_j - c| <= X) and the radii at s0 (|r - s0| <= S), the atoms carry
+    the pre-phase e^{2 pi i s0 (t_j - c)} and are spread with a Gaussian onto
+    a grid of step h = _RAY_STEP / S; a type-2 step (deconvolution, one FFT
+    of a 5-smooth size at least twice the grid, Gaussian interpolation at
+    h (r - s0)) gives the grid's transform, which the first Gaussian's
+    transform and the post-phase e^{2 pi i r c} turn into mu-hat.  Values
+    lie within 1e-10 absolute of the direct d-dimensional sum while
+    r max_j |x_j| <= 2.5e6; the gap grows as about 1.5e-17 r max_j |x_j|.
     A direction along which every projection is c gets the closed form
     e^{2 pi i r c}.  If the largest direction's FFT would hold more than
     _GRID_BUDGET bytes (a support wide against 1/S), each direction without
-    that closed form is summed directly along its projections (``_ray_sum``).
+    that closed form is summed directly along its projections (``_ray_sum``),
+    by one worker of ``threads`` per direction.  Either way the bits do not
+    depend on the thread count, and a count below 1 is refused.
     """
     canon, flip = _half_space(dirs)
     uniq, inverse = np.unique(canon, axis=0, return_inverse=True)
@@ -432,7 +437,10 @@ def _ray_transform(pts: np.ndarray, w: np.ndarray, dirs: np.ndarray, radii: np.n
         post = np.exp(2j * np.pi * rs * c + math.pi ** 2 * b * u * u) / math.sqrt(math.pi * b)
         return vals * post / mass
 
-    out = np.stack(core.parallel_map(transform, list(range(uniq.shape[0])), threads))
+    # a type-3 direction takes milliseconds: a second worker saved nothing at
+    # 4,687 atoms and held a heap of its own; min(threads, 1) refuses below 1
+    out = np.stack(core.parallel_map(transform, list(range(uniq.shape[0])),
+                                     threads if direct else min(threads, 1)))
     out = out[inverse][:, r_index]
     return np.where(flip[:, None], np.conj(out), out)
 

@@ -141,9 +141,10 @@ def nearest_neighbor_distances(points: np.ndarray) -> np.ndarray:
     return _cell_search(points)
 
 
-#: Queries per block, and candidate pairs per pass, of ``_cell_search``.
-_QUERY_BLOCK = 1 << 14
-_PAIR_PASS = 1 << 20
+#: Queries per block, and candidate pairs per pass, of ``_cell_search``: its
+#: memory beyond a few arrays of the atom count (1.3 MiB traced at 4,687 atoms).
+_QUERY_BLOCK = 1 << 10
+_PAIR_PASS = 1 << 14
 
 
 def _morton(x: np.ndarray, bits: int) -> np.ndarray:
@@ -178,7 +179,11 @@ def _cell_search(points: np.ndarray) -> np.ndarray:
     index the first k = min(d, 6) axes only, which is exact (a point within
     ub is within ub on every axis) and bounds 2^k in any d; cells lose their
     edge over a k-d tree from d = 4 on.  The candidates' squared distances
-    are reduced per point, the point itself left out of its own cell.
+    are reduced per point, the point itself left out of its own cell.  The
+    points are queried _QUERY_BLOCK at a time, and a block's candidates go
+    in passes of at most _PAIR_PASS pairs that never split one point's (a
+    point with more takes a pass of its own), so each distance is the
+    minimum of the same squared distances whatever the two constants are.
     """
     n, d = points.shape
     k = min(d, 6)
@@ -205,6 +210,7 @@ def _cell_search(points: np.ndarray) -> np.ndarray:
         tables.append(key[new])
         firsts.append(np.append(np.flatnonzero(new), n))
         rank = np.cumsum(new) - 1
+    del half, key, resort, new, rank        # the queries need only the tables
     grid = grid[order]
     axes = [np.ascontiguousarray(points[order, j]) for j in range(d)]
 
@@ -240,7 +246,7 @@ def _cell_search(points: np.ndarray) -> np.ndarray:
         np.minimum(out[step:], near, out=out[step:])
         np.minimum(out[:-step], near, out=out[:-step])
     reach = np.minimum(np.sqrt(out) * (1.0 + 2.0 ** -40) * (0.5 * scale) + 3.0, 2.0 ** t)
-    moves = [np.array(m) == 1 for m in np.ndindex(*(2,) * k)]   # axes to step along
+    moves = np.array(list(np.ndindex(*(2,) * k))) == 1   # axes to step along, per cell
     for a in range(0, n, _QUERY_BLOCK):
         q = np.arange(a, min(a + _QUERY_BLOCK, n))
         q = q[out[q] > 0.0]                          # 0 is already the minimum
@@ -254,10 +260,9 @@ def _cell_search(points: np.ndarray) -> np.ndarray:
         toward[(cell + toward < 0) | (cell + toward >= 1 << (t - side))] = 0
         starts = np.zeros((q.shape[0], len(moves) + 1), dtype=np.int64)
         stops = np.zeros_like(starts)
-        for col, move in enumerate(moves):
-            rows = np.flatnonzero(np.all(toward[:, move] != 0, axis=1))
-            corner = (cell[rows] + toward[rows] * move) << side[rows]
-            starts[rows, col], stops[rows, col] = cell_runs(corner, side[rows, 0])
+        rows, cols = np.nonzero(np.all((toward[:, None, :] != 0) | ~moves, axis=2))
+        corner = (cell[rows] + toward[rows] * moves[cols]) << side[rows]
+        starts[rows, cols], stops[rows, cols] = cell_runs(corner, side[rows, 0])
         starts[:, -1], stops[:, -1] = q + 1, stops[:, 0]   # own cell, after q
         stops[:, 0] = q                                    # own cell, before q
         counts = stops - starts

@@ -15,7 +15,12 @@ workloads at seeds 0 and 1.  Each (workload, seed, thread count) pass runs
 and records the exit code and the digests of stdout, stderr and every output
 file.  ``fourier`` also runs, at the same seeds and thread counts, on a d = 3
 measure file (``DUST_DEPTH``), where the directions come from the seeded
-stream.  ``validate`` also runs on each packaged fixture of the tree.  Beside its digest it records the text of each stdout and summary
+stream.  ``measure``, then ``fourier`` and ``nonconc`` on the measure file it
+writes, also run at both thread counts on a larger d = 2 measure, the
+float-d2-grid group of seed 1 to depth ``LARGE_D2_DEPTH``, so that the
+neighbour search takes many query blocks and pair passes and the scan many
+atoms a direction.  ``validate`` also runs on each packaged fixture of the
+tree.  Beside its digest it records the text of each stdout and summary
 under 4 KiB.  Two trees behave alike when their OUT.json files are equal.
 ``--diff`` prints each key whose record differs between two OUT.json files,
 or that only one of them has, with the lines that differ where both have
@@ -23,6 +28,7 @@ the text, and exits 1 if there is any.  Not a test module: pytest does not
 collect it.
 """
 
+import dataclasses
 import difflib
 import hashlib
 import json
@@ -49,6 +55,7 @@ shell_min = 1
 shell_max = 256
 grid_max = 8
 """
+LARGE_D2_DEPTH = 6  # the larger d = 2 measure: 23,437 atoms
 TEXT_LIMIT = 4096   # bytes of stdout or summary recorded as text
 
 
@@ -95,6 +102,19 @@ def digests(src, work):
                                       "--seed", str(seed), "--out", out])):
                     record[f"{key}/{command}"] = _run(src, args, run_dir)
                 _record_outputs(record, key, out)
+    d2 = workloads.WORKLOADS["float-d2-grid"]
+    large = dataclasses.replace(d2, config={
+        **d2.config, "measure": {**d2.config["measure"], "n_max": LARGE_D2_DEPTH}})
+    for threads in THREADS:
+        key = f"large-d2/seed1/threads{threads}"
+        run_dir = os.path.join(work, key)
+        paths = workloads.write_inputs(large, 1, run_dir, src)
+        flags = ["--out", os.path.join(run_dir, "out"), "--threads", str(threads)]
+        for command, config in (("measure", paths["main"]), ("fourier", paths["nonconc"]),
+                                ("nonconc", paths["nonconc"])):
+            record[f"{key}/{command}"] = _run(src, [command, "--config", config, *flags],
+                                              run_dir)
+        _record_outputs(record, key, os.path.join(run_dir, "out"))
     dust_dir = os.path.join(work, "d3")
     _write_dust(dust_dir)
     for seed in SEEDS:

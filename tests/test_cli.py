@@ -213,7 +213,8 @@ def test_module_entry_point():
 def test_start_up_loads_no_scipy(tmp_path):
     # no command imports scipy: not at start-up, and not for the atom spacing
     # that fourier and nonconc take from a d = 2 measure's neighbour distances;
-    # on one thread no command loads the thread pool's concurrent.futures
+    # on one thread no command loads the thread pool's concurrent.futures, nor
+    # does fourier on two, whose type-3 scan and one-chunk grid run inline
     rng = np.random.default_rng(6)
     _io.write_measure_file(tmp_path / "plane.csv",
                            AtomicMeasure(points=rng.uniform(-1.0, 1.0, size=(300, 2)),
@@ -224,6 +225,7 @@ def test_start_up_loads_no_scipy(tmp_path):
     script = ("import sys\nfrom limset import cli\nref, cfg, out = sys.argv[1:]\n"
               "codes = [cli.main(['validate', ref])] + [\n"
               "    cli.main([cmd, '--config', cfg, '--out', out + cmd]) for cmd in ('fourier', 'nonconc')]\n"
+              "codes.append(cli.main(['fourier', '--config', cfg, '--out', out + '2', '--threads', '2']))\n"
               "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'),\n"
               "      'concurrent.futures' in sys.modules)")
     env = dict(os.environ, PYTHONPATH=str(Path(limset.__file__).parents[1]))
@@ -231,7 +233,7 @@ def test_start_up_loads_no_scipy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", script, REF, str(tmp_path / "plane.cfg"),
                            str(tmp_path / "out-")], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[0, 0, 0] [] False"
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0] [] False"
 
 
 _MODULES_SCRIPT = """\
@@ -375,6 +377,45 @@ def test_nearest_neighbor_distances_match_kdtree_property(rows):
                           cKDTree(points).query(points, k=2)[0][:, 1])
 
 
+def test_nearest_neighbor_distances_do_not_depend_on_the_blocks(monkeypatch):
+    # each query's candidates come from its own reach and cells, and a pass
+    # never splits them, so any query block and pair pass give the same bits
+    from scipy.spatial import cKDTree
+    rng = np.random.default_rng(12)
+    inputs = []
+    for d in (2, 3):
+        spread = rng.uniform(-1.0, 1.0, size=(150, d))
+        rays = rng.normal(size=(150, d))
+        cluster = 0.3 + rays * 10.0 ** rng.uniform(-12.0, 0.0, size=(150, 1))
+        inputs.append(np.concatenate([spread, spread[:20], cluster, cluster[:10]]))
+    want = [measure.nearest_neighbor_distances(points) for points in inputs]
+    for points, nn in zip(inputs, want):
+        assert np.array_equal(nn, cKDTree(points).query(points, k=2)[0][:, 1])
+    for block in (1, 3, 64):
+        for pairs in (1, 3, 64):
+            monkeypatch.setattr(measure, "_QUERY_BLOCK", block)
+            monkeypatch.setattr(measure, "_PAIR_PASS", pairs)
+            for points, nn in zip(inputs, want):
+                assert np.array_equal(measure.nearest_neighbor_distances(points), nn), \
+                    (points.shape, block, pairs)
+
+
+def test_nearest_neighbor_memory_is_set_by_the_blocks():
+    # the float-d2-grid benchmark's measure, 4,687 atoms: 1.3 MiB traced, where
+    # blocks of 16,384 queries and passes of 2^20 pairs take 3.3 MiB
+    from perfbench.workloads import generated_group
+    points, _ = generated_group(13).orbit_chart(5)
+    measure.nearest_neighbor_distances(points)      # any first-call allocations
+    tracemalloc.start()
+    try:
+        measure.nearest_neighbor_distances(points)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert points.shape == (4687, 2)
+    assert peak <= 1.65 * 2 ** 20
+
+
 # ---------------------------------------------------------------------------
 # delta
 # ---------------------------------------------------------------------------
@@ -478,8 +519,9 @@ def test_delta_builds_each_level_once(work, tmp_path, monkeypatch):
 
 def test_measure_holds_no_levels_below_its_depth(work):
     """Once delta is estimated the pipeline forgets the distances below the
-    measure's depth, which only the estimate read; with gc off, so that no
-    reference cycle may keep the streamed levels alive either."""
+    measure's depth, which only the estimate read, and once the measure is
+    built every level but the identity's; with gc off, so that no reference
+    cycle may keep the streamed levels alive either."""
     cfg = _io.parse_experiment_config(str(work / "ref_d12_m9.cfg"))
     gc.disable()
     tracemalloc.start()
@@ -490,11 +532,10 @@ def test_measure_holds_no_levels_below_its_depth(work):
     finally:
         tracemalloc.stop()
         gc.enable()
-    assert run.estimate.n_max == 12 and len(run.group._levels) == 10
-    # levels 0..9 with vectors and distances, the atoms, and what a first
-    # import holds (0.12 MiB in a fresh process); the distances of levels
-    # 10..12 alone are 7.8 MiB
-    assert held <= run.group.cache_bytes(9) + mu.points.nbytes + mu.weights.nbytes + (256 << 10)
+    assert run.estimate.n_max == 12 and len(run.group._levels) == 1
+    # the atoms and what a first import holds (0.12 MiB in a fresh process);
+    # the vectors and distances of levels 0..9 alone are 1.2 MiB
+    assert held <= mu.points.nbytes + mu.weights.nbytes + (256 << 10)
 
 
 def test_measure_refinement_shrinks_residual(work, tmp_path):

@@ -118,19 +118,20 @@ def test_transform_matches_the_plain_sum(d):
 
 
 def test_each_antipodal_pair_is_evaluated_once(monkeypatch):
-    # the decay scan transforms one direction of each antipodal pair, and
+    # the decay scan transforms one direction of each antipodal pair, one
+    # after another on the calling thread whatever the thread count, and
     # neither the scan nor the grid sums directly
-    rows, directions = [], []
+    rows, maps = [], []
     real_map = core.parallel_map
     monkeypatch.setattr(fourier, "_ray_sum", lambda *args: rows.append(args) or None)
     monkeypatch.setattr(core, "parallel_map", lambda fn, items, threads=1:
-                        directions.append(len(items)) or real_map(fn, items, threads))
+                        maps.append((len(items), threads)) or real_map(fn, items, threads))
     plane = random_measure(n=300, d=2, seed=4)
     plane = measure.AtomicMeasure(points=plane.points / 100.0, weights=plane.weights)
     for mu, fan in ((oracles.uniform_segment_measure(500), 2), (plane, 64)):
-        directions.clear()
-        report = fourier.decay_scan(mu, fourier.FrequencySpec())
-        assert directions == [fan // 2]
+        maps.clear()
+        report = fourier.decay_scan(mu, fourier.FrequencySpec(), threads=2)
+        assert maps == [(fan // 2, 1)]
         assert np.unique(report.sample_dir_index).size == fan
     fourier.grid_statistics(random_measure(n=50, d=2, seed=3), 6.0)
     assert rows == []
@@ -372,7 +373,11 @@ def test_ray_scan_keeps_the_direct_sum_over_the_grid_budget(monkeypatch):
     fourier.decay_scan(mu, CLI_SHELLS)
     monkeypatch.setattr(fourier, "_ray_sum", real_sum)
     monkeypatch.setattr(fourier, "_GRID_BUDGET", 1 << 10)
+    asked, real_map = [], core.parallel_map     # the direct sums keep the pool
+    monkeypatch.setattr(core, "parallel_map", lambda fn, items, threads=1:
+                        asked.append(threads) or real_map(fn, items, threads))
     one, three, want = scan_and_direct(mu, CLI_SHELLS)
+    assert asked[:2] == [1, 3]     # then the oracle's own map
     assert np.array_equal(one, three)
     assert np.abs(one - want).max() <= 1e-12
     monkeypatch.undo()
