@@ -33,7 +33,7 @@ import numpy as np
 from limset import core
 
 FLOAT_FMT = "%.17g"
-CSV_CHUNK_ROWS = 16384     # rows rendered by one %-format in write_csv
+CSV_CHUNK_ROWS = 4096      # rows rendered by one %-format in write_csv
 _COLUMN_FMT = {"f": FLOAT_FMT, "i": "%d", "b": "%s", "U": "%s"}     # by dtype kind
 
 

@@ -148,7 +148,6 @@ def cmd_validate(args):
 
 
 def cmd_delta(args):
-    from limset import dimension
     cfg, threads, out = _setup(args)
     run = _Pipeline(cfg, threads)
     meta = _meta("delta", cfg.sha256, cfg.run.seed, threads, group=run.group.name)
@@ -158,9 +157,8 @@ def cmd_delta(args):
     except core.DegenerateConfigurationError as exc:
         _report(summary_path, meta, ["status = degenerate", f"reason = {exc}"])
         return 3
-    log_a = dimension.shell_sums(run.group, est.delta, cfg.delta.n_max, threads=threads)
     with np.errstate(over="ignore"):
-        a_n = np.exp(log_a)[est.levels]
+        a_n = np.exp(est.log_a)[est.levels]
     _io.write_csv(os.path.join(out, "delta.csv"), {
         "n": est.levels, "s": np.full(est.levels.size, est.delta),
         "a_n": a_n, "delta_n": est.per_level[est.levels - 1]}, meta)

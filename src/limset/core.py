@@ -368,6 +368,18 @@ def resolve_threads(flag=None, env=None, configured=1):
     return count
 
 
+def neumaier(parts) -> np.ndarray:
+    """Compensated (Neumaier) sum of partial sums over atom chunks or blocks,
+    in order, elementwise for array partials."""
+    total = comp = 0.0
+    for part in parts:
+        t = total + part
+        comp = comp + np.where(np.abs(total) >= np.abs(part),
+                               (total - t) + part, (part - t) + total)
+        total = t
+    return total + comp
+
+
 def parallel_map(fn, items, threads=1):
     """[fn(x) for x in items] for a list ``items``, on up to ``threads`` threads.
 

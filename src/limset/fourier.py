@@ -70,17 +70,6 @@ _RAY_STEP = 0.225
 _GRID_BUDGET = 1 << 30
 
 
-def _neumaier(parts) -> np.ndarray:
-    """Compensated sum of partial sums over atom chunks or blocks, in order."""
-    total = comp = 0.0
-    for part in parts:
-        t = total + part
-        comp = comp + np.where(np.abs(total) >= np.abs(part),
-                               (total - t) + part, (part - t) + total)
-        total = t
-    return total + comp
-
-
 def _atom_chunks(n: int) -> list[slice]:
     return [slice(i, min(i + _ATOM_CHUNK, n)) for i in range(0, n, _ATOM_CHUNK)]
 
@@ -356,7 +345,7 @@ def _ray_sum(xt: np.ndarray, w: np.ndarray, theta: np.ndarray, rs: np.ndarray,
             del z, phase       # free these terms before the next rows
         return np.concatenate(sums)
 
-    return _neumaier(part(sl) for sl in blocks)
+    return core.neumaier(part(sl) for sl in blocks)
 
 
 def _ray_transform(pts: np.ndarray, w: np.ndarray, dirs: np.ndarray, radii: np.ndarray,

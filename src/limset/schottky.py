@@ -195,6 +195,14 @@ def _words_through(k, n):
     return 1 + 2 * n if base == 1 else 1 + 2 * k * (base ** n - 1) // (base - 1)
 
 
+def _distances(prod, out):
+    """d(o, w o) of the orbit vectors ``prod`` (rows W (e_0 + e_last)) into
+    ``out``, in place: no temporaries."""
+    np.add(prod[:, 0], prod[:, -1], out=out)
+    out *= 0.5
+    np.arccosh(np.maximum(out, 1.0, out=out), out=out)
+
+
 @dataclass
 class _Level:
     """Cached data for all reduced words of one length."""
@@ -304,7 +312,7 @@ class SchottkyGroup:
         are streamed from there (``_build``) and never hold vectors.  A level
         built with vectors only as a parent drops them at the end."""
         levels = self._levels
-        held = sum(lev.vecs is not None for lev in levels) - 1
+        held = self._held()
         self.check_depth(n, read, held)
         whole = read if n < len(levels) else max(read, held, self._one_chunk_through(n))
         for j in range(held + 1, whole + 1):
@@ -315,6 +323,10 @@ class SchottkyGroup:
             lev.exact = parent.exact and int(parent.max_entry) * self._row_sum <= _FLOAT_EXACT
         for lev in levels[max(held, read) + 1:]:
             lev.vecs = None
+
+    def _held(self):
+        """The deepest level holding vectors (those holding them are a prefix)."""
+        return sum(lev.vecs is not None for lev in self._levels) - 1
 
     def _one_chunk_through(self, n):
         """The deepest level <= n of at most _ROWS words (n when k = 1)."""
@@ -346,14 +358,47 @@ class SchottkyGroup:
         child = self._levels[j + 1]
         npar = self._levels[j].dists.shape[0]
         for lo, hi, prod in self._prepend(vecs, first, npar, child.vecs):
-            part = child.dists[lo:hi]               # built in place: no temporaries
-            np.add(prod[:, 0], prod[:, -1], out=part)
-            part *= 0.5
-            np.arccosh(np.maximum(part, 1.0, out=part), out=part)
+            _distances(prod, child.dists[lo:hi])
             child.max_entry = max(child.max_entry, float(prod.max()), float(-prod.min()))
             if j + 1 < n:
                 self._descend(j + 1, lo, prod, n)
             del prod                                # freed before the next block is made
+
+    def _walk(self, n, rows, held, whole):
+        """Level n's distances, ``rows`` at a time in walk order, into one
+        staging buffer (see ``streamed_distances``): level ``whole``'s vectors
+        go in chunks of _ROWS rows depth first to level n, as ``_build`` carries
+        them.  At its end the levels deeper than ``held`` drop their vectors."""
+        buf = np.empty(min(rows, _words_through(self.k, n) - _words_through(self.k, n - 1)))
+        rows, fill = buf.shape[0], 0
+        try:
+            top = self._levels[whole].vecs
+            for first in range(0, top.shape[0], _ROWS):
+                for prod in self._blocks(whole, first, top[first:first + _ROWS], n):
+                    done = 0
+                    while done < prod.shape[0]:
+                        take = min(rows - fill, prod.shape[0] - done)
+                        _distances(prod[done:done + take], buf[fill:fill + take])
+                        fill, done = fill + take, done + take
+                        if fill == rows:
+                            yield buf
+                            fill = 0
+            if fill:
+                yield buf[:fill]
+        finally:
+            for lev in self._levels[held + 1:]:
+                lev.vecs = None
+
+    def _blocks(self, j, first, vecs, n):
+        """The level-n product blocks below rows first.. of level j (``vecs``),
+        depth first, each dropped once the caller asks for the next."""
+        npar = self._levels[j].dists.shape[0]
+        for lo, _, prod in self._prepend(vecs, first, npar):
+            if j + 1 == n:
+                yield prod
+            else:
+                yield from self._blocks(j + 1, lo, prod, n)
+            del prod
 
     def _prepend(self, vecs, first=0, npar=None, out=None):
         """L_b v for the parent vectors ``vecs``, rows first.. of a level of
@@ -418,6 +463,26 @@ class SchottkyGroup:
         """d(o, w o) for the words of each length 0..n; see _extend_levels."""
         self._extend_levels(n, read=0)
         return [lev.dists for lev in self._levels[:n + 1]]
+
+    def holds(self, n):
+        """Whether level n is in the cache."""
+        return n < len(self._levels)
+
+    def streamed_distances(self, n, rows):
+        """Levels 0..n-1's distances (``orbit_distances(n - 1)``) and an
+        iterator over level n's, ``rows`` at a time (the last chunk shorter), in
+        the order the walker makes them, not in row order; level n is never
+        held.  Each chunk is a view of one staging buffer, valid until the next
+        is asked for, and each distance has the bits ``orbit_distances(n)``
+        gives it.  The budget is checked for levels 0..n, as
+        ``orbit_distances(n)`` checks it, before any level is built.  The levels
+        built whole keep their vectors, which the walk starts from, until the
+        walk ends."""
+        held = self._held()
+        self.check_depth(n, 0, held)
+        whole = self._one_chunk_through(n - 1)
+        self._extend_levels(n - 1, read=whole)
+        return [lev.dists for lev in self._levels[:n]], self._walk(n, rows, held, whole)
 
     def orbit_chart(self, n):
         """Chart coordinates of all orbit points of word length <= n, with

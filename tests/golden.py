@@ -19,8 +19,10 @@ stream.  ``measure``, then ``fourier`` and ``nonconc`` on the measure file it
 writes, also run at both thread counts on a larger d = 2 measure, the
 float-d2-grid group of seed 1 to depth ``LARGE_D2_DEPTH``, so that the
 neighbour search takes many query blocks and pair passes and the scan many
-atoms a direction.  ``validate`` also runs on each packaged fixture of the
-tree.  Beside its digest it records the text of each stdout and summary
+atoms a direction.  ``delta`` also runs, at both thread counts, on the
+reference at ``[delta] n_max = DEEP_DELTA``, so that the deepest level, summed
+as the walker makes it, is digested at a second depth.  ``validate`` also
+runs on each packaged fixture of the tree.  Beside its digest it records the text of each stdout and summary
 under 4 KiB.  Two trees behave alike when their OUT.json files are equal.
 ``--diff`` prints each key whose record differs between two OUT.json files,
 or that only one of them has, with the lines that differ where both have
@@ -56,6 +58,7 @@ shell_max = 256
 grid_max = 8
 """
 LARGE_D2_DEPTH = 6  # the larger d = 2 measure: 23,437 atoms
+DEEP_DELTA = 14     # the second delta depth on the reference: 9,565,937 words
 TEXT_LIMIT = 4096   # bytes of stdout or summary recorded as text
 
 
@@ -115,6 +118,17 @@ def digests(src, work):
             record[f"{key}/{command}"] = _run(src, [command, "--config", config, *flags],
                                               run_dir)
         _record_outputs(record, key, os.path.join(run_dir, "out"))
+    ref = workloads.WORKLOADS["ref-d1"]
+    deep = dataclasses.replace(ref, config={**ref.config, "delta": {"n_max": DEEP_DELTA}})
+    for threads in THREADS:
+        key = f"deep-delta/seed0/threads{threads}"
+        run_dir = os.path.join(work, key)
+        paths = workloads.write_inputs(deep, 0, run_dir, src)
+        out = os.path.join(run_dir, "out")
+        record[f"{key}/delta"] = _run(
+            src, ["delta", "--config", paths["main"], "--out", out, "--threads", str(threads)],
+            run_dir)
+        _record_outputs(record, key, out)
     dust_dir = os.path.join(work, "d3")
     _write_dust(dust_dir)
     for seed in SEEDS:

@@ -21,9 +21,10 @@ from types import SimpleNamespace
 import numpy as np
 
 from limset import _io, core, dimension, schottky
-from limset.fourier import _ATOM_CHUNK, _atom_chunks, _half_space, _neumaier
+from limset.fourier import _ATOM_CHUNK, _atom_chunks, _half_space
 from limset.holonomy import REGIME_BOUND, FactorizationResult, HolonomyInput
-from limset.measure import AtomicMeasure, _quantile_points, _quantile_span
+from limset.measure import (AtomicMeasure, _quantile_points, _quantile_span,
+                            bump_test_functions)
 
 
 # Geometry helpers: the form, the metric, random rotations and loxodromic axes.
@@ -439,6 +440,25 @@ def exact_integer_residual(g):
     return max(abs(int(v)) for v in resid.ravel())
 
 
+def conformality_residual(mu: AtomicMeasure, gamma: np.ndarray, s: float) -> float:
+    """``measure.conformality_residual`` over the whole measure at once: each
+    integral is one ``np.sum`` over all the atoms."""
+    imgs, finite = core.chart_action(gamma, mu.points)
+    w_push = mu.weights[finite]
+    p_push = imgs[finite]
+    xi = core.chart_to_boundary(mu.points)
+    o = core.basepoint(mu.d)
+    go = np.asarray(gamma, dtype=float) @ o
+    w_conf = mu.weights * np.exp(s * core.busemann(xi, o, go))
+    bumps = bump_test_functions(mu)
+    worst = 0.0
+    for f_push, f_atoms in zip(bumps(p_push), bumps(mu.points)):
+        lhs = float(np.sum(w_push * f_push))
+        rhs = float(np.sum(w_conf * f_atoms))
+        worst = max(worst, abs(lhs - rhs))
+    return worst
+
+
 def shell_measure(group, delta, n) -> AtomicMeasure:
     """Level-n shell measure: atoms at the chart points of w.o over the
     reduced words of length exactly n, weighted e^{-delta d(o, w.o)} and
@@ -477,7 +497,7 @@ def _atom_sum(xt: np.ndarray, w: np.ndarray, freqs: np.ndarray) -> np.ndarray:
         np.exp(z[:rows], out=z[:rows])
         return (z @ w[sl])[:rows]
 
-    return _neumaier(part(sl) for sl in _atom_chunks(xt.shape[1]))
+    return core.neumaier(part(sl) for sl in _atom_chunks(xt.shape[1]))
 
 
 def _distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

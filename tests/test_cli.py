@@ -83,6 +83,7 @@ r_min = 0.05
     config("ref_n0.cfg", pipeline.format(group=REF, delta_n=6, measure_n=0))
     config("ref_n12.cfg", pipeline.format(group=REF, delta_n=8, measure_n=12))
     config("ref_n6.cfg", pipeline.format(group=REF, delta_n=8, measure_n=6))
+    config("ref_d11_m6.cfg", pipeline.format(group=REF, delta_n=11, measure_n=6))
     config("ref_d12_m9.cfg", pipeline.format(group=REF, delta_n=12, measure_n=9))
     config("segment.cfg", """
 [run]
@@ -479,42 +480,51 @@ def test_measure_depth_zero_single_atom(work, tmp_path):
 
 
 def _count_level_builds(monkeypatch):
-    """The levels each ``SchottkyGroup._build`` call makes, in call order."""
+    """The levels each ``SchottkyGroup._build`` call makes, and the level
+    each walk of ``streamed_distances`` sums without holding it, in call order."""
     built = []
-    real = schottky.SchottkyGroup._build
+    build, walk = schottky.SchottkyGroup._build, schottky.SchottkyGroup._walk
 
-    def counted(self, j, n, vectors):
+    def counted_build(self, j, n, vectors):
         built.extend(range(j + 1, n + 1))
-        return real(self, j, n, vectors)
+        return build(self, j, n, vectors)
 
-    monkeypatch.setattr(schottky.SchottkyGroup, "_build", counted)
+    def counted_walk(self, n, *args):
+        built.append(n)
+        return walk(self, n, *args)
+
+    monkeypatch.setattr(schottky.SchottkyGroup, "_build", counted_build)
+    monkeypatch.setattr(schottky.SchottkyGroup, "_walk", counted_walk)
     return built
 
 
 def test_measure_builds_each_level_once(work, tmp_path, monkeypatch):
     """The measure's vector levels are built before delta's distances, so
     each level's products are built once, whether the measure is shallower
-    than delta or as deep, and whether delta's deeper levels are built whole
-    or streamed (at 100 rows a chunk, below level 3)."""
+    than delta or as deep, whether delta's deeper levels are built whole
+    or streamed (at 100 rows a chunk, below level 3), and whether its
+    deepest level is held or summed in the walk that makes it (level 11)."""
     built = _count_level_builds(monkeypatch)
     for rows in (schottky._ROWS, 100):
         monkeypatch.setattr(schottky, "_ROWS", rows)
-        for cfg in ("ref_n6.cfg", "ref.cfg"):
+        for cfg, deepest in (("ref_n6.cfg", 8), ("ref.cfg", 8), ("ref_d11_m6.cfg", 11)):
             built.clear()
             assert cli.main(["measure", "--config", str(work / cfg),
                              "--out", str(tmp_path / cfg)]) == 0
-            assert built == list(range(1, 9)), (rows, cfg)
+            assert built == list(range(1, deepest + 1)), (rows, cfg)
 
 
 def test_delta_builds_each_level_once(work, tmp_path, monkeypatch):
-    """The shell sums of delta.csv reuse the estimate's distances."""
+    """The shell sums of delta.csv reuse the estimate's distances, and a
+    deepest level summed as the walker makes it (level 11) is walked once."""
     built = _count_level_builds(monkeypatch)
     for rows in (schottky._ROWS, 100):
         monkeypatch.setattr(schottky, "_ROWS", rows)
-        built.clear()
-        assert cli.main(["delta", "--config", str(work / "ref.cfg"),
-                         "--out", str(tmp_path / "d")]) == 0
-        assert built == list(range(1, 9)), rows
+        for cfg, deepest in (("ref.cfg", 8), ("ref_d11_m6.cfg", 11)):
+            built.clear()
+            assert cli.main(["delta", "--config", str(work / cfg),
+                             "--out", str(tmp_path / cfg)]) == 0
+            assert built == list(range(1, deepest + 1)), (rows, cfg)
 
 
 def test_measure_holds_no_levels_below_its_depth(work):

@@ -1,13 +1,16 @@
 """Critical exponent estimation: closed-form roots, fixtures, stability."""
 
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from limset import core, dimension, schottky
+import limset
+from limset import _io, core, dimension, schottky
 
 import oracles
 
@@ -310,13 +313,34 @@ def test_grid_search_matches_bisection_on_generated_groups():
                               oracles.bisection_delta(dists)[1])
 
 
-def test_reference_root_search_evaluation_counts(reference):
-    # delta_8..delta_12 share one cell, so levels 9..12 test its two ends
-    # after the bracket's f(1); bisection takes 21 evaluations a level, 252.
+def _fresh_reference():
+    """The reference group with an empty level cache (the session fixture's
+    cache depends on the tests run before)."""
+    return _io.load_group_file(limset.fixture_path("reference"))
+
+
+def test_reference_root_search_evaluation_counts():
+    # delta_8..delta_12 share one cell, so levels 9..11 test its two ends
+    # after the bracket's f(1), and level 12, summed as the walker builds it,
+    # tests the two ends alone; bisection takes 21 evaluations a level, 252.
     # Levels 2..6 walk 2^11 to 2^15 cells from their predecessor's root, at
     # about 2 log2 of the distance, and levels 7 and 8 after smaller moves
-    est = dimension.estimate_delta(reference, n_max=12)
-    assert list(est.evaluations) == [21, 31, 25, 27, 23, 19, 13, 7, 3, 3, 3, 3]
+    est = dimension.estimate_delta(_fresh_reference(), n_max=12)
+    assert list(est.evaluations) == [21, 31, 25, 27, 23, 19, 13, 7, 3, 3, 3, 2]
+    # a held level 12 is searched as delta_from_distances searches it
+    held = _fresh_reference()
+    held.orbit_distances(12)
+    assert list(dimension.estimate_delta(held, n_max=12).evaluations)[-1] == 3
+
+
+def test_readme_evaluation_total():
+    readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
+    total, n_max, bisection = re.search(
+        r"counts its steps per level: (\d+) on the reference at n_max (\d+), against "
+        r"(\d+) for bisection", readme).groups()
+    est = dimension.estimate_delta(_fresh_reference(), n_max=int(n_max))
+    assert est.evaluations.sum() == int(total)
+    assert 21 * int(n_max) == int(bisection)
 
 
 def test_generated_group_root_search_evaluation_counts():
@@ -325,6 +349,111 @@ def test_generated_group_root_search_evaluation_counts():
     for seed, counts in ((0, [21, 33, 25, 15, 5, 3]), (1, [21, 33, 23, 17, 11, 5])):
         est = dimension.estimate_delta(workloads.generated_group(seed), n_max=6)
         assert list(est.evaluations) == counts
+
+
+# ---------------------------------------------------------------------------
+# the deepest level summed as the walker builds it
+
+
+def _held_search(group, n_max):
+    """delta_from_distances over the held levels 0..n_max: the oracle of the
+    streamed last level."""
+    dists = group.orbit_distances(n_max)
+    return dists, dimension.delta_from_distances(dists)
+
+
+def _check_streamed(make, n_max, streamed):
+    group = make()
+    est = dimension.estimate_delta(group, n_max=n_max)
+    assert group.holds(n_max) != streamed       # a streamed level is never held
+    dists, (delta, per_level, evaluations) = _held_search(make(), n_max)
+    assert np.array_equal(est.per_level, per_level) and est.delta == delta
+    assert np.array_equal(est.evaluations[:-1], evaluations[:-1])
+    assert est.evaluations[-1] == (2 if streamed else evaluations[-1])
+    assert list(est.counts) == [d.shape[0] for d in dists]
+    # the held levels' sums keep their bits; the streamed one is summed in
+    # walk order, so it may differ in its last bits
+    assert np.array_equal(est.log_a[:-1], dimension.log_shell_sums(dists[:-1], delta))
+    held_last = dimension._chunked_logsumexp(dists[-1], delta)
+    assert abs(est.log_a[-1] - held_last) <= (1e-14 if streamed else 0.0)
+
+
+@pytest.mark.parametrize("n_max", range(9, 15))
+def test_streamed_reference_roots_match_the_held_search(n_max):
+    # level 9's 26,244 words are one chunk, so it is held; levels 10..14 are
+    # 78,732 to 6,377,292 words
+    _check_streamed(_fresh_reference, n_max, streamed=n_max > 9)
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("n_max", range(6, 9))
+def test_streamed_generated_group_roots_match_the_held_search(seed, n_max):
+    # level 6's 18,750 words are one chunk, so it is held; levels 7 and 8
+    # (93,750 and 468,750 words) are streamed
+    from perfbench import workloads
+    _check_streamed(lambda: workloads.generated_group(seed), n_max, streamed=n_max > 6)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_streamed_level_of_several_small_chunks(seed, monkeypatch):
+    # walked 4,096 distances at a time, level 6 is five chunks; the roots of
+    # all seeds but 0 and 2 leave level 5's cell, so it is built and held
+    from perfbench import workloads
+    monkeypatch.setattr(dimension, "_CHUNK", 4096)
+    _check_streamed(lambda: workloads.generated_group(seed), 6, streamed=seed in (0, 2))
+
+
+def test_streamed_estimate_bits_are_independent_of_threads():
+    one, four = (dimension.estimate_delta(_fresh_reference(), n_max=12, threads=t)
+                 for t in (1, 4))
+    for a, b in ((one.per_level, four.per_level), (one.log_a, four.log_a),
+                 (one.evaluations, four.evaluations)):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_levels_built_by_the_cache_take_the_held_path():
+    group = _fresh_reference()
+    group.levels(12)
+    est = dimension.estimate_delta(group, n_max=12)
+    dists = group.orbit_distances(12)
+    assert est.evaluations[-1] == 3
+    assert np.array_equal(est.log_a, dimension.log_shell_sums(dists, est.delta))
+
+
+def test_readme_streamed_shell_figures():
+    readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
+    rows = re.search(r"sums level `n_max` as the walker makes it, ([\d,]+) distances", readme)
+    assert int(rows.group(1).replace(",", "")) == dimension._CHUNK
+    words = re.search(r"if it has at most ([\d,]+) words", readme).group(1)
+    assert int(words.replace(",", "")) == dimension._CHUNK
+    group = _fresh_reference()
+    first = int(re.search(r"on the reference, levels (\d+) and deeper", readme).group(1))
+    assert [group.word_count(n) - group.word_count(n - 1) > dimension._CHUNK
+            for n in (first - 1, first)] == [False, True]
+    held, top, deepest, whole = re.search(
+        r"the cache then holds ([\d.]+) MiB of distances \(levels 0\.\.(\d+)\), where "
+        r"with level (\d+) it held ([\d.]+) MiB", readme).groups()
+    for n, mib in ((int(top), held), (int(deepest), whole)):
+        assert f"{8 * group.word_count(n) / 2 ** 20:.1f}" == mib
+    moved, n = re.search(r"the last row of `delta.csv` moved by ([\d.e-]+) in `log a_(\d+)`",
+                         readme).groups()
+    est = dimension.estimate_delta(group, n_max=int(n))
+    held_sum = dimension._chunked_logsumexp(_fresh_reference().orbit_distances(int(n))[-1],
+                                            est.delta)
+    assert f"{abs(est.log_a[-1] - held_sum):.1e}" == moved
+
+
+def test_streamed_estimate_memory_is_below_the_deepest_level():
+    # levels 0..11 hold 354,293 distances (2.7 MiB); level 12's 708,588
+    # (5.4 MiB) are summed 65,536 at a time as the walker makes them
+    group = _fresh_reference()
+    tracemalloc.start()
+    try:
+        dimension.estimate_delta(group, n_max=12)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 << 20
 
 
 def test_reference_delta_matches_the_dynamical_determinant(reference):

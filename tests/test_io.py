@@ -256,10 +256,14 @@ _EDGE_INTS = [np.iinfo(np.int64).min, np.iinfo(np.int64).min + 1,
               np.iinfo(np.int64).max - 1, np.iinfo(np.int64).max]
 
 
-@pytest.mark.parametrize("rows", [0, 1, 16383, 16384, 16385])
+_CSV_EDGES = sorted({0, 1, 16383, 16384, 16385}
+                    | {_io.CSV_CHUNK_ROWS + k for k in (-1, 0, 1)})
+
+
+@pytest.mark.parametrize("rows", _CSV_EDGES)
 def test_csv_column_writer_matches_per_cell_oracle(tmp_path, rows):
-    # chunk edges at CSV_CHUNK_ROWS = 16384; every dtype the writer formats
-    assert _io.CSV_CHUNK_ROWS == 16384
+    # the edges of one chunk of CSV_CHUNK_ROWS rows and of 16,384 rows (four
+    # chunks); every dtype the writer formats
     rng = np.random.default_rng([rows, 11])
     floats = rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows)
     floats[:len(_SPECIAL_FLOATS)] = _SPECIAL_FLOATS[:rows]
@@ -282,16 +286,33 @@ def test_csv_column_writer_matches_per_cell_oracle(tmp_path, rows):
     assert (tmp_path / "column.csv").read_bytes() == (tmp_path / "cell.csv").read_bytes()
 
 
-def test_csv_writer_memory_is_set_by_the_chunk(tmp_path):
+@pytest.fixture(scope="module")
+def csv_writer_peak(tmp_path_factory):
+    """Traced peak of writing three float columns of 1,000,000 rows."""
     rng = np.random.default_rng(5)
     table = {name: rng.standard_normal(1_000_000) for name in ("x1", "x2", "weight")}
     tracemalloc.start()
     try:
-        _io.write_csv(tmp_path / "big.csv", table, {})
+        _io.write_csv(tmp_path_factory.mktemp("csv") / "big.csv", table, {})
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 8 << 20
+    return peak
+
+
+def test_csv_writer_memory_is_set_by_the_chunk(csv_writer_peak):
+    # 1.19 MiB measured with chunks of 4,096 rows (4.7 MiB with 16,384): the
+    # chunk's Python floats, their tuple, its format and its text
+    assert csv_writer_peak < 1.25 * 2 ** 20
+
+
+def test_readme_csv_writer_figures(csv_writer_peak):
+    readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
+    rows, mib = re.search(r"the rows are rendered ([\d,]+) at a time by one format string, "
+                          r"so the writer's memory is set by that chunk \(about ([\d.]+) MiB "
+                          r"for three float columns\)", readme).groups()
+    assert int(rows.replace(",", "")) == _io.CSV_CHUNK_ROWS
+    assert abs(csv_writer_peak / 2 ** 20 - float(mib)) < 0.1
 
 
 def test_csv_columns_of_unequal_length_are_refused(tmp_path):

@@ -1,5 +1,9 @@
 """Patterson-Sullivan orbit measures, conditionals, and their symmetries."""
 
+import re
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -103,6 +107,71 @@ def test_conformality_sign_flip_inflates(reference, mu_ref):
         good = measure.conformality_residual(mu_ref, g, s)
         bad = measure.conformality_residual(mu_ref, g, -s)   # the wrong sign convention
         assert bad >= 10.0 * good
+
+
+def _conformal_mass(mu, g, s):
+    o = core.basepoint(mu.d)
+    xi = core.chart_to_boundary(mu.points)
+    return float(np.sum(mu.weights * np.exp(s * core.busemann(xi, o, g @ o))))
+
+
+@pytest.mark.parametrize("chunk, depth", [(1, 5), (7, 7), (4096, 9)])
+def test_chunked_residual_matches_the_full_array_oracle(reference, monkeypatch, chunk,
+                                                        depth):
+    # each integral's terms are weights times bumps in (0, 1], so the chunked
+    # compensated sum and the oracle's one np.sum each round to a few ulp of
+    # the masses; a chunk of one atom also maps it by dot, not gemm, whose
+    # other last bits the narrowest bump (1/16 of the quantile span) magnifies
+    # (2.4e-15 on the d = 2 measure): 1e-14 (mass + conformal mass) bounds the
+    # difference.  The reference measures of depth 5, 7 and 9 have 485, 4,373
+    # and 39,365 atoms, the d = 2 one 937
+    from perfbench import workloads
+    d2 = workloads.generated_group(0)
+    delta2 = dimension.estimate_delta(d2, n_max=6).delta
+    cases = [(reference, measure.patterson_orbit_measure(reference, DELTA_REF, 0.02, depth),
+              DELTA_REF + 0.02),
+             (d2, measure.patterson_orbit_measure(d2, delta2, 0.02, 4), delta2 + 0.02)]
+    monkeypatch.setattr(measure, "_RESIDUAL_CHUNK", chunk)
+    for group, mu, s in cases:
+        for g in group.letter_mats:
+            want = oracles.conformality_residual(mu, g, s)
+            got = measure.conformality_residual(mu, g, s)
+            assert abs(got - want) <= 1e-14 * (mu.mass + _conformal_mass(mu, g, s)), (mu.n, g)
+
+
+def _residual_peaks(reference):
+    """Traced peaks (MiB) of the chunked residual and of the full-array
+    oracle on the depth-9 reference measure, 39,365 atoms."""
+    mu = measure.patterson_orbit_measure(reference, DELTA_REF, 0.02, 9)
+    g, s = reference.letter_mats[0], DELTA_REF + 0.02
+    peaks = []
+    for residual in (measure.conformality_residual, oracles.conformality_residual):
+        residual(mu, g, s)
+        tracemalloc.start()
+        try:
+            residual(mu, g, s)
+            peaks.append(tracemalloc.get_traced_memory()[1] / 2 ** 20)
+        finally:
+            tracemalloc.stop()
+    return mu.n, peaks
+
+
+def test_residual_memory_is_set_by_the_chunk(reference):
+    # 39,365 atoms in three chunks
+    _, (chunked, _) = _residual_peaks(reference)
+    assert chunked <= 1.5
+
+
+def test_readme_residual_figures(reference):
+    readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
+    rows, chunked, atoms, whole = re.search(
+        r"`conformality_residual` takes the atoms ([\d,]+) at a time .*? ([\d.]+) MiB "
+        r"traced on ([\d,]+) atoms, against ([\d.]+) MiB in one pass", readme).groups()
+    assert int(rows.replace(",", "")) == measure._RESIDUAL_CHUNK
+    n, peaks = _residual_peaks(reference)
+    assert n == int(atoms.replace(",", ""))
+    for peak, figure in zip(peaks, (chunked, whole)):
+        assert abs(peak - float(figure)) < 0.1
 
 
 # ---------------------------------------------------------------------------
